@@ -134,7 +134,9 @@ def _default_threads() -> int:
         if value < 1:
             raise ValueError("SBC_LAB_THREADS must be >= 1")
         return value
-    return os.cpu_count() or 1
+    # numpy calls this small hold the interpreter lock: a thread pool only
+    # adds overhead, so one thread is the default
+    return 1
 
 
 def _resolve_masses(cfg: RunConfig, default_n: int = 3):
@@ -198,6 +200,10 @@ def _config_payload(config: Configuration, spectrum: Spectrum) -> dict:
     }
 
 
+def _float_or_none(value):
+    return None if value is None else float(value)
+
+
 def _triple_payload(triple):
     if triple is None:
         return None
@@ -228,7 +234,8 @@ def _emit(cfg: RunConfig, payload: dict, table) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (json payload, csv table | None)
+# subcommand handlers: each returns (json payload, csv table | None); a
+# table's rows may be a lazy iterable, consumed only for --format csv
 
 
 def _cmd_coeffs(cfg: RunConfig, args):
@@ -289,19 +296,18 @@ def _record_payload(rec) -> dict:
     }
 
 
-def _record_row(rec):
+def _record_row(entry: dict):
+    """CSV row of one _record_payload entry."""
     fmt = lambda xs: " ".join(str(float(x)) for x in xs)
-    predicted = rec.predicted or ("", "", "")
-    computed = rec.computed or ("", "", "")
     return (
-        " ".join(str(i) for i in rec.ordering),
-        rec.axis,
-        fmt(rec.config.q.ravel()),
-        float(potential(rec.config)),
-        float(rec.lam),
-        fmt(rec.spectral.eigenvalues) if rec.spectral else "",
-        *predicted,
-        *computed,
+        " ".join(str(i) for i in entry["ordering"]),
+        entry["axis"],
+        fmt(x for row in entry["positions"] for x in row),
+        entry["U"],
+        entry["lambda"],
+        "" if entry["eta"] is None else fmt(entry["eta"]),
+        *(entry["predicted"] or ("", "", "")),
+        *(entry["computed"] or ("", "", "")),
     )
 
 
@@ -338,7 +344,7 @@ def _cmd_collinear(cfg: RunConfig, args):
         "predicted_index", "predicted_nullity", "predicted_coindex",
         "computed_index", "computed_nullity", "computed_coindex",
     )
-    return payload, (header, [_record_row(r) for r in records])
+    return payload, (header, map(_record_row, payload["records"]))
 
 
 def _census_payload(result, n: int, d: int) -> dict:
@@ -474,12 +480,12 @@ def _cmd_flow(cfg: RunConfig, args):
     header = ["t"]
     header += [f"q{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
     header += ["theta_deg", "U", "min_sep"]
-    rows = [
+    rows = (
         (float(t), *(float(x) for x in state.q.ravel()), float(th), float(u), float(ms))
         for t, state, th, u, ms in zip(
             traj.times, traj.states, traj.theta, traj.potential, traj.min_sep
         )
-    ]
+    )
     return payload, (tuple(header), rows)
 
 
@@ -516,9 +522,9 @@ def _cmd_check45(cfg: RunConfig, args):
                 "index": o.index,
                 "status": o.status,
                 "theta_start": float(o.theta_start),
-                "theta_end": float(o.theta_end),
+                "theta_end": _float_or_none(o.theta_end),
                 "monotone": o.monotone,
-                "worst_increase": float(o.worst_increase),
+                "worst_increase": _float_or_none(o.worst_increase),
                 "stop_reason": o.stop_reason,
             }
             for o in report.outcomes
@@ -560,14 +566,14 @@ def _cmd_orbit(cfg: RunConfig, args):
             "ratio": float(report.ratio),
             "best_fraction": str(report.best_fraction),
             "mismatch": float(report.mismatch),
-            "period": None if report.period is None else float(report.period),
-            "closure": None if report.closure is None else float(report.closure),
+            "period": _float_or_none(report.period),
+            "closure": _float_or_none(report.closure),
         },
     }
     header = ["t"] + [f"q{i + 1}_{k + 1}" for i in range(n) for k in range(4)]
-    rows = [
+    rows = (
         (float(t), *(float(x) for x in orbit.positions(t).ravel())) for t in times
-    ]
+    )
     return payload, (tuple(header), rows)
 
 

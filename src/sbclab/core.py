@@ -15,7 +15,8 @@ implemented here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
@@ -163,12 +164,40 @@ class InertiaTriple(tuple):
 # separations and the collision guard
 
 
-def separations(config: Configuration) -> np.ndarray:
-    """Pairwise distance matrix with +inf on the diagonal."""
-    diff = config.q[None, :, :] - config.q[:, None, :]
+def _pairwise(config: Configuration, guard: bool = True, delta: float = DELTA_COL):
+    """One pass over the pairs: diff[i, j] = q_j - q_i and r = |diff|.
+
+    r carries +inf on the diagonal. With guard, raises CollisionError when
+    any pair is closer than delta * scale (the test check_collision makes).
+    """
+    q = config.q
+    diff = q[None, :, :] - q[:, None, :]
     r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(r, np.inf)
-    return r
+    if guard:
+        scale = config.scale
+        if scale == 0.0:
+            raise CollisionError("all bodies coincide at the origin")
+        min_sep = float(r.min())
+        if min_sep < delta * scale:
+            raise CollisionError(
+                f"minimum separation {min_sep:.3e} below {delta:.1e} * scale"
+            )
+    return diff, r
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), built once per n and shared read-only."""
+    iu = np.triu_indices(n, k=1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
+def separations(config: Configuration) -> np.ndarray:
+    """Pairwise distance matrix with +inf on the diagonal."""
+    return _pairwise(config, guard=False)[1]
 
 
 def min_separation(config: Configuration) -> float:
@@ -177,29 +206,27 @@ def min_separation(config: Configuration) -> float:
 
 def check_collision(config: Configuration, delta: float = DELTA_COL) -> None:
     """Raise CollisionError when any pair is closer than delta * scale."""
-    scale = config.scale
-    if scale == 0.0:
-        raise CollisionError("all bodies coincide at the origin")
-    if min_separation(config) < delta * scale:
-        raise CollisionError(
-            f"minimum separation {min_separation(config):.3e} below "
-            f"{delta:.1e} * scale"
-        )
+    _pairwise(config, delta=delta)
 
 
 # ---------------------------------------------------------------------------
 # potential, derivatives, inertia
 
 
+def _potential_of(m: np.ndarray, r: np.ndarray) -> float:
+    iu = _pair_indices(len(m))
+    return float((np.outer(m, m)[iu] / r[iu]).sum())
+
+
+def _gradient_of(m: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
+    w = np.outer(m, m) / r**3
+    return np.einsum("ij,ijk->ik", w, diff)
+
+
 def potential(config: Configuration, guard: bool = True) -> float:
     """Newtonian potential U(q) = sum_{i<j} m_i m_j / |q_i - q_j|."""
-    if guard:
-        check_collision(config)
-    r = separations(config)
-    m = config.masses
-    mm = np.outer(m, m)
-    iu = np.triu_indices(config.n, k=1)
-    return float((mm[iu] / r[iu]).sum())
+    _, r = _pairwise(config, guard)
+    return _potential_of(config.masses, r)
 
 
 def gradient(config: Configuration, guard: bool = True) -> np.ndarray:
@@ -208,14 +235,8 @@ def gradient(config: Configuration, guard: bool = True) -> np.ndarray:
     Sign convention: the equations of motion read M qdd = grad U(q), i.e.
     row i is sum_{j != i} m_i m_j (q_j - q_i) / r_ij^3.
     """
-    if guard:
-        check_collision(config)
-    q, m = config.q, config.masses
-    diff = q[None, :, :] - q[:, None, :]          # diff[i, j] = q_j - q_i
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(r, np.inf)
-    w = np.outer(m, m) / r**3
-    return np.einsum("ij,ijk->ik", w, diff)
+    diff, r = _pairwise(config, guard)
+    return _gradient_of(config.masses, diff, r)
 
 
 def hessian(config: Configuration, guard: bool = True) -> np.ndarray:
@@ -280,13 +301,31 @@ def sbc_residual(config: Configuration, spectrum: Spectrum):
     array and lam = U(q) / I_S(q). G vanishes exactly at an S-balanced
     configuration.
     """
-    _check_dims(config, spectrum)
-    g = gradient(config)
-    u = potential(config, guard=False)
-    i_s = moment_of_inertia_s(config, spectrum)
-    lam = u / i_s
-    G = g + lam * (config.masses[:, None] * spectrum.array[None, :]) * config.q
+    _, _, lam, G = _evaluate(config, spectrum)
     return G, lam
+
+
+def _evaluate(config: Configuration, spectrum: Spectrum, delta: float = DELTA_COL):
+    """(grad U, U, lam, G) at q from one pairwise pass.
+
+    Guarded by the collision test at delta; the values are those of
+    gradient, potential and sbc_residual, bit for bit.
+    """
+    _check_dims(config, spectrum)
+    m = config.masses
+    diff, r = _pairwise(config, delta=delta)
+    g = _gradient_of(m, diff, r)
+    u = _potential_of(m, r)
+    lam = u / moment_of_inertia_s(config, spectrum)
+    G = g + lam * (m[:, None] * spectrum.array[None, :]) * config.q
+    return g, u, lam, G
+
+
+def _residual_merit(G: np.ndarray, w: np.ndarray) -> float:
+    """G^T W^-1 G with w = weight_vector; equals |V^T grad U|^2 for the
+    tangent basis V (see find_critical_point for why)."""
+    v = G.ravel()
+    return float(v @ (v / w))
 
 
 def residual_norm(config: Configuration, spectrum: Spectrum) -> float:
@@ -374,17 +413,22 @@ def ambient_balance_hessian(config: Configuration, spectrum: Spectrum) -> np.nda
     return hessian(config) + lam * np.diag(w)
 
 
-def _restricted_hessian_any(config: Configuration, spectrum: Spectrum):
+def _restricted_hessian_any(
+    config: Configuration,
+    spectrum: Spectrum,
+    g: np.ndarray | None = None,
+    lam: float | None = None,
+):
     """Restricted second variation without the criticality gate.
 
     Used by searches at non-critical iterates, where the same matrix serves
     as the Newton model. Returns (A, V, g_red, lam) with g_red = V^T grad U.
+    A caller that has already evaluated the point passes its grad U and
+    lambda (both or neither) instead of having them recomputed.
     """
     V = tangent_basis(config, spectrum)
-    g = gradient(config)
-    u = potential(config, guard=False)
-    i_s = moment_of_inertia_s(config, spectrum)
-    lam = u / i_s
+    if g is None:
+        g, _, lam, _ = _evaluate(config, spectrum)
     w = weight_vector(config, spectrum)
     H = hessian(config, guard=False) + lam * np.diag(w)
     A = V.T @ H @ V
@@ -403,13 +447,12 @@ def restricted_hessian(
     (k, k) with k = d(n-1) - 1. Raises NotCriticalError when the balance
     residual exceeds tol_res * U(q).
     """
-    G, _ = sbc_residual(config, spectrum)
-    u = potential(config, guard=False)
+    g, u, lam, G = _evaluate(config, spectrum)
     if np.linalg.norm(G) > tol_res * u:
         raise NotCriticalError(
             f"balance residual {np.linalg.norm(G):.3e} exceeds {tol_res:.1e} * U"
         )
-    A, _, _, _ = _restricted_hessian_any(config, spectrum)
+    A, _, _, _ = _restricted_hessian_any(config, spectrum, g=g, lam=lam)
     return A
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .core import (
     Configuration,
     InertiaTriple,
     Spectrum,
+    _evaluate,
+    _residual_merit,
     _restricted_hessian_any,
-    check_collision,
     gradient,
     inertia_indices,
     min_separation,
@@ -33,7 +34,6 @@ from .core import (
     moment_of_inertia_s,
     normalize,
     potential,
-    sbc_residual,
     weight_vector,
 )
 from .errors import BranchLost, CollisionError
@@ -154,33 +154,50 @@ def find_critical_point(
     """Projected Newton for the balance equation from one starting point.
 
     Works in tangent coordinates: with V the weighted-orthonormal tangent
-    basis at the current point, the reduced residual y = V^T G has
-    |y| = |G| in the inverse-weight metric, a basis-independent merit.  The
-    step solves (A^2 + mu) z = -A y — Newton when the damping mu is small,
-    shrinking toward a weighted-gradient descent step on |y|^2 as mu grows,
-    which is the fallback when A is singular or indefinite in the wrong
-    way.  Each accepted step re-centers and re-normalizes I_S = 1.
+    basis at the current point, the reduced residual y = V^T grad U is the
+    Newton right-hand side.  The step solves (A^2 + mu) z = -A y — Newton
+    when the damping mu is small, shrinking toward a weighted-gradient
+    descent step on |y|^2 as mu grows, which is the fallback when A is
+    singular or indefinite in the wrong way.  Each accepted step re-centers
+    and re-normalizes I_S = 1.
+
+    The line-search merit is G^T W^-1 G, with G the balance residual and
+    W = S x M (w = weight_vector), and it equals |y|^2 = |V^T grad U|^2.
+    W^-1 G is tangent: its weighted mass sum is sum_i G_i = 0 (U is
+    translation invariant and the centre of mass is at 0), and its
+    weighted product with q is q . G = q . grad U + lam I_S = -U + U = 0
+    (U is homogeneous of degree -1).  V V^T W projects onto the tangent
+    space, so |V^T G|^2 = G^T W^-1 G, and V^T G = V^T grad U because V is
+    weighted-orthogonal to q.  Trial points therefore need only their
+    residual, not a tangent basis or a Hessian, and each point is
+    evaluated once: an accepted trial point's (grad U, U, lam, G) carries
+    over to the next iteration.
 
     Returns a SearchFailure, never raises, on collision or stagnation: the
     census layer tallies causes.
     """
+    # Trial points must also pass the default guard that gradient() and
+    # potential() apply later on, so both thresholds are tested at once.
+    guard = max(delta_col, DELTA_COL)
     try:
         config = normalize(q0, spectrum)
-        check_collision(config, delta_col)
+        g, u, lam, G = _evaluate(config, spectrum, guard)
     except (CollisionError, ValueError):
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
+    w = weight_vector(config, spectrum)
     mu = 0.0
     res = math.inf
     for it in range(max_iter):
-        G, lam = sbc_residual(config, spectrum)
-        u = potential(config, guard=False)
         res = float(np.linalg.norm(G))
         if res < tol_res * u:
             return _as_solution(config, spectrum, lam, res, tol_res)
 
-        A, V, y, _ = _restricted_hessian_any(config, spectrum)
-        merit = float(y @ y)
+        try:
+            A, V, y, _ = _restricted_hessian_any(config, spectrum, g=g, lam=lam)
+        except ValueError:
+            return SearchFailure(cause="max_iter", iterations=it + 1, residual=res)
+        merit = _residual_merit(G, w)
         Ay = A @ y
         A2 = A @ A
         scale_a = float(np.trace(A2)) / A.shape[0] or 1.0
@@ -195,13 +212,13 @@ def find_critical_point(
             q_try = config.q + (V @ z).reshape(config.n, config.d)
             try:
                 cand = normalize(Configuration(q_try, config.masses), spectrum)
-                check_collision(cand, delta_col)
-                _, _, y_new, _ = _restricted_hessian_any(cand, spectrum)
+                trial = _evaluate(cand, spectrum, guard)
             except (CollisionError, ValueError):
                 mu = max(10.0 * mu, 1e-8)
                 continue
-            if float(y_new @ y_new) < merit:
+            if _residual_merit(trial[3], w) < merit:
                 config = cand
+                g, u, lam, G = trial
                 mu *= 0.25
                 accepted = True
                 break
@@ -293,9 +310,8 @@ def _descend(
     """
     w = weight_vector(config, spectrum)
     step = first_step
-    u = potential(config, guard=False)
+    _, u, _, G = _evaluate(config, spectrum)
     for _ in range(steps):
-        G, _ = sbc_residual(config, spectrum)
         v = -(G.ravel() / w).reshape(config.n, config.d)
         vnorm = float(np.linalg.norm(v))
         if vnorm == 0.0:
@@ -306,12 +322,12 @@ def _descend(
                 cand = normalize(
                     Configuration(config.q + step * v, config.masses), spectrum
                 )
-                u_new = potential(cand)
+                _, u_new, _, G_new = _evaluate(cand, spectrum)
             except (CollisionError, ValueError):
                 step *= 0.5
                 continue
             if u_new < u:
-                config, u = cand, u_new
+                config, u, G = cand, u_new, G_new
                 step *= 1.3
                 moved = True
                 break
@@ -460,14 +476,6 @@ def _interp_spectrum(sa: Spectrum, sb: Spectrum, t: float) -> Spectrum:
     return Spectrum(s, h1_mode=h1)
 
 
-def _solve_at(
-    sol: SBCSolution, spectrum: Spectrum, max_iter: int, tol_res: float
-) -> SBCSolution | SearchFailure:
-    return find_critical_point(
-        sol.config, spectrum, max_iter=max_iter, tol_res=tol_res
-    )
-
-
 def _walk(
     sol: SBCSolution,
     target: Spectrum,
@@ -481,7 +489,9 @@ def _walk(
     hi = 1.0
     for _ in range(300):
         spec = target if hi == 1.0 else _interp_spectrum(sol.spectrum, target, hi)
-        out = _solve_at(current, spec, max_iter, tol_res)
+        out = find_critical_point(
+            current.config, spec, max_iter=max_iter, tol_res=tol_res
+        )
         if isinstance(out, SBCSolution):
             if hi == 1.0:
                 return out
@@ -516,7 +526,9 @@ def _bisect_degeneracy(
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         spec = _interp_spectrum(sa, sb, mid)
-        out = _solve_at(lo_sol, spec, max_iter, tol_res)
+        out = find_critical_point(
+            lo_sol.config, spec, max_iter=max_iter, tol_res=tol_res
+        )
         if isinstance(out, SearchFailure):
             raise BranchLost(f"lost the branch while bisecting at s = {spec.s}")
         if out.triple.nullity >= 1:

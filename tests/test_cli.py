@@ -94,6 +94,22 @@ def test_collinear_single_ordering(capsys):
     assert rec["U"] == pytest.approx(rec["lambda"])  # I_S = 1 normalization
 
 
+def test_collinear_csv_row_matches_json_record(capsys):
+    args = ["collinear", "--n", "3", "--s", "2", "--ordering", "1,3,2", "--axis", "2"]
+    rec = _run_json(capsys, *args)["records"][0]
+    code, out, _ = _run(capsys, *args, "--format", "csv")
+    assert code == 0
+    header, row = out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["ordering"] == "1 3 2"
+    assert fields["axis"] == "2"
+    assert fields["positions"].split() == [repr(x) for r in rec["positions"] for x in r]
+    assert float(fields["U"]) == rec["U"]
+    assert fields["eta"].split() == [repr(x) for x in rec["eta"]]
+    assert [int(fields[f"computed_{k}"]) for k in ("index", "nullity", "coindex")] == \
+        rec["computed"]
+
+
 def test_collinear_enumeration_counts(capsys):
     doc = _run_json(capsys, "collinear", "--n", "3", "--s", "1.5", "--threads", "1")
     assert doc["count"] == 2 * math.factorial(3)
@@ -230,6 +246,33 @@ def test_check45_batch(capsys):
     assert doc["outcomes"][0]["theta_start"] == pytest.approx(45.0)
 
 
+def test_check45_reports_null_for_unchecked_seeds(capsys, monkeypatch):
+    real_seed = cli.tilted_line_seed
+
+    def seed(theta, phi=0.0):
+        # the rim seed is swapped for one beyond 45 degrees, which is rejected
+        return real_seed(60.0) if theta == 45.0 else real_seed(theta, phi)
+
+    monkeypatch.setattr(cli, "tilted_line_seed", seed)
+    doc = _run_json(capsys, "check45", "--count", "2", "--seed", "1", "--T", "50")
+    rejected, checked = doc["outcomes"]
+    assert rejected["status"] == "rejected"
+    assert rejected["theta_end"] is None
+    assert rejected["worst_increase"] is None
+    assert checked["status"] == "checked"
+    assert isinstance(checked["theta_end"], float)
+    assert isinstance(checked["worst_increase"], float)
+
+
+def test_json_output_builds_no_csv_rows(capsys, monkeypatch):
+    def no_row(entry):
+        raise AssertionError("CSV row built for a JSON report")
+
+    monkeypatch.setattr(cli, "_record_row", no_row)
+    doc = _run_json(capsys, "collinear", "--n", "3", "--ordering", "1,2,3")
+    assert doc["count"] == 1
+
+
 def test_orbit_lift_and_csv(tmp_path, capsys):
     args = ["orbit", "--n", "3", "--s", "4", "--restarts", "20", "--seed", "5",
             "--census-id", "0", "--T", "20", "--samples", "100"]
@@ -328,3 +371,17 @@ def test_threads_env_fallback(capsys, monkeypatch):
     )
     assert code == 1
     assert "SBC_LAB_THREADS" in err
+
+
+def test_threads_default_is_one(capsys, monkeypatch):
+    monkeypatch.delenv("SBC_LAB_THREADS", raising=False)
+    seen = []
+    real_census = cli.census
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["threads"])
+        return real_census(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "census", spy)
+    _run_json(capsys, "census", "--n", "3", "--restarts", "2", "--seed", "2")
+    assert seen == [1]

@@ -10,6 +10,8 @@ import pytest
 from sbclab.core import (
     Configuration,
     Spectrum,
+    _residual_merit,
+    _restricted_hessian_any,
     ambient_balance_hessian,
     check_collision,
     from_document,
@@ -265,6 +267,49 @@ def test_tangent_basis_properties(n, d):
     assert np.max(np.abs(np.einsum("i,cik->ck", cfg.masses, cols))) < 1e-10
     radial = (w * cfg.q.ravel()) @ V
     assert np.max(np.abs(radial)) < 1e-10
+
+
+def _weighted_point(rng, n: int, d: int):
+    """Random point on the I_S = 1 sphere, unequal masses, random weights."""
+    cfg = random_configuration(rng, n, d, masses=0.5 + 2.0 * rng.random(n))
+    spec = Spectrum(tuple(sorted(1.0 + 2.0 * rng.random(d), reverse=True)))
+    return normalize(cfg, spec), spec
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_residual_merit_equals_reduced_gradient_norm(n, d):
+    rng = np.random.default_rng(1000 + 10 * n + d)
+    for _ in range(5):
+        cfg, spec = _weighted_point(rng, n, d)
+        G, _ = sbc_residual(cfg, spec)
+        _, _, y, _ = _restricted_hessian_any(cfg, spec)
+        reduced = float(y @ y)
+        assert reduced > 1e-6 * potential(cfg) ** 2  # not a critical point
+        merit = _residual_merit(G, weight_vector(cfg, spec))
+        assert merit == pytest.approx(reduced, rel=1e-12)
+
+
+def test_sbc_residual_matches_separate_evaluations_bitwise():
+    rng = np.random.default_rng(12)
+    for n, d in [(3, 2), (4, 3), (5, 1)]:
+        cfg, spec = _weighted_point(rng, n, d)
+        G, lam = sbc_residual(cfg, spec)
+        ref_lam = potential(cfg) / moment_of_inertia_s(cfg, spec)
+        weights = cfg.masses[:, None] * spec.array[None, :]
+        assert lam == ref_lam
+        assert np.array_equal(G, gradient(cfg) + ref_lam * weights * cfg.q)
+
+
+def test_restricted_hessian_any_reuses_evaluated_point():
+    rng = np.random.default_rng(13)
+    for n, d in [(3, 2), (4, 2), (5, 3)]:
+        cfg, spec = _weighted_point(rng, n, d)
+        _, lam = sbc_residual(cfg, spec)
+        fresh = _restricted_hessian_any(cfg, spec)
+        reused = _restricted_hessian_any(cfg, spec, g=gradient(cfg), lam=lam)
+        for a, b in zip(fresh, reused):
+            assert np.array_equal(a, b)
 
 
 def test_restricted_hessian_requires_criticality():

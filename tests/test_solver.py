@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sbclab import solver
 from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
@@ -118,6 +119,27 @@ def test_failure_collision():
     assert isinstance(out, SearchFailure)
     assert out.cause == "collision"
     assert out.iterations == 0
+
+
+def test_each_iterate_builds_one_restricted_hessian(monkeypatch):
+    # trial points of the line search are judged by their residual alone
+    builds = []
+    original = solver._restricted_hessian_any
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_restricted_hessian_any", counting)
+    rng = np.random.default_rng(2)
+    out = find_critical_point(
+        Configuration(rng.standard_normal((3, 2)), np.ones(3)),
+        Spectrum.planar(1.5),
+        max_iter=3,
+    )
+    assert isinstance(out, SearchFailure)
+    assert out.iterations == 3
+    assert len(builds) <= 3
 
 
 def test_failure_max_iter():
