@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .collinear import ccc_spectrum, enumerate_csbc, moulton_solve, predicted_indices
-from .core import Configuration, Spectrum, inertia_indices, potential
+from .core import Configuration, Spectrum, inertia_indices, potential, to_document
 from .equilibria import classify_periodicity, lift, newton_residual
 from .errors import (
     NoConvergence,
@@ -188,16 +188,6 @@ def _sanitize(obj):
     if isinstance(obj, (float, np.floating)):
         return float(obj)
     return obj
-
-
-def _config_payload(config: Configuration, spectrum: Spectrum) -> dict:
-    return {
-        "n": config.n,
-        "d": config.d,
-        "masses": [float(m) for m in config.masses],
-        "q": [[float(x) for x in row] for row in config.q],
-        "S": [float(w) for w in spectrum.s],
-    }
 
 
 def _float_or_none(value):
@@ -560,7 +550,7 @@ def _cmd_orbit(cfg: RunConfig, args):
         "newton_residual": float(newton_residual(orbit, times)),
         "t_final": float(t_final),
         "samples": samples,
-        "base": _config_payload(orbit.base.config, orbit.base.spectrum),
+        "base": to_document(orbit.base.config, orbit.base.spectrum),
         "periodicity": {
             "kind": report.kind,
             "ratio": float(report.ratio),

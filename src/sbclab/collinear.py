@@ -24,6 +24,8 @@ from .core import (
     Configuration,
     InertiaTriple,
     Spectrum,
+    _pairs,
+    _potential_of,
     inertia_indices,
     moment_of_inertia_s,
     normalize,
@@ -65,12 +67,8 @@ def collinear_axis(config: Configuration, tol: float = OFF_AXIS_TOL) -> int:
 
 
 def _b_matrix_1d(masses: np.ndarray, x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    B = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                B[i, j] = masses[i] * masses[j] / abs(x[i] - x[j]) ** 3
+    _, r = _pairs(x[:, None])
+    B = np.outer(masses, masses) / r**3
     np.fill_diagonal(B, -B.sum(axis=1))
     return B
 
@@ -86,11 +84,7 @@ def b_matrix(config: Configuration) -> np.ndarray:
 
 
 def _potential_1d(masses: np.ndarray, x: np.ndarray) -> float:
-    u = 0.0
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            u += masses[i] * masses[j] / abs(x[i] - x[j])
-    return u
+    return _potential_of(masses, _pairs(x[:, None])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +231,8 @@ def _ordered_cc_gaps(
 
     def system(gaps):
         y = np.concatenate(([0.0], np.cumsum(gaps)))
-        diff = y[None, :] - y[:, None]
-        r = np.abs(diff)
-        np.fill_diagonal(r, np.inf)
+        diff, r = _pairs(y[:, None])
+        diff = diff[..., 0]
         F = (m_ord[None, :] * diff / r**3).sum(axis=1) + y
         R = F[1:] - F[:-1]
         # dF_i/dy_j = -2 m_j / r^3 (j != i), diagonal makes translations neutral

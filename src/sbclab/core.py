@@ -164,16 +164,25 @@ class InertiaTriple(tuple):
 # separations and the collision guard
 
 
-def _pairwise(config: Configuration, guard: bool = True, delta: float = DELTA_COL):
-    """One pass over the pairs: diff[i, j] = q_j - q_i and r = |diff|.
+def _pairs(q: np.ndarray):
+    """The pair kernel on raw (..., n, d) positions: (diff, r).
 
-    r carries +inf on the diagonal. With guard, raises CollisionError when
-    any pair is closer than delta * scale (the test check_collision makes).
+    diff[..., i, j, :] = q_j - q_i and r = |diff|, with +inf on the
+    diagonal so that the self pair drops out of every 1/r^k sum. Leading
+    axes are a batch of configurations; every pair sum in the package
+    starts here.
     """
-    q = config.q
-    diff = q[None, :, :] - q[:, None, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(r, np.inf)
+    diff = q[..., None, :, :] - q[..., :, None, :]
+    r = np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff))
+    n = q.shape[-2]
+    r.reshape(r.shape[:-2] + (n * n,))[..., :: n + 1] = np.inf  # r is fresh, so a view
+    return diff, r
+
+
+def _pairwise(config: Configuration, guard: bool = True, delta: float = DELTA_COL):
+    """_pairs(config.q), raising CollisionError (with guard) when any pair
+    is closer than delta * scale (the test check_collision makes)."""
+    diff, r = _pairs(config.q)
     if guard:
         scale = config.scale
         if scale == 0.0:
@@ -213,14 +222,16 @@ def check_collision(config: Configuration, delta: float = DELTA_COL) -> None:
 # potential, derivatives, inertia
 
 
-def _potential_of(m: np.ndarray, r: np.ndarray) -> float:
+def _potential_of(m: np.ndarray, r: np.ndarray):
+    """U from the kernel's r; a float, or an array over r's leading axes."""
     iu = _pair_indices(len(m))
-    return float((np.outer(m, m)[iu] / r[iu]).sum())
+    u = (np.outer(m, m)[iu] / r[..., iu[0], iu[1]]).sum(axis=-1)
+    return float(u) if u.ndim == 0 else u
 
 
 def _gradient_of(m: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
     w = np.outer(m, m) / r**3
-    return np.einsum("ij,ijk->ik", w, diff)
+    return np.einsum("...ij,...ijk->...ik", w, diff)
 
 
 def potential(config: Configuration, guard: bool = True) -> float:
@@ -243,26 +254,18 @@ def hessian(config: Configuration, guard: bool = True) -> np.ndarray:
     """Second derivative of U as an (n*d, n*d) symmetric matrix.
 
     Off-diagonal body blocks are (m_i m_j / r^3)(I - 3 u u^T) with u the
-    unit separation vector; diagonal blocks make the block rows sum to zero
-    (translation invariance).
+    unit separation vector; each diagonal block is minus the sum of its
+    row's off-diagonal blocks (translation invariance).
     """
-    if guard:
-        check_collision(config)
-    q, m = config.q, config.masses
+    diff, r = _pairwise(config, guard)
+    m = config.masses
     n, d = config.n, config.d
-    H = np.zeros((n * d, n * d))
-    eye = np.eye(d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            u = q[j] - q[i]
-            r = np.linalg.norm(u)
-            u = u / r
-            block = (m[i] * m[j] / r**3) * (eye - 3.0 * np.outer(u, u))
-            H[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-            H[j * d:(j + 1) * d, i * d:(i + 1) * d] = block
-            H[i * d:(i + 1) * d, i * d:(i + 1) * d] -= block
-            H[j * d:(j + 1) * d, j * d:(j + 1) * d] -= block
-    return H
+    u = diff / r[..., None]
+    blocks = (np.outer(m, m) / r**3)[..., None, None] * (
+        np.eye(d) - 3.0 * (u[..., :, None] * u[..., None, :])
+    )
+    blocks[range(n), range(n)] = -blocks.sum(axis=1)
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 def moment_of_inertia(config: Configuration) -> float:
@@ -468,7 +471,11 @@ def inertia_indices(
     split by sign. The three parts always sum to d(n-1) - 1.
     """
     A = restricted_hessian(config, spectrum, tol_res=tol_res)
-    u = potential(config, guard=False)
+    return _triple_of(A, potential(config, guard=False), null_tol)
+
+
+def _triple_of(A: np.ndarray, u: float, null_tol: float = NULL_TOL) -> InertiaTriple:
+    """Inertia triple of the restricted Hessian A at a point where U = u."""
     ev = eigh(A, eigvals_only=True)
     gap = null_tol * u
     neg = int(np.sum(ev < -gap))

@@ -16,12 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import TOL_RES, Configuration, gradient, potential, sbc_residual
+from .core import TOL_RES, _evaluate, _gradient_of, _pairs
 from .errors import NotPlanarError
 from .solver import SBCSolution
 
 RATIONAL_TOL = 1e-13
 MAX_DENOMINATOR = 10**6
+RESIDUAL_BLOCK = 1000  # time samples per batched evaluation in newton_residual
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,19 @@ class RelativeEquilibriumOrbit:
         q = self.base.config.q
         return q[:, 0], q[:, 1]
 
-    def positions(self, t: float) -> np.ndarray:
+    def positions(self, t) -> np.ndarray:
+        """Positions at time t, shape (n, 4); for an array of T times, (T, n, 4)."""
         x, y = self._columns()
         w1, w2 = self.omega
-        return np.column_stack(
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.stack(
             (
-                x * math.cos(w1 * t),
-                x * math.sin(w1 * t),
-                y * math.cos(w2 * t),
-                y * math.sin(w2 * t),
-            )
+                x * np.cos(w1 * t),
+                x * np.sin(w1 * t),
+                y * np.cos(w2 * t),
+                y * np.sin(w2 * t),
+            ),
+            axis=-1,
         )
 
     def velocities(self, t: float) -> np.ndarray:
@@ -70,11 +74,12 @@ class RelativeEquilibriumOrbit:
             )
         )
 
-    def accelerations(self, t: float) -> np.ndarray:
+    def accelerations(self, t) -> np.ndarray:
+        """Accelerations, shaped as positions(t)."""
         w1, w2 = self.omega
         out = self.positions(t)
-        out[:, :2] *= -(w1**2)
-        out[:, 2:] *= -(w2**2)
+        out[..., :2] *= -(w1**2)
+        out[..., 2:] *= -(w2**2)
         return out
 
 
@@ -104,9 +109,8 @@ def lift(
     if s < 1.0:
         raise ValueError("the first weight must satisfy s >= 1")
 
-    g, lam = sbc_residual(config, base.spectrum)
-    u = potential(config)
-    resid = float(np.linalg.norm(g))
+    _, u, lam, G = _evaluate(config, base.spectrum)
+    resid = float(np.linalg.norm(G))
     if resid > tol_res * u:
         raise ValueError(
             f"base is not balanced: residual {resid:.3e} exceeds {tol_res * u:.3e}"
@@ -129,19 +133,23 @@ def newton_residual(
     Evaluates ||qddot(t) - M^{-1} grad U(q(t))|| / ||M^{-1} grad U(q(t))||
     with the acceleration taken from the closed-form rotation (never a
     finite difference), at t_samples points spanning [0, t_max] — or at
-    the explicit times given as an array.
+    the explicit times given as an array. The samples are evaluated in
+    batches of RESIDUAL_BLOCK. Raises ValueError when there are no samples.
     """
     if np.isscalar(t_samples):
         times = np.linspace(0.0, t_max, int(t_samples))
     else:
-        times = np.asarray(t_samples, dtype=float)
+        times = np.asarray(t_samples, dtype=float).ravel()
+    if times.size == 0:
+        raise ValueError("newton_residual needs at least one time sample")
     masses = orbit.masses
     worst = 0.0
-    for t in times:
-        q4 = orbit.positions(float(t))
-        field = gradient(Configuration(q4, masses)) / masses[:, None]
-        defect = orbit.accelerations(float(t)) - field
-        worst = max(worst, float(np.linalg.norm(defect) / np.linalg.norm(field)))
+    for start in range(0, times.size, RESIDUAL_BLOCK):
+        t = times[start:start + RESIDUAL_BLOCK]
+        field = _gradient_of(masses, *_pairs(orbit.positions(t))) / masses[:, None]
+        defect = orbit.accelerations(t) - field
+        ratio = np.linalg.norm(defect, axis=(1, 2)) / np.linalg.norm(field, axis=(1, 2))
+        worst = max(worst, float(ratio.max()))
     return worst
 
 

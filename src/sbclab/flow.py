@@ -19,7 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DELTA_COL, Configuration, Spectrum, check_collision
+from .core import (
+    DELTA_COL,
+    Configuration,
+    Spectrum,
+    _gradient_of,
+    _pair_indices,
+    _pairs,
+    _pairwise,
+    _potential_of,
+)
 from .errors import NoConvergence, StepUnderflow
 
 THETA_ATTRACTOR = 0.1  # degrees; "reached the collinear set" threshold
@@ -47,30 +56,18 @@ def collinearity_angle(config: Configuration) -> float:
     """
     if config.d < 2:
         raise ValueError("the collinearity angle needs at least two axes")
-    check_collision(config)
-    q = config.q
-    iu, ju = np.triu_indices(config.n, k=1)
-    diff = q[iu] - q[ju]
-    norms = np.linalg.norm(diff, axis=1)
-    cosines = np.abs(diff[:, 0]) / norms
+    diff, r = _pairwise(config)
+    iu = _pair_indices(config.n)
+    cosines = np.abs(diff[iu][:, 0]) / r[iu]
     best = float(np.max(np.clip(cosines, -1.0, 1.0)))
     return math.degrees(math.acos(best))
 
 
 def _flow_rhs(q: np.ndarray, masses: np.ndarray, s: np.ndarray):
-    """Field value and potential, on raw arrays for stepper speed.
-
-    Mirrors the package gradient (cross-checked in the tests) but avoids
-    per-stage object construction inside the integrator.
-    """
-    diff = q[None, :, :] - q[:, None, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, np.inf)
-    r = np.sqrt(r2)
-    inv_r3 = 1.0 / (r2 * r)
-    u = float(np.sum(np.triu(np.outer(masses, masses) / r, k=1)))
-    pull = masses[None, :, None] * diff * inv_r3[:, :, None]
-    qdot = pull.sum(axis=1) / s[None, :] + u * q
+    """Field value and potential, on raw arrays for stepper speed."""
+    diff, r = _pairs(q)
+    u = _potential_of(masses, r)
+    qdot = _gradient_of(masses, diff, r) / (masses[:, None] * s) + u * q
     return qdot, u
 
 
@@ -129,10 +126,7 @@ def integrate_flow(
         return q / math.sqrt(i_s)
 
     def min_sep_of(q: np.ndarray) -> float:
-        diff = q[None, :, :] - q[:, None, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        np.fill_diagonal(r2, np.inf)
-        return float(math.sqrt(r2.min()))
+        return float(_pairs(q)[1].min())
 
     q = project(q0.q - (masses @ q0.q / masses.sum())[None, :])
 

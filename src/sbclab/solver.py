@@ -25,15 +25,17 @@ from .core import (
     InertiaTriple,
     Spectrum,
     _evaluate,
+    _pair_indices,
     _residual_merit,
     _restricted_hessian_any,
+    _triple_of,
     gradient,
-    inertia_indices,
     min_separation,
     moment_of_inertia,
     moment_of_inertia_s,
     normalize,
     potential,
+    separations,
     weight_vector,
 )
 from .errors import BranchLost, CollisionError
@@ -112,10 +114,17 @@ def classify_support(config: Configuration, occupancy_tol: float = OCCUPANCY_TOL
     return f"subspace(axes={axes})"
 
 
-def central_residual(config: Configuration) -> float:
-    """Norm of grad U + (U/I) M q — zero exactly at a central configuration."""
-    g = gradient(config, guard=False)
-    u = potential(config, guard=False)
+def central_residual(
+    config: Configuration, g: np.ndarray | None = None, u: float | None = None
+) -> float:
+    """Norm of grad U + (U/I) M q — zero exactly at a central configuration.
+
+    A caller that has already evaluated the point passes its grad U and U
+    (both or neither).
+    """
+    if g is None:
+        g = gradient(config, guard=False)
+        u = potential(config, guard=False)
     lam = u / moment_of_inertia(config)
     return float(np.linalg.norm(g + lam * config.masses[:, None] * config.q))
 
@@ -123,20 +132,22 @@ def central_residual(config: Configuration) -> float:
 def _as_solution(
     config: Configuration,
     spectrum: Spectrum,
+    g: np.ndarray,
+    u: float,
     lam: float,
     res: float,
     tol_res: float,
 ) -> SBCSolution:
-    triple = inertia_indices(config, spectrum, tol_res=tol_res)
-    u = potential(config, guard=False)
+    """Classify a converged point from its evaluation (grad U, U, lam)."""
+    A, _, _, _ = _restricted_hessian_any(config, spectrum, g=g, lam=lam)
     return SBCSolution(
         config=config,
         spectrum=spectrum,
         lam=lam,
         residual_norm=res,
-        triple=triple,
+        triple=_triple_of(A, u),
         classification=classify_support(config),
-        is_cc=central_residual(config) < tol_res * u,
+        is_cc=central_residual(config, g, u) < tol_res * u,
     )
 
 
@@ -191,7 +202,7 @@ def find_critical_point(
     for it in range(max_iter):
         res = float(np.linalg.norm(G))
         if res < tol_res * u:
-            return _as_solution(config, spectrum, lam, res, tol_res)
+            return _as_solution(config, spectrum, g, u, lam, res, tol_res)
 
         try:
             A, V, y, _ = _restricted_hessian_any(config, spectrum, g=g, lam=lam)
@@ -282,11 +293,7 @@ def _congruence_classes(solutions: tuple[SBCSolution, ...], tol: float = 1e-5) -
     """Count rotation-congruence classes by labeled distances + orientation."""
     reps: list[tuple[np.ndarray, int]] = []
     for sol in solutions:
-        q = sol.config.q
-        diff = q[None, :, :] - q[:, None, :]
-        r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        iu = np.triu_indices(sol.config.n, k=1)
-        vec = r[iu]
+        vec = separations(sol.config)[_pair_indices(sol.config.n)]
         sign = _orientation_sign(sol.config)
         for rv, rs in reps:
             if rs == sign and np.max(np.abs(rv - vec)) < tol:

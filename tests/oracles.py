@@ -56,6 +56,63 @@ def fd_hessian(config: Configuration, h: float | None = None) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def loop_hessian(config: Configuration) -> np.ndarray:
+    """Hessian of the potential assembled pair by pair, (n*d, n*d).
+
+    Off-diagonal blocks (m_i m_j / r^3)(I - 3 u u^T), subtracted from both
+    diagonal blocks so that block rows sum to zero.
+    """
+    q, m = config.q, config.masses
+    n, d = config.n, config.d
+    H = np.zeros((n * d, n * d))
+    eye = np.eye(d)
+    for i in range(n):
+        for j in range(i + 1, n):
+            u = q[j] - q[i]
+            r = np.linalg.norm(u)
+            u = u / r
+            block = (m[i] * m[j] / r**3) * (eye - 3.0 * np.outer(u, u))
+            H[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+            H[j * d:(j + 1) * d, i * d:(i + 1) * d] = block
+            H[i * d:(i + 1) * d, i * d:(i + 1) * d] -= block
+            H[j * d:(j + 1) * d, j * d:(j + 1) * d] -= block
+    return H
+
+
+def loop_b_matrix_1d(masses: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Force matrix of points x on a line: m_i m_j / |x_i - x_j|^3 off the
+    diagonal, rows summing to zero."""
+    n = len(x)
+    B = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                B[i, j] = masses[i] * masses[j] / abs(x[i] - x[j]) ** 3
+    np.fill_diagonal(B, -B.sum(axis=1))
+    return B
+
+
+def loop_potential_1d(masses: np.ndarray, x: np.ndarray) -> float:
+    """Potential of points x on a line, summed pair by pair."""
+    u = 0.0
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            u += masses[i] * masses[j] / abs(x[i] - x[j])
+    return u
+
+
+def loop_newton_residual(orbit, times) -> float:
+    """Worst relative defect of Newton's equations, one time at a time."""
+    masses = orbit.masses
+    worst = 0.0
+    for t in times:
+        q4 = orbit.positions(float(t))
+        field = gradient(Configuration(q4, masses)) / masses[:, None]
+        defect = orbit.accelerations(float(t)) - field
+        worst = max(worst, float(np.linalg.norm(defect) / np.linalg.norm(field)))
+    return worst
+
+
 def random_configuration(
     rng: np.random.Generator,
     n: int,

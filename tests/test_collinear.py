@@ -10,6 +10,8 @@ from scipy.optimize import brentq
 
 from sbclab.collinear import (
     CollinearRecord,
+    _b_matrix_1d,
+    _potential_1d,
     b_matrix,
     ccc_spectrum,
     collinear_axis,
@@ -21,7 +23,12 @@ from sbclab.collinear import (
 from sbclab.core import Configuration, Spectrum, potential, residual_norm
 from sbclab.errors import NotCollinearError, SpectrumAnomalyError, UnsupportedCase
 
-from oracles import symmetric_euler_positions, symmetric_euler_spectrum
+from oracles import (
+    loop_b_matrix_1d,
+    loop_potential_1d,
+    symmetric_euler_positions,
+    symmetric_euler_spectrum,
+)
 
 
 def ordered_three_body_ratio(m1: float, m2: float, m3: float) -> float:
@@ -70,6 +77,17 @@ def test_b_matrix_structure_random():
         assert np.max(np.abs(B.sum(axis=1))) < 1e-12 * np.max(np.abs(B))
         off = B[~np.eye(n, dtype=bool)]
         assert np.all(off > 0)
+
+
+def test_b_matrix_and_potential_match_pairwise_loops():
+    rng = np.random.default_rng(22)
+    for n in range(2, 8):
+        x = rng.permutation(np.cumsum(0.1 + rng.random(n)))
+        m = 0.5 + rng.random(n)
+        B = _b_matrix_1d(m, x)
+        ref = loop_b_matrix_1d(m, x)
+        assert np.max(np.abs(B - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert _potential_1d(m, x) == pytest.approx(loop_potential_1d(m, x), rel=1e-13)
 
 
 def test_b_matrix_rejects_non_collinear():

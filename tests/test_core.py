@@ -10,6 +10,9 @@ import pytest
 from sbclab.core import (
     Configuration,
     Spectrum,
+    _gradient_of,
+    _pairs,
+    _potential_of,
     _residual_merit,
     _restricted_hessian_any,
     ambient_balance_hessian,
@@ -35,6 +38,7 @@ from sbclab.errors import CollisionError, NotCriticalError
 from oracles import (
     fd_gradient,
     fd_hessian,
+    loop_hessian,
     random_configuration,
     symmetric_euler_positions,
 )
@@ -171,6 +175,47 @@ def test_hessian_symmetry_and_translation_rows():
         t = np.zeros((n, d))
         t[:, k] = 1.0
         assert np.linalg.norm(H @ t.ravel()) < 1e-10 * np.linalg.norm(H)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hessian_matches_pairwise_loop(n, d):
+    rng = np.random.default_rng(300 * n + d)
+    for _ in range(3):
+        cfg = random_configuration(rng, n, d)
+        H = hessian(cfg)
+        ref = loop_hessian(cfg)
+        assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(H, H.T)
+
+
+def test_pairs_convention():
+    q = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+    diff, r = _pairs(q)
+    assert np.array_equal(diff[0, 1], [3.0, 4.0])
+    assert np.array_equal(diff[1, 0], [-3.0, -4.0])
+    assert r[0, 1] == 5.0 and r[0, 2] == 1.0
+    assert np.all(np.diag(r) == np.inf)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (5, 3), (6, 4)])
+def test_pairs_batch_matches_each_slice_bitwise(n, d):
+    rng = np.random.default_rng(40 * n + d)
+    m = 1.0 + rng.random(n)
+    q = rng.standard_normal((2, 3, n, d))
+    diff, r = _pairs(q)
+    assert diff.shape == (2, 3, n, n, d) and r.shape == (2, 3, n, n)
+    u = _potential_of(m, r)
+    g = _gradient_of(m, diff, r)
+    for a in range(2):
+        for b in range(3):
+            d1, r1 = _pairs(q[a, b])
+            assert np.array_equal(diff[a, b], d1)
+            assert np.array_equal(r[a, b], r1)
+            assert np.all(np.diag(r[a, b]) == np.inf)
+            assert np.array_equal(g[a, b], _gradient_of(m, d1, r1))
+            # a batched row sum may add its terms in another order
+            assert u[a, b] == pytest.approx(_potential_of(m, r1), rel=1e-15)
 
 
 def test_gradient_equivariance():

@@ -1,0 +1,27 @@
+"""Design checks on the package sources."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sbclab"
+
+# upper-triangle pair indices, or a pair difference built by broadcasting
+PAIR_CODE = re.compile(
+    r"triu_indices|np\.triu\(|None, :(, :)?\] - |\[:, None(, :)?\] - |for j in range\(i \+ 1"
+)
+
+
+def test_pair_geometry_lives_only_in_core():
+    """Every pair sum goes through core._pairs; no other module rebuilds it."""
+    modules = sorted(SRC.glob("*.py"))
+    assert any(path.name == "core.py" for path in modules)
+    offenders = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in modules
+        if path.name != "core.py"
+        for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if PAIR_CODE.search(line)
+    ]
+    assert offenders == []

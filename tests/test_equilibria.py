@@ -17,6 +17,8 @@ from sbclab.equilibria import (
 )
 from sbclab.solver import Census, SBCSolution, census
 
+from oracles import loop_newton_residual
+
 M3 = np.ones(3)
 
 
@@ -139,6 +141,33 @@ def test_residual_accepts_explicit_times_and_shifts(orbit_s4):
     r_shift = newton_residual(orbit_s4, np.linspace(5.0, 25.0, 300))
     assert r0 < 1e-8
     assert r_shift < 1e-8
+
+
+def test_positions_and_accelerations_accept_time_arrays(orbit_s4):
+    times = np.linspace(-3.0, 17.0, 41)
+    q = orbit_s4.positions(times)
+    a = orbit_s4.accelerations(times)
+    assert q.shape == a.shape == (41, 3, 4)
+    for k, t in enumerate(times):
+        assert np.array_equal(q[k], orbit_s4.positions(float(t)))
+        assert np.array_equal(a[k], orbit_s4.accelerations(float(t)))
+
+
+def test_residual_blocks_match_per_sample_loop(orbit_s4):
+    # 2500 samples span three evaluation blocks
+    times = np.linspace(0.0, 20.0, 2500)
+    ref = loop_newton_residual(orbit_s4, times)
+    assert abs(newton_residual(orbit_s4, 2500) - ref) <= 1e-15
+    explicit = np.random.default_rng(8).uniform(-10.0, 50.0, 1700)
+    ref = loop_newton_residual(orbit_s4, explicit)
+    assert abs(newton_residual(orbit_s4, explicit) - ref) <= 1e-15
+
+
+def test_residual_rejects_empty_time_set(orbit_s4):
+    with pytest.raises(ValueError):
+        newton_residual(orbit_s4, 0)
+    with pytest.raises(ValueError):
+        newton_residual(orbit_s4, np.array([]))
 
 
 def test_residual_negative_control(census_s4):

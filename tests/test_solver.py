@@ -12,6 +12,8 @@ from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
     Spectrum,
+    gradient,
+    inertia_indices,
     moment_of_inertia_s,
     potential,
     residual_norm,
@@ -210,6 +212,18 @@ def test_census_solution_invariants(census_15):
             # are never central; their central residual is O(1), not noise
             assert not sol.is_cc
             assert central_residual(sol.config) > 1e-3
+
+
+def test_solutions_classified_from_their_own_evaluation(census_15):
+    # the solver reuses the converged point's (grad U, U, lambda); the
+    # public functions evaluating afresh must give the same record
+    for sol in census_15.solutions:
+        cfg = sol.config
+        u = potential(cfg, guard=False)
+        fresh = central_residual(cfg)
+        assert central_residual(cfg, gradient(cfg, guard=False), u) == fresh
+        assert sol.is_cc == (fresh < 1e-10 * u)
+        assert sol.triple == inertia_indices(cfg, census_15.spectrum)
 
 
 def test_census_dedup_separation(census_15):
