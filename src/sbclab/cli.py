@@ -11,11 +11,10 @@ coefficient arrays switch to strings as soon as any entry is too large.
 """
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -77,7 +76,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     output: str | None = None
     format: str = "json"
-    threads: int | None = None
 
     def __post_init__(self):
         if self.format not in ("json", "csv"):
@@ -96,8 +94,6 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.restarts is not None and self.restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def tol(self, name, default):
         return float(self.tolerances.get(name, default))
@@ -122,21 +118,6 @@ def _int_tuple(value) -> tuple:
 
 def _pick(value, default):
     return default if value is None else value
-
-
-def _default_threads() -> int:
-    env = os.environ.get("SBC_LAB_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"SBC_LAB_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise ValueError("SBC_LAB_THREADS must be >= 1")
-        return value
-    # numpy calls this small hold the interpreter lock: a thread pool only
-    # adds overhead, so one thread is the default
-    return 1
 
 
 def _resolve_masses(cfg: RunConfig, default_n: int = 3):
@@ -201,26 +182,22 @@ def _triple_payload(triple):
     return [int(index), int(nullity), int(coindex)]
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _emit(cfg: RunConfig, payload: dict, table) -> None:
-    if cfg.format == "csv":
-        if table is None:
-            raise ValueError("this subcommand has no CSV table; use --format json")
-        header, rows = table
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _write_text(buf.getvalue(), cfg.output)
+    """Write the report to stdout or --output; CSV rows stream as made."""
+    if cfg.format == "csv" and table is None:
+        raise ValueError("this subcommand has no CSV table; use --format json")
+    if cfg.output is None or cfg.output == "-":
+        out = contextlib.nullcontext(sys.stdout)
     else:
-        _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", cfg.output)
+        out = open(cfg.output, "w", encoding="utf-8")
+    with out as fh:
+        if cfg.format == "csv":
+            header, rows = table
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +296,7 @@ def _cmd_collinear(cfg: RunConfig, args):
     elif args.axis is not None:
         raise ValueError("--axis needs --ordering (or drop both to enumerate)")
     else:
-        threads = _pick(cfg.threads, _default_threads())
-        records = enumerate_csbc(masses, spectrum, threads=threads)
+        records = enumerate_csbc(masses, spectrum)
     payload = {
         "n": n,
         "d": d,
@@ -370,14 +346,12 @@ def _run_census(cfg: RunConfig, default_s1: float):
     n, masses = _resolve_masses(cfg)
     d = _pick(cfg.d, 2)
     spectrum = _resolve_spectrum(cfg, d, default_s1)
-    threads = _pick(cfg.threads, _default_threads())
     start = time.perf_counter()
     result = census(
         masses,
         spectrum,
         _pick(cfg.restarts, 500),
         _pick(cfg.seed, 0),
-        threads=threads,
         tol_res=cfg.tol("tol_res", 1e-10),
     )
     wall = time.perf_counter() - start
@@ -561,10 +535,12 @@ def _cmd_orbit(cfg: RunConfig, args):
         },
     }
     header = ["t"] + [f"q{i + 1}_{k + 1}" for i in range(n) for k in range(4)]
-    rows = (
-        (float(t), *(float(x) for x in orbit.positions(t).ravel())) for t in times
-    )
-    return payload, (tuple(header), rows)
+
+    def rows():  # positions of all samples in one call, made only for CSV
+        for t, q in zip(times, orbit.positions(times)):
+            yield (float(t), *(float(x) for x in q.ravel()))
+
+    return payload, (tuple(header), rows())
 
 
 def _cmd_morse_check(cfg: RunConfig, args):
@@ -663,13 +639,11 @@ def build_parser() -> _Parser:
     _add_problem_flags(sp, seed=False)
     sp.add_argument("--ordering", help="1-based body order, e.g. 1,3,2")
     sp.add_argument("--axis", type=int, help="1-based axis (with --ordering)")
-    sp.add_argument("--threads", type=int)
     _add_io_flags(sp)
 
     sp = sub.add_parser("census", help="random-restart solution catalogue")
     _add_problem_flags(sp)
     sp.add_argument("--restarts", type=int)
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--tol-res", dest="tol_res", type=float)
     _add_io_flags(sp)
 
@@ -704,7 +678,6 @@ def build_parser() -> _Parser:
     _add_problem_flags(sp)
     sp.add_argument("--census-id", dest="census_id", type=int)
     sp.add_argument("--restarts", type=int)
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--T", dest="t_final", type=float)
     sp.add_argument("--samples", type=int)
     sp.add_argument("--tol-res", dest="tol_res", type=float)
@@ -719,7 +692,7 @@ def build_parser() -> _Parser:
 
 
 _CONFIG_KEYS = {
-    "n", "d", "masses", "s", "seed", "restarts", "threads", "output",
+    "n", "d", "masses", "s", "seed", "restarts", "output",
     "format", "tol_res", "atol", "rtol", "slack", "ordering", "axis",
     "s_from", "s_to", "steps", "t_final", "samples", "count", "census_id",
     "regime",
@@ -761,7 +734,6 @@ def _build_runconfig(args) -> RunConfig:
         tolerances=tolerances,
         output=getattr(args, "output", None),
         format=getattr(args, "format", None) or "json",
-        threads=getattr(args, "threads", None),
     )
 
 

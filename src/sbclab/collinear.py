@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,11 +349,7 @@ def moulton_solve(
 # enumeration and thresholds
 
 
-def enumerate_csbc(
-    masses,
-    spectrum: Spectrum,
-    threads: int = 1,
-) -> list[CollinearRecord]:
+def enumerate_csbc(masses, spectrum: Spectrum) -> list[CollinearRecord]:
     """All d * n! collinear balanced configurations, classified.
 
     One record per (ordering, axis), sorted by (axis, ordering). Each
@@ -363,28 +358,18 @@ def enumerate_csbc(
     triple computed from the restricted Hessian.
     """
     m = np.array(masses, dtype=float)
-    n = len(m)
-    jobs = [
-        (axis, ordering)
-        for axis in range(1, spectrum.d + 1)
-        for ordering in itertools.permutations(range(1, n + 1))
-    ]
-
-    def build(job) -> CollinearRecord:
-        axis, ordering = job
-        rec = moulton_solve(m, ordering, axis, spectrum)
-        rec.spectral = ccc_spectrum(rec)
-        try:
-            rec.predicted = predicted_indices(rec.spectral, spectrum, axis)
-        except UnsupportedCase:
-            rec.predicted = None
-        rec.computed = inertia_indices(rec.config, spectrum)
-        return rec
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, jobs))
-    return [build(job) for job in jobs]
+    records = []
+    for axis in range(1, spectrum.d + 1):
+        for ordering in itertools.permutations(range(1, len(m) + 1)):
+            rec = moulton_solve(m, ordering, axis, spectrum)
+            rec.spectral = ccc_spectrum(rec)
+            try:
+                rec.predicted = predicted_indices(rec.spectral, spectrum, axis)
+            except UnsupportedCase:
+                rec.predicted = None
+            rec.computed = inertia_indices(rec.config, spectrum)
+            records.append(rec)
+    return records
 
 
 @dataclass(frozen=True)

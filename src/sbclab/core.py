@@ -354,54 +354,22 @@ def tangent_basis(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     The space is {v : sum_i m_i v_i = 0, <(S x M) q, v> = 0}, of dimension
     d(n-1) - 1, and the returned (n*d, k) matrix V has columns orthonormal
     in the S-weighted mass product: V^T diag(w) V = I with w from
-    weight_vector. Construction is Gram-Schmidt over the d translation
-    directions, the radial direction q, then the canonical basis vectors in
-    index order, so the output is deterministic.
+    weight_vector. It is the null space of the constraints: in coordinates
+    scaled by sqrt(w), the last k columns of a complete QR of the d
+    translation directions and q. Any such basis gives the same Newton
+    steps and inertia; this one is deterministic.
     """
     _check_dims(config, spectrum)
     n, d = config.n, config.d
-    w = weight_vector(config, spectrum)
-    dim = n * d - d - 1
-
-    def wdot(a, b):
-        return float(np.dot(a * w, b))
-
-    basis: list[np.ndarray] = []
-
-    def push(vec) -> bool:
-        v = vec.astype(float).ravel().copy()
-        norm0 = math.sqrt(wdot(v, v))
-        if norm0 == 0.0:
-            return False
-        for b in basis:
-            v -= wdot(b, v) * b
-        # one re-orthogonalization pass keeps the basis clean
-        for b in basis:
-            v -= wdot(b, v) * b
-        norm = math.sqrt(wdot(v, v))
-        if norm < 1e-10 * norm0:
-            return False
-        basis.append(v / norm)
-        return True
-
-    for k in range(d):
-        t = np.zeros((n, d))
-        t[:, k] = 1.0
-        push(t)
-    push(config.q)
-    n_constraints = len(basis)
-    if n_constraints != d + 1:
+    sw = np.sqrt(weight_vector(config, spectrum))
+    C = np.empty((n * d, d + 1))
+    C[:, :d] = np.tile(np.eye(d), (n, 1))
+    C[:, d] = config.q.ravel()
+    C *= sw[:, None]
+    Q, R = np.linalg.qr(C, mode="complete")
+    if abs(R[d, d]) <= 1e-10 * np.linalg.norm(C[:, d]):
         raise ValueError("degenerate configuration: constraints are dependent")
-    for idx in range(n * d):
-        if len(basis) - n_constraints == dim:
-            break
-        e = np.zeros(n * d)
-        e[idx] = 1.0
-        push(e)
-    V = np.stack(basis[n_constraints:], axis=1)
-    if V.shape[1] != dim:
-        raise ValueError("failed to build a full tangent basis")
-    return V
+    return Q[:, d + 1 :] / sw[:, None]
 
 
 def ambient_balance_hessian(config: Configuration, spectrum: Spectrum) -> np.ndarray:

@@ -5,13 +5,12 @@ seeded random-restart census with deduplication and classification, and
 natural-parameter continuation in the axis weights with degeneracy
 localization.  All randomness is owned by the caller-supplied seed; restart
 i draws from its own generator keyed on seed XOR i, so censuses are
-reproducible and embarrassingly parallel.
+reproducible and no restart depends on another.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,7 +392,7 @@ def census(
     spectrum: Spectrum,
     n_restarts: int,
     seed: int,
-    threads: int = 1,
+    *,
     saddle_seeding: bool = True,
     max_iter: int = 120,
     tol_res: float = TOL_RES,
@@ -423,11 +422,7 @@ def census(
             start, spectrum, max_iter=max_iter, tol_res=tol_res, delta_col=delta_col
         )
 
-    if threads > 1 and n_restarts > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_restart, range(n_restarts)))
-    else:
-        outcomes = [one_restart(i) for i in range(n_restarts)]
+    outcomes = [one_restart(i) for i in range(n_restarts)]
 
     extra = 0
     if saddle_seeding:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sbclab.core import Configuration, potential, gradient
+from sbclab.core import Configuration, Spectrum, gradient, potential, weight_vector
 
 
 def fd_gradient(config: Configuration, h: float | None = None) -> np.ndarray:
@@ -77,6 +77,54 @@ def loop_hessian(config: Configuration) -> np.ndarray:
             H[i * d:(i + 1) * d, i * d:(i + 1) * d] -= block
             H[j * d:(j + 1) * d, j * d:(j + 1) * d] -= block
     return H
+
+
+def gram_schmidt_tangent_basis(config: Configuration, spectrum: Spectrum) -> np.ndarray:
+    """Tangent basis by Gram-Schmidt in the S-weighted mass product.
+
+    Orthonormalizes the d translation directions, the radial direction q,
+    then the canonical basis vectors in index order, skipping any that are
+    dependent on those already kept; the columns after the d + 1
+    constraint directions span the tangent space, (n*d, d(n-1) - 1).
+    """
+    n, d = config.n, config.d
+    w = weight_vector(config, spectrum)
+    dim = n * d - d - 1
+
+    def wdot(a, b):
+        return float(np.dot(a * w, b))
+
+    basis: list[np.ndarray] = []
+
+    def push(vec) -> bool:
+        v = vec.astype(float).ravel().copy()
+        norm0 = math.sqrt(wdot(v, v))
+        if norm0 == 0.0:
+            return False
+        for _ in range(2):  # one re-orthogonalization pass keeps it clean
+            for b in basis:
+                v -= wdot(b, v) * b
+        norm = math.sqrt(wdot(v, v))
+        if norm < 1e-10 * norm0:
+            return False
+        basis.append(v / norm)
+        return True
+
+    for k in range(d):
+        t = np.zeros((n, d))
+        t[:, k] = 1.0
+        push(t)
+    if not push(config.q):
+        raise ValueError("degenerate configuration: constraints are dependent")
+    for idx in range(n * d):
+        if len(basis) - (d + 1) == dim:
+            break
+        e = np.zeros(n * d)
+        e[idx] = 1.0
+        push(e)
+    V = np.array(basis[d + 1 :]).reshape(-1, n * d).T
+    assert V.shape == (n * d, dim)
+    return V
 
 
 def loop_b_matrix_1d(masses: np.ndarray, x: np.ndarray) -> np.ndarray:

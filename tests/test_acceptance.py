@@ -131,7 +131,7 @@ def test_criterion_05_collinear_enumeration_and_predictor():
         picks = [safe[i] for i in np.linspace(0, len(safe) - 1, 10).astype(int)]
         for s1 in picks:
             spectrum = Spectrum.planar(float(s1))
-            records = enumerate_csbc(masses, spectrum, threads=4)
+            records = enumerate_csbc(masses, spectrum)
             ok = ok and len(records) == 2 * math.factorial(n)
             for rec in records:
                 G, _ = sbc_residual(rec.config, spectrum)
@@ -178,7 +178,7 @@ def test_criterion_06_degeneracy_threshold_twelve_fifths():
 
 def test_criterion_07_census_solution_count():
     t0 = time.perf_counter()
-    result = census(M3, Spectrum.planar(1.5), 2000, 7, threads=1)
+    result = census(M3, Spectrum.planar(1.5), 2000, 7)
     dt = time.perf_counter() - t0
     _SHARED["census"] = result
     collinear = [s for s in result.solutions
@@ -199,7 +199,7 @@ def test_criterion_07_census_solution_count():
 def test_criterion_08_morse_inequality_consistency():
     result = _SHARED.get("census")
     if result is None:  # standalone run: rebuild the criterion-7 census
-        result = census(M3, Spectrum.planar(1.5), 2000, 7, threads=1)
+        result = census(M3, Spectrum.planar(1.5), 2000, 7)
     check = morse_inequality_check(result, 3, 2)
     ok = check.divisible and check.nonnegative
     _verdict(8, ok, f"M(t) - P(t) exactly divisible by (1+t), quotient "
@@ -228,7 +228,7 @@ def test_criterion_09_line_angle_lyapunov():
 
 def test_criterion_10_relative_equilibrium_lifts():
     t0 = time.perf_counter()
-    result = census(M3, Spectrum.planar(4.0), 60, 5, threads=1)
+    result = census(M3, Spectrum.planar(4.0), 60, 5)
     times = np.linspace(0.0, 20.0, 1000)
     worst_residual = 0.0
     worst_closure = 0.0
@@ -240,7 +240,7 @@ def test_criterion_10_relative_equilibrium_lifts():
             np.linalg.norm(orbit.positions(period) - orbit.positions(0.0))
         )
         worst_closure = max(worst_closure, closure)
-    sqrt2 = census(M3, Spectrum.planar(2.0), 0, 2, threads=1)
+    sqrt2 = census(M3, Spectrum.planar(2.0), 0, 2)
     kind = classify_periodicity(lift(sqrt2.solutions[0])).kind
     dt = time.perf_counter() - t0
     ok = len(result.solutions) > 0

@@ -111,7 +111,7 @@ def test_collinear_csv_row_matches_json_record(capsys):
 
 
 def test_collinear_enumeration_counts(capsys):
-    doc = _run_json(capsys, "collinear", "--n", "3", "--s", "1.5", "--threads", "1")
+    doc = _run_json(capsys, "collinear", "--n", "3", "--s", "1.5")
     assert doc["count"] == 2 * math.factorial(3)
     axes = {rec["axis"] for rec in doc["records"]}
     assert axes == {1, 2}
@@ -132,7 +132,7 @@ def census_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "census.json"
     code = cli.run([
         "census", "--n", "3", "--d", "2", "--s", "1.5", "--restarts", "40",
-        "--seed", "7", "--threads", "1", "--output", str(path),
+        "--seed", "7", "--output", str(path),
     ])
     assert code == 0
     return path
@@ -153,7 +153,6 @@ def test_census_report_content(census_file):
 def test_census_wall_clock_goes_to_stderr_not_payload(capsys):
     code, out, err = _run(
         capsys, "census", "--n", "3", "--restarts", "5", "--seed", "1",
-        "--threads", "1",
     )
     assert code == 0
     assert "census:" in err
@@ -163,7 +162,7 @@ def test_census_wall_clock_goes_to_stderr_not_payload(capsys):
 
 def test_census_byte_identical_across_runs(tmp_path, capsys):
     args = ["census", "--n", "3", "--s", "1.5", "--restarts", "25",
-            "--seed", "3", "--threads", "1"]
+            "--seed", "3"]
     code, first, _ = _run(capsys, *args)
     code2, second, _ = _run(capsys, *args)
     assert code == code2 == 0
@@ -173,7 +172,7 @@ def test_census_byte_identical_across_runs(tmp_path, capsys):
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps(
-        {"n": 3, "d": 2, "s": 1.5, "restarts": 20, "seed": 7, "threads": 1}
+        {"n": 3, "d": 2, "s": 1.5, "restarts": 20, "seed": 7}
     ))
     doc = _run_json(capsys, "census", "--config", str(cfgfile))
     assert doc["parameters"]["restarts"] == 20
@@ -337,7 +336,7 @@ def test_help_exits_0(capsys):
 def test_csv_without_table_exits_1(capsys):
     code, _, err = _run(
         capsys, "census", "--n", "3", "--restarts", "0", "--seed", "1",
-        "--threads", "1", "--format", "csv",
+        "--format", "csv",
     )
     assert code == 1
     assert "CSV" in err
@@ -359,29 +358,10 @@ def test_numerical_failure_exits_2(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("SBC_LAB_THREADS", "2")
-    doc = _run_json(
-        capsys, "census", "--n", "3", "--restarts", "4", "--seed", "2",
-    )
-    assert doc["solution_count"] > 0
-    monkeypatch.setenv("SBC_LAB_THREADS", "zero")
+def test_threads_flag_is_gone(capsys):
     code, _, err = _run(
-        capsys, "census", "--n", "3", "--restarts", "4", "--seed", "2",
+        capsys, "census", "--n", "3", "--restarts", "2", "--seed", "2",
+        "--threads", "2",
     )
     assert code == 1
-    assert "SBC_LAB_THREADS" in err
-
-
-def test_threads_default_is_one(capsys, monkeypatch):
-    monkeypatch.delenv("SBC_LAB_THREADS", raising=False)
-    seen = []
-    real_census = cli.census
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["threads"])
-        return real_census(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "census", spy)
-    _run_json(capsys, "census", "--n", "3", "--restarts", "2", "--seed", "2")
-    assert seen == [1]
+    assert "--threads" in err

@@ -278,17 +278,6 @@ def test_enumerate_axis1_index_dominates():
             assert r.computed.index >= partner.computed.index
 
 
-def test_enumerate_threads_deterministic():
-    spec = Spectrum.planar(2.0)
-    a = enumerate_csbc(np.ones(3), spec, threads=1)
-    b = enumerate_csbc(np.ones(3), spec, threads=2)
-    assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert ra.ordering == rb.ordering and ra.axis == rb.axis
-        assert np.array_equal(ra.config.q, rb.config.q)
-        assert tuple(ra.computed) == tuple(rb.computed)
-
-
 def test_enumerate_unsupported_axes_fall_back_to_computed():
     spec = Spectrum((2.0, 1.5, 1.0), h1_mode=True)
     recs = enumerate_csbc(np.ones(3), spec)

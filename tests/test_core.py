@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
     Spectrum,
@@ -38,6 +39,7 @@ from sbclab.errors import CollisionError, NotCriticalError
 from oracles import (
     fd_gradient,
     fd_hessian,
+    gram_schmidt_tangent_basis,
     loop_hessian,
     random_configuration,
     symmetric_euler_positions,
@@ -296,11 +298,30 @@ def test_normalize_puts_config_on_weighted_sphere():
 # tangent basis and restricted second variation
 
 
-@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3), (5, 3)])
-def test_tangent_basis_properties(n, d):
+def _collinear_point(masses, spec: Spectrum, axis: int) -> Configuration:
+    """One enumerate_csbc record: the collinear balanced point of the
+    reversed ordering on a coordinate axis, where the canonical vectors
+    along that axis are dependent on the constraints."""
+    ordering = tuple(range(len(masses), 0, -1))
+    return moulton_solve(masses, ordering, axis, spec).config
+
+
+@pytest.mark.parametrize(
+    "n,d,collinear",
+    [
+        pytest.param(3, 2, False, id="3-2"),
+        pytest.param(4, 2, False, id="4-2"),
+        pytest.param(3, 3, False, id="3-3"),
+        pytest.param(5, 3, False, id="5-3"),
+        pytest.param(4, 3, True, id="collinear-4-3"),
+    ],
+)
+def test_tangent_basis_properties(n, d, collinear):
     rng = np.random.default_rng(10 * n + d)
     cfg = random_configuration(rng, n, d)
     spec = Spectrum(tuple(sorted(1.0 + rng.random(d), reverse=True)))
+    if collinear:
+        cfg = _collinear_point(cfg.masses, spec, axis=2)
     V = tangent_basis(cfg, spec)
     k = d * (n - 1) - 1
     assert V.shape == (n * d, k)
@@ -319,6 +340,35 @@ def _weighted_point(rng, n: int, d: int):
     cfg = random_configuration(rng, n, d, masses=0.5 + 2.0 * rng.random(n))
     spec = Spectrum(tuple(sorted(1.0 + 2.0 * rng.random(d), reverse=True)))
     return normalize(cfg, spec), spec
+
+
+def _assert_same_tangent_space(cfg, spec):
+    """QR basis against the Gram-Schmidt oracle: the same weighted
+    projector V V^T diag(w), and the same restricted-Hessian spectrum."""
+    V = tangent_basis(cfg, spec)
+    ref = gram_schmidt_tangent_basis(cfg, spec)
+    assert V.shape == ref.shape
+    w = weight_vector(cfg, spec)
+    assert np.allclose((V @ V.T) * w, (ref @ ref.T) * w, rtol=0.0, atol=1e-12)
+    A, V_used, _, _ = _restricted_hessian_any(cfg, spec)
+    assert np.array_equal(V_used, V)
+    H = ambient_balance_hessian(cfg, spec)
+    ev = np.linalg.eigvalsh(A)
+    ev_ref = np.linalg.eigvalsh(ref.T @ H @ ref)
+    assert np.allclose(ev, ev_ref, rtol=0.0, atol=1e-10 * potential(cfg))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tangent_basis_matches_gram_schmidt(n, d):
+    rng = np.random.default_rng(2000 + 10 * n + d)
+    cfg, spec = _weighted_point(rng, n, d)
+    _assert_same_tangent_space(cfg, spec)
+    _assert_same_tangent_space(_collinear_point(cfg.masses, spec, axis=d), spec)
+    zero = Configuration(np.zeros((n, d)), cfg.masses)
+    for basis in (tangent_basis, gram_schmidt_tangent_basis):
+        with pytest.raises(ValueError, match="constraints are dependent"):
+            basis(zero, spec)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -25,3 +25,17 @@ def test_pair_geometry_lives_only_in_core():
         if PAIR_CODE.search(line)
     ]
     assert offenders == []
+
+
+CONCURRENCY_CODE = re.compile(r"concurrent\.futures|ThreadPoolExecutor|\bthreading\b")
+
+
+def test_no_concurrency_layer():
+    """Every run is one process on one thread: no pool, no thread module."""
+    offenders = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if CONCURRENCY_CODE.search(line)
+    ]
+    assert offenders == []

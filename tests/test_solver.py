@@ -233,15 +233,12 @@ def test_census_dedup_separation(census_15):
             assert mass_norm_distance(sols[i].config, sols[j].config) >= 1e-6
 
 
-def test_census_deterministic_and_thread_invariant():
+def test_census_deterministic():
     kwargs = dict(n_restarts=40, seed=9, saddle_seeding=False)
     a = census(np.ones(3), Spectrum.planar(1.5), **kwargs)
     b = census(np.ones(3), Spectrum.planar(1.5), **kwargs)
-    c = census(np.ones(3), Spectrum.planar(1.5), threads=3, **kwargs)
-    assert len(a.solutions) == len(b.solutions) == len(c.solutions)
+    assert len(a.solutions) == len(b.solutions)
     for x, y in zip(a.solutions, b.solutions):
-        assert np.array_equal(x.config.q, y.config.q)
-    for x, y in zip(a.solutions, c.solutions):
         assert np.array_equal(x.config.q, y.config.q)
 
 
