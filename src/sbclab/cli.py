@@ -22,10 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .collinear import ccc_spectrum, enumerate_csbc, moulton_solve, predicted_indices
-from .core import Configuration, Spectrum, inertia_indices, potential, to_document
+from .collinear import classify_record, enumerate_csbc, moulton_solve
+from .core import Configuration, Spectrum, potential, to_document
 from .equilibria import classify_periodicity, lift, newton_residual
 from .errors import (
+    DegenerateCensus,
     NoConvergence,
     NotCollinearError,
     NotPlanarError,
@@ -37,6 +38,7 @@ from .morse import (
     betti_quotient,
     bounds_general,
     bounds_main1,
+    index_counts,
     morse_inequality_check,
     poincare_coeffs,
 )
@@ -285,14 +287,7 @@ def _cmd_collinear(cfg: RunConfig, args):
     if args.ordering is not None:
         ordering = _int_tuple(args.ordering)
         axis = _pick(args.axis, 1)
-        rec = moulton_solve(masses, ordering, axis, spectrum)
-        rec.spectral = ccc_spectrum(rec)
-        try:
-            rec.predicted = predicted_indices(rec.spectral, spectrum, axis)
-        except UnsupportedCase:
-            rec.predicted = None
-        rec.computed = inertia_indices(rec.config, spectrum)
-        records = [rec]
+        records = [classify_record(moulton_solve(masses, ordering, axis, spectrum))]
     elif args.axis is not None:
         raise ValueError("--axis needs --ordering (or drop both to enumerate)")
     else:
@@ -552,15 +547,10 @@ def _cmd_morse_check(cfg: RunConfig, args):
         solutions = doc["solutions"]
     except (KeyError, TypeError):
         raise ValueError(f"{args.census_file} is not a census report")
-    counts: dict[int, int] = {}
-    for sol in solutions:
-        index, nullity, _ = sol["triple"]
-        if nullity:
-            raise ValueError(
-                f"census contains a degenerate solution (nullity {nullity}); "
-                "index counts are undefined"
-            )
-        counts[index] = counts.get(index, 0) + 1
+    try:
+        counts = index_counts(sol["triple"] for sol in solutions)
+    except DegenerateCensus as exc:  # a defect of the input file: exit 1
+        raise ValueError(str(exc)) from None
     result = morse_inequality_check(counts, n, d)
     payload = {
         "n": n,

@@ -326,8 +326,13 @@ def moulton_solve(
 
     x_hat = np.empty(n)
     x_hat[order0] = y
+    return _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters)
+
+
+def _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters) -> CollinearRecord:
+    """The record of the unit-mass-norm line x_hat placed on `axis`."""
     s_axis = spectrum.s[axis - 1]
-    q = np.zeros((n, spectrum.d))
+    q = np.zeros((len(m), spectrum.d))
     q[:, axis - 1] = x_hat / math.sqrt(s_axis)
     config = normalize(Configuration(q, m), spectrum)
     lam = potential(config) / moment_of_inertia_s(config, spectrum)
@@ -345,6 +350,18 @@ def moulton_solve(
     )
 
 
+def classify_record(rec: CollinearRecord, spectral=None) -> CollinearRecord:
+    """Fill in rec's spectral data (they depend on the ordering alone, so a
+    caller may pass them in), predicted and computed triples; returns rec."""
+    rec.spectral = spectral or ccc_spectrum(rec)
+    try:
+        rec.predicted = predicted_indices(rec.spectral, rec.spectrum, rec.axis)
+    except UnsupportedCase:
+        rec.predicted = None
+    rec.computed = inertia_indices(rec.config, rec.spectrum)
+    return rec
+
+
 # ---------------------------------------------------------------------------
 # enumeration and thresholds
 
@@ -355,21 +372,19 @@ def enumerate_csbc(masses, spectrum: Spectrum) -> list[CollinearRecord]:
     One record per (ordering, axis), sorted by (axis, ordering). Each
     carries the verified spectral data, the closed-form predicted triple
     where one exists (None where UnsupportedCase applies), and the inertia
-    triple computed from the restricted Hessian.
+    triple computed from the restricted Hessian. The line and its spectral
+    data do not depend on the axis: each ordering is solved once.
     """
     m = np.array(masses, dtype=float)
     records = []
-    for axis in range(1, spectrum.d + 1):
-        for ordering in itertools.permutations(range(1, len(m) + 1)):
-            rec = moulton_solve(m, ordering, axis, spectrum)
-            rec.spectral = ccc_spectrum(rec)
-            try:
-                rec.predicted = predicted_indices(rec.spectral, spectrum, axis)
-            except UnsupportedCase:
-                rec.predicted = None
-            rec.computed = inertia_indices(rec.config, spectrum)
-            records.append(rec)
-    return records
+    for ordering in itertools.permutations(range(1, len(m) + 1)):
+        rec = classify_record(moulton_solve(m, ordering, 1, spectrum))
+        line = (rec.cc_positions, rec.gap_residual, rec.iterations)
+        records += [rec] + [
+            classify_record(_on_axis(m, ordering, axis, spectrum, *line), rec.spectral)
+            for axis in range(2, spectrum.d + 1)
+        ]
+    return sorted(records, key=lambda rec: rec.axis)
 
 
 @dataclass(frozen=True)

@@ -112,11 +112,7 @@ class Configuration:
             raise ValueError("positions and masses must be finite")
         if np.any(m <= 0.0):
             raise ValueError("masses must be positive")
-        com = m @ q / m.sum()
-        scale = np.max(np.abs(q))
-        if np.max(np.abs(com)) > TOL_COM * max(scale, 1e-300):
-            q = q - com
-        self.q = q
+        self.q = _recentre(q, m)
         self.masses = m
 
     @property
@@ -179,19 +175,22 @@ def _pairs(q: np.ndarray):
     return diff, r
 
 
+def _collided(q: np.ndarray, r: np.ndarray, delta: float):
+    """Where the collision guard trips on (..., n, d) positions q with pair
+    distances r: scale 0, or a pair closer than delta * scale."""
+    scale = np.abs(q).max(axis=(-2, -1))
+    return (scale == 0.0) | (r.min(axis=(-2, -1)) < delta * scale)
+
+
 def _pairwise(config: Configuration, guard: bool = True, delta: float = DELTA_COL):
     """_pairs(config.q), raising CollisionError (with guard) when any pair
     is closer than delta * scale (the test check_collision makes)."""
     diff, r = _pairs(config.q)
-    if guard:
-        scale = config.scale
-        if scale == 0.0:
-            raise CollisionError("all bodies coincide at the origin")
-        min_sep = float(r.min())
-        if min_sep < delta * scale:
-            raise CollisionError(
-                f"minimum separation {min_sep:.3e} below {delta:.1e} * scale"
-            )
+    if guard and _collided(config.q, r, delta):
+        raise CollisionError(
+            f"minimum separation {r.min():.3e} below {delta:.1e} * scale"
+            if config.scale else "all bodies coincide at the origin"
+        )
     return diff, r
 
 
@@ -223,9 +222,10 @@ def check_collision(config: Configuration, delta: float = DELTA_COL) -> None:
 
 
 def _potential_of(m: np.ndarray, r: np.ndarray):
-    """U from the kernel's r; a float, or an array over r's leading axes."""
+    """U from the kernel's r; a float, or an array over r's leading axes.
+    The running sum keeps each U's bits independent of the stack's shape."""
     iu = _pair_indices(len(m))
-    u = (np.outer(m, m)[iu] / r[..., iu[0], iu[1]]).sum(axis=-1)
+    u = np.cumsum(np.outer(m, m)[iu] / r[..., iu[0], iu[1]], axis=-1)[..., -1]
     return float(u) if u.ndim == 0 else u
 
 
@@ -276,8 +276,13 @@ def moment_of_inertia(config: Configuration) -> float:
 def moment_of_inertia_s(config: Configuration, spectrum: Spectrum) -> float:
     """S-weighted I_S(q) = sum_i m_i <S q_i, q_i>."""
     _check_dims(config, spectrum)
-    s = spectrum.array
-    return float(np.einsum("i,j,ij,ij->", config.masses, s, config.q, config.q))
+    return _inertia_s(config.q, config.masses, spectrum.array)
+
+
+def _inertia_s(q: np.ndarray, m: np.ndarray, s: np.ndarray):
+    """I_S of raw (..., n, d) positions; a float, or one per leading index."""
+    i_s = np.einsum("i,j,...ij,...ij->...", m, s, q, q)
+    return float(i_s) if i_s.ndim == 0 else i_s
 
 
 def weight_vector(config: Configuration, spectrum: Spectrum) -> np.ndarray:
@@ -315,13 +320,22 @@ def _evaluate(config: Configuration, spectrum: Spectrum, delta: float = DELTA_CO
     gradient, potential and sbc_residual, bit for bit.
     """
     _check_dims(config, spectrum)
-    m = config.masses
-    diff, r = _pairwise(config, delta=delta)
-    g = _gradient_of(m, diff, r)
-    u = _potential_of(m, r)
-    lam = u / moment_of_inertia_s(config, spectrum)
-    G = g + lam * (m[:, None] * spectrum.array[None, :]) * config.q
-    return g, u, lam, G
+    *values, collided = _evaluate_q(config.q, config.masses, spectrum.array, delta)
+    if collided:
+        check_collision(config, delta)  # raises the guard's CollisionError
+    return tuple(values)
+
+
+def _evaluate_q(q: np.ndarray, m: np.ndarray, s: np.ndarray, delta: float = DELTA_COL):
+    """_evaluate on raw (..., n, d) positions, with a mask for its raise:
+    (grad U, U, lam, G, collided); the values where collided are garbage."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diff, r = _pairs(q)
+        g = _gradient_of(m, diff, r)
+        u = _potential_of(m, r)
+        lam = u / _inertia_s(q, m, s)
+        G = g + np.asarray(lam)[..., None, None] * (m[:, None] * s[None, :]) * q
+    return g, u, lam, G, _collided(q, r, delta)
 
 
 def _residual_merit(G: np.ndarray, w: np.ndarray) -> float:
@@ -338,10 +352,33 @@ def residual_norm(config: Configuration, spectrum: Spectrum) -> float:
 
 def normalize(config: Configuration, spectrum: Spectrum) -> Configuration:
     """Rescale onto the sphere I_S = 1 (centre of mass is untouched)."""
-    i_s = moment_of_inertia_s(config, spectrum)
-    if i_s <= 0.0:
+    _check_dims(config, spectrum)
+    q, bad = _normalize_q(config.q, config.masses, spectrum.array)
+    if bad:
         raise ValueError("cannot normalize a configuration with I_S = 0")
-    return config.replace_q(config.q / math.sqrt(i_s))
+    return config.replace_q(q)
+
+
+def _recentre(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Remove the centre of mass of each (n, d) configuration in q where it
+    exceeds TOL_COM * scale: the test Configuration makes on construction."""
+    com = m @ q / m.sum()
+    scale = np.abs(q).max(axis=(-2, -1))
+    off = np.abs(com).max(axis=-1) > TOL_COM * np.maximum(scale, 1e-300)
+    if off.ndim == 0:  # one configuration: no masked copy
+        return q - com if off else q
+    return np.where(off[..., None, None], q - com[..., None, :], q)
+
+
+def _normalize_q(q: np.ndarray, m: np.ndarray, s: np.ndarray):
+    """normalize(Configuration(q, m), spectrum) on raw (..., n, d) positions,
+    with the centre-of-mass test at the same two points. Returns (q, bad),
+    bad marking where that raises ValueError (non-finite q, I_S <= 0)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = _recentre(q, m)
+        i_s = _inertia_s(q, m, s)
+        bad = ~(np.isfinite(q).all(axis=(-2, -1)) & np.greater(i_s, 0.0))
+        return _recentre(q / np.sqrt(i_s)[..., None, None], m), bad
 
 
 # ---------------------------------------------------------------------------

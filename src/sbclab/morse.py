@@ -665,12 +665,18 @@ def _index_counts(census) -> dict[int, int]:
         raise TypeError(
             "census must be a {morse_index: count} mapping or expose .solutions"
         )
-    counts = {}
-    for sol in solutions:
-        index, nullity, _ = sol.triple
+    return index_counts(sol.triple for sol in solutions)
+
+
+def index_counts(triples) -> dict[int, int]:
+    """{morse_index: count} of (index, nullity, coindex) triples; raises
+    DegenerateCensus on a triple with nullity > 0."""
+    counts: dict[int, int] = {}
+    for index, nullity, _ in triples:
         if nullity > 0:
             raise DegenerateCensus(
-                f"solution with nullity {nullity} at index {index}"
+                f"census contains a degenerate solution (nullity {nullity}); "
+                "index counts are undefined"
             )
         counts[index] = counts.get(index, 0) + 1
     return counts

@@ -24,14 +24,15 @@ from .core import (
     InertiaTriple,
     Spectrum,
     _evaluate,
+    _evaluate_q,
+    _normalize_q,
     _pair_indices,
+    _pairs,
     _residual_merit,
     _restricted_hessian_any,
     _triple_of,
     gradient,
-    min_separation,
     moment_of_inertia,
-    moment_of_inertia_s,
     normalize,
     potential,
     separations,
@@ -195,6 +196,7 @@ def find_critical_point(
     except (CollisionError, ValueError):
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
+    m, s = config.masses, spectrum.array
     w = weight_vector(config, spectrum)
     mu = 0.0
     res = math.inf
@@ -219,15 +221,11 @@ def find_critical_point(
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue
-            q_try = config.q + (V @ z).reshape(config.n, config.d)
-            try:
-                cand = normalize(Configuration(q_try, config.masses), spectrum)
-                trial = _evaluate(cand, spectrum, guard)
-            except (CollisionError, ValueError):
-                mu = max(10.0 * mu, 1e-8)
-                continue
-            if _residual_merit(trial[3], w) < merit:
-                config = cand
+            q, bad = _normalize_q(config.q + (V @ z).reshape(config.n, config.d), m, s)
+            if not bad:
+                *trial, bad = _evaluate_q(q, m, s, guard)
+            if not bad and _residual_merit(trial[3], w) < merit:
+                config = Configuration(q, m)
                 g, u, lam, G = trial
                 mu *= 0.25
                 accepted = True
@@ -258,13 +256,9 @@ def _sample_start(
 ) -> Configuration:
     n, d = len(masses), spectrum.d
     while True:
-        cfg = Configuration(rng.standard_normal((n, d)), masses)
-        i_s = moment_of_inertia_s(cfg, spectrum)
-        if i_s <= 0.0:
-            continue
-        cfg = normalize(cfg, spectrum)
-        if min_separation(cfg) >= 10.0 * delta_col * cfg.scale:
-            return cfg
+        q, bad = _normalize_q(rng.standard_normal((n, d)), masses, spectrum.array)
+        if not bad and _pairs(q)[1].min() >= 10.0 * delta_col * np.max(np.abs(q)):
+            return Configuration(q, masses)
 
 
 def _orientation_sign(config: Configuration) -> int:
@@ -302,67 +296,60 @@ def _congruence_classes(solutions: tuple[SBCSolution, ...], tol: float = 1e-5) -
     return len(reps)
 
 
-def _descend(
-    config: Configuration,
-    spectrum: Spectrum,
-    steps: int = 40,
-    first_step: float = 0.1,
-) -> Configuration:
-    """A few projected steepest-descent steps on U along the sphere.
+def _descend(starts: np.ndarray, masses: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    """Projected steepest descent on U along the sphere from a (B, n, d)
+    stack of normalized starts, walked in lockstep; returns the end points.
 
-    Used to walk a seed out of the Newton basin of the saddle it started
-    next to; the direction is the inverse-weighted residual, the steepest
-    descent of the constrained potential in the weight metric.
+    Walks seeds out of the Newton basin of the saddle they start next to,
+    along the inverse-weighted residual.  A trial that lowers U is taken
+    and grows the lane's step by 1.3; any other (or a non-finite, I_S <= 0
+    or colliding one) halves it.  A lane stops after 40 moves or at
+    step * |v| <= 1e-10.  For n >= 3 it ends where it would alone, bitwise.
     """
-    w = weight_vector(config, spectrum)
-    step = first_step
-    _, u, _, G = _evaluate(config, spectrum)
-    for _ in range(steps):
-        v = -(G.ravel() / w).reshape(config.n, config.d)
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            break
-        moved = False
-        while step * vnorm > 1e-10:
-            try:
-                cand = normalize(
-                    Configuration(config.q + step * v, config.masses), spectrum
-                )
-                _, u_new, _, G_new = _evaluate(cand, spectrum)
-            except (CollisionError, ValueError):
-                step *= 0.5
-                continue
-            if u_new < u:
-                config, u, G = cand, u_new, G_new
-                step *= 1.3
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return config
+    m, s = masses, spectrum.array
+    w = m[:, None] * s
+    q = np.array(starts, dtype=float)
+    _, u, _, G, collided = _evaluate_q(q, m, s)
+    live = ~collided
+    step = np.full(len(q), 0.1)
+    moves = np.zeros(len(q), dtype=int)
+    while True:
+        lanes = np.flatnonzero(live)
+        v = -(G[lanes] / w)
+        trying = step[lanes] * np.sqrt(np.einsum("bij,bij->b", v, v)) > 1e-10
+        live[lanes[~trying]] = False
+        lanes, v = lanes[trying], v[trying]
+        if not len(lanes):
+            return q
+        q_new, bad = _normalize_q(q[lanes] + step[lanes, None, None] * v, m, s)
+        _, u_new, _, G_new, collided = _evaluate_q(q_new, m, s)
+        better = ~bad & ~collided & (u_new < u[lanes])
+        moved = lanes[better]
+        q[moved], u[moved], G[moved] = q_new[better], u_new[better], G_new[better]
+        step[moved] *= 1.3
+        step[lanes[~better]] *= 0.5
+        moves[moved] += 1
+        live[moved[moves[moved] == 40]] = False
 
 
 def _saddle_seeds(
-    masses: np.ndarray,
-    spectrum: Spectrum,
-    null_tol: float,
-    offset: float = 0.05,
+    masses: np.ndarray, spectrum: Spectrum, null_tol: float, offset: float = 0.05
 ) -> list[Configuration]:
     """Starts reached by descending every collinear point's negative modes.
 
     The counting results predict non-collinear solutions adjacent to the
     collinear family.  A plain Newton start right next to a saddle would
     simply re-converge to it, so each seed is pushed off along a downhill
-    eigendirection and then walked further downhill before the census hands
-    it to the root-finder.  (The collinear points themselves re-enter the
-    census anyway, via the seeds whose descent stalls immediately.)
+    eigendirection and walked further downhill (all in one _descend call).
+    Per record: the collinear point itself (it re-enters the census anyway,
+    via the walks that stall at once), then its walks, mode by mode, + then -.
     """
-    seeds: list[Configuration] = []
     try:
         records = enumerate_csbc(masses, spectrum)
     except Exception:
-        return seeds
+        return []
+    seeds: list[Configuration | None] = []  # None: the next walked start
+    starts = []
     for rec in records:
         cfg = rec.config
         seeds.append(cfg)
@@ -374,17 +361,14 @@ def _saddle_seeds(
                 break
             direction = (V @ evecs[:, k]).reshape(cfg.n, cfg.d)
             for sign in (1.0, -1.0):
-                try:
-                    start = normalize(
-                        Configuration(
-                            cfg.q + sign * offset * direction, cfg.masses
-                        ),
-                        spectrum,
-                    )
-                except ValueError:
-                    continue
-                seeds.append(_descend(start, spectrum))
-    return seeds
+                start, bad = _normalize_q(
+                    cfg.q + sign * offset * direction, masses, spectrum.array
+                )
+                if not bad:
+                    seeds.append(None)
+                    starts.append(start)
+    walked = iter(_descend(np.array(starts), masses, spectrum) if starts else ())
+    return [Configuration(next(walked), masses) if c is None else c for c in seeds]
 
 
 def census(
@@ -415,38 +399,30 @@ def census(
     if seed < 0:
         raise ValueError("seed must be >= 0")
 
-    def one_restart(i: int) -> SBCSolution | SearchFailure:
-        rng = np.random.default_rng(seed ^ i)
-        start = _sample_start(rng, masses, spectrum, delta_col)
+    def solve(start: Configuration) -> SBCSolution | SearchFailure:
         return find_critical_point(
             start, spectrum, max_iter=max_iter, tol_res=tol_res, delta_col=delta_col
         )
 
-    outcomes = [one_restart(i) for i in range(n_restarts)]
+    outcomes = [
+        solve(_sample_start(np.random.default_rng(seed ^ i), masses, spectrum, delta_col))
+        for i in range(n_restarts)
+    ]
+    seeds = _saddle_seeds(masses, spectrum, NULL_TOL) if saddle_seeding else []
+    outcomes += [solve(start) for start in seeds]
 
-    extra = 0
-    if saddle_seeding:
-        for start in _saddle_seeds(masses, spectrum, NULL_TOL):
-            extra += 1
-            outcomes.append(
-                find_critical_point(
-                    start,
-                    spectrum,
-                    max_iter=max_iter,
-                    tol_res=tol_res,
-                    delta_col=delta_col,
-                )
-            )
-
+    # one mass_norm_distance per kept solution, as rows of one array call
     kept: list[SBCSolution] = []
+    kept_q = np.empty((len(outcomes), masses.size * spectrum.d))
+    m_flat = np.repeat(masses, spectrum.d)
     failures = {"collision": 0, "max_iter": 0}
     for out in outcomes:
         if isinstance(out, SearchFailure):
             failures[out.cause] += 1
             continue
-        if all(
-            mass_norm_distance(out.config, s.config) >= dedup_tol for s in kept
-        ):
+        diff = kept_q[: len(kept)] - out.config.q.ravel()
+        if np.all(np.sqrt(np.sum(m_flat * diff * diff, axis=1)) >= dedup_tol):
+            kept_q[len(kept)] = out.config.q.ravel()
             kept.append(out)
 
     caveat = len(set(spectrum.s)) < spectrum.d
@@ -458,7 +434,7 @@ def census(
         failures=failures,
         masses=tuple(float(m) for m in masses),
         spectrum=spectrum,
-        extra_seeds=extra,
+        extra_seeds=len(seeds),
         symmetry_caveat=caveat,
         orbit_count=orbit_count,
     )

@@ -13,7 +13,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from sbclab.core import Configuration, Spectrum, gradient, potential, weight_vector
+from sbclab.core import (
+    Configuration,
+    Spectrum,
+    _evaluate,
+    gradient,
+    normalize,
+    potential,
+    weight_vector,
+)
+from sbclab.errors import CollisionError
 
 
 def fd_gradient(config: Configuration, h: float | None = None) -> np.ndarray:
@@ -147,6 +156,46 @@ def loop_potential_1d(masses: np.ndarray, x: np.ndarray) -> float:
         for j in range(i + 1, len(x)):
             u += masses[i] * masses[j] / abs(x[i] - x[j])
     return u
+
+
+def sum_potential_of(m: np.ndarray, r: np.ndarray):
+    """U from pair distances r by numpy's .sum over the pair axis: the
+    formula core._potential_of used before its running sum. For n <= 4
+    (at most six pairs) .sum adds in index order, so the bits agree."""
+    iu = np.triu_indices(len(m), k=1)
+    return (np.outer(m, m)[iu] / r[..., iu[0], iu[1]]).sum(axis=-1)
+
+
+def serial_descend(
+    config: Configuration, spectrum: Spectrum, steps: int = 40, first_step: float = 0.1
+) -> np.ndarray:
+    """One saddle-seed descent walked alone, with try/except rejections:
+    the loop solver._descend runs in lockstep. Returns the end positions."""
+    w = weight_vector(config, spectrum)
+    step = first_step
+    _, u, _, G = _evaluate(config, spectrum)
+    for _ in range(steps):
+        v = -(G.ravel() / w).reshape(config.n, config.d)
+        vnorm = float(np.linalg.norm(v))
+        if vnorm == 0.0:
+            break
+        moved = False
+        while step * vnorm > 1e-10:
+            try:
+                cand = normalize(Configuration(config.q + step * v, config.masses), spectrum)
+                _, u_new, _, G_new = _evaluate(cand, spectrum)
+            except (CollisionError, ValueError):
+                step *= 0.5
+                continue
+            if u_new < u:
+                config, u, G = cand, u_new, G_new
+                step *= 1.3
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            break
+    return config.q
 
 
 def loop_newton_residual(orbit, times) -> float:

@@ -207,6 +207,18 @@ def test_morse_check_rejects_non_census_json(tmp_path, capsys):
     assert "census" in err
 
 
+def test_morse_check_degenerate_census_exits_1(tmp_path, capsys):
+    doc = {"parameters": {"n": 3, "d": 2}, "solutions": [{"triple": [0, 1, 1]}]}
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "morse-check", str(path))
+    assert code == 1 and out == ""
+    assert err.strip() == (
+        "error: census contains a degenerate solution (nullity 1); "
+        "index counts are undefined"
+    )
+
+
 # ---------------------------------------------------------------------------
 # flow, check45, orbit, continue
 

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from sbclab import collinear
 from sbclab.collinear import (
     CollinearRecord,
     _b_matrix_1d,
     _potential_1d,
     b_matrix,
     ccc_spectrum,
+    classify_record,
     collinear_axis,
     degeneracy_thresholds,
     enumerate_csbc,
@@ -312,3 +314,38 @@ def test_degeneracy_thresholds_sorted_and_bounded():
     assert report.global_min <= report.global_max
     with pytest.raises(ValueError):
         degeneracy_thresholds(np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "masses,s", [((1.0, 2.0, 3.0), (2.5, 1.5, 1.0)), ((1.0, 1.0, 2.0, 3.0), (1.5, 1.0))]
+)
+def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
+    """n! gap solves and spectra, not d * n!; every record is bitwise the
+    record a fresh moulton_solve on its axis gives."""
+    calls = {"gaps": 0, "spectra": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(collinear, "_ordered_cc_gaps", counted("gaps", collinear._ordered_cc_gaps))
+    monkeypatch.setattr(collinear, "ccc_spectrum", counted("spectra", collinear.ccc_spectrum))
+    spectrum = Spectrum(s)
+    recs = enumerate_csbc(masses, spectrum)
+    orderings = math.factorial(len(masses))
+    assert calls == {"gaps": orderings, "spectra": orderings}
+    assert [(r.axis, r.ordering) for r in recs] == sorted((r.axis, r.ordering) for r in recs)
+    assert len(recs) == spectrum.d * orderings
+
+    for rec in recs:
+        fresh = classify_record(moulton_solve(masses, rec.ordering, rec.axis, spectrum))
+        assert np.array_equal(rec.config.q, fresh.config.q)
+        assert np.array_equal(rec.cc_positions, fresh.cc_positions)
+        assert (rec.lam, rec.residual, rec.gap_residual, rec.iterations) == (
+            fresh.lam, fresh.residual, fresh.gap_residual, fresh.iterations
+        )
+        assert (rec.spectral, rec.predicted, rec.computed) == (
+            fresh.spectral, fresh.predicted, fresh.computed
+        )

@@ -42,6 +42,7 @@ from oracles import (
     gram_schmidt_tangent_basis,
     loop_hessian,
     random_configuration,
+    sum_potential_of,
     symmetric_euler_positions,
 )
 
@@ -216,8 +217,21 @@ def test_pairs_batch_matches_each_slice_bitwise(n, d):
             assert np.array_equal(r[a, b], r1)
             assert np.all(np.diag(r[a, b]) == np.inf)
             assert np.array_equal(g[a, b], _gradient_of(m, d1, r1))
-            # a batched row sum may add its terms in another order
-            assert u[a, b] == pytest.approx(_potential_of(m, r1), rel=1e-15)
+            assert u[a, b] == _potential_of(m, r1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_potential_of_bits_do_not_depend_on_the_stack(n):
+    rng = np.random.default_rng(70 + n)
+    m = 1.0 + 2.0 * rng.random(n)
+    r = _pairs(rng.standard_normal((240, n, 3)))[1]
+    each = np.array([_potential_of(m, r[b]) for b in range(240)])
+    for size in (1, 7, 240):
+        stacked = [_potential_of(m, r[a : a + size]) for a in range(0, 240, size)]
+        assert np.array_equal(np.concatenate(stacked), each)
+    if n <= 4:  # at most six pairs: the old .sum formula has the same bits
+        assert np.array_equal(each, [sum_potential_of(m, r[b]) for b in range(240)])
+        assert np.array_equal(sum_potential_of(m, r), each)
 
 
 def test_gradient_equivariance():

@@ -15,6 +15,7 @@ from sbclab.core import (
     gradient,
     inertia_indices,
     moment_of_inertia_s,
+    normalize,
     potential,
     residual_norm,
 )
@@ -30,6 +31,8 @@ from sbclab.solver import (
     find_critical_point,
     mass_norm_distance,
 )
+
+from oracles import random_configuration, serial_descend
 
 
 def equilateral(side: float = 1.0) -> np.ndarray:
@@ -360,6 +363,95 @@ def test_continue_branch_lost_on_hopeless_budget():
     minimum = next(s for s in c.solutions if s.triple.index == 0)
     with pytest.raises(BranchLost):
         continue_in_s(minimum, [Spectrum.planar(2.0)], max_iter=1)
+
+
+# ---------------------------------------------------------------------------
+# saddle-seed descent, dedup and object churn
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_descend_lanes_walk_as_if_alone(n, d):
+    """Each lane of the lockstep walk ends bitwise where a 1-lane call and
+    the serial try/except walk end; a colliding start stays put."""
+    rng = np.random.default_rng(10 * n + d)
+    m = 1.0 + 2.0 * rng.random(n)
+    spectrum = Spectrum((2.5, 1.5, 1.0)[-d:])
+    line = moulton_solve(m, tuple(range(1, n + 1)), 1, spectrum).config.q
+    pushed = [line + 0.05 * rng.standard_normal((n, d)) for _ in range(4)]
+    pushed += [random_configuration(rng, n, d, masses=m).q for _ in range(4)]
+    starts = np.array([normalize(Configuration(q, m), spectrum).q for q in pushed])
+    collided = starts[0].copy()
+    collided[1] = collided[0]
+    starts = np.concatenate([starts, collided[None]])
+
+    ends = solver._descend(starts, m, spectrum)
+    assert np.array_equal(ends[-1], collided)
+    for start, end in zip(starts[:-1], ends[:-1]):
+        assert not np.array_equal(start, end)
+        assert np.array_equal(solver._descend(start[None], m, spectrum)[0], end)
+        assert np.array_equal(serial_descend(Configuration(start, m), spectrum), end)
+
+
+def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
+    rng = np.random.default_rng(8)
+    m = np.array([1.0, 2.0, 3.0])
+    spectrum = Spectrum.planar(1.5)
+
+    def unit_shift():  # centre of mass 0 and mass norm 1
+        e = rng.standard_normal((3, 2))
+        e -= m @ e / m.sum()
+        return e / math.sqrt(float(np.sum(m[:, None] * e * e)))
+
+    base = [Configuration(rng.standard_normal((3, 2)), m) for _ in range(5)]
+    configs = base + [
+        Configuration(c.q + f * solver.DEDUP_TOL * unit_shift(), m)
+        for c in base
+        for f in (0.5, 0.9, 1.1, 2.0)
+    ]
+    outcomes = []
+    for k in rng.permutation(len(configs)):
+        outcomes.append(SBCSolution(configs[k], spectrum, 1.0, 0.0, (0, 0, 1), "", False))
+        if k % 3 == 0:
+            outcomes.append(SearchFailure("max_iter", 120, 1.0))
+    expected: list[SBCSolution] = []
+    for out in outcomes:
+        if isinstance(out, SBCSolution) and all(
+            mass_norm_distance(out.config, k.config) >= solver.DEDUP_TOL for k in expected
+        ):
+            expected.append(out)
+
+    todo = iter(outcomes)
+    monkeypatch.setattr(solver, "_sample_start", lambda *args: None)
+    monkeypatch.setattr(solver, "find_critical_point", lambda *args, **kwargs: next(todo))
+    c = census(m, spectrum, len(outcomes), 0, saddle_seeding=False)
+    assert [id(s) for s in c.solutions] == [id(s) for s in expected]
+    assert len(base) < len(expected) < len(configs)
+    assert c.failures["max_iter"] == len(outcomes) - len(configs)
+
+
+def test_census_builds_few_configurations_and_walks_once(monkeypatch):
+    """A Configuration for each start, seed and accepted Newton iterate, not
+    for each trial point (the serial walks built about 88 per solve), and
+    one lockstep descent for all 240 saddle walks."""
+    counts = {"built": 0, "descents": 0}
+    post_init, descend = Configuration.__post_init__, solver._descend
+
+    def counting_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    def counting_descend(*args, **kwargs):
+        counts["descents"] += 1
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(Configuration, "__post_init__", counting_post_init)
+    monkeypatch.setattr(solver, "_descend", counting_descend)
+    c = census(np.ones(4), Spectrum((1.5, 1.0)), 8, 7)
+    solves = c.restarts + c.extra_seeds
+    assert solves == 296
+    assert counts["descents"] == 1
+    assert counts["built"] <= 10 * solves
 
 
 # ---------------------------------------------------------------------------
