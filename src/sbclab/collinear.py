@@ -42,21 +42,22 @@ GAP_TOL = 1e-13          # convergence of the gap-equation residual
 OFF_AXIS_TOL = 1e-12     # how exactly "collinear" must hold coordinate-wise
 GROUP_TOL = 1e-8         # eigenvalue grouping, relative to U(q_hat)
 DEGENERATE_TOL = 1e-10   # threshold-equality detection, relative to U(q_hat)
+GAP_MAX_ITER = 200       # gap Newton iterations per ordering
 
 
 # ---------------------------------------------------------------------------
 # force matrix of a collinear configuration
 
 
-def collinear_axis(config: Configuration, tol: float = OFF_AXIS_TOL) -> int:
+def collinear_axis(config: Configuration) -> int:
     """1-based index of the axis the configuration lies on.
 
     Raises NotCollinearError when any off-axis coordinate exceeds
-    tol * max(1, scale).
+    OFF_AXIS_TOL * max(1, scale).
     """
     spread = config.q.max(axis=0) - config.q.min(axis=0)
     axis = int(np.argmax(spread))
-    bound = tol * max(1.0, config.scale)
+    bound = OFF_AXIS_TOL * max(1.0, config.scale)
     off = np.delete(config.q, axis, axis=1)
     if np.max(np.abs(off)) > bound:
         raise NotCollinearError(
@@ -110,13 +111,13 @@ class SpectralData:
         return tuple(-eta / self.u_hat for eta, _ in self.groups[1:])
 
 
-def ccc_spectrum(record: "CollinearRecord", group_tol: float = GROUP_TOL) -> SpectralData:
+def ccc_spectrum(record: "CollinearRecord") -> SpectralData:
     """Verified, grouped spectrum of M^{-1} B for a solved ordering.
 
     Checks the two structural eigenvalues (a simple 0 from translations and
     a simple -U(q_hat) from the radial direction), requires every remaining
     eigenvalue to sit strictly below -U(q_hat), and groups the rest to
-    group_tol * U(q_hat). Raises SpectrumAnomalyError otherwise.
+    GROUP_TOL * U(q_hat). Raises SpectrumAnomalyError otherwise.
     """
     m = record.masses
     x = record.cc_positions
@@ -125,7 +126,7 @@ def ccc_spectrum(record: "CollinearRecord", group_tol: float = GROUP_TOL) -> Spe
     root_m = np.sqrt(m)
     C = B / np.outer(root_m, root_m)
     ev = np.sort(eigh(C, eigvals_only=True))
-    tol = group_tol * u
+    tol = GROUP_TOL * u
 
     remaining = list(ev)
     i_zero = int(np.argmin(np.abs(remaining)))
@@ -157,12 +158,7 @@ def ccc_spectrum(record: "CollinearRecord", group_tol: float = GROUP_TOL) -> Spe
     )
 
 
-def predicted_indices(
-    spectral: SpectralData,
-    spectrum: Spectrum,
-    axis: int,
-    degenerate_tol: float = DEGENERATE_TOL,
-) -> InertiaTriple:
+def predicted_indices(spectral: SpectralData, spectrum: Spectrum, axis: int) -> InertiaTriple:
     """Closed-form inertia triple of an axis-collinear balanced point.
 
     The axis block contributes coindex n-2 for every weight choice. Each
@@ -183,7 +179,7 @@ def predicted_indices(
     u = spectral.u_hat
 
     rhos = [s[i] / s_axis for i in range(d) if i != axis - 1]
-    if d > 2 and any(r > 1.0 + degenerate_tol for r in rhos):
+    if d > 2 and any(r > 1.0 + DEGENERATE_TOL for r in rhos):
         raise UnsupportedCase(
             "no closed-form transverse rule for d > 2 with a weight above the axis weight"
         )
@@ -192,7 +188,7 @@ def predicted_indices(
     for rho in rhos:
         for eta, mult in spectral.groups:
             val = eta + rho * u
-            if abs(val) <= degenerate_tol * u:
+            if abs(val) <= DEGENERATE_TOL * u:
                 nullity += mult
             elif val > 0:
                 coindex += mult
@@ -205,12 +201,7 @@ def predicted_indices(
 # the gap-coordinate Newton solve
 
 
-def _ordered_cc_gaps(
-    m_ord: np.ndarray,
-    initial_gaps: np.ndarray | None = None,
-    tol: float = GAP_TOL,
-    max_iter: int = 200,
-):
+def _ordered_cc_gaps(m_ord: np.ndarray, initial_gaps: np.ndarray | None = None):
     """Solve the collinear central-configuration equations for one ordering.
 
     Unknowns are the n-1 positive gaps between consecutive bodies; the
@@ -244,8 +235,8 @@ def _ordered_cc_gaps(
         return R, D @ P
 
     R, J = system(g)
-    for it in range(max_iter):
-        if np.max(np.abs(R)) < tol:
+    for it in range(GAP_MAX_ITER):
+        if np.max(np.abs(R)) < GAP_TOL:
             return g, float(np.max(np.abs(R))), it
         step = np.linalg.solve(J, -R)
         t = 1.0
@@ -263,7 +254,9 @@ def _ordered_cc_gaps(
             t *= 0.5
         else:
             raise NoConvergence("gap Newton stalled")
-    raise NoConvergence(f"gap Newton did not reach {tol:.1e} in {max_iter} iterations")
+    raise NoConvergence(
+        f"gap Newton did not reach {GAP_TOL:.1e} in {GAP_MAX_ITER} iterations"
+    )
 
 
 @dataclass
@@ -297,7 +290,6 @@ def moulton_solve(
     axis: int,
     spectrum: Spectrum,
     initial_gaps: np.ndarray | None = None,
-    tol: float = GAP_TOL,
 ) -> CollinearRecord:
     """Collinear balanced configuration for one ordering on one axis.
 
@@ -318,7 +310,7 @@ def moulton_solve(
 
     order0 = [b - 1 for b in ordering]
     m_ord = m[order0]
-    gaps, gap_res, iters = _ordered_cc_gaps(m_ord, initial_gaps, tol=tol)
+    gaps, gap_res, iters = _ordered_cc_gaps(m_ord, initial_gaps)
 
     y = np.concatenate(([0.0], np.cumsum(gaps)))
     y -= float(m_ord @ y / m_ord.sum())

@@ -175,20 +175,20 @@ def _pairs(q: np.ndarray):
     return diff, r
 
 
-def _collided(q: np.ndarray, r: np.ndarray, delta: float):
+def _collided(q: np.ndarray, r: np.ndarray):
     """Where the collision guard trips on (..., n, d) positions q with pair
-    distances r: scale 0, or a pair closer than delta * scale."""
+    distances r: scale 0, or a pair closer than DELTA_COL * scale."""
     scale = np.abs(q).max(axis=(-2, -1))
-    return (scale == 0.0) | (r.min(axis=(-2, -1)) < delta * scale)
+    return (scale == 0.0) | (r.min(axis=(-2, -1)) < DELTA_COL * scale)
 
 
-def _pairwise(config: Configuration, guard: bool = True, delta: float = DELTA_COL):
+def _pairwise(config: Configuration, guard: bool = True):
     """_pairs(config.q), raising CollisionError (with guard) when any pair
-    is closer than delta * scale (the test check_collision makes)."""
+    is closer than DELTA_COL * scale (the test check_collision makes)."""
     diff, r = _pairs(config.q)
-    if guard and _collided(config.q, r, delta):
+    if guard and _collided(config.q, r):
         raise CollisionError(
-            f"minimum separation {r.min():.3e} below {delta:.1e} * scale"
+            f"minimum separation {r.min():.3e} below {DELTA_COL:.1e} * scale"
             if config.scale else "all bodies coincide at the origin"
         )
     return diff, r
@@ -212,9 +212,9 @@ def min_separation(config: Configuration) -> float:
     return float(separations(config).min())
 
 
-def check_collision(config: Configuration, delta: float = DELTA_COL) -> None:
-    """Raise CollisionError when any pair is closer than delta * scale."""
-    _pairwise(config, delta=delta)
+def check_collision(config: Configuration) -> None:
+    """Raise CollisionError when any pair is closer than DELTA_COL * scale."""
+    _pairwise(config)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +258,11 @@ def hessian(config: Configuration, guard: bool = True) -> np.ndarray:
     row's off-diagonal blocks (translation invariance).
     """
     diff, r = _pairwise(config, guard)
-    m = config.masses
-    n, d = config.n, config.d
+    return _hessian_of(config.masses, diff, r)
+
+
+def _hessian_of(m: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
+    n, d = diff.shape[0], diff.shape[-1]
     u = diff / r[..., None]
     blocks = (np.outer(m, m) / r**3)[..., None, None] * (
         np.eye(d) - 3.0 * (u[..., :, None] * u[..., None, :])
@@ -309,33 +312,33 @@ def sbc_residual(config: Configuration, spectrum: Spectrum):
     array and lam = U(q) / I_S(q). G vanishes exactly at an S-balanced
     configuration.
     """
-    _, _, lam, G = _evaluate(config, spectrum)
+    *_, lam, G = _evaluate(config, spectrum)
     return G, lam
 
 
-def _evaluate(config: Configuration, spectrum: Spectrum, delta: float = DELTA_COL):
-    """(grad U, U, lam, G) at q from one pairwise pass.
+def _evaluate(config: Configuration, spectrum: Spectrum):
+    """(diff, r, grad U, U, lam, G) at q from one pairwise pass.
 
-    Guarded by the collision test at delta; the values are those of
+    Guarded by the collision test; the values are those of _pairs,
     gradient, potential and sbc_residual, bit for bit.
     """
     _check_dims(config, spectrum)
-    *values, collided = _evaluate_q(config.q, config.masses, spectrum.array, delta)
+    *values, collided = _evaluate_q(config.q, config.masses, spectrum.array)
     if collided:
-        check_collision(config, delta)  # raises the guard's CollisionError
+        check_collision(config)  # raises the guard's CollisionError
     return tuple(values)
 
 
-def _evaluate_q(q: np.ndarray, m: np.ndarray, s: np.ndarray, delta: float = DELTA_COL):
+def _evaluate_q(q: np.ndarray, m: np.ndarray, s: np.ndarray):
     """_evaluate on raw (..., n, d) positions, with a mask for its raise:
-    (grad U, U, lam, G, collided); the values where collided are garbage."""
+    (diff, r, grad U, U, lam, G, collided); values where collided are garbage."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         diff, r = _pairs(q)
         g = _gradient_of(m, diff, r)
         u = _potential_of(m, r)
         lam = u / _inertia_s(q, m, s)
         G = g + np.asarray(lam)[..., None, None] * (m[:, None] * s[None, :]) * q
-    return g, u, lam, G, _collided(q, r, delta)
+    return diff, r, g, u, lam, G, _collided(q, r)
 
 
 def _residual_merit(G: np.ndarray, w: np.ndarray) -> float:
@@ -353,10 +356,10 @@ def residual_norm(config: Configuration, spectrum: Spectrum) -> float:
 def normalize(config: Configuration, spectrum: Spectrum) -> Configuration:
     """Rescale onto the sphere I_S = 1 (centre of mass is untouched)."""
     _check_dims(config, spectrum)
-    q, bad = _normalize_q(config.q, config.masses, spectrum.array)
-    if bad:
+    i_s = _inertia_s(config.q, config.masses, spectrum.array)
+    if not i_s > 0.0:
         raise ValueError("cannot normalize a configuration with I_S = 0")
-    return config.replace_q(q)
+    return config.replace_q(config.q / math.sqrt(i_s))
 
 
 def _recentre(q: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -372,8 +375,9 @@ def _recentre(q: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _normalize_q(q: np.ndarray, m: np.ndarray, s: np.ndarray):
     """normalize(Configuration(q, m), spectrum) on raw (..., n, d) positions,
-    with the centre-of-mass test at the same two points. Returns (q, bad),
-    bad marking where that raises ValueError (non-finite q, I_S <= 0)."""
+    with the centre-of-mass test before and after the rescaling. Returns
+    (q, bad), bad marking where that raises ValueError (non-finite q,
+    I_S <= 0)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = _recentre(q, m)
         i_s = _inertia_s(q, m, s)
@@ -396,12 +400,15 @@ def tangent_basis(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     translation directions and q. Any such basis gives the same Newton
     steps and inertia; this one is deterministic.
     """
-    _check_dims(config, spectrum)
-    n, d = config.n, config.d
-    sw = np.sqrt(weight_vector(config, spectrum))
+    return _tangent_basis_of(config.q, weight_vector(config, spectrum))
+
+
+def _tangent_basis_of(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    n, d = q.shape
+    sw = np.sqrt(w)
     C = np.empty((n * d, d + 1))
     C[:, :d] = np.tile(np.eye(d), (n, 1))
-    C[:, d] = config.q.ravel()
+    C[:, d] = q.ravel()
     C *= sw[:, None]
     Q, R = np.linalg.qr(C, mode="complete")
     if abs(R[d, d]) <= 1e-10 * np.linalg.norm(C[:, d]):
@@ -409,80 +416,61 @@ def tangent_basis(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     return Q[:, d + 1 :] / sw[:, None]
 
 
-def ambient_balance_hessian(config: Configuration, spectrum: Spectrum) -> np.ndarray:
-    """Unrestricted second-variation form D^2 U + lambda * (S x M).
-
-    Exposed read-only for cross-checks; the canonical object is
-    restricted_hessian, whose inertia this form reproduces through the
-    generalized eigenproblem on the tangent space.
-    """
-    _, lam = sbc_residual(config, spectrum)
-    w = weight_vector(config, spectrum)
-    return hessian(config) + lam * np.diag(w)
-
-
 def _restricted_hessian_any(
-    config: Configuration,
-    spectrum: Spectrum,
-    g: np.ndarray | None = None,
-    lam: float | None = None,
+    q: np.ndarray,
+    m: np.ndarray,
+    w: np.ndarray,
+    diff: np.ndarray,
+    r: np.ndarray,
+    g: np.ndarray,
+    lam: float,
 ):
     """Restricted second variation without the criticality gate.
 
-    Used by searches at non-critical iterates, where the same matrix serves
-    as the Newton model. Returns (A, V, g_red, lam) with g_red = V^T grad U.
-    A caller that has already evaluated the point passes its grad U and
-    lambda (both or neither) instead of having them recomputed.
+    On raw arrays: positions q (n, d), masses m, w = weight_vector, and
+    the point's own evaluation (diff, r and grad U g from _evaluate_q,
+    and lam), so no pair is computed again. Returns (A, V, y) with
+    A = V^T (D^2 U + lam diag(w)) V, symmetrized, V = tangent_basis and
+    y = V^T grad U: the Newton model of a search iterate, and at a root
+    the matrix whose inertia classifies it.
     """
-    V = tangent_basis(config, spectrum)
-    if g is None:
-        g, _, lam, _ = _evaluate(config, spectrum)
-    w = weight_vector(config, spectrum)
-    H = hessian(config, guard=False) + lam * np.diag(w)
+    V = _tangent_basis_of(q, w)
+    H = _hessian_of(m, diff, r) + lam * np.diag(w)
     A = V.T @ H @ V
-    A = 0.5 * (A + A.T)
-    g_red = V.T @ g.ravel()
-    return A, V, g_red, lam
+    return 0.5 * (A + A.T), V, V.T @ g.ravel()
 
 
-def restricted_hessian(
-    config: Configuration, spectrum: Spectrum, tol_res: float = TOL_RES
-) -> np.ndarray:
+def restricted_hessian(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     """Second variation of the constrained problem at a critical point.
 
     Matrix of the form D^2 U + lambda (S x M) on the tangent basis from
     tangent_basis (orthonormal in the S-weighted mass product); shape
     (k, k) with k = d(n-1) - 1. Raises NotCriticalError when the balance
-    residual exceeds tol_res * U(q).
+    residual exceeds TOL_RES * U(q).
     """
-    g, u, lam, G = _evaluate(config, spectrum)
-    if np.linalg.norm(G) > tol_res * u:
+    diff, r, g, u, lam, G = _evaluate(config, spectrum)
+    if np.linalg.norm(G) > TOL_RES * u:
         raise NotCriticalError(
-            f"balance residual {np.linalg.norm(G):.3e} exceeds {tol_res:.1e} * U"
+            f"balance residual {np.linalg.norm(G):.3e} exceeds {TOL_RES:.1e} * U"
         )
-    A, _, _, _ = _restricted_hessian_any(config, spectrum, g=g, lam=lam)
-    return A
+    w = weight_vector(config, spectrum)
+    return _restricted_hessian_any(config.q, config.masses, w, diff, r, g, lam)[0]
 
 
-def inertia_indices(
-    config: Configuration,
-    spectrum: Spectrum,
-    null_tol: float = NULL_TOL,
-    tol_res: float = TOL_RES,
-) -> InertiaTriple:
+def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:
     """Morse index, nullity and coindex of the restricted second variation.
 
-    Eigenvalues within null_tol * U(q) of zero count as null; the rest
+    Eigenvalues within NULL_TOL * U(q) of zero count as null; the rest
     split by sign. The three parts always sum to d(n-1) - 1.
     """
-    A = restricted_hessian(config, spectrum, tol_res=tol_res)
-    return _triple_of(A, potential(config, guard=False), null_tol)
+    A = restricted_hessian(config, spectrum)
+    return _triple_of(A, potential(config, guard=False))
 
 
-def _triple_of(A: np.ndarray, u: float, null_tol: float = NULL_TOL) -> InertiaTriple:
+def _triple_of(A: np.ndarray, u: float) -> InertiaTriple:
     """Inertia triple of the restricted Hessian A at a point where U = u."""
     ev = eigh(A, eigvals_only=True)
-    gap = null_tol * u
+    gap = NULL_TOL * u
     neg = int(np.sum(ev < -gap))
     nul = int(np.sum(np.abs(ev) <= gap))
     pos = int(np.sum(ev > gap))
@@ -503,24 +491,3 @@ def to_document(config: Configuration, spectrum: Spectrum) -> dict:
         "S": [float(v) for v in spectrum.s],
     }
 
-
-def from_document(doc: dict) -> tuple[Configuration, Spectrum]:
-    """Inverse of to_document; validates the embedded shape data."""
-    try:
-        n, d = int(doc["n"]), int(doc["d"])
-        masses = doc["masses"]
-        q = doc["q"]
-        s = doc["S"]
-    except KeyError as exc:
-        raise ValueError(f"configuration document missing key {exc}") from exc
-    q = np.array(q, dtype=float)
-    if q.shape != (n, d):
-        raise ValueError("q does not match the declared (n, d)")
-    if len(masses) != n:
-        raise ValueError("masses do not match the declared n")
-    if len(s) != d:
-        raise ValueError("S does not match the declared d")
-    strict = all(a > b for a, b in zip(s, s[1:])) and float(s[-1]) == 1.0
-    return Configuration(q, np.array(masses, dtype=float)), Spectrum(
-        tuple(float(v) for v in s), h1_mode=strict and d > 1
-    )

@@ -23,6 +23,7 @@ from .solver import SBCSolution
 RATIONAL_TOL = 1e-13
 MAX_DENOMINATOR = 10**6
 RESIDUAL_BLOCK = 1000  # time samples per batched evaluation in newton_residual
+RESIDUAL_T_MAX = 20.0  # newton_residual's time span for a sample count
 
 
 @dataclass(frozen=True)
@@ -83,18 +84,14 @@ class RelativeEquilibriumOrbit:
         return out
 
 
-def lift(
-    base: SBCSolution,
-    s: float | None = None,
-    tol_res: float = TOL_RES,
-) -> RelativeEquilibriumOrbit:
+def lift(base: SBCSolution, tol_res: float = TOL_RES) -> RelativeEquilibriumOrbit:
     """Spin a planar diag(s, 1)-balanced configuration up to an R^4 orbit.
 
     The base must be genuinely planar and balanced: the residual is
-    recomputed here rather than trusted from the record.  s defaults to
-    the first weight of the base's spectrum and must match it when given
-    explicitly.  s = 1 is the degenerate central case (both planes rotate
-    at the same rate); s < 1 is rejected since the weights are ordered.
+    recomputed here rather than trusted from the record.  s is the first
+    weight of the base's spectrum.  s = 1 is the degenerate central case
+    (both planes rotate at the same rate); s < 1 is rejected since the
+    weights are ordered.
     """
     config = base.config
     if config.d != 2:
@@ -102,14 +99,11 @@ def lift(
     weights = base.spectrum.s
     if len(weights) != 2 or weights[1] != 1.0:
         raise ValueError(f"base spectrum must be (s, 1), got {weights}")
-    if s is None:
-        s = weights[0]
-    elif s != weights[0]:
-        raise ValueError(f"s = {s} disagrees with the base spectrum {weights}")
+    s = weights[0]
     if s < 1.0:
         raise ValueError("the first weight must satisfy s >= 1")
 
-    _, u, lam, G = _evaluate(config, base.spectrum)
+    *_, u, lam, G = _evaluate(config, base.spectrum)
     resid = float(np.linalg.norm(G))
     if resid > tol_res * u:
         raise ValueError(
@@ -123,21 +117,18 @@ def lift(
     )
 
 
-def newton_residual(
-    orbit: RelativeEquilibriumOrbit,
-    t_samples=1000,
-    t_max: float = 20.0,
-) -> float:
+def newton_residual(orbit: RelativeEquilibriumOrbit, t_samples=1000) -> float:
     """Worst relative defect of Newton's equations along the orbit.
 
     Evaluates ||qddot(t) - M^{-1} grad U(q(t))|| / ||M^{-1} grad U(q(t))||
     with the acceleration taken from the closed-form rotation (never a
-    finite difference), at t_samples points spanning [0, t_max] — or at
-    the explicit times given as an array. The samples are evaluated in
-    batches of RESIDUAL_BLOCK. Raises ValueError when there are no samples.
+    finite difference), at t_samples points spanning [0, RESIDUAL_T_MAX] —
+    or at the explicit times given as an array. The samples are evaluated
+    in batches of RESIDUAL_BLOCK. Raises ValueError when there are no
+    samples.
     """
     if np.isscalar(t_samples):
-        times = np.linspace(0.0, t_max, int(t_samples))
+        times = np.linspace(0.0, RESIDUAL_T_MAX, int(t_samples))
     else:
         times = np.asarray(t_samples, dtype=float).ravel()
     if times.size == 0:
@@ -166,12 +157,11 @@ class PeriodicityReport:
 def classify_periodicity(
     orbit: RelativeEquilibriumOrbit,
     rational_tol: float = RATIONAL_TOL,
-    max_denominator: int = MAX_DENOMINATOR,
 ) -> PeriodicityReport:
     """Decide periodic vs quasi-periodic from the frequency ratio.
 
     The ratio omega_1/omega_2 = sqrt(s) is tested against its best
-    rational approximation p/q with q <= max_denominator (continued
+    rational approximation p/q with q <= MAX_DENOMINATOR (continued
     fractions via Fraction.limit_denominator).  Within rational_tol the
     orbit closes after T = 2 pi q / omega_2 — q full turns of the slow
     plane and p of the fast one — and the closure defect ||q(T) - q(0)||
@@ -182,7 +172,7 @@ def classify_periodicity(
     """
     w1, w2 = orbit.omega
     ratio = w1 / w2
-    best = Fraction(ratio).limit_denominator(max_denominator)
+    best = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
     mismatch = abs(ratio - float(best))
     if mismatch > rational_tol:
         return PeriodicityReport(

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DELTA_COL,
     Configuration,
     Spectrum,
     _gradient_of,
@@ -33,6 +32,8 @@ from .errors import NoConvergence, StepUnderflow
 
 THETA_ATTRACTOR = 0.1  # degrees; "reached the collinear set" threshold
 QDOT_CONVERGED = 1e-10
+COLLISION_STOP = 1e-4  # flow collision guard, relative to the coordinate scale
+H_INIT = 1e-3          # first trial step of the integrator
 
 # Cash-Karp embedded Runge-Kutta 5(4) tableau
 _CK_A = (
@@ -92,10 +93,7 @@ def integrate_flow(
     t_final: float,
     atol: float = 1e-9,
     rtol: float = 1e-9,
-    delta_col: float = DELTA_COL,
-    collision_stop: float = 1e-4,
     theta_stop: float | None = None,
-    h_init: float = 1e-3,
     max_steps: int = 200_000,
 ) -> FlowTrajectory:
     """Adaptive embedded Runge-Kutta run of the ascent field.
@@ -107,8 +105,8 @@ def integrate_flow(
 
     The field grows like 1/r^2 as a pair separation r shrinks, so a
     trajectory headed into collision forces the step size to zero before
-    r gets anywhere near delta_col.  The guard therefore fires at
-    min_sep < collision_stop * scale (well above the error controller's
+    r gets anywhere near core.DELTA_COL.  The guard therefore fires at
+    min_sep < COLLISION_STOP * scale (well above the error controller's
     resolution limit), keeping the last safe sample as the endpoint; a
     step-size underflow while pinched is reported the same way.  Underflow
     away from any near-collision raises StepUnderflow.
@@ -153,12 +151,11 @@ def integrate_flow(
         return finish("theta_target")
 
     t = 0.0
-    h = min(h_init, t_final)
+    h = min(H_INIT, t_final)
     h_floor = 1e-14 * max(1.0, t_final)
-    guard = max(delta_col, collision_stop)
 
     def pinched() -> bool:
-        return min_sep_of(q) < 10.0 * guard * float(np.max(np.abs(q)))
+        return min_sep_of(q) < 10.0 * COLLISION_STOP * float(np.max(np.abs(q)))
 
     for _ in range(max_steps):
         if t >= t_final:
@@ -196,7 +193,7 @@ def integrate_flow(
 
         sep = min_sep_of(q)
         scale = float(np.max(np.abs(q)))
-        if sep < guard * scale:
+        if sep < COLLISION_STOP * scale:
             return finish("collision")
 
         cfg = Configuration(q, masses)
@@ -283,12 +280,11 @@ def lyapunov_45_check(
     masses=None,
     t_final: float = 200.0,
     slack: float = 1e-9,
-    theta_target: float = THETA_ATTRACTOR,
 ) -> Lyapunov45Report:
     """Angle-monotonicity audit over a batch of seeds with theta in (0, 45].
 
     Integrates each admissible seed until the angle drops below
-    theta_target (attractor reached) or a collision stop, and asserts the
+    THETA_ATTRACTOR (attractor reached) or a collision stop, and asserts the
     sampled angle decreases at every step up to `slack`.  Seeds exactly on
     the axis are flagged "already_collinear", seeds beyond 45 degrees are
     flagged "rejected"; neither kind is integrated.  Everything is reported
@@ -311,9 +307,7 @@ def lyapunov_45_check(
             )
             continue
 
-        traj = integrate_flow(
-            seed, spectrum, t_final, theta_stop=theta_target
-        )
+        traj = integrate_flow(seed, spectrum, t_final, theta_stop=THETA_ATTRACTOR)
         diffs = np.diff(traj.theta)
         worst = float(diffs.max()) if len(diffs) else 0.0
         is_monotone = bool(len(diffs) == 0 or worst < slack)

@@ -23,7 +23,6 @@ from .core import (
     Configuration,
     InertiaTriple,
     Spectrum,
-    _evaluate,
     _evaluate_q,
     _normalize_q,
     _pair_indices,
@@ -33,15 +32,17 @@ from .core import (
     _triple_of,
     gradient,
     moment_of_inertia,
-    normalize,
     potential,
     separations,
     weight_vector,
 )
-from .errors import BranchLost, CollisionError
+from .errors import BranchLost, SbcLabError
 
 DEDUP_TOL = 1e-6
 OCCUPANCY_TOL = 1e-8
+CONGRUENCE_TOL = 1e-5   # pair-distance match of two congruence-class members
+SEED_OFFSET = 0.05      # push off a collinear saddle along a downhill mode
+MIN_PARAM_STEP = 1e-12  # continuation sub-step below which the branch is lost
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +97,14 @@ class Census:
 # classification helpers
 
 
-def classify_support(config: Configuration, occupancy_tol: float = OCCUPANCY_TOL) -> str:
+def classify_support(config: Configuration) -> str:
     """Name the coordinate support: which axes carry any of the bodies.
 
     An axis counts as occupied when some |coordinate| exceeds
-    occupancy_tol * scale.  Axes are reported 1-based.
+    OCCUPANCY_TOL * scale.  Axes are reported 1-based.
     """
     amp = np.max(np.abs(config.q), axis=0)
-    occupied = [j for j in range(config.d) if amp[j] > occupancy_tol * config.scale]
+    occupied = [j for j in range(config.d) if amp[j] > OCCUPANCY_TOL * config.scale]
     if len(occupied) == 1:
         return f"collinear(axis={occupied[0] + 1})"
     if len(occupied) == config.d:
@@ -130,16 +131,19 @@ def central_residual(
 
 
 def _as_solution(
-    config: Configuration,
+    q: np.ndarray,
+    m: np.ndarray,
     spectrum: Spectrum,
+    A: np.ndarray,
     g: np.ndarray,
     u: float,
     lam: float,
     res: float,
     tol_res: float,
 ) -> SBCSolution:
-    """Classify a converged point from its evaluation (grad U, U, lam)."""
-    A, _, _, _ = _restricted_hessian_any(config, spectrum, g=g, lam=lam)
+    """Classify a converged point from its evaluation (grad U, U, lam) and
+    restricted Hessian A; builds the solution's one Configuration."""
+    config = Configuration(q, m)
     return SBCSolution(
         config=config,
         spectrum=spectrum,
@@ -160,7 +164,6 @@ def find_critical_point(
     spectrum: Spectrum,
     max_iter: int = 120,
     tol_res: float = TOL_RES,
-    delta_col: float = DELTA_COL,
 ) -> SBCSolution | SearchFailure:
     """Projected Newton for the balance equation from one starting point.
 
@@ -180,35 +183,39 @@ def find_critical_point(
     (U is homogeneous of degree -1).  V V^T W projects onto the tangent
     space, so |V^T G|^2 = G^T W^-1 G, and V^T G = V^T grad U because V is
     weighted-orthogonal to q.  Trial points therefore need only their
-    residual, not a tangent basis or a Hessian, and each point is
-    evaluated once: an accepted trial point's (grad U, U, lam, G) carries
-    over to the next iteration.
+    residual, not a tangent basis or a Hessian.
+
+    The whole solve runs on one raw-array state (q, diff, r, grad U, U,
+    lam, G): each point, the start and every trial, gets one pairwise pass
+    (_evaluate_q), and an accepted trial's pass also feeds its restricted
+    Hessian (_restricted_hessian_any), built once per iterate.  That model
+    gives the Newton step, or at a root the inertia triple; the one
+    Configuration is built for the returned solution.
 
     Returns a SearchFailure, never raises, on collision or stagnation: the
-    census layer tallies causes.
+    census layer tallies causes.  A spectrum whose dimension differs from
+    the configuration's raises ValueError.
     """
-    # Trial points must also pass the default guard that gradient() and
-    # potential() apply later on, so both thresholds are tested at once.
-    guard = max(delta_col, DELTA_COL)
-    try:
-        config = normalize(q0, spectrum)
-        g, u, lam, G = _evaluate(config, spectrum, guard)
-    except (CollisionError, ValueError):
+    m, s = q0.masses, spectrum.array
+    n, d = q0.n, q0.d
+    w = weight_vector(q0, spectrum)  # raises ValueError on a dimension mismatch
+    q, bad = _normalize_q(q0.q, m, s)
+    if not bad:
+        diff, r, g, u, lam, G, bad = _evaluate_q(q, m, s)
+    if bad:
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
-    m, s = config.masses, spectrum.array
-    w = weight_vector(config, spectrum)
     mu = 0.0
     res = math.inf
     for it in range(max_iter):
         res = float(np.linalg.norm(G))
-        if res < tol_res * u:
-            return _as_solution(config, spectrum, g, u, lam, res, tol_res)
-
         try:
-            A, V, y, _ = _restricted_hessian_any(config, spectrum, g=g, lam=lam)
+            A, V, y = _restricted_hessian_any(q, m, w, diff, r, g, lam)
         except ValueError:
             return SearchFailure(cause="max_iter", iterations=it + 1, residual=res)
+        if res < tol_res * u:
+            return _as_solution(q, m, spectrum, A, g, u, lam, res, tol_res)
+
         merit = _residual_merit(G, w)
         Ay = A @ y
         A2 = A @ A
@@ -221,12 +228,12 @@ def find_critical_point(
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue
-            q, bad = _normalize_q(config.q + (V @ z).reshape(config.n, config.d), m, s)
+            q_try, bad = _normalize_q(q + (V @ z).reshape(n, d), m, s)
             if not bad:
-                *trial, bad = _evaluate_q(q, m, s, guard)
-            if not bad and _residual_merit(trial[3], w) < merit:
-                config = Configuration(q, m)
-                g, u, lam, G = trial
+                *trial, bad = _evaluate_q(q_try, m, s)
+            if not bad and _residual_merit(trial[-1], w) < merit:
+                q = q_try
+                diff, r, g, u, lam, G = trial
                 mu *= 0.25
                 accepted = True
                 break
@@ -249,15 +256,12 @@ def mass_norm_distance(a: Configuration, b: Configuration) -> float:
 
 
 def _sample_start(
-    rng: np.random.Generator,
-    masses: np.ndarray,
-    spectrum: Spectrum,
-    delta_col: float,
+    rng: np.random.Generator, masses: np.ndarray, spectrum: Spectrum
 ) -> Configuration:
     n, d = len(masses), spectrum.d
     while True:
         q, bad = _normalize_q(rng.standard_normal((n, d)), masses, spectrum.array)
-        if not bad and _pairs(q)[1].min() >= 10.0 * delta_col * np.max(np.abs(q)):
+        if not bad and _pairs(q)[1].min() >= 10.0 * DELTA_COL * np.max(np.abs(q)):
             return Configuration(q, masses)
 
 
@@ -282,14 +286,14 @@ def _orientation_sign(config: Configuration) -> int:
     return int(np.sign(det))
 
 
-def _congruence_classes(solutions: tuple[SBCSolution, ...], tol: float = 1e-5) -> int:
+def _congruence_classes(solutions: tuple[SBCSolution, ...]) -> int:
     """Count rotation-congruence classes by labeled distances + orientation."""
     reps: list[tuple[np.ndarray, int]] = []
     for sol in solutions:
         vec = separations(sol.config)[_pair_indices(sol.config.n)]
         sign = _orientation_sign(sol.config)
         for rv, rs in reps:
-            if rs == sign and np.max(np.abs(rv - vec)) < tol:
+            if rs == sign and np.max(np.abs(rv - vec)) < CONGRUENCE_TOL:
                 break
         else:
             reps.append((vec, sign))
@@ -309,7 +313,7 @@ def _descend(starts: np.ndarray, masses: np.ndarray, spectrum: Spectrum) -> np.n
     m, s = masses, spectrum.array
     w = m[:, None] * s
     q = np.array(starts, dtype=float)
-    _, u, _, G, collided = _evaluate_q(q, m, s)
+    *_, u, _, G, collided = _evaluate_q(q, m, s)
     live = ~collided
     step = np.full(len(q), 0.1)
     moves = np.zeros(len(q), dtype=int)
@@ -322,7 +326,7 @@ def _descend(starts: np.ndarray, masses: np.ndarray, spectrum: Spectrum) -> np.n
         if not len(lanes):
             return q
         q_new, bad = _normalize_q(q[lanes] + step[lanes, None, None] * v, m, s)
-        _, u_new, _, G_new, collided = _evaluate_q(q_new, m, s)
+        *_, u_new, _, G_new, collided = _evaluate_q(q_new, m, s)
         better = ~bad & ~collided & (u_new < u[lanes])
         moved = lanes[better]
         q[moved], u[moved], G[moved] = q_new[better], u_new[better], G_new[better]
@@ -332,9 +336,7 @@ def _descend(starts: np.ndarray, masses: np.ndarray, spectrum: Spectrum) -> np.n
         live[moved[moves[moved] == 40]] = False
 
 
-def _saddle_seeds(
-    masses: np.ndarray, spectrum: Spectrum, null_tol: float, offset: float = 0.05
-) -> list[Configuration]:
+def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]:
     """Starts reached by descending every collinear point's negative modes.
 
     The counting results predict non-collinear solutions adjacent to the
@@ -343,32 +345,34 @@ def _saddle_seeds(
     eigendirection and walked further downhill (all in one _descend call).
     Per record: the collinear point itself (it re-enters the census anyway,
     via the walks that stall at once), then its walks, mode by mode, + then -.
+    Each record is evaluated once.  An enumeration that fails numerically
+    (SbcLabError) gives no seeds; any other error propagates.
     """
     try:
         records = enumerate_csbc(masses, spectrum)
-    except Exception:
+    except SbcLabError:
         return []
+    m, s = masses, spectrum.array
+    n, d = len(m), spectrum.d
     seeds: list[Configuration | None] = []  # None: the next walked start
     starts = []
     for rec in records:
-        cfg = rec.config
-        seeds.append(cfg)
-        A, V, _, _ = _restricted_hessian_any(cfg, spectrum)
-        u = potential(cfg, guard=False)
+        q, w = rec.config.q, weight_vector(rec.config, spectrum)
+        seeds.append(rec.config)
+        diff, r, g, u, lam, _, _ = _evaluate_q(q, m, s)
+        A, V, _ = _restricted_hessian_any(q, m, w, diff, r, g, lam)
         evals, evecs = np.linalg.eigh(A)
         for k in range(len(evals)):
-            if evals[k] >= -null_tol * u:
+            if evals[k] >= -NULL_TOL * u:
                 break
-            direction = (V @ evecs[:, k]).reshape(cfg.n, cfg.d)
+            direction = (V @ evecs[:, k]).reshape(n, d)
             for sign in (1.0, -1.0):
-                start, bad = _normalize_q(
-                    cfg.q + sign * offset * direction, masses, spectrum.array
-                )
+                start, bad = _normalize_q(q + sign * SEED_OFFSET * direction, m, s)
                 if not bad:
                     seeds.append(None)
                     starts.append(start)
-    walked = iter(_descend(np.array(starts), masses, spectrum) if starts else ())
-    return [Configuration(next(walked), masses) if c is None else c for c in seeds]
+    walked = iter(_descend(np.array(starts), m, spectrum) if starts else ())
+    return [Configuration(next(walked), m) if c is None else c for c in seeds]
 
 
 def census(
@@ -378,20 +382,18 @@ def census(
     seed: int,
     *,
     saddle_seeding: bool = True,
-    max_iter: int = 120,
     tol_res: float = TOL_RES,
-    delta_col: float = DELTA_COL,
-    dedup_tol: float = DEDUP_TOL,
 ) -> Census:
     """Random-restart catalogue of balanced configurations.
 
     Restart i draws its start from generator seed XOR i (resampling any
-    start within 10 * delta_col of a collision), so extending n_restarts
-    extends the census without changing earlier finds.  Solutions are
-    deduplicated at dedup_tol in the mass norm, in restart order; axis
-    reflections are distinct solutions and are NOT merged.  When
-    saddle_seeding is on, deterministic starts along the negative modes of
-    the collinear points are appended after the random batch.
+    start within 10 * DELTA_COL of a collision), so extending n_restarts
+    extends the census without changing earlier finds.  Each start gets
+    one find_critical_point solve with its default iteration budget.
+    Solutions are deduplicated at DEDUP_TOL in the mass norm, in restart
+    order; axis reflections are distinct solutions and are NOT merged.
+    When saddle_seeding is on, deterministic starts along the negative
+    modes of the collinear points are appended after the random batch.
     """
     masses = np.asarray(masses, dtype=float)
     if n_restarts < 0:
@@ -400,15 +402,13 @@ def census(
         raise ValueError("seed must be >= 0")
 
     def solve(start: Configuration) -> SBCSolution | SearchFailure:
-        return find_critical_point(
-            start, spectrum, max_iter=max_iter, tol_res=tol_res, delta_col=delta_col
-        )
+        return find_critical_point(start, spectrum, tol_res=tol_res)
 
     outcomes = [
-        solve(_sample_start(np.random.default_rng(seed ^ i), masses, spectrum, delta_col))
+        solve(_sample_start(np.random.default_rng(seed ^ i), masses, spectrum))
         for i in range(n_restarts)
     ]
-    seeds = _saddle_seeds(masses, spectrum, NULL_TOL) if saddle_seeding else []
+    seeds = _saddle_seeds(masses, spectrum) if saddle_seeding else []
     outcomes += [solve(start) for start in seeds]
 
     # one mass_norm_distance per kept solution, as rows of one array call
@@ -421,7 +421,7 @@ def census(
             failures[out.cause] += 1
             continue
         diff = kept_q[: len(kept)] - out.config.q.ravel()
-        if np.all(np.sqrt(np.sum(m_flat * diff * diff, axis=1)) >= dedup_tol):
+        if np.all(np.sqrt(np.sum(m_flat * diff * diff, axis=1)) >= DEDUP_TOL):
             kept_q[len(kept)] = out.config.q.ravel()
             kept.append(out)
 
@@ -455,11 +455,7 @@ def _interp_spectrum(sa: Spectrum, sb: Spectrum, t: float) -> Spectrum:
 
 
 def _walk(
-    sol: SBCSolution,
-    target: Spectrum,
-    max_iter: int,
-    tol_res: float,
-    min_step: float = 1e-12,
+    sol: SBCSolution, target: Spectrum, max_iter: int, tol_res: float
 ) -> SBCSolution:
     """Warm-started solve at `target`, halving the parameter step on failure."""
     current = sol
@@ -477,7 +473,7 @@ def _walk(
             hi = 1.0
         else:
             hi = lo + 0.5 * (hi - lo)
-            if hi - lo < min_step:
+            if hi - lo < MIN_PARAM_STEP:
                 raise BranchLost(
                     f"continuation step underflow near s = {spec.s}"
                 )

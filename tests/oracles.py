@@ -18,8 +18,10 @@ from sbclab.core import (
     Spectrum,
     _evaluate,
     gradient,
+    hessian,
     normalize,
     potential,
+    sbc_residual,
     weight_vector,
 )
 from sbclab.errors import CollisionError
@@ -136,6 +138,14 @@ def gram_schmidt_tangent_basis(config: Configuration, spectrum: Spectrum) -> np.
     return V
 
 
+def ambient_balance_hessian(config: Configuration, spectrum: Spectrum) -> np.ndarray:
+    """Unrestricted second-variation form D^2 U + lambda * (S x M), from the
+    public hessian and residual: restricted to any weighted-orthonormal
+    tangent basis it must give core's restricted Hessian."""
+    _, lam = sbc_residual(config, spectrum)
+    return hessian(config) + lam * np.diag(weight_vector(config, spectrum))
+
+
 def loop_b_matrix_1d(masses: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Force matrix of points x on a line: m_i m_j / |x_i - x_j|^3 off the
     diagonal, rows summing to zero."""
@@ -173,7 +183,7 @@ def serial_descend(
     the loop solver._descend runs in lockstep. Returns the end positions."""
     w = weight_vector(config, spectrum)
     step = first_step
-    _, u, _, G = _evaluate(config, spectrum)
+    *_, u, _, G = _evaluate(config, spectrum)
     for _ in range(steps):
         v = -(G.ravel() / w).reshape(config.n, config.d)
         vnorm = float(np.linalg.norm(v))
@@ -183,7 +193,7 @@ def serial_descend(
         while step * vnorm > 1e-10:
             try:
                 cand = normalize(Configuration(config.q + step * v, config.masses), spectrum)
-                _, u_new, _, G_new = _evaluate(cand, spectrum)
+                *_, u_new, _, G_new = _evaluate(cand, spectrum)
             except (CollisionError, ValueError):
                 step *= 0.5
                 continue

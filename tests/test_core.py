@@ -11,14 +11,14 @@ from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
     Spectrum,
+    _evaluate,
     _gradient_of,
+    _normalize_q,
     _pairs,
     _potential_of,
     _residual_merit,
     _restricted_hessian_any,
-    ambient_balance_hessian,
     check_collision,
-    from_document,
     gradient,
     hessian,
     inertia_indices,
@@ -31,12 +31,12 @@ from sbclab.core import (
     restricted_hessian,
     sbc_residual,
     tangent_basis,
-    to_document,
     weight_vector,
 )
 from sbclab.errors import CollisionError, NotCriticalError
 
 from oracles import (
+    ambient_balance_hessian,
     fd_gradient,
     fd_hessian,
     gram_schmidt_tangent_basis,
@@ -308,6 +308,25 @@ def test_normalize_puts_config_on_weighted_sphere():
     assert moment_of_inertia_s(out, spec) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_normalize_matches_the_raw_array_path_bitwise():
+    """normalize tests the centre of mass once (in replace_q), where
+    _normalize_q, which the solver starts from, tests it before and after
+    the rescaling; on a constructed configuration both give the same bits."""
+    rng = np.random.default_rng(21)
+    for k in range(600):
+        n, d = 2 + k % 5, 1 + k % 3
+        q = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+        if k % 4 == 0:
+            q[:, 1:] = 0.0  # collinear on the first axis
+        cfg = Configuration(q + rng.standard_normal(d), 0.5 + 2.0 * rng.random(n))
+        spec = Spectrum(tuple(sorted(1.0 + 2.0 * rng.random(d), reverse=True)))
+        raw, bad = _normalize_q(cfg.q, cfg.masses, spec.array)
+        assert not bad
+        assert np.array_equal(normalize(cfg, spec).q, raw)
+    with pytest.raises(ValueError, match="I_S = 0"):
+        normalize(Configuration(np.zeros((3, 2)), np.ones(3)), Spectrum.identity(2))
+
+
 # ---------------------------------------------------------------------------
 # tangent basis and restricted second variation
 
@@ -356,6 +375,13 @@ def _weighted_point(rng, n: int, d: int):
     return normalize(cfg, spec), spec
 
 
+def _model(cfg, spec):
+    """_restricted_hessian_any at cfg from its own evaluation: (A, V, y)."""
+    diff, r, g, _, lam, _ = _evaluate(cfg, spec)
+    w = weight_vector(cfg, spec)
+    return _restricted_hessian_any(cfg.q, cfg.masses, w, diff, r, g, lam)
+
+
 def _assert_same_tangent_space(cfg, spec):
     """QR basis against the Gram-Schmidt oracle: the same weighted
     projector V V^T diag(w), and the same restricted-Hessian spectrum."""
@@ -364,7 +390,7 @@ def _assert_same_tangent_space(cfg, spec):
     assert V.shape == ref.shape
     w = weight_vector(cfg, spec)
     assert np.allclose((V @ V.T) * w, (ref @ ref.T) * w, rtol=0.0, atol=1e-12)
-    A, V_used, _, _ = _restricted_hessian_any(cfg, spec)
+    A, V_used, _ = _model(cfg, spec)
     assert np.array_equal(V_used, V)
     H = ambient_balance_hessian(cfg, spec)
     ev = np.linalg.eigvalsh(A)
@@ -392,7 +418,7 @@ def test_residual_merit_equals_reduced_gradient_norm(n, d):
     for _ in range(5):
         cfg, spec = _weighted_point(rng, n, d)
         G, _ = sbc_residual(cfg, spec)
-        _, _, y, _ = _restricted_hessian_any(cfg, spec)
+        _, _, y = _model(cfg, spec)
         reduced = float(y @ y)
         assert reduced > 1e-6 * potential(cfg) ** 2  # not a critical point
         merit = _residual_merit(G, weight_vector(cfg, spec))
@@ -410,15 +436,22 @@ def test_sbc_residual_matches_separate_evaluations_bitwise():
         assert np.array_equal(G, gradient(cfg) + ref_lam * weights * cfg.q)
 
 
-def test_restricted_hessian_any_reuses_evaluated_point():
+def test_restricted_hessian_any_is_the_projected_ambient_form():
+    """The array model from an evaluation's (diff, r, grad U, lam) equals
+    V^T (hessian + lam diag w) V, symmetrized, and V^T grad U, bit for bit,
+    with V from tangent_basis."""
     rng = np.random.default_rng(13)
-    for n, d in [(3, 2), (4, 2), (5, 3)]:
+    for n, d in [(2, 2), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (6, 2)]:
         cfg, spec = _weighted_point(rng, n, d)
-        _, lam = sbc_residual(cfg, spec)
-        fresh = _restricted_hessian_any(cfg, spec)
-        reused = _restricted_hessian_any(cfg, spec, g=gradient(cfg), lam=lam)
-        for a, b in zip(fresh, reused):
-            assert np.array_equal(a, b)
+        A, V, y = _model(cfg, spec)
+        ref_V = tangent_basis(cfg, spec)
+        B = ref_V.T @ ambient_balance_hessian(cfg, spec) @ ref_V
+        assert np.array_equal(V, ref_V)
+        assert np.array_equal(A, 0.5 * (B + B.T))
+        assert np.array_equal(y, ref_V.T @ gradient(cfg).ravel())
+        # the public, criticality-gated form is the same model at a root
+        line = _collinear_point(cfg.masses, spec, axis=d)
+        assert np.array_equal(restricted_hessian(line, spec), _model(line, spec)[0])
 
 
 def test_restricted_hessian_requires_criticality():
@@ -474,34 +507,6 @@ def test_ambient_form_reproduces_restricted_inertia():
     w = weight_vector(cfg, spec)
     ev_ambient = np.sort(eigh(V.T @ H @ V, V.T @ (w[:, None] * V), eigvals_only=True))
     assert np.allclose(ev_restricted, ev_ambient, atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_document_round_trip():
-    rng = np.random.default_rng(9)
-    cfg = random_configuration(rng, 4, 3)
-    spec = Spectrum((2.0, 1.5, 1.0), h1_mode=True)
-    doc = to_document(cfg, spec)
-    back_cfg, back_spec = from_document(doc)
-    assert np.array_equal(back_cfg.q, cfg.q)
-    assert np.array_equal(back_cfg.masses, cfg.masses)
-    assert back_spec.s == spec.s
-    assert back_spec.h1_mode
-
-
-def test_document_validation():
-    cfg = Configuration(np.array([[0.0, 0.0], [1.0, 0.0]]), np.ones(2))
-    doc = to_document(cfg, Spectrum.identity(2))
-    bad = dict(doc)
-    bad["masses"] = [1.0]
-    with pytest.raises(ValueError):
-        from_document(bad)
-    missing = {k: v for k, v in doc.items() if k != "S"}
-    with pytest.raises(ValueError):
-        from_document(missing)
 
 
 def test_min_separation_reports_distance_to_collision_set():

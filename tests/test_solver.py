@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sbclab import solver
+from sbclab import core, solver
 from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
@@ -19,7 +19,7 @@ from sbclab.core import (
     potential,
     residual_norm,
 )
-from sbclab.errors import BranchLost
+from sbclab.errors import BranchLost, NoConvergence
 from sbclab.solver import (
     Census,
     SBCSolution,
@@ -144,7 +144,33 @@ def test_each_iterate_builds_one_restricted_hessian(monkeypatch):
     )
     assert isinstance(out, SearchFailure)
     assert out.iterations == 3
-    assert len(builds) <= 3
+    assert len(builds) == 3
+
+
+def test_solve_makes_one_pair_pass_per_evaluated_point(monkeypatch):
+    """The start and every trial point get one pairwise pass; an accepted
+    trial's pass also feeds its restricted Hessian, so no iterate is
+    paired again (counted through both core's and solver's names)."""
+    calls = {"pairs": 0, "points": 0}
+    pairs, evaluate_q = core._pairs, core._evaluate_q
+
+    def counting_pairs(q):
+        calls["pairs"] += 1
+        return pairs(q)
+
+    def counting_evaluate_q(*args):
+        calls["points"] += 1
+        return evaluate_q(*args)
+
+    monkeypatch.setattr(core, "_pairs", counting_pairs)
+    for module in (core, solver):
+        monkeypatch.setattr(module, "_evaluate_q", counting_evaluate_q)
+    rng = np.random.default_rng(3)
+    q0 = equilateral() + 0.2 * rng.standard_normal((3, 2))
+    sol = find_critical_point(Configuration(q0, np.ones(3)), Spectrum.planar(1.5))
+    assert isinstance(sol, SBCSolution)
+    assert calls["points"] > 3
+    assert calls["pairs"] == calls["points"]
 
 
 def test_failure_max_iter():
@@ -431,9 +457,10 @@ def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
 
 
 def test_census_builds_few_configurations_and_walks_once(monkeypatch):
-    """A Configuration for each start, seed and accepted Newton iterate, not
-    for each trial point (the serial walks built about 88 per solve), and
-    one lockstep descent for all 240 saddle walks."""
+    """A Configuration for each start and each returned solution, not for
+    each accepted Newton iterate or trial point, and one lockstep descent
+    for all 240 saddle walks.  The 48 collinear records are starts too;
+    enumerate_csbc builds each of them twice."""
     counts = {"built": 0, "descents": 0}
     post_init, descend = Configuration.__post_init__, solver._descend
 
@@ -451,7 +478,25 @@ def test_census_builds_few_configurations_and_walks_once(monkeypatch):
     solves = c.restarts + c.extra_seeds
     assert solves == 296
     assert counts["descents"] == 1
-    assert counts["built"] <= 10 * solves
+    assert counts["built"] <= 2 * solves + 48
+
+
+def test_saddle_seeds_propagate_programming_errors(monkeypatch):
+    def broken(*args):
+        raise TypeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(solver, "enumerate_csbc", broken)
+    with pytest.raises(TypeError):
+        census(np.ones(3), Spectrum.planar(1.5), 1, seed=0)
+
+
+def test_saddle_seeds_skip_a_failed_enumeration(monkeypatch):
+    def failing(*args):
+        raise NoConvergence("gap Newton stalled")
+
+    monkeypatch.setattr(solver, "enumerate_csbc", failing)
+    c = census(np.ones(3), Spectrum.planar(1.5), 1, seed=0)
+    assert c.extra_seeds == 0 and c.restarts == 1
 
 
 # ---------------------------------------------------------------------------
