@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .collinear import classify_record, enumerate_csbc, moulton_solve
-from .core import Configuration, Spectrum, potential, to_document
+from .collinear import enumerate_csbc, moulton_solve
+from .core import Configuration, Spectrum, to_document
 from .equilibria import classify_periodicity, lift, newton_residual
 from .errors import (
     DegenerateCensus,
@@ -256,10 +256,10 @@ def _record_payload(rec) -> dict:
         "ordering": list(rec.ordering),
         "axis": rec.axis,
         "positions": [[float(x) for x in row] for row in rec.config.q],
-        "U": float(potential(rec.config)),
+        "U": float(rec.u),
         "lambda": float(rec.lam),
         "residual": float(rec.residual),
-        "eta": [float(e) for e in rec.spectral.eigenvalues] if rec.spectral else None,
+        "eta": [float(e) for e in rec.spectral.eigenvalues],
         "predicted": _triple_payload(rec.predicted),
         "computed": _triple_payload(rec.computed),
     }
@@ -274,9 +274,9 @@ def _record_row(entry: dict):
         fmt(x for row in entry["positions"] for x in row),
         entry["U"],
         entry["lambda"],
-        "" if entry["eta"] is None else fmt(entry["eta"]),
+        fmt(entry["eta"]),
         *(entry["predicted"] or ("", "", "")),
-        *(entry["computed"] or ("", "", "")),
+        *entry["computed"],
     )
 
 
@@ -287,7 +287,7 @@ def _cmd_collinear(cfg: RunConfig, args):
     if args.ordering is not None:
         ordering = _int_tuple(args.ordering)
         axis = _pick(args.axis, 1)
-        records = [classify_record(moulton_solve(masses, ordering, axis, spectrum))]
+        records = [moulton_solve(masses, ordering, axis, spectrum)]
     elif args.axis is not None:
         raise ValueError("--axis needs --ordering (or drop both to enumerate)")
     else:

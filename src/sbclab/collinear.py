@@ -8,6 +8,9 @@ such point without assembling it: the axis block always contributes
 coindex n-2, and each transverse direction i contributes according to the
 signs of eta_l + (s_i/s_j) * U(q_hat) over the eigenvalue groups eta_l of
 M^{-1} B(q_hat).
+
+Each record is built complete, from one spectrum per ordering and one
+guarded pair pass at the point: U, lambda, residual and both triples.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ from .core import (
     Configuration,
     InertiaTriple,
     Spectrum,
+    _critical_model,
+    _normalize_q,
     _pairs,
     _potential_of,
-    inertia_indices,
-    moment_of_inertia_s,
-    normalize,
-    potential,
-    residual_norm,
+    _triple_of,
 )
 from .errors import (
     NoConvergence,
@@ -111,16 +112,14 @@ class SpectralData:
         return tuple(-eta / self.u_hat for eta, _ in self.groups[1:])
 
 
-def ccc_spectrum(record: "CollinearRecord") -> SpectralData:
-    """Verified, grouped spectrum of M^{-1} B for a solved ordering.
+def ccc_spectrum(m: np.ndarray, x: np.ndarray) -> SpectralData:
+    """Verified, grouped spectrum of M^{-1} B at the unit-mass-norm CC line x.
 
     Checks the two structural eigenvalues (a simple 0 from translations and
     a simple -U(q_hat) from the radial direction), requires every remaining
     eigenvalue to sit strictly below -U(q_hat), and groups the rest to
     GROUP_TOL * U(q_hat). Raises SpectrumAnomalyError otherwise.
     """
-    m = record.masses
-    x = record.cc_positions
     u = _potential_1d(m, x)
     B = _b_matrix_1d(m, x)
     root_m = np.sqrt(m)
@@ -259,14 +258,16 @@ def _ordered_cc_gaps(m_ord: np.ndarray, initial_gaps: np.ndarray | None = None):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollinearRecord:
-    """One solved collinear balanced configuration.
+    """One solved and classified collinear balanced configuration.
 
     ordering and axis are 1-based (body labels left to right along the
     axis, and the coordinate axis carrying the weight s_axis). config is
-    normalized to I_S = 1; cc_positions holds the unit-mass-norm collinear
-    central configuration the record was built from, indexed by body.
+    normalized to I_S = 1, with U, multiplier and residual norm u, lam and
+    residual; cc_positions is the unit-mass-norm collinear CC it was built
+    from, indexed by body, with spectrum `spectral`. predicted is None only
+    where UnsupportedCase applies; computed comes from the restricted Hessian.
     """
 
     ordering: tuple[int, ...]
@@ -275,13 +276,14 @@ class CollinearRecord:
     masses: np.ndarray
     config: Configuration
     cc_positions: np.ndarray
+    u: float
     lam: float
     residual: float
     gap_residual: float
     iterations: int
-    spectral: SpectralData | None = None
-    predicted: InertiaTriple | None = None
-    computed: InertiaTriple | None = None
+    spectral: SpectralData
+    predicted: InertiaTriple | None
+    computed: InertiaTriple
 
 
 def moulton_solve(
@@ -291,7 +293,7 @@ def moulton_solve(
     spectrum: Spectrum,
     initial_gaps: np.ndarray | None = None,
 ) -> CollinearRecord:
-    """Collinear balanced configuration for one ordering on one axis.
+    """Classified collinear balanced configuration for one ordering on one axis.
 
     ordering is a permutation of (1..n) listing bodies left to right;
     axis is the 1-based coordinate axis. The solve runs in gap
@@ -318,16 +320,19 @@ def moulton_solve(
 
     x_hat = np.empty(n)
     x_hat[order0] = y
-    return _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters)
+    return _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters, ccc_spectrum(m, x_hat))
 
 
-def _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters) -> CollinearRecord:
-    """The record of the unit-mass-norm line x_hat placed on `axis`."""
-    s_axis = spectrum.s[axis - 1]
+def _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters, spectral) -> CollinearRecord:
+    """The record of the CC line x_hat (spectrum `spectral`) on `axis`: one pair pass."""
     q = np.zeros((len(m), spectrum.d))
-    q[:, axis - 1] = x_hat / math.sqrt(s_axis)
-    config = normalize(Configuration(q, m), spectrum)
-    lam = potential(config) / moment_of_inertia_s(config, spectrum)
+    q[:, axis - 1] = x_hat / math.sqrt(spectrum.s[axis - 1])
+    config = Configuration(_normalize_q(q, m, spectrum.array)[0], m)
+    u, lam, residual, A = _critical_model(config, spectrum)
+    try:
+        predicted = predicted_indices(spectral, spectrum, axis)
+    except UnsupportedCase:
+        predicted = None
     return CollinearRecord(
         ordering=tuple(int(b) for b in ordering),
         axis=int(axis),
@@ -335,23 +340,15 @@ def _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters) -> CollinearRec
         masses=m,
         config=config,
         cc_positions=x_hat,
+        u=u,
         lam=float(lam),
-        residual=residual_norm(config, spectrum),
+        residual=residual,
         gap_residual=gap_res,
         iterations=iters,
+        spectral=spectral,
+        predicted=predicted,
+        computed=_triple_of(A, u),
     )
-
-
-def classify_record(rec: CollinearRecord, spectral=None) -> CollinearRecord:
-    """Fill in rec's spectral data (they depend on the ordering alone, so a
-    caller may pass them in), predicted and computed triples; returns rec."""
-    rec.spectral = spectral or ccc_spectrum(rec)
-    try:
-        rec.predicted = predicted_indices(rec.spectral, rec.spectrum, rec.axis)
-    except UnsupportedCase:
-        rec.predicted = None
-    rec.computed = inertia_indices(rec.config, rec.spectrum)
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +358,18 @@ def classify_record(rec: CollinearRecord, spectral=None) -> CollinearRecord:
 def enumerate_csbc(masses, spectrum: Spectrum) -> list[CollinearRecord]:
     """All d * n! collinear balanced configurations, classified.
 
-    One record per (ordering, axis), sorted by (axis, ordering). Each
-    carries the verified spectral data, the closed-form predicted triple
-    where one exists (None where UnsupportedCase applies), and the inertia
-    triple computed from the restricted Hessian. The line and its spectral
-    data do not depend on the axis: each ordering is solved once.
+    One record per (ordering, axis), sorted by (axis, ordering), each built
+    complete (see CollinearRecord) from one pair pass. The line and its
+    spectral data do not depend on the axis: each ordering is solved, and
+    its spectrum computed, once.
     """
     m = np.array(masses, dtype=float)
     records = []
     for ordering in itertools.permutations(range(1, len(m) + 1)):
-        rec = classify_record(moulton_solve(m, ordering, 1, spectrum))
-        line = (rec.cc_positions, rec.gap_residual, rec.iterations)
+        rec = moulton_solve(m, ordering, 1, spectrum)
+        line = (rec.cc_positions, rec.gap_residual, rec.iterations, rec.spectral)
         records += [rec] + [
-            classify_record(_on_axis(m, ordering, axis, spectrum, *line), rec.spectral)
-            for axis in range(2, spectrum.d + 1)
+            _on_axis(m, ordering, axis, spectrum, *line) for axis in range(2, spectrum.d + 1)
         ]
     return sorted(records, key=lambda rec: rec.axis)
 
@@ -401,8 +396,7 @@ def degeneracy_thresholds(masses) -> ThresholdReport:
     spec = Spectrum.identity(1)
     per: dict[tuple[int, ...], tuple[float, ...]] = {}
     for ordering in itertools.permutations(range(1, n + 1)):
-        rec = moulton_solve(m, ordering, 1, spec)
-        per[ordering] = ccc_spectrum(rec).thresholds
+        per[ordering] = moulton_solve(m, ordering, 1, spec).spectral.thresholds
     lows = [t[0] for t in per.values()]
     highs = [t[-1] for t in per.values()]
     return ThresholdReport(

@@ -349,8 +349,7 @@ def _residual_merit(G: np.ndarray, w: np.ndarray) -> float:
 
 
 def residual_norm(config: Configuration, spectrum: Spectrum) -> float:
-    G, _ = sbc_residual(config, spectrum)
-    return float(np.linalg.norm(G))
+    return float(np.linalg.norm(sbc_residual(config, spectrum)[0]))
 
 
 def normalize(config: Configuration, spectrum: Spectrum) -> Configuration:
@@ -440,6 +439,18 @@ def _restricted_hessian_any(
     return 0.5 * (A + A.T), V, V.T @ g.ravel()
 
 
+def _critical_model(config: Configuration, spectrum: Spectrum):
+    """(U, lam, |G|, A) with A = restricted_hessian from one guarded pair
+    pass; NotCriticalError when the balance residual |G| exceeds TOL_RES * U."""
+    diff, r, g, u, lam, G = _evaluate(config, spectrum)
+    res = float(np.linalg.norm(G))
+    if res > TOL_RES * u:
+        raise NotCriticalError(f"balance residual {res:.3e} exceeds {TOL_RES:.1e} * U")
+    w = weight_vector(config, spectrum)
+    A = _restricted_hessian_any(config.q, config.masses, w, diff, r, g, lam)[0]
+    return u, lam, res, A
+
+
 def restricted_hessian(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     """Second variation of the constrained problem at a critical point.
 
@@ -448,13 +459,7 @@ def restricted_hessian(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     (k, k) with k = d(n-1) - 1. Raises NotCriticalError when the balance
     residual exceeds TOL_RES * U(q).
     """
-    diff, r, g, u, lam, G = _evaluate(config, spectrum)
-    if np.linalg.norm(G) > TOL_RES * u:
-        raise NotCriticalError(
-            f"balance residual {np.linalg.norm(G):.3e} exceeds {TOL_RES:.1e} * U"
-        )
-    w = weight_vector(config, spectrum)
-    return _restricted_hessian_any(config.q, config.masses, w, diff, r, g, lam)[0]
+    return _critical_model(config, spectrum)[3]
 
 
 def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:
@@ -463,8 +468,8 @@ def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:
     Eigenvalues within NULL_TOL * U(q) of zero count as null; the rest
     split by sign. The three parts always sum to d(n-1) - 1.
     """
-    A = restricted_hessian(config, spectrum)
-    return _triple_of(A, potential(config, guard=False))
+    u, _, _, A = _critical_model(config, spectrum)
+    return _triple_of(A, u)
 
 
 def _triple_of(A: np.ndarray, u: float) -> InertiaTriple:

@@ -130,7 +130,7 @@ def integrate_flow(
 
     times = [0.0]
     states = [Configuration(q, masses)]
-    qdot0, u0 = _flow_rhs(q, masses, s)
+    qdot, u0 = _flow_rhs(q, masses, s)  # the field at q: each attempt's k[0]
     thetas = [collinearity_angle(states[0])]
     potentials = [u0]
     seps = [min_sep_of(q)]
@@ -145,7 +145,7 @@ def integrate_flow(
             stop_reason=reason,
         )
 
-    if float(np.linalg.norm(qdot0)) < QDOT_CONVERGED:
+    if float(np.linalg.norm(qdot)) < QDOT_CONVERGED:
         return finish("converged")
     if theta_stop is not None and thetas[0] < theta_stop:
         return finish("theta_target")
@@ -162,15 +162,14 @@ def integrate_flow(
             return finish("time")
         h = min(h, t_final - t)
 
-        k = [np.zeros_like(q) for _ in range(6)]
-        k[0], _ = _flow_rhs(q, masses, s)
+        k = [qdot]
         bad = False
         for stage in range(1, 6):
             qs = q + h * sum(a * ki for a, ki in zip(_CK_A[stage], k))
             if min_sep_of(qs) <= 0.0 or not np.all(np.isfinite(qs)):
                 bad = True
                 break
-            k[stage], _ = _flow_rhs(qs, masses, s)
+            k.append(_flow_rhs(qs, masses, s)[0])
         err = math.inf
         if not bad:
             q5 = q + h * sum(b * ki for b, ki in zip(_CK_B5, k))

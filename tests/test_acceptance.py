@@ -154,7 +154,8 @@ def test_criterion_06_degeneracy_threshold_twelve_fifths():
     def predicted_at(s1):
         spectrum = Spectrum.planar(s1)
         rec = moulton_solve(M3, (1, 2, 3), 2, spectrum)
-        return tuple(predicted_indices(ccc_spectrum(rec), spectrum, 2))
+        sd = ccc_spectrum(rec.masses, rec.cc_positions)
+        return tuple(predicted_indices(sd, spectrum, 2))
 
     ok = ok and predicted_at(2.3) == (1, 0, 2)
     ok = ok and predicted_at(2.5) == (0, 0, 3)

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from sbclab import collinear
+from sbclab import collinear, core
 from sbclab.collinear import (
-    CollinearRecord,
     _b_matrix_1d,
     _potential_1d,
     b_matrix,
     ccc_spectrum,
-    classify_record,
     collinear_axis,
     degeneracy_thresholds,
     enumerate_csbc,
@@ -174,7 +172,7 @@ def test_moulton_validation():
 
 def test_ccc_spectrum_equal_masses_closed_form():
     rec = moulton_solve(np.ones(3), (1, 2, 3), 1, Spectrum.planar(2.0))
-    sd = ccc_spectrum(rec)
+    sd = ccc_spectrum(rec.masses, rec.cc_positions)
     zero, minus_u, eta1 = symmetric_euler_spectrum()
     assert sd.u_hat == pytest.approx(-minus_u, rel=1e-13)
     assert sd.eigenvalues[0] == pytest.approx(eta1, rel=1e-13)
@@ -197,21 +195,8 @@ def test_ccc_spectrum_scaling_between_weighted_and_central():
 
 
 def test_ccc_spectrum_anomaly_on_non_central_positions():
-    rec = moulton_solve(np.ones(3), (1, 2, 3), 1, Spectrum.planar(2.0))
-    fake = CollinearRecord(
-        ordering=rec.ordering,
-        axis=rec.axis,
-        spectrum=rec.spectrum,
-        masses=rec.masses,
-        config=rec.config,
-        cc_positions=np.array([-1.0, 0.3, 1.4]),
-        lam=rec.lam,
-        residual=rec.residual,
-        gap_residual=rec.gap_residual,
-        iterations=rec.iterations,
-    )
     with pytest.raises(SpectrumAnomalyError):
-        ccc_spectrum(fake)
+        ccc_spectrum(np.ones(3), np.array([-1.0, 0.3, 1.4]))
 
 
 @pytest.mark.parametrize(
@@ -226,13 +211,13 @@ def test_ccc_spectrum_anomaly_on_non_central_positions():
 )
 def test_predicted_indices_across_threshold(s1, expected):
     rec = moulton_solve(np.ones(3), (1, 2, 3), 1, Spectrum.planar(2.0))
-    sd = ccc_spectrum(rec)
+    sd = ccc_spectrum(rec.masses, rec.cc_positions)
     assert tuple(predicted_indices(sd, Spectrum.planar(s1), 2)) == expected
 
 
 def test_predicted_indices_axis1_rule():
     rec = moulton_solve(np.ones(4), (1, 2, 3, 4), 1, Spectrum.planar(2.0))
-    sd = ccc_spectrum(rec)
+    sd = ccc_spectrum(rec.masses, rec.cc_positions)
     for d, s in [(2, (2.0, 1.0)), (3, (2.0, 1.5, 1.0))]:
         triple = predicted_indices(sd, Spectrum(s, h1_mode=True), 1)
         n = 4
@@ -241,7 +226,7 @@ def test_predicted_indices_axis1_rule():
 
 def test_predicted_indices_identity_weights_recover_central_triple():
     rec = moulton_solve(np.ones(3), (1, 2, 3), 1, Spectrum.identity(3))
-    sd = ccc_spectrum(rec)
+    sd = ccc_spectrum(rec.masses, rec.cc_positions)
     for d in (2, 3):
         triple = predicted_indices(sd, Spectrum.identity(d), 1)
         assert tuple(triple) == ((d - 1) * (3 - 2), d - 1, 3 - 2)
@@ -249,7 +234,7 @@ def test_predicted_indices_identity_weights_recover_central_triple():
 
 def test_predicted_indices_unsupported_for_wide_transverse_in_3d():
     rec = moulton_solve(np.ones(3), (1, 2, 3), 1, Spectrum((2.0, 1.5, 1.0), h1_mode=True))
-    sd = ccc_spectrum(rec)
+    sd = ccc_spectrum(rec.masses, rec.cc_positions)
     with pytest.raises(UnsupportedCase):
         predicted_indices(sd, Spectrum((2.0, 1.5, 1.0), h1_mode=True), 2)
 
@@ -320,9 +305,10 @@ def test_degeneracy_thresholds_sorted_and_bounded():
     "masses,s", [((1.0, 2.0, 3.0), (2.5, 1.5, 1.0)), ((1.0, 1.0, 2.0, 3.0), (1.5, 1.0))]
 )
 def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
-    """n! gap solves and spectra, not d * n!; every record is bitwise the
-    record a fresh moulton_solve on its axis gives."""
-    calls = {"gaps": 0, "spectra": 0}
+    """n! gap solves and spectra, not d * n!, and one Configuration and one
+    guarded evaluation per record; every record is bitwise the record a
+    fresh moulton_solve on its axis gives."""
+    calls = {"gaps": 0, "spectra": 0, "built": 0, "evaluated": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -332,19 +318,26 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
 
     monkeypatch.setattr(collinear, "_ordered_cc_gaps", counted("gaps", collinear._ordered_cc_gaps))
     monkeypatch.setattr(collinear, "ccc_spectrum", counted("spectra", collinear.ccc_spectrum))
+    monkeypatch.setattr(core, "_evaluate", counted("evaluated", core._evaluate))
+    monkeypatch.setattr(
+        Configuration, "__post_init__", counted("built", Configuration.__post_init__)
+    )
     spectrum = Spectrum(s)
     recs = enumerate_csbc(masses, spectrum)
     orderings = math.factorial(len(masses))
-    assert calls == {"gaps": orderings, "spectra": orderings}
+    records = spectrum.d * orderings
+    assert calls == {
+        "gaps": orderings, "spectra": orderings, "built": records, "evaluated": records
+    }
     assert [(r.axis, r.ordering) for r in recs] == sorted((r.axis, r.ordering) for r in recs)
-    assert len(recs) == spectrum.d * orderings
+    assert len(recs) == records
 
     for rec in recs:
-        fresh = classify_record(moulton_solve(masses, rec.ordering, rec.axis, spectrum))
+        fresh = moulton_solve(masses, rec.ordering, rec.axis, spectrum)
         assert np.array_equal(rec.config.q, fresh.config.q)
         assert np.array_equal(rec.cc_positions, fresh.cc_positions)
-        assert (rec.lam, rec.residual, rec.gap_residual, rec.iterations) == (
-            fresh.lam, fresh.residual, fresh.gap_residual, fresh.iterations
+        assert (rec.u, rec.lam, rec.residual, rec.gap_residual, rec.iterations) == (
+            fresh.u, fresh.lam, fresh.residual, fresh.gap_residual, fresh.iterations
         )
         assert (rec.spectral, rec.predicted, rec.computed) == (
             fresh.spectral, fresh.predicted, fresh.computed

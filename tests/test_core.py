@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sbclab import core
 from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
@@ -466,6 +467,22 @@ def test_equilateral_inertia_triple():
     triple = inertia_indices(cfg, Spectrum.identity(2))
     assert tuple(triple) == (0, 1, 2)
     assert triple.index + triple.nullity + triple.coindex == 2 * (3 - 1) - 1
+
+
+def test_inertia_indices_makes_one_pair_pass(monkeypatch):
+    """U, the criticality gate and the restricted Hessian all come from one
+    _pairs call."""
+    calls = []
+
+    def counting_pairs(q):
+        calls.append(q.shape)
+        return _pairs(q)
+
+    spec = Spectrum((2.5, 1.0))
+    line = _collinear_point(np.array([1.0, 2.0, 3.0]), spec, axis=1)
+    monkeypatch.setattr(core, "_pairs", counting_pairs)
+    assert tuple(inertia_indices(line, spec)) == (2, 0, 1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -39,3 +39,21 @@ def test_no_concurrency_layer():
         if CONCURRENCY_CODE.search(line)
     ]
     assert offenders == []
+
+
+# calls that evaluate a point again through a Configuration-level wrapper
+REEVALUATION_CALL = re.compile(
+    r"\b(potential|normalize|residual_norm|moment_of_inertia_s|inertia_indices)\("
+)
+
+
+def test_collinear_records_and_reports_evaluate_each_point_once():
+    """collinear builds each record from one pair pass and cli writes what the
+    record carries, so neither calls a wrapper that evaluates a point again."""
+    offenders = [
+        f"{name}:{k}: {line.strip()}"
+        for name in ("collinear.py", "cli.py")
+        for k, line in enumerate((SRC / name).read_text(encoding="utf-8").splitlines(), 1)
+        if REEVALUATION_CALL.search(line)
+    ]
+    assert offenders == []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sbclab import flow
 from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
@@ -142,6 +143,23 @@ def test_trajectory_invariants_over_t50():
     k = len(traj) // 2
     assert traj.theta[k] == pytest.approx(collinearity_angle(traj.states[k]))
     assert traj.potential[k] == pytest.approx(potential(traj.states[k]), rel=1e-13)
+
+
+def test_flow_field_is_evaluated_once_per_point(monkeypatch):
+    """Each attempt's first stage reuses the field at its start point, so no
+    point is evaluated twice, after an accepted step or a rejected one."""
+    points = []
+
+    def recording_rhs(q, masses, s):
+        points.append(q.tobytes())
+        return _flow_rhs(q, masses, s)
+
+    monkeypatch.setattr(flow, "_flow_rhs", recording_rhs)
+    q = np.array([[-0.5, 0.02, 0.0], [-0.44, -0.02, 0.01], [0.9, 0.0, -0.01]])
+    traj = integrate_flow(Configuration(q, M3), S3, 50.0)
+    # one field at the start and six per accepted step, plus rejected attempts
+    assert len(points) > 1 + 6 * (len(traj) - 1)
+    assert len(set(points)) == len(points)
 
 
 def test_axis_line_is_flow_invariant():
