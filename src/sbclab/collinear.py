@@ -9,15 +9,18 @@ coindex n-2, and each transverse direction i contributes according to the
 signs of eta_l + (s_i/s_j) * U(q_hat) over the eigenvalue groups eta_l of
 M^{-1} B(q_hat).
 
-Each record is built complete, from one spectrum per ordering and one
-guarded pair pass at the point: U, lambda, residual and both triples.
+Each record is built complete, from one spectrum per line and one guarded
+pair pass at the point: U, lambda, residual and both triples. Reversing an
+ordering mirrors its line (x -> -x) and leaves every r_ij unchanged, so only
+the canonical orientation (first label below the last) is solved, and the
+reversed ordering's records are its exact negation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
@@ -286,6 +289,39 @@ class CollinearRecord:
     computed: InertiaTriple
 
 
+def _cc_line(m: np.ndarray, ordering, initial_gaps: np.ndarray | None = None):
+    """(x_hat, gap residual, iterations, spectral) of one ordering: its gap
+    solve, the unit-mass-norm CC line x_hat indexed by body, and its spectrum.
+    The one place a line is solved and spectrally decomposed."""
+    order0 = [b - 1 for b in ordering]
+    m_ord = m[order0]
+    gaps, gap_res, iters = _ordered_cc_gaps(m_ord, initial_gaps)
+
+    y = np.concatenate(([0.0], np.cumsum(gaps)))
+    y -= float(m_ord @ y / m_ord.sum())
+    y /= math.sqrt(float(m_ord @ y**2))
+
+    x_hat = np.empty(len(m))
+    x_hat[order0] = y
+    return x_hat, gap_res, iters, ccc_spectrum(m, x_hat)
+
+
+def _mirrored(rec: CollinearRecord) -> CollinearRecord:
+    """The record of the reversed ordering: the line through x -> -x.
+
+    Negation leaves every r_ij, and so U, lambda, the residual, the spectrum
+    and both triples, unchanged; the pair pass of the mirrored point repeats
+    the original's bit for bit. 0.0 - q keeps the off-axis zeros +0.0, as a
+    fresh build has them.
+    """
+    return replace(
+        rec,
+        ordering=rec.ordering[::-1],
+        config=Configuration(0.0 - rec.config.q, rec.masses),
+        cc_positions=0.0 - rec.cc_positions,
+    )
+
+
 def moulton_solve(
     masses,
     ordering,
@@ -300,6 +336,11 @@ def moulton_solve(
     coordinates from an equispaced start (or initial_gaps), the resulting
     central configuration is normalized to unit mass norm, and the balanced
     configuration is that line shrunk by 1/sqrt(s_axis) on the axis.
+
+    Only the canonical orientation (first label below the last) is solved:
+    a reversed ordering is the mirror image of its canonical line, solved
+    from initial_gaps[::-1], so it is bitwise the record enumerate_csbc
+    gives it.
     """
     m = np.array(masses, dtype=float)
     n = len(m)
@@ -309,18 +350,12 @@ def moulton_solve(
         raise ValueError(f"axis must be in 1..{spectrum.d}")
     if np.any(m <= 0):
         raise ValueError("masses must be positive")
-
-    order0 = [b - 1 for b in ordering]
-    m_ord = m[order0]
-    gaps, gap_res, iters = _ordered_cc_gaps(m_ord, initial_gaps)
-
-    y = np.concatenate(([0.0], np.cumsum(gaps)))
-    y -= float(m_ord @ y / m_ord.sum())
-    y /= math.sqrt(float(m_ord @ y**2))
-
-    x_hat = np.empty(n)
-    x_hat[order0] = y
-    return _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters, ccc_spectrum(m, x_hat))
+    mirror = ordering[0] > ordering[-1]
+    if mirror:
+        ordering = ordering[::-1]
+        initial_gaps = None if initial_gaps is None else np.asarray(initial_gaps)[::-1]
+    rec = _on_axis(m, ordering, axis, spectrum, *_cc_line(m, ordering, initial_gaps))
+    return _mirrored(rec) if mirror else rec
 
 
 def _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters, spectral) -> CollinearRecord:
@@ -359,19 +394,23 @@ def enumerate_csbc(masses, spectrum: Spectrum) -> list[CollinearRecord]:
     """All d * n! collinear balanced configurations, classified.
 
     One record per (ordering, axis), sorted by (axis, ordering), each built
-    complete (see CollinearRecord) from one pair pass. The line and its
-    spectral data do not depend on the axis: each ordering is solved, and
-    its spectrum computed, once.
+    complete (see CollinearRecord). Each of the n!/2 canonical lines (first
+    label below the last) is solved, and its spectrum computed, once, then
+    placed on every axis with one pair pass; its reversed ordering, met
+    later in lexicographic order, gets the negated records (see _mirrored).
     """
     m = np.array(masses, dtype=float)
-    records = []
+    placed: dict[tuple[int, ...], list[CollinearRecord]] = {}
     for ordering in itertools.permutations(range(1, len(m) + 1)):
+        if ordering[0] > ordering[-1]:
+            placed[ordering] = [_mirrored(rec) for rec in placed[ordering[::-1]]]
+            continue
         rec = moulton_solve(m, ordering, 1, spectrum)
         line = (rec.cc_positions, rec.gap_residual, rec.iterations, rec.spectral)
-        records += [rec] + [
+        placed[ordering] = [rec] + [
             _on_axis(m, ordering, axis, spectrum, *line) for axis in range(2, spectrum.d + 1)
         ]
-    return sorted(records, key=lambda rec: rec.axis)
+    return [recs[k] for k in range(spectrum.d) for recs in placed.values()]
 
 
 @dataclass(frozen=True)
@@ -387,16 +426,23 @@ def degeneracy_thresholds(masses) -> ThresholdReport:
     """Threshold ratios for every ordering (axis independent).
 
     A transverse weight ratio crossing one of these values changes the
-    predicted inertia triple; at equality the point is degenerate.
+    predicted inertia triple; at equality the point is degenerate. Only the
+    n!/2 canonical lines are solved (no record is built): a reversed
+    ordering is the mirror image of its line and has the same spectrum.
     """
     m = np.array(masses, dtype=float)
     n = len(m)
     if n < 3:
         raise ValueError("degeneracy thresholds require n >= 3")
-    spec = Spectrum.identity(1)
+    if np.any(m <= 0):
+        raise ValueError("masses must be positive")
     per: dict[tuple[int, ...], tuple[float, ...]] = {}
     for ordering in itertools.permutations(range(1, n + 1)):
-        per[ordering] = moulton_solve(m, ordering, 1, spec).spectral.thresholds
+        per[ordering] = (
+            per[ordering[::-1]]
+            if ordering[0] > ordering[-1]
+            else _cc_line(m, ordering)[3].thresholds
+        )
     lows = [t[0] for t in per.values()]
     highs = [t[-1] for t in per.values()]
     return ThresholdReport(

@@ -145,7 +145,13 @@ def test_moulton_reversal_mirror():
     spec = Spectrum.planar(1.5)
     fwd = moulton_solve(m, (1, 2, 3), 2, spec)
     rev = moulton_solve(m, (3, 2, 1), 2, spec)
-    assert np.allclose(rev.config.q, -fwd.config.q, atol=1e-13)
+    assert np.array_equal(rev.config.q, -fwd.config.q)
+    # a reversed ordering is solved as its canonical line, from the reversed gaps
+    g0 = np.array([0.5, 2.0])
+    fwd = moulton_solve(m, (1, 2, 3), 2, spec, initial_gaps=g0)
+    rev = moulton_solve(m, [3, 2, 1], 2, spec, initial_gaps=g0[::-1])
+    assert np.array_equal(rev.config.q, -fwd.config.q)
+    assert (rev.iterations, rev.gap_residual) == (fwd.iterations, fwd.gap_residual)
 
 
 def test_moulton_rescaled_line_is_central():
@@ -301,13 +307,36 @@ def test_degeneracy_thresholds_sorted_and_bounded():
         degeneracy_thresholds(np.ones(2))
 
 
+def test_degeneracy_thresholds_solve_canonical_lines_only(monkeypatch):
+    """n!/2 gap solves and no Configuration: a reversed ordering shares the
+    thresholds of its mirror image, and no record is built."""
+    calls = {"gaps": 0, "built": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(collinear, "_ordered_cc_gaps", counted("gaps", collinear._ordered_cc_gaps))
+    monkeypatch.setattr(
+        Configuration, "__post_init__", counted("built", Configuration.__post_init__)
+    )
+    report = degeneracy_thresholds(np.arange(1.0, 6.0))
+    assert calls == {"gaps": math.factorial(5) // 2, "built": 0}
+    assert len(report.per_ordering) == math.factorial(5)
+    for ordering, t in report.per_ordering.items():
+        assert report.per_ordering[ordering[::-1]] == t
+
+
 @pytest.mark.parametrize(
     "masses,s", [((1.0, 2.0, 3.0), (2.5, 1.5, 1.0)), ((1.0, 1.0, 2.0, 3.0), (1.5, 1.0))]
 )
 def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
-    """n! gap solves and spectra, not d * n!, and one Configuration and one
-    guarded evaluation per record; every record is bitwise the record a
-    fresh moulton_solve on its axis gives."""
+    """n!/2 gap solves and spectra (one per mirror pair of orderings), one
+    Configuration per record and one guarded evaluation per canonical record;
+    every record is bitwise the record a fresh moulton_solve on its axis
+    gives."""
     calls = {"gaps": 0, "spectra": 0, "built": 0, "evaluated": 0}
 
     def counted(name, fn):
@@ -327,7 +356,10 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
     orderings = math.factorial(len(masses))
     records = spectrum.d * orderings
     assert calls == {
-        "gaps": orderings, "spectra": orderings, "built": records, "evaluated": records
+        "gaps": orderings // 2,
+        "spectra": orderings // 2,
+        "built": records,
+        "evaluated": records // 2,
     }
     assert [(r.axis, r.ordering) for r in recs] == sorted((r.axis, r.ordering) for r in recs)
     assert len(recs) == records
@@ -341,4 +373,38 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
         )
         assert (rec.spectral, rec.predicted, rec.computed) == (
             fresh.spectral, fresh.predicted, fresh.computed
+        )
+
+
+@pytest.mark.parametrize(
+    "masses,s",
+    [
+        ((1.0,) * 6, (1.5, 1.0)),
+        ((1.0, 2.0, 1.0, 3.0, 1.0), (2.5, 1.5, 1.0)),
+        ((1.0, 2.0, 3.0, 4.0), (1.5, 1.0)),
+        ((1.0, 1.0, 2.0, 3.0), (1.5, 1.0)),
+    ],
+)
+def test_enumerate_mirrored_records_equal_a_full_evaluation(masses, s):
+    """Each reversed ordering's record, built by negation, is bitwise the
+    record a full evaluation of the negated line gives: its own pair pass,
+    tangent basis, Hessian and spectrum."""
+    m = np.array(masses)
+    spectrum = Spectrum(s)
+    recs = enumerate_csbc(m, spectrum)
+    by_key = {(r.axis, r.ordering): r for r in recs}
+    mirrored = [r for r in recs if r.ordering[0] > r.ordering[-1]]
+    assert len(mirrored) == len(recs) // 2
+    for rec in mirrored:
+        canon = by_key[(rec.axis, rec.ordering[::-1])]
+        x_hat = -canon.cc_positions
+        full = collinear._on_axis(
+            m, rec.ordering, rec.axis, spectrum, x_hat,
+            canon.gap_residual, canon.iterations, ccc_spectrum(m, x_hat),
+        )
+        assert np.array_equal(rec.config.q, full.config.q)
+        assert np.array_equal(rec.cc_positions, x_hat)
+        assert (rec.u, rec.lam, rec.residual) == (full.u, full.lam, full.residual)
+        assert (rec.spectral, rec.predicted, rec.computed) == (
+            full.spectral, full.predicted, full.computed
         )

@@ -57,3 +57,26 @@ def test_collinear_records_and_reports_evaluate_each_point_once():
         if REEVALUATION_CALL.search(line)
     ]
     assert offenders == []
+
+
+# a call (not the definition) of the gap solve or of the line spectrum
+LINE_SOLVE_CALL = {
+    name: re.compile(rf"(?<!def )\b{name}\(") for name in ("_ordered_cc_gaps", "ccc_spectrum")
+}
+
+
+def test_each_collinear_line_is_solved_in_one_place():
+    """The gap solve and the line spectrum each have one call site, the line
+    helper, so no path solves or decomposes a line twice."""
+    sites = {
+        name: [
+            f"{path.name}:{k}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)
+        ]
+        for name, pattern in LINE_SOLVE_CALL.items()
+    }
+    assert {name: len(found) for name, found in sites.items()} == {
+        "_ordered_cc_gaps": 1, "ccc_spectrum": 1
+    }, sites
