@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -46,15 +45,20 @@ from .solver import SearchFailure, census, continue_in_s, find_critical_point
 
 _BIG = 1 << 53  # beyond this an IEEE double can no longer hold the integer
 
-_VALIDATION_ERRORS = (NotPlanarError, NotCollinearError, UnsupportedCase)
-
 
 class _UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through the exit-code contract."""
+    """argparse that reports usage problems through the exit-code contract.
+
+    Flags must be spelled out: an abbreviation could name a different flag
+    than intended (--s is a prefix of --steps on continue).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -62,76 +66,66 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# flag values: argparse types, so flags and config-file entries are parsed
+# and checked by the same code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged parameter set for one invocation (flags over config file)."""
+def _checked(convert, rule=None, ok=None):
+    """argparse type: convert the text, then require ok(value) when given.
 
-    n: int | None = None
-    d: int | None = None
-    masses: tuple[float, ...] | None = None
-    s_values: tuple[float, ...] | None = None
-    seed: int | None = None
-    restarts: int | None = None
-    tolerances: dict = field(default_factory=dict)
-    output: str | None = None
-    format: str = "json"
+    A ValueError from convert is reported as "invalid <type> value".
+    """
 
-    def __post_init__(self):
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
-        for name, value in self.tolerances.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance override {name} must be positive")
-        if self.masses is not None:
-            if self.n is not None and len(self.masses) != self.n:
-                raise ValueError("masses must list exactly n values")
-            if any(m <= 0 for m in self.masses):
-                raise ValueError("masses must be positive")
-        if self.n is not None and self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.restarts is not None and self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
+    def parse(text):
+        value = convert(text)
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
 
-    def tol(self, name, default):
-        return float(self.tolerances.get(name, default))
+    parse.__name__ = convert.__name__.lstrip("_")
+    return parse
 
 
-def _floats(value) -> list:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        return [float(p) for p in parts]
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(value)]
+def _floats(text) -> list:
+    return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _int_tuple(value) -> tuple:
-    if isinstance(value, str):
-        return tuple(int(p) for p in value.split(",") if p.strip())
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return (int(value),)
+def _int_tuple(text) -> tuple:
+    return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-def _pick(value, default):
-    return default if value is None else value
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0
 
 
-def _resolve_masses(cfg: RunConfig, default_n: int = 3):
-    if cfg.masses is not None:
-        m = np.asarray(cfg.masses, dtype=float)
-        return len(m), m
-    n = _pick(cfg.n, default_n)
-    return n, np.ones(n)
+_INT_GE0 = _checked(int, ">= 0", lambda v: v >= 0)
+_INT_GE1 = _checked(int, ">= 1", lambda v: v >= 1)
+_INT_GE2 = _checked(int, ">= 2", lambda v: v >= 2)
+_TOL = _checked(float, "positive", _positive)
+_FLOATS = _checked(_floats)
+_MASSES = _checked(_floats, "positive", lambda v: all(map(_positive, v)))
+_ORDERING = _checked(_int_tuple)
 
 
-def _resolve_spectrum(cfg: RunConfig, d: int, default_s1: float) -> Spectrum:
-    values = list(cfg.s_values) if cfg.s_values is not None else [default_s1]
+def _no_csv(text):
+    """argparse type of --format for the subcommands with no CSV table."""
+    if text == "csv":
+        raise argparse.ArgumentTypeError(
+            "this subcommand has no CSV table; use --format json")
+    return text
+
+
+def _resolve_masses(args):
+    """(n, masses): --masses sets n, else --n (default 3) equal masses."""
+    if args.masses is None:
+        n = 3 if args.n is None else args.n
+        return n, np.ones(n)
+    if args.n is not None and len(args.masses) != args.n:
+        raise ValueError("masses must list exactly n values")
+    return len(args.masses), np.asarray(args.masses, dtype=float)
+
+
+def _resolve_spectrum(values, d: int) -> Spectrum:
     if len(values) == 1:
         values = [values[0]] + [1.0] * (d - 1)
     if len(values) != d:
@@ -184,16 +178,14 @@ def _triple_payload(triple):
     return [int(index), int(nullity), int(coindex)]
 
 
-def _emit(cfg: RunConfig, payload: dict, table) -> None:
+def _emit(args, payload: dict, table) -> None:
     """Write the report to stdout or --output; CSV rows stream as made."""
-    if cfg.format == "csv" and table is None:
-        raise ValueError("this subcommand has no CSV table; use --format json")
-    if cfg.output is None or cfg.output == "-":
+    if args.output is None or args.output == "-":
         out = contextlib.nullcontext(sys.stdout)
     else:
-        out = open(cfg.output, "w", encoding="utf-8")
+        out = open(args.output, "w", encoding="utf-8")
     with out as fh:
-        if cfg.format == "csv":
+        if args.format == "csv":
             header, rows = table
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -207,7 +199,7 @@ def _emit(cfg: RunConfig, payload: dict, table) -> None:
 # table's rows may be a lazy iterable, consumed only for --format csv
 
 
-def _cmd_coeffs(cfg: RunConfig, args):
+def _cmd_coeffs(args):
     table = poincare_coeffs(args.n)
     payload = {
         "n": table.n,
@@ -218,7 +210,7 @@ def _cmd_coeffs(cfg: RunConfig, args):
     return payload, (("j", "c_j"), rows)
 
 
-def _cmd_betti(cfg: RunConfig, args):
+def _cmd_betti(args):
     table = betti_quotient(args.n)
     payload = {
         "n": table.n,
@@ -231,7 +223,7 @@ def _cmd_betti(cfg: RunConfig, args):
     return payload, (("k", "b_k"), rows)
 
 
-def _cmd_bounds(cfg: RunConfig, args):
+def _cmd_bounds(args):
     if args.regime is not None:
         if args.d != 2:
             raise ValueError("regime tables are planar; use d = 2")
@@ -280,21 +272,19 @@ def _record_row(entry: dict):
     )
 
 
-def _cmd_collinear(cfg: RunConfig, args):
-    n, masses = _resolve_masses(cfg)
-    d = _pick(cfg.d, 2)
-    spectrum = _resolve_spectrum(cfg, d, 2.0)
+def _cmd_collinear(args):
+    n, masses = _resolve_masses(args)
+    spectrum = _resolve_spectrum(args.s, args.d)
     if args.ordering is not None:
-        ordering = _int_tuple(args.ordering)
-        axis = _pick(args.axis, 1)
-        records = [moulton_solve(masses, ordering, axis, spectrum)]
+        axis = 1 if args.axis is None else args.axis
+        records = [moulton_solve(masses, args.ordering, axis, spectrum)]
     elif args.axis is not None:
         raise ValueError("--axis needs --ordering (or drop both to enumerate)")
     else:
         records = enumerate_csbc(masses, spectrum)
     payload = {
         "n": n,
-        "d": d,
+        "d": args.d,
         "S": [float(w) for w in spectrum.s],
         "masses": [float(m) for m in masses],
         "count": len(records),
@@ -337,58 +327,45 @@ def _census_payload(result, n: int, d: int) -> dict:
     }
 
 
-def _run_census(cfg: RunConfig, default_s1: float):
-    n, masses = _resolve_masses(cfg)
-    d = _pick(cfg.d, 2)
-    spectrum = _resolve_spectrum(cfg, d, default_s1)
+def _run_census(args):
+    n, masses = _resolve_masses(args)
+    spectrum = _resolve_spectrum(args.s, args.d)
     start = time.perf_counter()
-    result = census(
-        masses,
-        spectrum,
-        _pick(cfg.restarts, 500),
-        _pick(cfg.seed, 0),
-        tol_res=cfg.tol("tol_res", 1e-10),
-    )
+    result = census(masses, spectrum, args.restarts, args.seed, tol_res=args.tol_res)
     wall = time.perf_counter() - start
     print(
         f"census: {len(result.solutions)} solutions from "
         f"{result.restarts} restarts in {wall:.2f} s",
         file=sys.stderr,
     )
-    return result, n, d
+    return result, n
 
 
-def _cmd_census(cfg: RunConfig, args):
-    result, n, d = _run_census(cfg, default_s1=1.5)
-    return _census_payload(result, n, d), None
+def _cmd_census(args):
+    result, n = _run_census(args)
+    return _census_payload(result, n, args.d), None
 
 
-def _cmd_continue(cfg: RunConfig, args):
-    n, masses = _resolve_masses(cfg)
-    d = _pick(cfg.d, 2)
-    ordering = _int_tuple(_pick(args.ordering, "1,2,3"))
-    axis = _pick(args.axis, 1)
-    s_from, s_to = args.s_from, args.s_to
-    steps = _pick(args.steps, 16)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+def _cmd_continue(args):
+    n, masses = _resolve_masses(args)
+    d, s_from, s_to, steps = args.d, args.s_from, args.s_to, args.steps
 
     def spec_at(s1):
         return Spectrum((float(s1),) + (1.0,) * (d - 1))
 
-    rec = moulton_solve(masses, ordering, axis, spec_at(s_from))
+    rec = moulton_solve(masses, args.ordering, args.axis, spec_at(s_from))
     sol = find_critical_point(rec.config, spec_at(s_from))
     if isinstance(sol, SearchFailure):
         raise NoConvergence(f"no critical point at s1 = {s_from}: {sol.cause}")
     path = [spec_at(s) for s in np.linspace(s_from, s_to, steps + 1)[1:]]
-    branch = continue_in_s(sol, path, tol_res=cfg.tol("tol_res", 1e-10))
+    branch = continue_in_s(sol, path, tol_res=args.tol_res)
     points = [sol] + branch
     payload = {
         "n": n,
         "d": d,
         "masses": [float(m) for m in masses],
-        "ordering": list(ordering),
-        "axis": axis,
+        "ordering": list(args.ordering),
+        "axis": args.axis,
         "s_from": float(s_from),
         "s_to": float(s_to),
         "steps": steps,
@@ -406,21 +383,13 @@ def _cmd_continue(cfg: RunConfig, args):
     return payload, None
 
 
-def _cmd_flow(cfg: RunConfig, args):
-    n, masses = _resolve_masses(cfg)
-    d = _pick(cfg.d, 3)
-    spectrum = _resolve_spectrum(cfg, d, 2.0)
-    seed = _pick(cfg.seed, 0)
-    t_final = _pick(args.t_final, 50.0)
+def _cmd_flow(args):
+    n, masses = _resolve_masses(args)
+    d, seed, t_final = args.d, args.seed, args.t_final
+    spectrum = _resolve_spectrum(args.s, d)
     rng = np.random.default_rng(seed)
     q0 = Configuration(rng.standard_normal((n, d)), masses)
-    traj = integrate_flow(
-        q0,
-        spectrum,
-        t_final,
-        atol=cfg.tol("atol", 1e-9),
-        rtol=cfg.tol("rtol", 1e-9),
-    )
+    traj = integrate_flow(q0, spectrum, t_final, atol=args.atol, rtol=args.rtol)
     payload = {
         "n": n,
         "d": d,
@@ -448,24 +417,15 @@ def _cmd_flow(cfg: RunConfig, args):
     return payload, (tuple(header), rows)
 
 
-def _cmd_check45(cfg: RunConfig, args):
-    count = _pick(args.count, 100)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    seed = _pick(cfg.seed, 0)
-    spectrum = _resolve_spectrum(cfg, 3, 2.0)
-    t_final = _pick(args.t_final, 200.0)
+def _cmd_check45(args):
+    count, seed, t_final = args.count, args.seed, args.t_final
+    spectrum = _resolve_spectrum(args.s, 3)
     rng = np.random.default_rng(seed)
     # first seed sits exactly on the 45 degree rim, the rest fill (0, 45)
     thetas = np.concatenate(([45.0], 45.0 * rng.uniform(1e-3, 1.0, count - 1)))
     phis = rng.uniform(0.0, 2.0 * math.pi, count)
     seeds = [tilted_line_seed(th, ph) for th, ph in zip(thetas, phis)]
-    report = lyapunov_45_check(
-        seeds,
-        spectrum,
-        t_final=t_final,
-        slack=cfg.tol("slack", 1e-9),
-    )
+    report = lyapunov_45_check(seeds, spectrum, t_final=t_final, slack=args.slack)
     payload = {
         "count": count,
         "seed": seed,
@@ -492,23 +452,20 @@ def _cmd_check45(cfg: RunConfig, args):
     return payload, None
 
 
-def _cmd_orbit(cfg: RunConfig, args):
-    result, n, d = _run_census(cfg, default_s1=4.0)
-    if d != 2:
+def _cmd_orbit(args):
+    if args.d != 2:
         raise ValueError("orbit lifting starts from a planar base; use d = 2")
+    result, n = _run_census(args)
     if not result.solutions:
         raise NoConvergence("census found no solutions to lift")
-    census_id = _pick(args.census_id, 0)
-    if not 0 <= census_id < len(result.solutions):
+    census_id = args.census_id
+    if census_id >= len(result.solutions):
         raise ValueError(
             f"census-id {census_id} out of range, census holds "
             f"{len(result.solutions)} solutions"
         )
-    orbit = lift(result.solutions[census_id], tol_res=cfg.tol("tol_res", 1e-10))
-    t_final = _pick(args.t_final, 20.0)
-    samples = _pick(args.samples, 1000)
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    orbit = lift(result.solutions[census_id], tol_res=args.tol_res)
+    t_final, samples = args.t_final, args.samples
     times = np.linspace(0.0, t_final, samples)
     report = classify_periodicity(orbit)
     payload = {
@@ -538,7 +495,7 @@ def _cmd_orbit(cfg: RunConfig, args):
     return payload, (tuple(header), rows())
 
 
-def _cmd_morse_check(cfg: RunConfig, args):
+def _cmd_morse_check(args):
     with open(args.census_file, encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
@@ -584,21 +541,28 @@ _HANDLERS = {
 # parser
 
 
-def _add_io_flags(sp):
+def _add_io_flags(sp, csv_table=False):
     sp.add_argument("--config", metavar="FILE",
-                    help="JSON file with parameter defaults; explicit flags win")
+                    help="JSON file whose entries are read as the flags they "
+                         "name; explicit flags win")
     sp.add_argument("--output", metavar="PATH",
                     help="write the report here instead of stdout")
-    sp.add_argument("--format", choices=("json", "csv"))
+    sp.add_argument("--format", choices=("json", "csv"), default="json",
+                    type=None if csv_table else _no_csv)
 
 
-def _add_problem_flags(sp, seed=True):
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--masses", help="comma-separated, default equal masses")
-    sp.add_argument("--s", help="single s1 or a full weight list s1,s2,...")
+def _add_problem_flags(sp, d, s1, seed=True):
+    sp.add_argument("--n", type=_INT_GE2,
+                    help="number of bodies (default 3, or the length of --masses)")
+    sp.add_argument("--d", type=_INT_GE1, default=d)
+    sp.add_argument("--masses", type=_MASSES,
+                    help="comma-separated, default equal masses")
+    if s1 is not None:
+        sp.add_argument("--s", type=_FLOATS, default=(s1,),
+                        help=f"single s1 or a full weight list s1,s2,... "
+                             f"(default {s1})")
     if seed:
-        sp.add_argument("--seed", type=int)
+        sp.add_argument("--seed", type=_INT_GE0, default=0)
 
 
 def build_parser() -> _Parser:
@@ -606,10 +570,11 @@ def build_parser() -> _Parser:
                      description="balanced-configuration laboratory")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     sp = sub.add_parser("coeffs", help="counting-polynomial coefficient table")
     sp.add_argument("n", type=int)
-    _add_io_flags(sp)
+    _add_io_flags(sp, csv_table=True)
 
     sp = sub.add_parser("bounds", help="critical-point lower bounds")
     sp.add_argument("n", type=int)
@@ -622,56 +587,60 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("betti", help="Betti table of the reduced planar space")
     sp.add_argument("n", type=int)
-    _add_io_flags(sp)
+    _add_io_flags(sp, csv_table=True)
 
     sp = sub.add_parser("collinear",
                         help="solve or enumerate collinear configurations")
-    _add_problem_flags(sp, seed=False)
-    sp.add_argument("--ordering", help="1-based body order, e.g. 1,3,2")
-    sp.add_argument("--axis", type=int, help="1-based axis (with --ordering)")
-    _add_io_flags(sp)
+    _add_problem_flags(sp, d=2, s1=2.0, seed=False)
+    sp.add_argument("--ordering", type=_ORDERING,
+                    help="1-based body order, e.g. 1,3,2")
+    sp.add_argument("--axis", type=int,
+                    help="1-based axis (with --ordering, default 1)")
+    _add_io_flags(sp, csv_table=True)
 
     sp = sub.add_parser("census", help="random-restart solution catalogue")
-    _add_problem_flags(sp)
-    sp.add_argument("--restarts", type=int)
-    sp.add_argument("--tol-res", dest="tol_res", type=float)
+    _add_problem_flags(sp, d=2, s1=1.5)
+    sp.add_argument("--restarts", type=_INT_GE0, default=500)
+    sp.add_argument("--tol-res", dest="tol_res", type=_TOL, default=1e-10)
     _add_io_flags(sp)
 
     sp = sub.add_parser("continue",
                         help="track a collinear branch while s1 varies")
-    _add_problem_flags(sp, seed=False)
-    sp.add_argument("--ordering", help="1-based body order of the start branch")
-    sp.add_argument("--axis", type=int)
+    _add_problem_flags(sp, d=2, s1=None, seed=False)
+    sp.add_argument("--ordering", type=_ORDERING, default=(1, 2, 3),
+                    help="1-based body order of the start branch")
+    sp.add_argument("--axis", type=int, default=1)
     sp.add_argument("--from", dest="s_from", type=float, required=True)
     sp.add_argument("--to", dest="s_to", type=float, required=True)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--tol-res", dest="tol_res", type=float)
+    sp.add_argument("--steps", type=_INT_GE1, default=16)
+    sp.add_argument("--tol-res", dest="tol_res", type=_TOL, default=1e-10)
     _add_io_flags(sp)
 
     sp = sub.add_parser("flow", help="integrate the ascent flow from a random seed")
-    _add_problem_flags(sp)
-    sp.add_argument("--T", dest="t_final", type=float)
-    sp.add_argument("--atol", type=float)
-    sp.add_argument("--rtol", type=float)
-    _add_io_flags(sp)
+    _add_problem_flags(sp, d=3, s1=2.0)
+    sp.add_argument("--T", dest="t_final", type=float, default=50.0)
+    sp.add_argument("--atol", type=_TOL, default=1e-9)
+    sp.add_argument("--rtol", type=_TOL, default=1e-9)
+    _add_io_flags(sp, csv_table=True)
 
     sp = sub.add_parser("check45",
                         help="batch angle-monotonicity check on tilted-line seeds")
-    sp.add_argument("--count", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--s", help="single s1 or full d=3 weight list")
-    sp.add_argument("--T", dest="t_final", type=float)
-    sp.add_argument("--slack", type=float)
+    sp.add_argument("--count", type=_INT_GE1, default=100)
+    sp.add_argument("--seed", type=_INT_GE0, default=0)
+    sp.add_argument("--s", type=_FLOATS, default=(2.0,),
+                    help="single s1 or full d=3 weight list (default 2.0)")
+    sp.add_argument("--T", dest="t_final", type=float, default=200.0)
+    sp.add_argument("--slack", type=_TOL, default=1e-9)
     _add_io_flags(sp)
 
     sp = sub.add_parser("orbit", help="lift a census solution to a rigid orbit")
-    _add_problem_flags(sp)
-    sp.add_argument("--census-id", dest="census_id", type=int)
-    sp.add_argument("--restarts", type=int)
-    sp.add_argument("--T", dest="t_final", type=float)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--tol-res", dest="tol_res", type=float)
-    _add_io_flags(sp)
+    _add_problem_flags(sp, d=2, s1=4.0)
+    sp.add_argument("--census-id", dest="census_id", type=_INT_GE0, default=0)
+    sp.add_argument("--restarts", type=_INT_GE0, default=500)
+    sp.add_argument("--T", dest="t_final", type=float, default=20.0)
+    sp.add_argument("--samples", type=_INT_GE2, default=1000)
+    sp.add_argument("--tol-res", dest="tol_res", type=_TOL, default=1e-10)
+    _add_io_flags(sp, csv_table=True)
 
     sp = sub.add_parser("morse-check",
                         help="index-count consistency test of a census report")
@@ -681,81 +650,67 @@ def build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "n", "d", "masses", "s", "seed", "restarts", "output",
-    "format", "tol_res", "atol", "rtol", "slack", "ordering", "axis",
-    "s_from", "s_to", "steps", "t_final", "samples", "count", "census_id",
-    "regime",
-}
+def _config_flags(sp) -> dict:
+    """{config key: flag} of one subcommand: its options but help and config."""
+    return {a.dest: a.option_strings[-1] for a in sp._actions
+            if a.option_strings and a.dest not in ("help", "config")}
 
 
-def _merge_config_file(args) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _with_config(parser, argv: list) -> list:
+    """argv with the entries of its --config file spliced in as flags.
+
+    Each entry becomes --<flag>=<value> right after the subcommand name, so
+    it is parsed and checked as that flag is, it may supply a required flag,
+    and an explicit flag later in argv wins. Lists are joined by commas and
+    null entries are skipped. A key that only other subcommands have is
+    ignored; a key that no subcommand has is an error.
+    """
+    if not argv or argv[0] not in parser.commands:
+        return argv
+    pre = _Parser(prog=f"{parser.prog} {argv[0]}", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a single JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    flags = {name: _config_flags(sp) for name, sp in parser.commands.items()}
+    unknown = sorted(set(doc).difference(*flags.values()))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    own = flags[argv[0]]
+    tokens = []
     for key, value in doc.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+        if key in own and value is not None:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            tokens.append(f"{own[key]}={value}")
+    return argv[:1] + tokens + argv[1:]
 
 
-def _build_runconfig(args) -> RunConfig:
-    tolerances = {}
-    for name in ("tol_res", "atol", "rtol", "slack"):
-        value = getattr(args, name, None)
-        if value is not None:
-            tolerances[name] = float(value)
-    masses = getattr(args, "masses", None)
-    s_raw = getattr(args, "s", None)
-    n = getattr(args, "n", None)
-    return RunConfig(
-        n=None if n is None else int(n),
-        d=getattr(args, "d", None),
-        masses=None if masses is None else tuple(_floats(masses)),
-        s_values=None if s_raw is None else tuple(_floats(s_raw)),
-        seed=getattr(args, "seed", None),
-        restarts=getattr(args, "restarts", None),
-        tolerances=tolerances,
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", None) or "json",
-    )
+# validation errors are SbcLabErrors too, so they are matched before exit 2
+_EXIT_1 = (_UsageError, NotPlanarError, NotCollinearError, UnsupportedCase,
+           ValueError, TypeError, KeyError, OSError)
+_EXIT_2 = (SbcLabError, ArithmeticError)
 
 
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = parser.parse_args(_with_config(parser, argv))
+        payload, table = _HANDLERS[args.command](args)
+        _emit(args, payload, table)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (None, 0) else int(exc.code)
-    try:
-        _merge_config_file(args)
-        cfg = _build_runconfig(args)
-        payload, table = _HANDLERS[args.command](cfg, args)
-        _emit(cfg, payload, table)
-    except _UsageError as exc:
+    except _EXIT_1 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SbcLabError as exc:
+    except _EXIT_2 as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

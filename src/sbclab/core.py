@@ -70,11 +70,6 @@ class Spectrum:
     def array(self) -> np.ndarray:
         return np.array(self.s, dtype=float)
 
-    @property
-    def is_isotropic(self) -> bool:
-        """True when all weights coincide (S is a multiple of the identity)."""
-        return len(set(self.s)) == 1
-
     @classmethod
     def identity(cls, d: int) -> "Spectrum":
         return cls((1.0,) * d)

@@ -57,19 +57,24 @@ def collinearity_angle(config: Configuration) -> float:
     """
     if config.d < 2:
         raise ValueError("the collinearity angle needs at least two axes")
-    diff, r = _pairwise(config)
-    iu = _pair_indices(config.n)
+    return _theta_of(*_pairwise(config))
+
+
+def _theta_of(diff: np.ndarray, r: np.ndarray) -> float:
+    """collinearity_angle read from one pair pass (diff, r)."""
+    iu = _pair_indices(r.shape[0])
     cosines = np.abs(diff[iu][:, 0]) / r[iu]
     best = float(np.max(np.clip(cosines, -1.0, 1.0)))
     return math.degrees(math.acos(best))
 
 
 def _flow_rhs(q: np.ndarray, masses: np.ndarray, s: np.ndarray):
-    """Field value and potential, on raw arrays for stepper speed."""
+    """Field value and potential on raw arrays, with the pair pass (diff, r)
+    they were read from, for the guards and samples taken at the same point."""
     diff, r = _pairs(q)
     u = _potential_of(masses, r)
     qdot = _gradient_of(masses, diff, r) / (masses[:, None] * s) + u * q
-    return qdot, u
+    return qdot, u, diff, r
 
 
 @dataclass(frozen=True)
@@ -123,17 +128,14 @@ def integrate_flow(
         i_s = float(np.sum(w * q * q))
         return q / math.sqrt(i_s)
 
-    def min_sep_of(q: np.ndarray) -> float:
-        return float(_pairs(q)[1].min())
-
     q = project(q0.q - (masses @ q0.q / masses.sum())[None, :])
 
     times = [0.0]
     states = [Configuration(q, masses)]
-    qdot, u0 = _flow_rhs(q, masses, s)  # the field at q: each attempt's k[0]
-    thetas = [collinearity_angle(states[0])]
+    thetas = [collinearity_angle(states[0])]  # the guarded collision check
+    qdot, u0, _, r = _flow_rhs(q, masses, s)  # the field at q: each attempt's k[0]
     potentials = [u0]
-    seps = [min_sep_of(q)]
+    seps = [float(r.min())]
 
     def finish(reason: str) -> FlowTrajectory:
         return FlowTrajectory(
@@ -155,7 +157,7 @@ def integrate_flow(
     h_floor = 1e-14 * max(1.0, t_final)
 
     def pinched() -> bool:
-        return min_sep_of(q) < 10.0 * COLLISION_STOP * float(np.max(np.abs(q)))
+        return seps[-1] < 10.0 * COLLISION_STOP * float(np.max(np.abs(q)))
 
     for _ in range(max_steps):
         if t >= t_final:
@@ -163,15 +165,16 @@ def integrate_flow(
         h = min(h, t_final - t)
 
         k = [qdot]
-        bad = False
         for stage in range(1, 6):
             qs = q + h * sum(a * ki for a, ki in zip(_CK_A[stage], k))
-            if min_sep_of(qs) <= 0.0 or not np.all(np.isfinite(qs)):
-                bad = True
+            if not np.all(np.isfinite(qs)):
                 break
-            k.append(_flow_rhs(qs, masses, s)[0])
+            ks, _, _, r = _flow_rhs(qs, masses, s)
+            if r.min() <= 0.0:  # two bodies coincide: the field is not finite
+                break
+            k.append(ks)
         err = math.inf
-        if not bad:
+        if len(k) == 6:  # every stage passed the guard
             q5 = q + h * sum(b * ki for b, ki in zip(_CK_B5, k))
             q4 = q + h * sum(b * ki for b, ki in zip(_CK_B4, k))
             err_vec = (q5 - q4).ravel()
@@ -190,16 +193,14 @@ def integrate_flow(
         q = project(q5)
         h *= min(5.0, max(0.2, 0.9 * err**-0.2)) if err > 0.0 else 5.0
 
-        sep = min_sep_of(q)
-        scale = float(np.max(np.abs(q)))
-        if sep < COLLISION_STOP * scale:
+        qdot, u, diff, r = _flow_rhs(q, masses, s)
+        sep = float(r.min())
+        if sep < COLLISION_STOP * float(np.max(np.abs(q))):
             return finish("collision")
 
-        cfg = Configuration(q, masses)
-        qdot, u = _flow_rhs(q, masses, s)
         times.append(t)
-        states.append(cfg)
-        thetas.append(collinearity_angle(cfg))
+        states.append(Configuration(q, masses))
+        thetas.append(_theta_of(diff, r))
         potentials.append(u)
         seps.append(sep)
 

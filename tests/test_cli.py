@@ -60,6 +60,12 @@ def test_betti_four(capsys):
     assert doc["surplus"] == "13"
 
 
+def test_coeffs_of_one_body(capsys):
+    code, out, _ = _run(capsys, "coeffs", "1")
+    assert code == 0
+    assert json.loads(out) == {"c": [1], "n": 1, "sum": "1"}
+
+
 def test_bounds_planar_regime(capsys):
     doc = _run_json(capsys, "bounds", "3", "2", "--regime", "below_eta1")
     assert doc["bounds"]["below_eta1"]["total"] == "14"
@@ -189,6 +195,106 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = _run(capsys, "census", "--config", str(cfgfile))
     assert code == 1
     assert "restart" in err
+
+
+# each case: subcommand, config entries, the same values as flags; every
+# case also carries a key of another subcommand, which must be ignored
+_CONFIG_CASES = {
+    "census": (
+        {"n": 3, "d": 2, "masses": [1, 2, 3], "s": [1.5, 1.0], "seed": 4,
+         "restarts": 5, "tol_res": 1e-10, "format": "json", "count": 9},
+        ["--n", "3", "--d", "2", "--masses", "1,2,3", "--s", "1.5,1", "--seed", "4",
+         "--restarts", "5", "--tol-res", "1e-10", "--format", "json"],
+    ),
+    "collinear": (
+        {"n": 3, "d": 2, "masses": [1, 2, 3], "s": 2, "ordering": [1, 3, 2],
+         "axis": 2, "format": "csv", "seed": 9},
+        ["--n", "3", "--d", "2", "--masses", "1,2,3", "--s", "2", "--ordering", "1,3,2",
+         "--axis", "2", "--format", "csv"],
+    ),
+    "continue": (
+        {"n": 3, "d": 2, "masses": [1, 1, 1], "ordering": "1,2,3", "axis": 2,
+         "s_from": 1.5, "s_to": 2.0, "steps": 3, "tol_res": 1e-10, "s": 9},
+        ["--n", "3", "--d", "2", "--masses", "1,1,1", "--ordering", "1,2,3", "--axis", "2",
+         "--from", "1.5", "--to", "2.0", "--steps", "3", "--tol-res", "1e-10"],
+    ),
+    "flow": (
+        {"n": 3, "d": 3, "masses": [1, 1, 2], "s": [2, 1.5, 1], "seed": 3,
+         "t_final": 5, "atol": 1e-8, "rtol": 1e-8, "format": "csv", "samples": 9},
+        ["--n", "3", "--d", "3", "--masses", "1,1,2", "--s", "2,1.5,1", "--seed", "3",
+         "--T", "5", "--atol", "1e-8", "--rtol", "1e-8", "--format", "csv"],
+    ),
+    "check45": (
+        {"count": 3, "seed": 2, "s": [2.5, 1, 1], "t_final": 30, "slack": 1e-9,
+         "restarts": 9},
+        ["--count", "3", "--seed", "2", "--s", "2.5,1,1", "--T", "30", "--slack", "1e-9"],
+    ),
+    "orbit": (
+        {"n": 3, "d": 2, "masses": [1, 1, 1], "s": 4, "restarts": 3, "seed": 5,
+         "census_id": 1, "t_final": 5, "samples": 50, "tol_res": 1e-10,
+         "format": "csv", "steps": 9},
+        ["--n", "3", "--d", "2", "--masses", "1,1,1", "--s", "4", "--restarts", "3",
+         "--seed", "5", "--census-id", "1", "--T", "5", "--samples", "50",
+         "--tol-res", "1e-10", "--format", "csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_CASES))
+def test_config_entries_read_as_the_flags_they_name(command, tmp_path, capsys):
+    entries, flags = _CONFIG_CASES[command]
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({**entries, "output": str(tmp_path / "from_config")}))
+    assert _run(capsys, command, "--config", str(cfgfile))[0] == 0
+    code, _, err = _run(capsys, command, *flags, "--output", str(tmp_path / "from_flags"))
+    assert code == 0, err
+    report = (tmp_path / "from_flags").read_bytes()
+    assert report and (tmp_path / "from_config").read_bytes() == report
+
+
+@pytest.mark.parametrize("entry", [{"seed": True}, {"n": 3.7}, {"restarts": "x"}])
+def test_config_entries_are_validated_as_flags(entry, tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"n": 3, "restarts": 3, **entry}))
+    code, out, err = _run(capsys, "census", "--config", str(cfgfile))
+    assert code == 1 and out == ""
+    assert f"--{next(iter(entry))}" in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("census", "--n", "1"), ("census", "--seed", "-1"), ("census", "--restarts", "-1"),
+    ("census", "--tol-res", "0"), ("census", "--masses", "1,-1,1"),
+    ("flow", "--atol", "nan"), ("continue", "--steps", "0"), ("continue", "--d", "0"),
+    ("check45", "--count", "0"),
+    ("orbit", "--samples", "1"), ("orbit", "--census-id", "-1"),
+])
+def test_out_of_range_flags_are_rejected_before_the_run(
+        command, flag, value, capsys, monkeypatch):
+    def never(args):
+        raise AssertionError(f"{command} ran with {flag} {value}")
+
+    monkeypatch.setitem(cli._HANDLERS, command, never)
+    required = ["--from", "1.5", "--to", "2"] if command == "continue" else []
+    code, out, err = _run(capsys, command, *required, f"{flag}={value}")
+    assert code == 1 and out == ""
+    assert f"argument {flag}: must be" in err
+
+
+def test_config_supplies_required_flags(tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"s_from": 1.5, "s_to": 2.0, "steps": 2}))
+    doc = _run_json(capsys, "continue", "--config", str(cfgfile), "--axis", "2")
+    assert (doc["s_from"], doc["s_to"], doc["axis"]) == (1.5, 2.0, 2)
+    assert len(doc["points"]) == 3
+
+
+def test_continue_has_no_s_flag(capsys):
+    code, out, err = _run(
+        capsys, "continue", "--n", "3", "--ordering", "1,2,3", "--axis", "2",
+        "--from", "1.5", "--to", "2.0", "--steps", "2", "--s", "9,7",
+    )
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --s" in err
 
 
 def test_morse_check_of_census_file(census_file, capsys):
@@ -354,6 +460,19 @@ def test_csv_without_table_exits_1(capsys):
     assert "CSV" in err
 
 
+def test_csv_without_table_is_rejected_before_the_run(capsys, monkeypatch):
+    def never(args):
+        raise AssertionError("census ran although its --format was rejected")
+
+    monkeypatch.setitem(cli._HANDLERS, "census", never)
+    code, out, err = _run(
+        capsys, "census", "--n", "4", "--restarts", "100", "--seed", "1",
+        "--format", "csv",
+    )
+    assert code == 1 and out == ""
+    assert "no CSV table" in err
+
+
 def test_masses_length_mismatch_exits_1(capsys):
     code, _, err = _run(capsys, "census", "--n", "3", "--masses", "1,2")
     assert code == 1
@@ -361,7 +480,7 @@ def test_masses_length_mismatch_exits_1(capsys):
 
 
 def test_numerical_failure_exits_2(capsys, monkeypatch):
-    def boom(cfg, args):
+    def boom(args):
         raise NoConvergence("synthetic")
 
     monkeypatch.setitem(cli._HANDLERS, "coeffs", boom)

@@ -101,7 +101,7 @@ def test_spectrum_validation():
         Spectrum((2.0, 1.5), h1_mode=True)
     assert Spectrum.planar(2.0).h1_mode
     assert not Spectrum.planar(1.0).h1_mode
-    assert Spectrum.identity(3).is_isotropic
+    assert Spectrum.identity(3).s == (1.0, 1.0, 1.0)
 
 
 def test_collision_guard():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sbclab import flow
+from sbclab import core, flow
 from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
@@ -112,7 +112,7 @@ def test_flow_rhs_matches_gradient():
     for _ in range(10):
         q = rng.standard_normal((4, 3))
         cfg = Configuration(q, np.ones(4))
-        qdot, u = _flow_rhs(cfg.q, cfg.masses, S3.array)
+        qdot, u = _flow_rhs(cfg.q, cfg.masses, S3.array)[:2]
         expected = gradient(cfg) / (cfg.masses[:, None] * S3.array[None, :])
         expected += potential(cfg) * cfg.q
         assert u == pytest.approx(potential(cfg), rel=1e-14)
@@ -160,6 +160,28 @@ def test_flow_field_is_evaluated_once_per_point(monkeypatch):
     # one field at the start and six per accepted step, plus rejected attempts
     assert len(points) > 1 + 6 * (len(traj) - 1)
     assert len(set(points)) == len(points)
+
+
+def test_flow_reads_one_pair_pass_per_evaluated_point(monkeypatch):
+    """The stage guard, min_sep and theta read the pair pass of the field
+    evaluation at their point; only the start's guarded collision check
+    makes a pass of its own."""
+    counts = {"pairs": 0, "rhs": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(core, "_pairs", counting("pairs", core._pairs))
+    monkeypatch.setattr(flow, "_pairs", counting("pairs", flow._pairs))
+    monkeypatch.setattr(flow, "_flow_rhs", counting("rhs", flow._flow_rhs))
+    for theta, phi in ((40.0, 0.3), (20.0, 1.1), (5.0, 2.0)):
+        counts.update(pairs=0, rhs=0)
+        traj = integrate_flow(tilted_line_seed(theta, phi), S3, 50.0, theta_stop=0.1)
+        assert len(traj) > 10
+        assert counts["pairs"] <= counts["rhs"] + 1
 
 
 def test_axis_line_is_flow_invariant():
