@@ -17,10 +17,8 @@ from .core import (
     hessian,
     inertia_indices,
     moment_of_inertia,
-    moment_of_inertia_s,
     normalize,
     potential,
-    restricted_hessian,
     sbc_residual,
     tangent_basis,
 )
@@ -74,10 +72,8 @@ __all__ = [
     "hessian",
     "inertia_indices",
     "moment_of_inertia",
-    "moment_of_inertia_s",
     "normalize",
     "potential",
-    "restricted_hessian",
     "sbc_residual",
     "tangent_basis",
     "EULER_MASCHERONI",

@@ -27,7 +27,6 @@ from .equilibria import classify_periodicity, lift, newton_residual
 from .errors import (
     DegenerateCensus,
     NoConvergence,
-    NotCollinearError,
     NotPlanarError,
     SbcLabError,
     UnsupportedCase,
@@ -101,7 +100,7 @@ def _positive(value) -> bool:
 _INT_GE0 = _checked(int, ">= 0", lambda v: v >= 0)
 _INT_GE1 = _checked(int, ">= 1", lambda v: v >= 1)
 _INT_GE2 = _checked(int, ">= 2", lambda v: v >= 2)
-_TOL = _checked(float, "positive", _positive)
+_POSITIVE = _checked(float, "finite and positive", _positive)
 _FLOATS = _checked(_floats)
 _MASSES = _checked(_floats, "positive", lambda v: all(map(_positive, v)))
 _ORDERING = _checked(_int_tuple)
@@ -601,7 +600,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("census", help="random-restart solution catalogue")
     _add_problem_flags(sp, d=2, s1=1.5)
     sp.add_argument("--restarts", type=_INT_GE0, default=500)
-    sp.add_argument("--tol-res", dest="tol_res", type=_TOL, default=1e-10)
+    sp.add_argument("--tol-res", dest="tol_res", type=_POSITIVE, default=1e-10)
     _add_io_flags(sp)
 
     sp = sub.add_parser("continue",
@@ -613,14 +612,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--from", dest="s_from", type=float, required=True)
     sp.add_argument("--to", dest="s_to", type=float, required=True)
     sp.add_argument("--steps", type=_INT_GE1, default=16)
-    sp.add_argument("--tol-res", dest="tol_res", type=_TOL, default=1e-10)
+    sp.add_argument("--tol-res", dest="tol_res", type=_POSITIVE, default=1e-10)
     _add_io_flags(sp)
 
     sp = sub.add_parser("flow", help="integrate the ascent flow from a random seed")
     _add_problem_flags(sp, d=3, s1=2.0)
-    sp.add_argument("--T", dest="t_final", type=float, default=50.0)
-    sp.add_argument("--atol", type=_TOL, default=1e-9)
-    sp.add_argument("--rtol", type=_TOL, default=1e-9)
+    sp.add_argument("--T", dest="t_final", type=_POSITIVE, default=50.0)
+    sp.add_argument("--atol", type=_POSITIVE, default=1e-9)
+    sp.add_argument("--rtol", type=_POSITIVE, default=1e-9)
     _add_io_flags(sp, csv_table=True)
 
     sp = sub.add_parser("check45",
@@ -629,17 +628,17 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=_INT_GE0, default=0)
     sp.add_argument("--s", type=_FLOATS, default=(2.0,),
                     help="single s1 or full d=3 weight list (default 2.0)")
-    sp.add_argument("--T", dest="t_final", type=float, default=200.0)
-    sp.add_argument("--slack", type=_TOL, default=1e-9)
+    sp.add_argument("--T", dest="t_final", type=_POSITIVE, default=200.0)
+    sp.add_argument("--slack", type=_POSITIVE, default=1e-9)
     _add_io_flags(sp)
 
     sp = sub.add_parser("orbit", help="lift a census solution to a rigid orbit")
     _add_problem_flags(sp, d=2, s1=4.0)
     sp.add_argument("--census-id", dest="census_id", type=_INT_GE0, default=0)
     sp.add_argument("--restarts", type=_INT_GE0, default=500)
-    sp.add_argument("--T", dest="t_final", type=float, default=20.0)
+    sp.add_argument("--T", dest="t_final", type=_POSITIVE, default=20.0)
     sp.add_argument("--samples", type=_INT_GE2, default=1000)
-    sp.add_argument("--tol-res", dest="tol_res", type=_TOL, default=1e-10)
+    sp.add_argument("--tol-res", dest="tol_res", type=_POSITIVE, default=1e-10)
     _add_io_flags(sp, csv_table=True)
 
     sp = sub.add_parser("morse-check",
@@ -667,9 +666,12 @@ def _with_config(parser, argv: list) -> list:
     """
     if not argv or argv[0] not in parser.commands:
         return argv
-    pre = _Parser(prog=f"{parser.prog} {argv[0]}", add_help=False)
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv[1:])[0].config
+    try:
+        path = pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:  # the subcommand's parser reports it
+        return argv
     if path is None:
         return argv
     with open(path, encoding="utf-8") as fh:
@@ -691,7 +693,7 @@ def _with_config(parser, argv: list) -> list:
 
 
 # validation errors are SbcLabErrors too, so they are matched before exit 2
-_EXIT_1 = (_UsageError, NotPlanarError, NotCollinearError, UnsupportedCase,
+_EXIT_1 = (_UsageError, NotPlanarError, UnsupportedCase,
            ValueError, TypeError, KeyError, OSError)
 _EXIT_2 = (SbcLabError, ArithmeticError)
 

@@ -35,15 +35,9 @@ from .core import (
     _potential_of,
     _triple_of,
 )
-from .errors import (
-    NoConvergence,
-    NotCollinearError,
-    SpectrumAnomalyError,
-    UnsupportedCase,
-)
+from .errors import NoConvergence, SpectrumAnomalyError, UnsupportedCase
 
 GAP_TOL = 1e-13          # convergence of the gap-equation residual
-OFF_AXIS_TOL = 1e-12     # how exactly "collinear" must hold coordinate-wise
 GROUP_TOL = 1e-8         # eigenvalue grouping, relative to U(q_hat)
 DEGENERATE_TOL = 1e-10   # threshold-equality detection, relative to U(q_hat)
 GAP_MAX_ITER = 200       # gap Newton iterations per ordering
@@ -53,38 +47,16 @@ GAP_MAX_ITER = 200       # gap Newton iterations per ordering
 # force matrix of a collinear configuration
 
 
-def collinear_axis(config: Configuration) -> int:
-    """1-based index of the axis the configuration lies on.
-
-    Raises NotCollinearError when any off-axis coordinate exceeds
-    OFF_AXIS_TOL * max(1, scale).
-    """
-    spread = config.q.max(axis=0) - config.q.min(axis=0)
-    axis = int(np.argmax(spread))
-    bound = OFF_AXIS_TOL * max(1.0, config.scale)
-    off = np.delete(config.q, axis, axis=1)
-    if np.max(np.abs(off)) > bound:
-        raise NotCollinearError(
-            f"off-axis coordinates up to {np.max(np.abs(off)):.3e} exceed {bound:.1e}"
-        )
-    return axis + 1
-
-
 def _b_matrix_1d(masses: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Symmetric force matrix B of the line x (one coordinate per body).
+
+    Off-diagonal entries are m_i m_j / r_ij^3 and rows sum to zero, so that
+    the axis component of grad U equals B x.
+    """
     _, r = _pairs(x[:, None])
     B = np.outer(masses, masses) / r**3
     np.fill_diagonal(B, -B.sum(axis=1))
     return B
-
-
-def b_matrix(config: Configuration) -> np.ndarray:
-    """Symmetric force matrix B of an axis-collinear configuration.
-
-    Off-diagonal entries are m_i m_j / r_ij^3 and rows sum to zero, so that
-    the axis component of grad U equals B x with x the axis coordinates.
-    """
-    axis = collinear_axis(config)
-    return _b_matrix_1d(config.masses, config.q[:, axis - 1])
 
 
 def _potential_1d(masses: np.ndarray, x: np.ndarray) -> float:
@@ -203,23 +175,17 @@ def predicted_indices(spectral: SpectralData, spectrum: Spectrum, axis: int) -> 
 # the gap-coordinate Newton solve
 
 
-def _ordered_cc_gaps(m_ord: np.ndarray, initial_gaps: np.ndarray | None = None):
+def _ordered_cc_gaps(m_ord: np.ndarray):
     """Solve the collinear central-configuration equations for one ordering.
 
     Unknowns are the n-1 positive gaps between consecutive bodies; the
     multiplier is pinned to 1 and the overall scale is fixed afterwards.
     Equations are consecutive differences of F_i = [M^{-1} grad U]_i + y_i,
     which are translation invariant, with an analytic Jacobian and damped
-    Newton steps that keep every gap positive.
+    Newton steps that keep every gap positive, from equal gaps.
     """
     n = len(m_ord)
-    g = (
-        np.full(n - 1, float(np.sum(m_ord) / n) ** (1.0 / 3.0))
-        if initial_gaps is None
-        else np.array(initial_gaps, dtype=float)
-    )
-    if np.any(g <= 0):
-        raise ValueError("initial gaps must be positive")
+    g = np.full(n - 1, float(np.sum(m_ord) / n) ** (1.0 / 3.0))
 
     def system(gaps):
         y = np.concatenate(([0.0], np.cumsum(gaps)))
@@ -289,13 +255,13 @@ class CollinearRecord:
     computed: InertiaTriple
 
 
-def _cc_line(m: np.ndarray, ordering, initial_gaps: np.ndarray | None = None):
+def _cc_line(m: np.ndarray, ordering):
     """(x_hat, gap residual, iterations, spectral) of one ordering: its gap
     solve, the unit-mass-norm CC line x_hat indexed by body, and its spectrum.
     The one place a line is solved and spectrally decomposed."""
     order0 = [b - 1 for b in ordering]
     m_ord = m[order0]
-    gaps, gap_res, iters = _ordered_cc_gaps(m_ord, initial_gaps)
+    gaps, gap_res, iters = _ordered_cc_gaps(m_ord)
 
     y = np.concatenate(([0.0], np.cumsum(gaps)))
     y -= float(m_ord @ y / m_ord.sum())
@@ -322,25 +288,18 @@ def _mirrored(rec: CollinearRecord) -> CollinearRecord:
     )
 
 
-def moulton_solve(
-    masses,
-    ordering,
-    axis: int,
-    spectrum: Spectrum,
-    initial_gaps: np.ndarray | None = None,
-) -> CollinearRecord:
+def moulton_solve(masses, ordering, axis: int, spectrum: Spectrum) -> CollinearRecord:
     """Classified collinear balanced configuration for one ordering on one axis.
 
     ordering is a permutation of (1..n) listing bodies left to right;
     axis is the 1-based coordinate axis. The solve runs in gap
-    coordinates from an equispaced start (or initial_gaps), the resulting
-    central configuration is normalized to unit mass norm, and the balanced
+    coordinates from an equispaced start, the resulting central
+    configuration is normalized to unit mass norm, and the balanced
     configuration is that line shrunk by 1/sqrt(s_axis) on the axis.
 
     Only the canonical orientation (first label below the last) is solved:
-    a reversed ordering is the mirror image of its canonical line, solved
-    from initial_gaps[::-1], so it is bitwise the record enumerate_csbc
-    gives it.
+    a reversed ordering is the mirror image of its canonical line, so it is
+    bitwise the record enumerate_csbc gives it.
     """
     m = np.array(masses, dtype=float)
     n = len(m)
@@ -353,8 +312,7 @@ def moulton_solve(
     mirror = ordering[0] > ordering[-1]
     if mirror:
         ordering = ordering[::-1]
-        initial_gaps = None if initial_gaps is None else np.asarray(initial_gaps)[::-1]
-    rec = _on_axis(m, ordering, axis, spectrum, *_cc_line(m, ordering, initial_gaps))
+    rec = _on_axis(m, ordering, axis, spectrum, *_cc_line(m, ordering))
     return _mirrored(rec) if mirror else rec
 
 

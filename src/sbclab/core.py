@@ -37,15 +37,9 @@ DELTA_COL = 1e-8
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Axis weights s = (s_1, ..., s_d) for S = diag(s), nonincreasing.
-
-    h1_mode asserts the strict hypothesis s_1 > s_2 > ... > s_d = 1 under
-    which non-collinear balanced configurations cannot be central; it is
-    validated on construction and recorded for downstream reporting.
-    """
+    """Axis weights s = (s_1, ..., s_d) for S = diag(s), nonincreasing."""
 
     s: tuple[float, ...]
-    h1_mode: bool = False
 
     def __post_init__(self):
         s = tuple(float(v) for v in self.s)
@@ -56,11 +50,6 @@ class Spectrum:
             raise ValueError("axis weights must be finite and positive")
         if any(a < b for a, b in zip(s, s[1:])):
             raise ValueError("axis weights must be nonincreasing")
-        if self.h1_mode:
-            if any(a <= b for a, b in zip(s, s[1:])):
-                raise ValueError("h1_mode requires strictly decreasing weights")
-            if s[-1] != 1.0:
-                raise ValueError("h1_mode requires s_d = 1")
 
     @property
     def d(self) -> int:
@@ -76,8 +65,8 @@ class Spectrum:
 
     @classmethod
     def planar(cls, s1: float) -> "Spectrum":
-        """diag(s1, 1) in the plane, with h1_mode set whenever s1 > 1."""
-        return cls((float(s1), 1.0), h1_mode=float(s1) > 1.0)
+        """diag(s1, 1) in the plane."""
+        return cls((float(s1), 1.0))
 
 
 @dataclass
@@ -122,9 +111,6 @@ class Configuration:
     def scale(self) -> float:
         """Coordinate scale |q|_inf used by the relative tolerances."""
         return float(np.max(np.abs(self.q)))
-
-    def replace_q(self, q: np.ndarray) -> "Configuration":
-        return Configuration(q, self.masses)
 
 
 class InertiaTriple(tuple):
@@ -177,11 +163,11 @@ def _collided(q: np.ndarray, r: np.ndarray):
     return (scale == 0.0) | (r.min(axis=(-2, -1)) < DELTA_COL * scale)
 
 
-def _pairwise(config: Configuration, guard: bool = True):
-    """_pairs(config.q), raising CollisionError (with guard) when any pair
-    is closer than DELTA_COL * scale (the test check_collision makes)."""
+def _pairwise(config: Configuration):
+    """_pairs(config.q), raising CollisionError when any pair is closer
+    than DELTA_COL * scale."""
     diff, r = _pairs(config.q)
-    if guard and _collided(config.q, r):
+    if _collided(config.q, r):
         raise CollisionError(
             f"minimum separation {r.min():.3e} below {DELTA_COL:.1e} * scale"
             if config.scale else "all bodies coincide at the origin"
@@ -196,20 +182,6 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     for a in iu:
         a.flags.writeable = False
     return iu
-
-
-def separations(config: Configuration) -> np.ndarray:
-    """Pairwise distance matrix with +inf on the diagonal."""
-    return _pairwise(config, guard=False)[1]
-
-
-def min_separation(config: Configuration) -> float:
-    return float(separations(config).min())
-
-
-def check_collision(config: Configuration) -> None:
-    """Raise CollisionError when any pair is closer than DELTA_COL * scale."""
-    _pairwise(config)
 
 
 # ---------------------------------------------------------------------------
@@ -229,30 +201,30 @@ def _gradient_of(m: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ijk->...ik", w, diff)
 
 
-def potential(config: Configuration, guard: bool = True) -> float:
+def potential(config: Configuration) -> float:
     """Newtonian potential U(q) = sum_{i<j} m_i m_j / |q_i - q_j|."""
-    _, r = _pairwise(config, guard)
+    _, r = _pairwise(config)
     return _potential_of(config.masses, r)
 
 
-def gradient(config: Configuration, guard: bool = True) -> np.ndarray:
+def gradient(config: Configuration) -> np.ndarray:
     """Euclidean gradient of U, shape (n, d).
 
     Sign convention: the equations of motion read M qdd = grad U(q), i.e.
     row i is sum_{j != i} m_i m_j (q_j - q_i) / r_ij^3.
     """
-    diff, r = _pairwise(config, guard)
+    diff, r = _pairwise(config)
     return _gradient_of(config.masses, diff, r)
 
 
-def hessian(config: Configuration, guard: bool = True) -> np.ndarray:
+def hessian(config: Configuration) -> np.ndarray:
     """Second derivative of U as an (n*d, n*d) symmetric matrix.
 
     Off-diagonal body blocks are (m_i m_j / r^3)(I - 3 u u^T) with u the
     unit separation vector; each diagonal block is minus the sum of its
     row's off-diagonal blocks (translation invariance).
     """
-    diff, r = _pairwise(config, guard)
+    diff, r = _pairwise(config)
     return _hessian_of(config.masses, diff, r)
 
 
@@ -271,14 +243,9 @@ def moment_of_inertia(config: Configuration) -> float:
     return float(np.einsum("i,ij,ij->", config.masses, config.q, config.q))
 
 
-def moment_of_inertia_s(config: Configuration, spectrum: Spectrum) -> float:
-    """S-weighted I_S(q) = sum_i m_i <S q_i, q_i>."""
-    _check_dims(config, spectrum)
-    return _inertia_s(config.q, config.masses, spectrum.array)
-
-
 def _inertia_s(q: np.ndarray, m: np.ndarray, s: np.ndarray):
-    """I_S of raw (..., n, d) positions; a float, or one per leading index."""
+    """S-weighted I_S(q) = sum_i m_i <S q_i, q_i> of raw (..., n, d)
+    positions; a float, or one per leading index."""
     i_s = np.einsum("i,j,...ij,...ij->...", m, s, q, q)
     return float(i_s) if i_s.ndim == 0 else i_s
 
@@ -320,7 +287,7 @@ def _evaluate(config: Configuration, spectrum: Spectrum):
     _check_dims(config, spectrum)
     *values, collided = _evaluate_q(config.q, config.masses, spectrum.array)
     if collided:
-        check_collision(config)  # raises the guard's CollisionError
+        _pairwise(config)  # raises the guard's CollisionError
     return tuple(values)
 
 
@@ -343,17 +310,13 @@ def _residual_merit(G: np.ndarray, w: np.ndarray) -> float:
     return float(v @ (v / w))
 
 
-def residual_norm(config: Configuration, spectrum: Spectrum) -> float:
-    return float(np.linalg.norm(sbc_residual(config, spectrum)[0]))
-
-
 def normalize(config: Configuration, spectrum: Spectrum) -> Configuration:
     """Rescale onto the sphere I_S = 1 (centre of mass is untouched)."""
     _check_dims(config, spectrum)
     i_s = _inertia_s(config.q, config.masses, spectrum.array)
     if not i_s > 0.0:
         raise ValueError("cannot normalize a configuration with I_S = 0")
-    return config.replace_q(config.q / math.sqrt(i_s))
+    return Configuration(config.q / math.sqrt(i_s), config.masses)
 
 
 def _recentre(q: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -435,8 +398,12 @@ def _restricted_hessian_any(
 
 
 def _critical_model(config: Configuration, spectrum: Spectrum):
-    """(U, lam, |G|, A) with A = restricted_hessian from one guarded pair
-    pass; NotCriticalError when the balance residual |G| exceeds TOL_RES * U."""
+    """(U, lam, |G|, A) at a critical point from one guarded pair pass.
+
+    A is the second variation of the constrained problem, D^2 U + lam (S x M)
+    on tangent_basis, of shape (k, k) with k = d(n-1) - 1. Raises
+    NotCriticalError when the balance residual |G| exceeds TOL_RES * U.
+    """
     diff, r, g, u, lam, G = _evaluate(config, spectrum)
     res = float(np.linalg.norm(G))
     if res > TOL_RES * u:
@@ -444,17 +411,6 @@ def _critical_model(config: Configuration, spectrum: Spectrum):
     w = weight_vector(config, spectrum)
     A = _restricted_hessian_any(config.q, config.masses, w, diff, r, g, lam)[0]
     return u, lam, res, A
-
-
-def restricted_hessian(config: Configuration, spectrum: Spectrum) -> np.ndarray:
-    """Second variation of the constrained problem at a critical point.
-
-    Matrix of the form D^2 U + lambda (S x M) on the tangent basis from
-    tangent_basis (orthonormal in the S-weighted mass product); shape
-    (k, k) with k = d(n-1) - 1. Raises NotCriticalError when the balance
-    residual exceeds TOL_RES * U(q).
-    """
-    return _critical_model(config, spectrum)[3]
 
 
 def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:

@@ -39,11 +39,6 @@ class RelativeEquilibriumOrbit:
     def masses(self) -> np.ndarray:
         return self.base.config.masses
 
-    @property
-    def embedding(self) -> np.ndarray:
-        """4x2 matrix taking planar coordinates to the t=0 position."""
-        return np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-
     def _columns(self):
         q = self.base.config.q
         return q[:, 0], q[:, 1]
@@ -61,18 +56,6 @@ class RelativeEquilibriumOrbit:
                 y * np.sin(w2 * t),
             ),
             axis=-1,
-        )
-
-    def velocities(self, t: float) -> np.ndarray:
-        x, y = self._columns()
-        w1, w2 = self.omega
-        return np.column_stack(
-            (
-                -w1 * x * math.sin(w1 * t),
-                w1 * x * math.cos(w1 * t),
-                -w2 * y * math.sin(w2 * t),
-                w2 * y * math.cos(w2 * t),
-            )
         )
 
     def accelerations(self, t) -> np.ndarray:
@@ -154,15 +137,12 @@ class PeriodicityReport:
     closure: float | None
 
 
-def classify_periodicity(
-    orbit: RelativeEquilibriumOrbit,
-    rational_tol: float = RATIONAL_TOL,
-) -> PeriodicityReport:
+def classify_periodicity(orbit: RelativeEquilibriumOrbit) -> PeriodicityReport:
     """Decide periodic vs quasi-periodic from the frequency ratio.
 
     The ratio omega_1/omega_2 = sqrt(s) is tested against its best
     rational approximation p/q with q <= MAX_DENOMINATOR (continued
-    fractions via Fraction.limit_denominator).  Within rational_tol the
+    fractions via Fraction.limit_denominator).  Within RATIONAL_TOL the
     orbit closes after T = 2 pi q / omega_2 — q full turns of the slow
     plane and p of the fast one — and the closure defect ||q(T) - q(0)||
     is reported; otherwise the motion is quasi-periodic.
@@ -174,7 +154,7 @@ def classify_periodicity(
     ratio = w1 / w2
     best = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
     mismatch = abs(ratio - float(best))
-    if mismatch > rational_tol:
+    if mismatch > RATIONAL_TOL:
         return PeriodicityReport(
             kind="quasi_periodic",
             ratio=ratio,

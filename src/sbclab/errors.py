@@ -19,13 +19,6 @@ class NotCriticalError(SbcLabError):
     """An operation that requires a critical point got a non-critical one."""
 
 
-class NotCollinearError(SbcLabError):
-    """An operation that requires an axis-collinear configuration got
-
-    one with off-axis coordinates above tolerance.
-    """
-
-
 class NotPlanarError(SbcLabError):
     """A planar (d = 2) configuration was required."""
 

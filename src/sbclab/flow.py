@@ -34,6 +34,7 @@ THETA_ATTRACTOR = 0.1  # degrees; "reached the collinear set" threshold
 QDOT_CONVERGED = 1e-10
 COLLISION_STOP = 1e-4  # flow collision guard, relative to the coordinate scale
 H_INIT = 1e-3          # first trial step of the integrator
+MAX_STEPS = 200_000    # accepted steps before integrate_flow gives up
 
 # Cash-Karp embedded Runge-Kutta 5(4) tableau
 _CK_A = (
@@ -99,14 +100,14 @@ def integrate_flow(
     atol: float = 1e-9,
     rtol: float = 1e-9,
     theta_stop: float | None = None,
-    max_steps: int = 200_000,
 ) -> FlowTrajectory:
     """Adaptive embedded Runge-Kutta run of the ascent field.
 
     Steps with the Cash-Karp 5(4) pair, re-projects onto I_S = 1 after
     every accepted step, and stops at t_final, at the collision guard,
     at convergence |dq/dt| < 1e-10, or — when theta_stop is given — once
-    the collinearity angle falls below it.
+    the collinearity angle falls below it.  Reaching none of these within
+    MAX_STEPS accepted steps raises NoConvergence.
 
     The field grows like 1/r^2 as a pair separation r shrinks, so a
     trajectory headed into collision forces the step size to zero before
@@ -159,7 +160,7 @@ def integrate_flow(
     def pinched() -> bool:
         return seps[-1] < 10.0 * COLLISION_STOP * float(np.max(np.abs(q)))
 
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if t >= t_final:
             return finish("time")
         h = min(h, t_final - t)
@@ -209,7 +210,7 @@ def integrate_flow(
         if theta_stop is not None and thetas[-1] < theta_stop:
             return finish("theta_target")
 
-    raise NoConvergence(f"no stop condition met within {max_steps} accepted steps")
+    raise NoConvergence(f"no stop condition met within {MAX_STEPS} accepted steps")
 
 
 def steer_to_angle(config: Configuration, theta_degrees: float) -> Configuration:
@@ -277,7 +278,6 @@ class Lyapunov45Report:
 def lyapunov_45_check(
     seeds,
     spectrum: Spectrum,
-    masses=None,
     t_final: float = 200.0,
     slack: float = 1e-9,
 ) -> Lyapunov45Report:
@@ -293,8 +293,6 @@ def lyapunov_45_check(
     outcomes: list[SeedOutcome] = []
     checked = monotone_count = attractor = collisions = 0
     for i, seed in enumerate(seeds):
-        if masses is not None and not np.array_equal(seed.masses, masses):
-            raise ValueError(f"seed {i} does not carry the expected masses")
         theta0 = collinearity_angle(seed)
         if theta0 == 0.0:
             outcomes.append(

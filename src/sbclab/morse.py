@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,6 +33,9 @@ from .errors import DegenerateCensus, IdentityViolation, QuadratureBudgetExceede
 # Euler-Mascheroni constant; used only in the comparison report of
 # coefficient_identity_suite, never in an exact bound.
 EULER_MASCHERONI = 0.5772156649015329
+
+QUAD_TOL = 1e-9              # stability target of iterated_log_integral
+QUAD_MAX_EVALS = 2_000_000   # its integrand-evaluation budget
 
 
 # ---------------------------------------------------------------------------
@@ -77,36 +80,33 @@ class XiTable:
             raise IdentityViolation(f"sum xi_j != n!/2 at n = {self.n}")
 
 
-def poincare_coeffs(n: int) -> PoincareTable:
-    """Exact coefficient table of p_n via c_j^(n+1) = m c_{j-1}^(m) + c_j^(m).
+def _product_coeffs(factors: range) -> tuple[int, ...]:
+    """Coefficients of prod_{m in factors} (1 + m z), ascending, exactly.
 
-    The recurrence multiplies the running table by (1 + m z) one factor at a
-    time, so the result is exact integer arithmetic all the way up.
+    Multiplies the running table by (1 + m z) one factor at a time:
+    c_j <- c_j + m c_{j-1}.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     c = [1]
-    for m in range(1, n):
-        nxt = [0] * (len(c) + 1)
+    for m in factors:
+        nxt = c + [0]
         for j, a in enumerate(c):
-            nxt[j] += a
             nxt[j + 1] += m * a
         c = nxt
-    return PoincareTable(n=n, c=tuple(c))
+    return tuple(c)
+
+
+def poincare_coeffs(n: int) -> PoincareTable:
+    """Exact coefficient table of p_n via c_j^(m+1) = c_j^(m) + m c_{j-1}^(m)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return PoincareTable(n=n, c=_product_coeffs(range(1, n)))
 
 
 def xi_coeffs(n: int) -> XiTable:
     """Companion table via xi_j^(m+1) = xi_j^(m) + m xi_{j-1}^(m)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    xi = [1]
-    for m in range(2, n):
-        nxt = [0] * (len(xi) + 1)
-        for j, a in enumerate(xi):
-            nxt[j] += a
-            nxt[j + 1] += m * a
-        xi = nxt
-    return XiTable(n=n, xi=tuple(xi))
+    return XiTable(n=n, xi=_product_coeffs(range(2, n)))
 
 
 def harmonic(n: int) -> Fraction:
@@ -356,12 +356,7 @@ def factorial_reciprocal_recursion(j_max: int) -> tuple[Fraction, ...]:
     return tuple(a)
 
 
-def iterated_log_integral(
-    n: float,
-    j: int,
-    quad_tol: float = 1e-9,
-    max_evals: int = 2_000_000,
-) -> tuple[float, float]:
+def iterated_log_integral(n: float, j: int) -> tuple[float, float]:
     """Nested integral int_1^n (1/i1) int_{i1}^n (1/i2) ... vs log^j(n)/j!.
 
     Returns (numeric, closed_form).  The numeric side is genuine quadrature:
@@ -370,11 +365,11 @@ def iterated_log_integral(
     between nodes, cumulative from the right) and memoized as a cubic spline
     before the next level integrates it; the grid is doubled until the
     top-level value, itself computed by adaptive quadrature of the last
-    spline, is stable to quad_tol.  Without the memoization the recursion
+    spline, is stable to QUAD_TOL.  Without the memoization the recursion
     costs (points per level)^j evaluations.
 
     Raises QuadratureBudgetExceeded if stability is not reached within
-    max_evals integrand evaluations.
+    QUAD_MAX_EVALS integrand evaluations.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -414,21 +409,21 @@ def iterated_log_integral(
                 if level == 1:
                     numeric, err = quad(
                         lambda t: 1.0 / t, 1.0, n,
-                        epsabs=quad_tol, epsrel=quad_tol, limit=200,
+                        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200,
                     )
                 else:
                     numeric, err = quad(
                         lambda t, s=spline: s(t) / t, 1.0, n,
-                        epsabs=quad_tol, epsrel=quad_tol, limit=200,
+                        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200,
                     )
                 evals += 21 * 200  # worst-case budget line for the QAGS call
-        if prev_value is not None and abs(numeric - prev_value) <= quad_tol * max(
+        if prev_value is not None and abs(numeric - prev_value) <= QUAD_TOL * max(
             1.0, abs(numeric)
         ):
             return numeric, closed_form
-        if evals > max_evals:
+        if evals > QUAD_MAX_EVALS:
             raise QuadratureBudgetExceeded(
-                f"no {quad_tol:g}-stability after {evals} evaluations"
+                f"no {QUAD_TOL:g}-stability after {evals} evaluations"
             )
         prev_value = numeric
         points = 2 * (points - 1) + 1
@@ -651,23 +646,6 @@ class MorseCheckResult:
         return self.divisible and self.nonnegative
 
 
-def _index_counts(census) -> dict[int, int]:
-    if isinstance(census, Mapping):
-        counts: dict[int, int] = {}
-        for idx, cnt in census.items():
-            idx, cnt = int(idx), int(cnt)
-            if idx < 0 or cnt < 0:
-                raise ValueError("indices and counts must be nonnegative")
-            counts[idx] = counts.get(idx, 0) + cnt
-        return counts
-    solutions = getattr(census, "solutions", None)
-    if solutions is None:
-        raise TypeError(
-            "census must be a {morse_index: count} mapping or expose .solutions"
-        )
-    return index_counts(sol.triple for sol in solutions)
-
-
 def index_counts(triples) -> dict[int, int]:
     """{morse_index: count} of (index, nullity, coindex) triples; raises
     DegenerateCensus on a triple with nullity > 0."""
@@ -682,21 +660,29 @@ def index_counts(triples) -> dict[int, int]:
     return counts
 
 
-def morse_inequality_check(census, n: int, d: int) -> MorseCheckResult:
+def morse_inequality_check(counts: Mapping, n: int, d: int) -> MorseCheckResult:
     """Divide M(t) - P(t) by (1 + t) exactly and test the quotient.
 
-    M(t) counts census members by Morse index; P(t) = p_n(t^(d-1)) is the
-    reference series for the collision-free reduced space.  An exact
+    M(t) counts census members by Morse index, given as the
+    {morse_index: count} mapping of index_counts; P(t) = p_n(t^(d-1)) is
+    the reference series for the collision-free reduced space.  An exact
     division with nonnegative integer quotient is a necessary condition for
     completeness; failure proves the census misses points (or contains
-    spurious ones).  Degenerate members (nullity > 0) are rejected with
-    DegenerateCensus, since index counts are only defined without them.
+    spurious ones).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if d < 2:
         raise ValueError("d must be >= 2")
-    counts = _index_counts(census)
+    if not isinstance(counts, Mapping):
+        raise TypeError("counts must be a {morse_index: count} mapping")
+    merged: dict[int, int] = {}
+    for idx, cnt in counts.items():
+        idx, cnt = int(idx), int(cnt)
+        if idx < 0 or cnt < 0:
+            raise ValueError("indices and counts must be nonnegative")
+        merged[idx] = merged.get(idx, 0) + cnt
+    counts = merged
 
     c = poincare_coeffs(n).c
     deg = max([(d - 1) * (n - 1)] + list(counts))

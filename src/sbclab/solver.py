@@ -30,10 +30,7 @@ from .core import (
     _residual_merit,
     _restricted_hessian_any,
     _triple_of,
-    gradient,
     moment_of_inertia,
-    potential,
-    separations,
     weight_vector,
 )
 from .errors import BranchLost, SbcLabError
@@ -43,6 +40,7 @@ OCCUPANCY_TOL = 1e-8
 CONGRUENCE_TOL = 1e-5   # pair-distance match of two congruence-class members
 SEED_OFFSET = 0.05      # push off a collinear saddle along a downhill mode
 MIN_PARAM_STEP = 1e-12  # continuation sub-step below which the branch is lost
+MAX_ITER = 120          # Newton iterations per find_critical_point solve
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +113,9 @@ def classify_support(config: Configuration) -> str:
     return f"subspace(axes={axes})"
 
 
-def central_residual(
-    config: Configuration, g: np.ndarray | None = None, u: float | None = None
-) -> float:
-    """Norm of grad U + (U/I) M q — zero exactly at a central configuration.
-
-    A caller that has already evaluated the point passes its grad U and U
-    (both or neither).
-    """
-    if g is None:
-        g = gradient(config, guard=False)
-        u = potential(config, guard=False)
+def central_residual(config: Configuration, g: np.ndarray, u: float) -> float:
+    """Norm of grad U + (U/I) M q — zero exactly at a central configuration —
+    from the point's grad U g and potential u."""
     lam = u / moment_of_inertia(config)
     return float(np.linalg.norm(g + lam * config.masses[:, None] * config.q))
 
@@ -162,7 +152,6 @@ def _as_solution(
 def find_critical_point(
     q0: Configuration,
     spectrum: Spectrum,
-    max_iter: int = 120,
     tol_res: float = TOL_RES,
 ) -> SBCSolution | SearchFailure:
     """Projected Newton for the balance equation from one starting point.
@@ -192,7 +181,8 @@ def find_critical_point(
     gives the Newton step, or at a root the inertia triple; the one
     Configuration is built for the returned solution.
 
-    Returns a SearchFailure, never raises, on collision or stagnation: the
+    The solve takes at most MAX_ITER Newton iterations.  It returns a
+    SearchFailure, never raises, on collision or stagnation: the
     census layer tallies causes.  A spectrum whose dimension differs from
     the configuration's raises ValueError.
     """
@@ -207,7 +197,7 @@ def find_critical_point(
 
     mu = 0.0
     res = math.inf
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         res = float(np.linalg.norm(G))
         try:
             A, V, y = _restricted_hessian_any(q, m, w, diff, r, g, lam)
@@ -242,7 +232,7 @@ def find_critical_point(
             # merit-stationary without a root: cannot make progress
             return SearchFailure(cause="max_iter", iterations=it + 1, residual=res)
 
-    return SearchFailure(cause="max_iter", iterations=max_iter, residual=res)
+    return SearchFailure(cause="max_iter", iterations=MAX_ITER, residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +280,7 @@ def _congruence_classes(solutions: tuple[SBCSolution, ...]) -> int:
     """Count rotation-congruence classes by labeled distances + orientation."""
     reps: list[tuple[np.ndarray, int]] = []
     for sol in solutions:
-        vec = separations(sol.config)[_pair_indices(sol.config.n)]
+        vec = _pairs(sol.config.q)[1][_pair_indices(sol.config.n)]
         sign = _orientation_sign(sol.config)
         for rv, rs in reps:
             if rs == sign and np.max(np.abs(rv - vec)) < CONGRUENCE_TOL:
@@ -381,7 +371,6 @@ def census(
     n_restarts: int,
     seed: int,
     *,
-    saddle_seeding: bool = True,
     tol_res: float = TOL_RES,
 ) -> Census:
     """Random-restart catalogue of balanced configurations.
@@ -389,11 +378,11 @@ def census(
     Restart i draws its start from generator seed XOR i (resampling any
     start within 10 * DELTA_COL of a collision), so extending n_restarts
     extends the census without changing earlier finds.  Each start gets
-    one find_critical_point solve with its default iteration budget.
-    Solutions are deduplicated at DEDUP_TOL in the mass norm, in restart
-    order; axis reflections are distinct solutions and are NOT merged.
-    When saddle_seeding is on, deterministic starts along the negative
-    modes of the collinear points are appended after the random batch.
+    one find_critical_point solve.  Deterministic starts along the negative
+    modes of the collinear points (_saddle_seeds) are appended after the
+    random batch.  Solutions are deduplicated at DEDUP_TOL in the mass
+    norm, in solve order; axis reflections are distinct solutions and are
+    NOT merged.
     """
     masses = np.asarray(masses, dtype=float)
     if n_restarts < 0:
@@ -408,7 +397,7 @@ def census(
         solve(_sample_start(np.random.default_rng(seed ^ i), masses, spectrum))
         for i in range(n_restarts)
     ]
-    seeds = _saddle_seeds(masses, spectrum) if saddle_seeding else []
+    seeds = _saddle_seeds(masses, spectrum)
     outcomes += [solve(start) for start in seeds]
 
     # one mass_norm_distance per kept solution, as rows of one array call
@@ -445,27 +434,17 @@ def census(
 
 
 def _interp_spectrum(sa: Spectrum, sb: Spectrum, t: float) -> Spectrum:
-    s = tuple((1.0 - t) * a + t * b for a, b in zip(sa.s, sb.s))
-    h1 = (
-        (sa.h1_mode or sb.h1_mode)
-        and all(x > y for x, y in zip(s, s[1:]))
-        and s[-1] == 1.0
-    )
-    return Spectrum(s, h1_mode=h1)
+    return Spectrum(tuple((1.0 - t) * a + t * b for a, b in zip(sa.s, sb.s)))
 
 
-def _walk(
-    sol: SBCSolution, target: Spectrum, max_iter: int, tol_res: float
-) -> SBCSolution:
+def _walk(sol: SBCSolution, target: Spectrum, tol_res: float) -> SBCSolution:
     """Warm-started solve at `target`, halving the parameter step on failure."""
     current = sol
     lo = 0.0
     hi = 1.0
     for _ in range(300):
         spec = target if hi == 1.0 else _interp_spectrum(sol.spectrum, target, hi)
-        out = find_critical_point(
-            current.config, spec, max_iter=max_iter, tol_res=tol_res
-        )
+        out = find_critical_point(current.config, spec, tol_res=tol_res)
         if isinstance(out, SBCSolution):
             if hi == 1.0:
                 return out
@@ -481,10 +460,7 @@ def _walk(
 
 
 def _bisect_degeneracy(
-    sol_lo: SBCSolution,
-    sol_hi: SBCSolution,
-    max_iter: int,
-    tol_res: float,
+    sol_lo: SBCSolution, sol_hi: SBCSolution, tol_res: float
 ) -> SBCSolution:
     """Localize the index jump between two nondegenerate solutions.
 
@@ -500,9 +476,7 @@ def _bisect_degeneracy(
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         spec = _interp_spectrum(sa, sb, mid)
-        out = find_critical_point(
-            lo_sol.config, spec, max_iter=max_iter, tol_res=tol_res
-        )
+        out = find_critical_point(lo_sol.config, spec, tol_res=tol_res)
         if isinstance(out, SearchFailure):
             raise BranchLost(f"lost the branch while bisecting at s = {spec.s}")
         if out.triple.nullity >= 1:
@@ -517,7 +491,6 @@ def _bisect_degeneracy(
 def continue_in_s(
     sol: SBCSolution,
     s_path: list[Spectrum],
-    max_iter: int = 120,
     tol_res: float = TOL_RES,
 ) -> list[SBCSolution]:
     """Natural-parameter continuation through a list of weight vectors.
@@ -534,12 +507,12 @@ def continue_in_s(
     out: list[SBCSolution] = []
     prev = sol
     for target in s_path:
-        nxt = _walk(prev, target, max_iter, tol_res)
+        nxt = _walk(prev, target, tol_res)
         out.append(nxt)
         if nxt.triple.nullity > 0:
             return out
         if nxt.triple.index != prev.triple.index:
-            out.append(_bisect_degeneracy(prev, nxt, max_iter, tol_res))
+            out.append(_bisect_degeneracy(prev, nxt, tol_res))
             return out
         prev = nxt
     return out

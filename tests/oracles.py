@@ -39,8 +39,8 @@ def fd_gradient(config: Configuration, h: float | None = None) -> np.ndarray:
             qp, qm = base.copy(), base.copy()
             qp[i, k] += h
             qm[i, k] -= h
-            up = potential(Configuration(qp, config.masses), guard=False)
-            um = potential(Configuration(qm, config.masses), guard=False)
+            up = potential(Configuration(qp, config.masses))
+            um = potential(Configuration(qm, config.masses))
             out[i, k] = (up - um) / (2.0 * h)
     return out
 
@@ -61,8 +61,8 @@ def fd_hessian(config: Configuration, h: float | None = None) -> np.ndarray:
             qp, qm = base.copy(), base.copy()
             qp[i, k] += h
             qm[i, k] -= h
-            gp = gradient(Configuration(qp, config.masses), guard=False)
-            gm = gradient(Configuration(qm, config.masses), guard=False)
+            gp = gradient(Configuration(qp, config.masses))
+            gm = gradient(Configuration(qm, config.masses))
             out[:, i * d + k] = (gp - gm).ravel() / (2.0 * h)
     return 0.5 * (out + out.T)
 

@@ -267,6 +267,8 @@ def test_config_entries_are_validated_as_flags(entry, tmp_path, capsys):
     ("flow", "--atol", "nan"), ("continue", "--steps", "0"), ("continue", "--d", "0"),
     ("check45", "--count", "0"),
     ("orbit", "--samples", "1"), ("orbit", "--census-id", "-1"),
+    ("orbit", "--T", "nan"), ("orbit", "--T", "0"), ("flow", "--T", "inf"),
+    ("check45", "--T", "-1"),
 ])
 def test_out_of_range_flags_are_rejected_before_the_run(
         command, flag, value, capsys, monkeypatch):
@@ -278,6 +280,13 @@ def test_out_of_range_flags_are_rejected_before_the_run(
     code, out, err = _run(capsys, command, *required, f"{flag}={value}")
     assert code == 1 and out == ""
     assert f"argument {flag}: must be" in err
+
+
+def test_config_flag_without_a_file_reports_the_subcommand_usage(capsys):
+    code, out, err = _run(capsys, "census", "--config")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: sbc-lab census ") and "--restarts" in err
+    assert "argument --config: expected one argument" in err
 
 
 def test_config_supplies_required_flags(tmp_path, capsys):

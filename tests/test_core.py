@@ -12,24 +12,21 @@ from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
     Spectrum,
+    _critical_model,
     _evaluate,
     _gradient_of,
+    _inertia_s,
     _normalize_q,
     _pairs,
     _potential_of,
     _residual_merit,
     _restricted_hessian_any,
-    check_collision,
     gradient,
     hessian,
     inertia_indices,
-    min_separation,
     moment_of_inertia,
-    moment_of_inertia_s,
     normalize,
     potential,
-    residual_norm,
-    restricted_hessian,
     sbc_residual,
     tangent_basis,
     weight_vector,
@@ -89,25 +86,20 @@ def test_configuration_rejects_bad_input(q, m):
 
 
 def test_spectrum_validation():
-    Spectrum((2.0, 1.0), h1_mode=True)
+    Spectrum((2.0, 1.0))
     Spectrum((1.0, 1.0))
     with pytest.raises(ValueError):
         Spectrum((1.0, 2.0))
     with pytest.raises(ValueError):
         Spectrum((2.0, -1.0))
-    with pytest.raises(ValueError):
-        Spectrum((1.0, 1.0), h1_mode=True)
-    with pytest.raises(ValueError):
-        Spectrum((2.0, 1.5), h1_mode=True)
-    assert Spectrum.planar(2.0).h1_mode
-    assert not Spectrum.planar(1.0).h1_mode
+    assert Spectrum.planar(2.0).s == (2.0, 1.0)
     assert Spectrum.identity(3).s == (1.0, 1.0, 1.0)
 
 
 def test_collision_guard():
     q = np.array([[0.0, 0.0], [1e-10, 0.0], [1.0, 1.0]])
     with pytest.raises(CollisionError):
-        check_collision(Configuration(q, np.ones(3)))
+        sbc_residual(Configuration(q, np.ones(3)), Spectrum.identity(2))
     with pytest.raises(CollisionError):
         potential(Configuration(q, np.ones(3)))
 
@@ -135,7 +127,7 @@ def test_potential_homogeneity():
     rng = np.random.default_rng(11)
     cfg = random_configuration(rng, 4, 3)
     c = 1.7
-    scaled = cfg.replace_q(c * cfg.q)
+    scaled = Configuration(c * cfg.q, cfg.masses)
     assert potential(scaled) == pytest.approx(potential(cfg) / c, rel=1e-13)
     assert np.allclose(gradient(scaled), gradient(cfg) / c**2, rtol=1e-12)
 
@@ -267,10 +259,10 @@ def test_collinear_hessian_block_structure():
 def test_moments_of_inertia():
     cfg = euler_on_axis(0, 2)
     assert moment_of_inertia(cfg) == pytest.approx(1.0, rel=1e-14)
-    spec = Spectrum((3.0, 1.0))
-    assert moment_of_inertia_s(cfg, spec) == pytest.approx(3.0, rel=1e-14)
+    s = np.array([3.0, 1.0])
+    assert _inertia_s(cfg.q, cfg.masses, s) == pytest.approx(3.0, rel=1e-14)
     on_e2 = euler_on_axis(1, 2)
-    assert moment_of_inertia_s(on_e2, spec) == pytest.approx(1.0, rel=1e-14)
+    assert _inertia_s(on_e2.q, on_e2.masses, s) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_weight_vector_layout():
@@ -293,12 +285,12 @@ def test_residual_vanishes_for_rescaled_collinear_family():
     # a collinear central configuration on axis j, shrunk by 1/sqrt(s_j),
     # balances the weighted equation exactly
     s1 = 2.0
-    spec = Spectrum((s1, 1.0), h1_mode=True)
+    spec = Spectrum((s1, 1.0))
     on_e1 = euler_on_axis(0, 2, scale=1.0 / math.sqrt(s1))
-    assert residual_norm(on_e1, spec) < 1e-13 * potential(on_e1)
-    assert moment_of_inertia_s(on_e1, spec) == pytest.approx(1.0, rel=1e-13)
+    assert np.linalg.norm(sbc_residual(on_e1, spec)[0]) < 1e-13 * potential(on_e1)
+    assert _inertia_s(on_e1.q, on_e1.masses, spec.array) == pytest.approx(1.0, rel=1e-13)
     on_e2 = euler_on_axis(1, 2)
-    assert residual_norm(on_e2, spec) < 1e-13 * potential(on_e2)
+    assert np.linalg.norm(sbc_residual(on_e2, spec)[0]) < 1e-13 * potential(on_e2)
 
 
 def test_normalize_puts_config_on_weighted_sphere():
@@ -306,11 +298,11 @@ def test_normalize_puts_config_on_weighted_sphere():
     cfg = random_configuration(rng, 3, 2)
     spec = Spectrum((2.5, 1.0))
     out = normalize(cfg, spec)
-    assert moment_of_inertia_s(out, spec) == pytest.approx(1.0, rel=1e-14)
+    assert _inertia_s(out.q, out.masses, spec.array) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_normalize_matches_the_raw_array_path_bitwise():
-    """normalize tests the centre of mass once (in replace_q), where
+    """normalize tests the centre of mass once (in Configuration), where
     _normalize_q, which the solver starts from, tests it before and after
     the rescaling; on a constructed configuration both give the same bits."""
     rng = np.random.default_rng(21)
@@ -431,7 +423,7 @@ def test_sbc_residual_matches_separate_evaluations_bitwise():
     for n, d in [(3, 2), (4, 3), (5, 1)]:
         cfg, spec = _weighted_point(rng, n, d)
         G, lam = sbc_residual(cfg, spec)
-        ref_lam = potential(cfg) / moment_of_inertia_s(cfg, spec)
+        ref_lam = potential(cfg) / _inertia_s(cfg.q, cfg.masses, spec.array)
         weights = cfg.masses[:, None] * spec.array[None, :]
         assert lam == ref_lam
         assert np.array_equal(G, gradient(cfg) + ref_lam * weights * cfg.q)
@@ -450,16 +442,16 @@ def test_restricted_hessian_any_is_the_projected_ambient_form():
         assert np.array_equal(V, ref_V)
         assert np.array_equal(A, 0.5 * (B + B.T))
         assert np.array_equal(y, ref_V.T @ gradient(cfg).ravel())
-        # the public, criticality-gated form is the same model at a root
+        # the criticality-gated form is the same model at a root
         line = _collinear_point(cfg.masses, spec, axis=d)
-        assert np.array_equal(restricted_hessian(line, spec), _model(line, spec)[0])
+        assert np.array_equal(_critical_model(line, spec)[3], _model(line, spec)[0])
 
 
 def test_restricted_hessian_requires_criticality():
     rng = np.random.default_rng(6)
     cfg = random_configuration(rng, 3, 2)
     with pytest.raises(NotCriticalError):
-        restricted_hessian(cfg, Spectrum.identity(2))
+        _critical_model(cfg, Spectrum.identity(2))
 
 
 def test_equilateral_inertia_triple():
@@ -506,7 +498,7 @@ def test_collinear_central_inertia_triple(d, expected):
     ],
 )
 def test_weighted_collinear_inertia_triples(s, axis, expected):
-    spec = Spectrum(s, h1_mode=True)
+    spec = Spectrum(s)
     cfg = euler_on_axis(axis, len(s), scale=1.0 / math.sqrt(s[axis]))
     assert tuple(inertia_indices(cfg, spec)) == expected
 
@@ -514,9 +506,9 @@ def test_weighted_collinear_inertia_triples(s, axis, expected):
 def test_ambient_form_reproduces_restricted_inertia():
     from scipy.linalg import eigh
 
-    spec = Spectrum((2.0, 1.0), h1_mode=True)
+    spec = Spectrum((2.0, 1.0))
     cfg = euler_on_axis(1, 2)
-    A = restricted_hessian(cfg, spec)
+    A = _critical_model(cfg, spec)[3]
     ev_restricted = np.sort(np.linalg.eigvalsh(A))
 
     H = ambient_balance_hessian(cfg, spec)
@@ -528,4 +520,4 @@ def test_ambient_form_reproduces_restricted_inertia():
 
 def test_min_separation_reports_distance_to_collision_set():
     cfg = Configuration(np.array([[0.0, 0.0], [0.25, 0.0], [2.0, 0.0]]), np.ones(3))
-    assert min_separation(cfg) == pytest.approx(0.25, rel=1e-15)
+    assert _pairs(cfg.q)[1].min() == pytest.approx(0.25, rel=1e-15)

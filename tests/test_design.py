@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sbclab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sbclab"
 
 # upper-triangle pair indices, or a pair difference built by broadcasting
 PAIR_CODE = re.compile(
@@ -80,3 +82,51 @@ def test_each_collinear_line_is_solved_in_one_place():
     assert {name: len(found) for name, found in sites.items()} == {
         "_ordered_cc_gaps": 1, "ccc_spectrum": 1
     }, sites
+
+
+def _calls_by_statement(path: Path) -> list[tuple[str | None, set[str]]]:
+    """(name of each top-level def or class, or None, names it calls)."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        called = {
+            sub.func.id if isinstance(sub.func, ast.Name) else getattr(sub.func, "attr", None)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+        }
+        out.append((getattr(node, "name", None), called))
+    return out
+
+
+def _traced(module: str) -> set[str]:
+    """Names of `module` in the benchmark tracer's TARGETS."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    return {name for mod, name in targets if mod == module}
+
+
+def test_core_functions_have_a_caller():
+    """Every public function of core is called somewhere in the package
+    outside its own definition, or is a layer the benchmark tracer times."""
+    core = SRC / "core.py"
+    public = [
+        node.name
+        for node in ast.parse(core.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    statements = {path: _calls_by_statement(path) for path in sorted(SRC.glob("*.py"))}
+
+    def called(name: str) -> bool:
+        return any(
+            name in names
+            for path, found in statements.items()
+            for owner, names in found
+            if not (path == core and owner == name)
+        )
+
+    traced = _traced("core")
+    assert public
+    assert [name for name in public if not called(name) and name not in traced] == []

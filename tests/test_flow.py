@@ -10,8 +10,8 @@ from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
     Spectrum,
+    _inertia_s,
     gradient,
-    moment_of_inertia_s,
     potential,
 )
 from sbclab.errors import CollisionError, NoConvergence
@@ -133,7 +133,7 @@ def test_trajectory_invariants_over_t50():
     assert isinstance(traj, FlowTrajectory)
     assert np.all(np.diff(traj.times) > 0)
     for state in traj.states:
-        assert abs(moment_of_inertia_s(state, S3) - 1.0) < 1e-9
+        assert abs(_inertia_s(state.q, state.masses, S3.array) - 1.0) < 1e-9
     # retained samples stay clear of the collision guard
     scales = np.array([s.scale for s in traj.states])
     assert np.all(traj.min_sep > 1e-8 * scales)
@@ -223,9 +223,10 @@ def test_collision_stop_keeps_last_safe_state():
     assert np.all(np.isfinite(traj.states[-1].q))
 
 
-def test_step_budget_exhaustion_raises():
+def test_step_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 5)
     with pytest.raises(NoConvergence):
-        integrate_flow(tilted_line_seed(30.0, 0.0), S3, 1000.0, max_steps=5)
+        integrate_flow(tilted_line_seed(30.0, 0.0), S3, 1000.0)
 
 
 def test_rejects_bad_arguments():
@@ -268,7 +269,7 @@ def test_45_batch_monotone_to_attractor():
     seeds = [tilted_line_seed(45.0, 0.0)]
     seeds += [tilted_line_seed(rng.uniform(0.5, 45.0), rng.uniform(0, 2 * math.pi))
               for _ in range(24)]
-    report = lyapunov_45_check(seeds, S3, masses=M3)
+    report = lyapunov_45_check(seeds, S3)
     assert report.checked == 25
     assert report.all_monotone
     assert report.reached_attractor == 25
@@ -308,8 +309,3 @@ def test_check_flags_collinear_and_rejected_seeds():
     assert statuses == ["already_collinear", "rejected", "checked"]
     assert report.checked == 1
     assert report.reached_attractor == 1
-
-
-def test_check_validates_masses():
-    with pytest.raises(ValueError):
-        lyapunov_45_check([tilted_line_seed(10.0, 0.0)], S3, masses=np.ones(3) * 2)

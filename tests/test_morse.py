@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from sbclab.errors import DegenerateCensus, IdentityViolation, QuadratureBudgetExceeded
+from sbclab import morse
 from sbclab.morse import (
     EULER_MASCHERONI,
     BettiTable,
@@ -22,6 +23,7 @@ from sbclab.morse import (
     factorial_reciprocal_recursion,
     harmonic,
     harmonic_tail,
+    index_counts,
     iterated_log_integral,
     morse_inequality_check,
     poincare_coeffs,
@@ -214,9 +216,11 @@ def test_log_integral_validates_arguments():
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_log_integral_budget_exhaustion():
+def test_log_integral_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(morse, "QUAD_TOL", 1e-15)
+    monkeypatch.setattr(morse, "QUAD_MAX_EVALS", 10_000)
     with pytest.raises(QuadratureBudgetExceeded):
-        iterated_log_integral(100.0, 4, quad_tol=1e-15, max_evals=10_000)
+        iterated_log_integral(100.0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +391,15 @@ def test_morse_check_spatial_reference():
     assert res.ok and res.quotient == ()
 
 
-def test_morse_check_duck_typed_census():
-    class FakeSolution:
-        def __init__(self, triple):
-            self.triple = triple
-
-    class FakeCensus:
-        def __init__(self, triples):
-            self.solutions = [FakeSolution(t) for t in triples]
-
+def test_morse_check_of_index_counts():
     triples = [(0, 0, 2)] + [(1, 0, 1)] * 7 + [(2, 0, 0)] * 6
-    res = morse_inequality_check(FakeCensus(triples), 3, 2)
+    counts = index_counts(triples)
+    assert counts == {0: 1, 1: 7, 2: 6}
+    res = morse_inequality_check(counts, 3, 2)
     assert res.ok and res.quotient == (0, 4)
 
     with pytest.raises(DegenerateCensus):
-        morse_inequality_check(FakeCensus([(0, 1, 1)]), 3, 2)
+        index_counts([(0, 1, 1)])
 
 
 def test_morse_check_rejects_bad_input():

@@ -12,12 +12,12 @@ from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
     Spectrum,
+    _inertia_s,
     gradient,
     inertia_indices,
-    moment_of_inertia_s,
     normalize,
     potential,
-    residual_norm,
+    sbc_residual,
 )
 from sbclab.errors import BranchLost, NoConvergence
 from sbclab.solver import (
@@ -108,10 +108,12 @@ def test_solution_satisfies_constraints():
         Configuration(rng.standard_normal((4, 2)), np.ones(4)), spec
     )
     assert isinstance(sol, SBCSolution)
-    assert moment_of_inertia_s(sol.config, spec) == pytest.approx(1.0, abs=1e-12)
+    assert _inertia_s(sol.config.q, sol.config.masses, spec.array) == pytest.approx(
+        1.0, abs=1e-12
+    )
     u = potential(sol.config)
     assert sol.residual_norm < 1e-10 * u
-    assert residual_norm(sol.config, spec) == pytest.approx(
+    assert np.linalg.norm(sbc_residual(sol.config, spec)[0]) == pytest.approx(
         sol.residual_norm, abs=1e-13
     )
 
@@ -136,11 +138,10 @@ def test_each_iterate_builds_one_restricted_hessian(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_restricted_hessian_any", counting)
+    monkeypatch.setattr(solver, "MAX_ITER", 3)
     rng = np.random.default_rng(2)
     out = find_critical_point(
-        Configuration(rng.standard_normal((3, 2)), np.ones(3)),
-        Spectrum.planar(1.5),
-        max_iter=3,
+        Configuration(rng.standard_normal((3, 2)), np.ones(3)), Spectrum.planar(1.5)
     )
     assert isinstance(out, SearchFailure)
     assert out.iterations == 3
@@ -173,12 +174,11 @@ def test_solve_makes_one_pair_pass_per_evaluated_point(monkeypatch):
     assert calls["pairs"] == calls["points"]
 
 
-def test_failure_max_iter():
+def test_failure_max_iter(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
     rng = np.random.default_rng(2)
     out = find_critical_point(
-        Configuration(rng.standard_normal((3, 2)), np.ones(3)),
-        Spectrum.planar(1.5),
-        max_iter=2,
+        Configuration(rng.standard_normal((3, 2)), np.ones(3)), Spectrum.planar(1.5)
     )
     assert isinstance(out, SearchFailure)
     assert out.cause == "max_iter"
@@ -200,11 +200,15 @@ def test_classify_support_variants():
     assert classify_support(Configuration(full, m)) == "full-dimensional"
 
 
+def _central_residual(cfg: Configuration) -> float:
+    return central_residual(cfg, gradient(cfg), potential(cfg))
+
+
 def test_central_residual_zero_at_cc():
     cfg = Configuration(equilateral(), np.ones(3))
-    assert central_residual(cfg) < 1e-13 * potential(cfg)
+    assert _central_residual(cfg) < 1e-13 * potential(cfg)
     stretched = Configuration(equilateral() * np.array([1.4, 1.0]), np.ones(3))
-    assert central_residual(stretched) > 0.1
+    assert _central_residual(stretched) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +235,7 @@ def test_census_solution_invariants(census_15):
     for sol in census_15.solutions:
         u = potential(sol.config)
         assert sol.residual_norm < 1e-10 * u
-        i_s = moment_of_inertia_s(sol.config, census_15.spectrum)
+        i_s = _inertia_s(sol.config.q, sol.config.masses, census_15.spectrum.array)
         assert abs(i_s - 1.0) < 1e-12
         assert sol.classification == classify_support(sol.config)
         if sol.classification.startswith("collinear"):
@@ -240,7 +244,7 @@ def test_census_solution_invariants(census_15):
             # the first-axis-dominance hypothesis: non-collinear solutions
             # are never central; their central residual is O(1), not noise
             assert not sol.is_cc
-            assert central_residual(sol.config) > 1e-3
+            assert _central_residual(sol.config) > 1e-3
 
 
 def test_solutions_classified_from_their_own_evaluation(census_15):
@@ -248,10 +252,7 @@ def test_solutions_classified_from_their_own_evaluation(census_15):
     # public functions evaluating afresh must give the same record
     for sol in census_15.solutions:
         cfg = sol.config
-        u = potential(cfg, guard=False)
-        fresh = central_residual(cfg)
-        assert central_residual(cfg, gradient(cfg, guard=False), u) == fresh
-        assert sol.is_cc == (fresh < 1e-10 * u)
+        assert sol.is_cc == (_central_residual(cfg) < 1e-10 * potential(cfg))
         assert sol.triple == inertia_indices(cfg, census_15.spectrum)
 
 
@@ -262,8 +263,9 @@ def test_census_dedup_separation(census_15):
             assert mass_norm_distance(sols[i].config, sols[j].config) >= 1e-6
 
 
-def test_census_deterministic():
-    kwargs = dict(n_restarts=40, seed=9, saddle_seeding=False)
+def test_census_deterministic(monkeypatch):
+    monkeypatch.setattr(solver, "_saddle_seeds", lambda *args: [])
+    kwargs = dict(n_restarts=40, seed=9)
     a = census(np.ones(3), Spectrum.planar(1.5), **kwargs)
     b = census(np.ones(3), Spectrum.planar(1.5), **kwargs)
     assert len(a.solutions) == len(b.solutions)
@@ -271,9 +273,10 @@ def test_census_deterministic():
         assert np.array_equal(x.config.q, y.config.q)
 
 
-def test_census_monotone_in_restarts():
-    small = census(np.ones(3), Spectrum.planar(1.5), 30, seed=5, saddle_seeding=False)
-    large = census(np.ones(3), Spectrum.planar(1.5), 90, seed=5, saddle_seeding=False)
+def test_census_monotone_in_restarts(monkeypatch):
+    monkeypatch.setattr(solver, "_saddle_seeds", lambda *args: [])
+    small = census(np.ones(3), Spectrum.planar(1.5), 30, seed=5)
+    large = census(np.ones(3), Spectrum.planar(1.5), 90, seed=5)
     assert len(large.solutions) >= len(small.solutions)
     for sol in small.solutions:
         assert any(
@@ -381,14 +384,15 @@ def test_continue_requires_nondegenerate_start():
         continue_in_s(sol, [Spectrum.identity(2)])
 
 
-def test_continue_branch_lost_on_hopeless_budget():
+def test_continue_branch_lost_on_hopeless_budget(monkeypatch):
     # a non-collinear family genuinely deforms with s (unlike the
     # second-axis collinear one, which is critical for every s_1), so a
     # one-iteration budget cannot track it across a long parameter leg
     c = census(np.ones(3), Spectrum.planar(1.2), 0, seed=1)
     minimum = next(s for s in c.solutions if s.triple.index == 0)
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     with pytest.raises(BranchLost):
-        continue_in_s(minimum, [Spectrum.planar(2.0)], max_iter=1)
+        continue_in_s(minimum, [Spectrum.planar(2.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +454,8 @@ def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
     todo = iter(outcomes)
     monkeypatch.setattr(solver, "_sample_start", lambda *args: None)
     monkeypatch.setattr(solver, "find_critical_point", lambda *args, **kwargs: next(todo))
-    c = census(m, spectrum, len(outcomes), 0, saddle_seeding=False)
+    monkeypatch.setattr(solver, "_saddle_seeds", lambda *args: [])
+    c = census(m, spectrum, len(outcomes), 0)
     assert [id(s) for s in c.solutions] == [id(s) for s in expected]
     assert len(base) < len(expected) < len(configs)
     assert c.failures["max_iter"] == len(outcomes) - len(configs)
