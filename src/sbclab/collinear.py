@@ -10,10 +10,15 @@ signs of eta_l + (s_i/s_j) * U(q_hat) over the eigenvalue groups eta_l of
 M^{-1} B(q_hat).
 
 Each record is built complete, from one spectrum per line and one guarded
-pair pass at the point: U, lambda, residual and both triples. Reversing an
-ordering mirrors its line (x -> -x) and leaves every r_ij unchanged, so only
-the canonical orientation (first label below the last) is solved, and the
-reversed ordering's records are its exact negation.
+pair pass at the point: U, lambda, residual and both triples. The gap
+equations of a line depend only on its masses in line order, so an
+enumeration solves them once per distinct mass sequence (once in all for
+equal masses), and it builds its records in stacks of up to STACK_LANES:
+one normalization, one pair pass, one residual gate and one restricted
+Hessian serve the whole stack. Reversing an ordering mirrors its line
+(x -> -x) and leaves every r_ij unchanged, so only the canonical
+orientation (first label below the last) is built, and the reversed
+ordering's records are its exact negation.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from .core import (
     Configuration,
     InertiaTriple,
     Spectrum,
-    _critical_model,
+    _critical_models,
     _normalize_q,
     _pairs,
     _potential_of,
     _triple_of,
+    weight_vector,
 )
 from .errors import NoConvergence, SpectrumAnomalyError, UnsupportedCase
 
@@ -41,6 +47,7 @@ GAP_TOL = 1e-13          # convergence of the gap-equation residual
 GROUP_TOL = 1e-8         # eigenvalue grouping, relative to U(q_hat)
 DEGENERATE_TOL = 1e-10   # threshold-equality detection, relative to U(q_hat)
 GAP_MAX_ITER = 200       # gap Newton iterations per ordering
+STACK_LANES = 256        # records per stacked model build: bounds its memory
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +262,25 @@ class CollinearRecord:
     computed: InertiaTriple
 
 
-def _cc_line(m: np.ndarray, ordering):
+def _cc_line(m: np.ndarray, ordering, solved: dict):
     """(x_hat, gap residual, iterations, spectral) of one ordering: its gap
     solve, the unit-mass-norm CC line x_hat indexed by body, and its spectrum.
-    The one place a line is solved and spectrally decomposed."""
+    The one place a line is solved and spectrally decomposed.
+
+    The gap solve and the unit line in line order depend only on the masses
+    in line order, so `solved` keeps them by that tuple for the caller's
+    other orderings: with equal masses every ordering shares one solve.
+    """
     order0 = [b - 1 for b in ordering]
     m_ord = m[order0]
-    gaps, gap_res, iters = _ordered_cc_gaps(m_ord)
-
-    y = np.concatenate(([0.0], np.cumsum(gaps)))
-    y -= float(m_ord @ y / m_ord.sum())
-    y /= math.sqrt(float(m_ord @ y**2))
+    key = tuple(m_ord)
+    if key not in solved:
+        gaps, gap_res, iters = _ordered_cc_gaps(m_ord)
+        y = np.concatenate(([0.0], np.cumsum(gaps)))
+        y -= float(m_ord @ y / m_ord.sum())
+        y /= math.sqrt(float(m_ord @ y**2))
+        solved[key] = y, gap_res, iters
+    y, gap_res, iters = solved[key]
 
     x_hat = np.empty(len(m))
     x_hat[order0] = y
@@ -275,10 +290,10 @@ def _cc_line(m: np.ndarray, ordering):
 def _mirrored(rec: CollinearRecord) -> CollinearRecord:
     """The record of the reversed ordering: the line through x -> -x.
 
-    Negation leaves every r_ij, and so U, lambda, the residual, the spectrum
-    and both triples, unchanged; the pair pass of the mirrored point repeats
-    the original's bit for bit. 0.0 - q keeps the off-axis zeros +0.0, as a
-    fresh build has them.
+    Negation leaves every r_ij, and so U, lambda, the residual, the spectrum,
+    both triples and the restricted Hessian and its tangent basis, unchanged;
+    the pair pass of the mirrored point repeats the original's bit for bit.
+    0.0 - q keeps the off-axis zeros +0.0, as a fresh build has them.
     """
     return replace(
         rec,
@@ -288,6 +303,57 @@ def _mirrored(rec: CollinearRecord) -> CollinearRecord:
     )
 
 
+def _records(m: np.ndarray, spectrum: Spectrum, lines, axes, models=None) -> list[CollinearRecord]:
+    """The records of every line on each of `axes`, line by line.
+
+    lines holds (ordering, x_hat, gap residual, iterations, spectral) of
+    CC lines (see _cc_line). The line on axis j is x_hat / sqrt(s_j) on
+    that axis, normalized to I_S = 1. Up to STACK_LANES records share one
+    stacked build: one normalization, one guarded pair pass with its
+    residual gate, and one restricted Hessian (core._critical_models),
+    each lane bitwise a build of its own. When `models` is a dict, it
+    receives each record's restricted Hessian and tangent basis (A, V),
+    keyed by (axis, ordering).
+    """
+    n, d, s = len(m), spectrum.d, spectrum.array
+    lanes = [(line, axis) for line in lines for axis in axes]
+    records = []
+    for lo in range(0, len(lanes), STACK_LANES):
+        chunk = lanes[lo : lo + STACK_LANES]
+        q = np.zeros((len(chunk), n, d))
+        for k, ((_, x_hat, *_), axis) in enumerate(chunk):
+            q[k, :, axis - 1] = x_hat / math.sqrt(spectrum.s[axis - 1])
+        configs = [Configuration(p, m) for p in _normalize_q(q, m, s)[0]]
+        w = weight_vector(configs[0], spectrum)
+        # evaluate the points the records hold
+        u, lam, res, A, V = _critical_models(np.array([c.q for c in configs]), m, s, w)
+        for k, ((ordering, x_hat, gap_res, iters, spectral), axis) in enumerate(chunk):
+            try:
+                predicted = predicted_indices(spectral, spectrum, axis)
+            except UnsupportedCase:
+                predicted = None
+            rec = CollinearRecord(
+                ordering=tuple(int(b) for b in ordering),
+                axis=int(axis),
+                spectrum=spectrum,
+                masses=m,
+                config=configs[k],
+                cc_positions=x_hat,
+                u=float(u[k]),
+                lam=float(lam[k]),
+                residual=float(res[k]),
+                gap_residual=gap_res,
+                iterations=iters,
+                spectral=spectral,
+                predicted=predicted,
+                computed=_triple_of(A[k], float(u[k])),
+            )
+            records.append(rec)
+            if models is not None:
+                models[rec.axis, rec.ordering] = A[k], V[k]
+    return records
+
+
 def moulton_solve(masses, ordering, axis: int, spectrum: Spectrum) -> CollinearRecord:
     """Classified collinear balanced configuration for one ordering on one axis.
 
@@ -295,7 +361,8 @@ def moulton_solve(masses, ordering, axis: int, spectrum: Spectrum) -> CollinearR
     axis is the 1-based coordinate axis. The solve runs in gap
     coordinates from an equispaced start, the resulting central
     configuration is normalized to unit mass norm, and the balanced
-    configuration is that line shrunk by 1/sqrt(s_axis) on the axis.
+    configuration is that line shrunk by 1/sqrt(s_axis) on the axis: a
+    one-record build of the same builder enumerate_csbc stacks.
 
     Only the canonical orientation (first label below the last) is solved:
     a reversed ordering is the mirror image of its canonical line, so it is
@@ -312,62 +379,42 @@ def moulton_solve(masses, ordering, axis: int, spectrum: Spectrum) -> CollinearR
     mirror = ordering[0] > ordering[-1]
     if mirror:
         ordering = ordering[::-1]
-    rec = _on_axis(m, ordering, axis, spectrum, *_cc_line(m, ordering))
+    (rec,) = _records(m, spectrum, [(ordering, *_cc_line(m, ordering, {}))], (axis,))
     return _mirrored(rec) if mirror else rec
-
-
-def _on_axis(m, ordering, axis, spectrum, x_hat, gap_res, iters, spectral) -> CollinearRecord:
-    """The record of the CC line x_hat (spectrum `spectral`) on `axis`: one pair pass."""
-    q = np.zeros((len(m), spectrum.d))
-    q[:, axis - 1] = x_hat / math.sqrt(spectrum.s[axis - 1])
-    config = Configuration(_normalize_q(q, m, spectrum.array)[0], m)
-    u, lam, residual, A = _critical_model(config, spectrum)
-    try:
-        predicted = predicted_indices(spectral, spectrum, axis)
-    except UnsupportedCase:
-        predicted = None
-    return CollinearRecord(
-        ordering=tuple(int(b) for b in ordering),
-        axis=int(axis),
-        spectrum=spectrum,
-        masses=m,
-        config=config,
-        cc_positions=x_hat,
-        u=u,
-        lam=float(lam),
-        residual=residual,
-        gap_residual=gap_res,
-        iterations=iters,
-        spectral=spectral,
-        predicted=predicted,
-        computed=_triple_of(A, u),
-    )
 
 
 # ---------------------------------------------------------------------------
 # enumeration and thresholds
 
 
-def enumerate_csbc(masses, spectrum: Spectrum) -> list[CollinearRecord]:
+def enumerate_csbc(masses, spectrum: Spectrum, models=None) -> list[CollinearRecord]:
     """All d * n! collinear balanced configurations, classified.
 
     One record per (ordering, axis), sorted by (axis, ordering), each built
     complete (see CollinearRecord). Each of the n!/2 canonical lines (first
-    label below the last) is solved, and its spectrum computed, once, then
-    placed on every axis with one pair pass; its reversed ordering, met
-    later in lexicographic order, gets the negated records (see _mirrored).
+    label below the last) gets its spectrum once, and one gap solve serves
+    every line with the same masses in line order (one in all for equal
+    masses). Every line is placed on every axis in one stacked build per
+    STACK_LANES records (see _records); its reversed ordering, met later in
+    lexicographic order, gets the negated records (see _mirrored). When
+    `models` is a dict, it receives every record's (A, V) keyed by
+    (axis, ordering); a mirrored record shares its canonical one's.
     """
     m = np.array(masses, dtype=float)
+    orderings = list(itertools.permutations(range(1, len(m) + 1)))
+    solved: dict = {}
+    lines = [(o, *_cc_line(m, o, solved)) for o in orderings if o[0] <= o[-1]]
+    axes = range(1, spectrum.d + 1)
+    built = iter(_records(m, spectrum, lines, axes, models))
     placed: dict[tuple[int, ...], list[CollinearRecord]] = {}
-    for ordering in itertools.permutations(range(1, len(m) + 1)):
-        if ordering[0] > ordering[-1]:
-            placed[ordering] = [_mirrored(rec) for rec in placed[ordering[::-1]]]
+    for ordering in orderings:
+        if ordering[0] <= ordering[-1]:
+            placed[ordering] = [next(built) for _ in axes]
             continue
-        rec = moulton_solve(m, ordering, 1, spectrum)
-        line = (rec.cc_positions, rec.gap_residual, rec.iterations, rec.spectral)
-        placed[ordering] = [rec] + [
-            _on_axis(m, ordering, axis, spectrum, *line) for axis in range(2, spectrum.d + 1)
-        ]
+        placed[ordering] = [_mirrored(rec) for rec in placed[ordering[::-1]]]
+        if models is not None:
+            for axis in axes:
+                models[axis, ordering] = models[axis, ordering[::-1]]
     return [recs[k] for k in range(spectrum.d) for recs in placed.values()]
 
 
@@ -385,8 +432,9 @@ def degeneracy_thresholds(masses) -> ThresholdReport:
 
     A transverse weight ratio crossing one of these values changes the
     predicted inertia triple; at equality the point is degenerate. Only the
-    n!/2 canonical lines are solved (no record is built): a reversed
+    n!/2 canonical lines get a spectrum (no record is built): a reversed
     ordering is the mirror image of its line and has the same spectrum.
+    Lines with the same masses in line order share one gap solve.
     """
     m = np.array(masses, dtype=float)
     n = len(m)
@@ -395,11 +443,12 @@ def degeneracy_thresholds(masses) -> ThresholdReport:
     if np.any(m <= 0):
         raise ValueError("masses must be positive")
     per: dict[tuple[int, ...], tuple[float, ...]] = {}
+    solved: dict = {}
     for ordering in itertools.permutations(range(1, n + 1)):
         per[ordering] = (
             per[ordering[::-1]]
             if ordering[0] > ordering[-1]
-            else _cc_line(m, ordering)[3].thresholds
+            else _cc_line(m, ordering, solved)[3].thresholds
         )
     lows = [t[0] for t in per.values()]
     highs = [t[-1] for t in per.values()]

@@ -229,13 +229,16 @@ def hessian(config: Configuration) -> np.ndarray:
 
 
 def _hessian_of(m: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
-    n, d = diff.shape[0], diff.shape[-1]
+    """hessian from the kernel's (..., n, n, d) diff and r: one (n*d, n*d)
+    matrix per leading index."""
+    n, d = diff.shape[-2:]
     u = diff / r[..., None]
     blocks = (np.outer(m, m) / r**3)[..., None, None] * (
         np.eye(d) - 3.0 * (u[..., :, None] * u[..., None, :])
     )
-    blocks[range(n), range(n)] = -blocks.sum(axis=1)
-    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    # blocks is fresh, so the reshape is a view of its diagonal blocks
+    blocks.reshape(r.shape[:-2] + (n * n, d, d))[..., :: n + 1, :, :] = -blocks.sum(axis=-3)
+    return np.swapaxes(blocks, -3, -2).reshape(diff.shape[:-3] + (n * d, n * d))
 
 
 def moment_of_inertia(config: Configuration) -> float:
@@ -360,17 +363,31 @@ def tangent_basis(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     return _tangent_basis_of(config.q, weight_vector(config, spectrum))
 
 
+@lru_cache(maxsize=None)
+def _translations(n: int, d: int) -> np.ndarray:
+    """The d translation directions as (n*d, d) columns, built once per
+    (n, d) and shared read-only."""
+    t = np.tile(np.eye(d), (n, 1))
+    t.flags.writeable = False
+    return t
+
+
 def _tangent_basis_of(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n, d = q.shape
+    """tangent_basis of raw (..., n, d) positions: one (n*d, k) basis per
+    leading index, each bitwise the basis of its own 2-D call. Raises
+    ValueError when any of them is degenerate."""
+    n, d = q.shape[-2:]
     sw = np.sqrt(w)
-    C = np.empty((n * d, d + 1))
-    C[:, :d] = np.tile(np.eye(d), (n, 1))
-    C[:, d] = q.ravel()
-    C *= sw[:, None]
+    wq = q.reshape(q.shape[:-2] + (1, n * d)) * sw
+    C = np.empty(q.shape[:-2] + (n * d, d + 1))
+    C[..., :d] = _translations(n, d) * sw[:, None]
+    C[..., d] = wq[..., 0, :]
     Q, R = np.linalg.qr(C, mode="complete")
-    if abs(R[d, d]) <= 1e-10 * np.linalg.norm(C[:, d]):
+    # |wq| as one dot product, as np.linalg.norm computes it
+    norm = np.sqrt(wq @ wq.swapaxes(-1, -2))[..., 0, 0]
+    if (abs(R[..., d, d]) <= 1e-10 * norm).any():
         raise ValueError("degenerate configuration: constraints are dependent")
-    return Q[:, d + 1 :] / sw[:, None]
+    return Q[..., d + 1 :] / sw[:, None]
 
 
 def _restricted_hessian_any(
@@ -380,21 +397,25 @@ def _restricted_hessian_any(
     diff: np.ndarray,
     r: np.ndarray,
     g: np.ndarray,
-    lam: float,
+    lam,
 ):
     """Restricted second variation without the criticality gate.
 
-    On raw arrays: positions q (n, d), masses m, w = weight_vector, and
-    the point's own evaluation (diff, r and grad U g from _evaluate_q,
+    On raw arrays: positions q (..., n, d), masses m, w = weight_vector, and
+    the points' own evaluation (diff, r and grad U g from _evaluate_q,
     and lam), so no pair is computed again. Returns (A, V, y) with
     A = V^T (D^2 U + lam diag(w)) V, symmetrized, V = tangent_basis and
     y = V^T grad U: the Newton model of a search iterate, and at a root
-    the matrix whose inertia classifies it.
+    the matrix whose inertia classifies it. Leading axes of q are a stack
+    of points, each lane bitwise its own 2-D call; a degenerate lane
+    raises ValueError for the stack.
     """
     V = _tangent_basis_of(q, w)
-    H = _hessian_of(m, diff, r) + lam * np.diag(w)
-    A = V.T @ H @ V
-    return 0.5 * (A + A.T), V, V.T @ g.ravel()
+    H = _hessian_of(m, diff, r)
+    H += np.multiply.outer(lam, np.diag(w))
+    A = V.swapaxes(-1, -2) @ H @ V
+    y = g.reshape(g.shape[:-2] + (1, -1)) @ V
+    return 0.5 * (A + A.swapaxes(-1, -2)), V, y[..., 0, :]
 
 
 def _critical_model(config: Configuration, spectrum: Spectrum):
@@ -404,13 +425,33 @@ def _critical_model(config: Configuration, spectrum: Spectrum):
     on tangent_basis, of shape (k, k) with k = d(n-1) - 1. Raises
     NotCriticalError when the balance residual |G| exceeds TOL_RES * U.
     """
-    diff, r, g, u, lam, G = _evaluate(config, spectrum)
-    res = float(np.linalg.norm(G))
-    if res > TOL_RES * u:
-        raise NotCriticalError(f"balance residual {res:.3e} exceeds {TOL_RES:.1e} * U")
-    w = weight_vector(config, spectrum)
-    A = _restricted_hessian_any(config.q, config.masses, w, diff, r, g, lam)[0]
-    return u, lam, res, A
+    w = weight_vector(config, spectrum)  # checks the dimensions
+    u, lam, res, A, _ = _critical_models(config.q, config.masses, spectrum.array, w)
+    return u, lam, float(res), A
+
+
+def _critical_models(q: np.ndarray, m: np.ndarray, s: np.ndarray, w: np.ndarray):
+    """_critical_model on raw (..., n, d) positions: (U, lam, |G|, A, V), one
+    per leading index, from one pair pass and one restricted Hessian for
+    the whole stack. The first lane that fails raises for the stack: the
+    collision guard's CollisionError, or the NotCriticalError of the
+    residual gate. |G| is sqrt(G . G) as one dot product per lane, which is
+    how np.linalg.norm computes it.
+    """
+    diff, r, g, u, lam, G, collided = _evaluate_q(q, m, s)
+    n, d = q.shape[-2:]
+    if np.any(collided):
+        lane = np.argmax(np.ravel(collided))
+        _pairwise(Configuration(q.reshape(-1, n, d)[lane], m))  # raises
+    Gf = G.reshape(G.shape[:-2] + (1, n * d))
+    res = np.sqrt(Gf @ Gf.swapaxes(-1, -2))[..., 0, 0]
+    over = np.ravel(res > TOL_RES * u)
+    if over.any():
+        raise NotCriticalError(
+            f"balance residual {np.ravel(res)[over.argmax()]:.3e} exceeds {TOL_RES:.1e} * U"
+        )
+    A, V, _ = _restricted_hessian_any(q, m, w, diff, r, g, lam)
+    return u, lam, res, A, V
 
 
 def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:

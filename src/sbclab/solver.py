@@ -335,11 +335,13 @@ def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]
     eigendirection and walked further downhill (all in one _descend call).
     Per record: the collinear point itself (it re-enters the census anyway,
     via the walks that stall at once), then its walks, mode by mode, + then -.
-    Each record is evaluated once.  An enumeration that fails numerically
-    (SbcLabError) gives no seeds; any other error propagates.
+    The modes come from the restricted Hessian and tangent basis that the
+    enumeration built for the record.  An enumeration that fails
+    numerically (SbcLabError) gives no seeds; any other error propagates.
     """
+    models: dict = {}
     try:
-        records = enumerate_csbc(masses, spectrum)
+        records = enumerate_csbc(masses, spectrum, models)
     except SbcLabError:
         return []
     m, s = masses, spectrum.array
@@ -347,13 +349,12 @@ def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]
     seeds: list[Configuration | None] = []  # None: the next walked start
     starts = []
     for rec in records:
-        q, w = rec.config.q, weight_vector(rec.config, spectrum)
+        q = rec.config.q
+        A, V = models[rec.axis, rec.ordering]
         seeds.append(rec.config)
-        diff, r, g, u, lam, _, _ = _evaluate_q(q, m, s)
-        A, V, _ = _restricted_hessian_any(q, m, w, diff, r, g, lam)
         evals, evecs = np.linalg.eigh(A)
         for k in range(len(evals)):
-            if evals[k] >= -NULL_TOL * u:
+            if evals[k] >= -NULL_TOL * rec.u:
                 break
             direction = (V @ evecs[:, k]).reshape(n, d)
             for sign in (1.0, -1.0):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -297,14 +298,21 @@ def test_degeneracy_thresholds_solve_canonical_lines_only(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "masses,s", [((1.0, 2.0, 3.0), (2.5, 1.5, 1.0)), ((1.0, 1.0, 2.0, 3.0), (1.5, 1.0))]
+    "masses,s",
+    [
+        ((1.0, 2.0, 3.0), (2.5, 1.5, 1.0)),
+        ((1.0, 1.0, 2.0, 3.0), (1.5, 1.0)),
+        ((1.0,) * 5, (1.5, 1.0)),
+        ((1.0, 1.0), (3.0, 2.0, 1.0)),
+    ],
 )
 def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
-    """n!/2 gap solves and spectra (one per mirror pair of orderings), one
-    Configuration per record and one guarded evaluation per canonical record;
-    every record is bitwise the record a fresh moulton_solve on its axis
-    gives."""
-    calls = {"gaps": 0, "spectra": 0, "built": 0, "evaluated": 0}
+    """One gap solve per distinct tuple of masses in line order over the
+    canonical orderings (one for equal masses), n!/2 spectra (one per mirror
+    pair of orderings), one Configuration per record, and one stacked
+    evaluation and restricted Hessian for all records; every record is
+    bitwise the record a fresh moulton_solve on its axis gives."""
+    calls = {"gaps": 0, "spectra": 0, "built": 0, "evaluated": 0, "models": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -314,20 +322,29 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
 
     monkeypatch.setattr(collinear, "_ordered_cc_gaps", counted("gaps", collinear._ordered_cc_gaps))
     monkeypatch.setattr(collinear, "ccc_spectrum", counted("spectra", collinear.ccc_spectrum))
-    monkeypatch.setattr(core, "_evaluate", counted("evaluated", core._evaluate))
+    monkeypatch.setattr(core, "_evaluate_q", counted("evaluated", core._evaluate_q))
+    monkeypatch.setattr(
+        core, "_restricted_hessian_any", counted("models", core._restricted_hessian_any)
+    )
     monkeypatch.setattr(
         Configuration, "__post_init__", counted("built", Configuration.__post_init__)
     )
     spectrum = Spectrum(s)
     recs = enumerate_csbc(masses, spectrum)
-    orderings = math.factorial(len(masses))
+    n = len(masses)
+    canonical = [o for o in itertools.permutations(range(n)) if o[0] < o[-1]]
+    orderings = math.factorial(n)
     records = spectrum.d * orderings
+    assert records // 2 <= collinear.STACK_LANES
     assert calls == {
-        "gaps": orderings // 2,
+        "gaps": len({tuple(masses[i] for i in o) for o in canonical}),
         "spectra": orderings // 2,
         "built": records,
-        "evaluated": records // 2,
+        "evaluated": 1,
+        "models": 1,
     }
+    if len(set(masses)) == 1:
+        assert calls["gaps"] == 1
     assert [(r.axis, r.ordering) for r in recs] == sorted((r.axis, r.ordering) for r in recs)
     assert len(recs) == records
 
@@ -365,10 +382,8 @@ def test_enumerate_mirrored_records_equal_a_full_evaluation(masses, s):
     for rec in mirrored:
         canon = by_key[(rec.axis, rec.ordering[::-1])]
         x_hat = -canon.cc_positions
-        full = collinear._on_axis(
-            m, rec.ordering, rec.axis, spectrum, x_hat,
-            canon.gap_residual, canon.iterations, ccc_spectrum(m, x_hat),
-        )
+        line = (rec.ordering, x_hat, canon.gap_residual, canon.iterations, ccc_spectrum(m, x_hat))
+        (full,) = collinear._records(m, spectrum, [line], (rec.axis,))
         assert np.array_equal(rec.config.q, full.config.q)
         assert np.array_equal(rec.cc_positions, x_hat)
         assert (rec.u, rec.lam, rec.residual) == (full.u, full.lam, full.residual)

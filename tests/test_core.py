@@ -13,7 +13,9 @@ from sbclab.core import (
     Configuration,
     Spectrum,
     _critical_model,
+    _critical_models,
     _evaluate,
+    _evaluate_q,
     _gradient_of,
     _inertia_s,
     _normalize_q,
@@ -445,6 +447,59 @@ def test_restricted_hessian_any_is_the_projected_ambient_form():
         # the criticality-gated form is the same model at a root
         line = _collinear_point(cfg.masses, spec, axis=d)
         assert np.array_equal(_critical_model(line, spec)[3], _model(line, spec)[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_restricted_hessian_any_lanes_equal_their_own_call(n, d):
+    """A (K, n, d) stack gives, lane by lane, the (A, V, y) of the 2-D call
+    on that lane's arrays, bit for bit, for 1, 7 and 64 lanes; one
+    degenerate lane (q = 0) raises ValueError for the whole stack."""
+    rng = np.random.default_rng(3000 + 10 * n + d)
+    m = 0.5 + 2.0 * rng.random(n)
+    s = np.array(sorted(1.0 + 2.0 * rng.random(d), reverse=True))
+    w = np.repeat(m, d) * np.tile(s, n)
+    for lanes in (1, 7, 64):
+        q, bad = _normalize_q(rng.standard_normal((lanes, n, d)), m, s)
+        assert not bad.any()
+        diff, r, g, _, lam, _, _ = _evaluate_q(q, m, s)
+        A, V, y = _restricted_hessian_any(q, m, w, diff, r, g, lam)
+        assert len(A) == len(V) == len(y) == lanes
+        for k in range(lanes):
+            one = _restricted_hessian_any(q[k], m, w, diff[k], r[k], g[k], float(lam[k]))
+            for stacked, single in zip((A[k], V[k], y[k]), one):
+                assert stacked.shape == single.shape
+                assert np.array_equal(stacked, single)
+    q[lanes // 2] = 0.0
+    diff, r, g, _, lam, _, _ = _evaluate_q(q, m, s)
+    with pytest.raises(ValueError, match="constraints are dependent"):
+        _restricted_hessian_any(q, m, w, diff, r, g, lam)
+
+
+def test_stacked_critical_models_gate_each_lane():
+    """The stacked model of critical points is each point's own model; one
+    non-critical lane raises the NotCriticalError its own call raises, and
+    one collided lane the collision guard's CollisionError."""
+    rng = np.random.default_rng(14)
+    spec = Spectrum((2.0, 1.5, 1.0))
+    m = np.array([1.0, 2.0, 3.0])
+    lines = [_collinear_point(m, spec, axis=axis) for axis in (1, 2, 3)]
+    q = np.array([c.q for c in lines])
+    w = weight_vector(lines[0], spec)
+    u, lam, res, A, _ = _critical_models(q, m, spec.array, w)
+    for k, line in enumerate(lines):
+        assert (u[k], lam[k], res[k]) == _critical_model(line, spec)[:3]
+        assert np.array_equal(A[k], _critical_model(line, spec)[3])
+    off = normalize(random_configuration(rng, 3, 3, masses=m), spec)
+    with pytest.raises(NotCriticalError) as single:
+        _critical_model(off, spec)
+    with pytest.raises(NotCriticalError) as stacked:
+        _critical_models(np.array([q[0], off.q, q[1]]), m, spec.array, w)
+    assert str(stacked.value) == str(single.value)
+    clash = q[1].copy()
+    clash[1] = clash[0]
+    with pytest.raises(CollisionError):
+        _critical_models(np.array([q[0], clash]), m, spec.array, w)
 
 
 def test_restricted_hessian_requires_criticality():
