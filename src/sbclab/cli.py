@@ -4,6 +4,8 @@ Reports are JSON by default (CSV for the tabular ones) and deterministic:
 keys are sorted, floats use the shortest round-trip repr, and nothing
 time-dependent enters the payload — wall-clock diagnostics go to stderr.
 Running the same parameters twice therefore produces byte-identical files.
+A JSON report holding NaN or an infinity is refused (exit 1): neither is
+JSON.
 
 Counting-table integers can outgrow the 53-bit window of float-based JSON
 readers, so aggregate totals are always emitted as decimal strings and
@@ -178,19 +180,24 @@ def _triple_payload(triple):
 
 
 def _emit(args, payload: dict, table) -> None:
-    """Write the report to stdout or --output; CSV rows stream as made."""
+    """Write the report to stdout or --output; CSV rows stream as made.
+    A JSON report holding NaN or an infinity is refused (ValueError)
+    before any output is opened: those are not JSON."""
+    text = None
+    if args.format != "csv":
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.output is None or args.output == "-":
         out = contextlib.nullcontext(sys.stdout)
     else:
         out = open(args.output, "w", encoding="utf-8")
     with out as fh:
-        if args.format == "csv":
+        if text is None:
             header, rows = table
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
         else:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ implemented here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -472,6 +473,35 @@ def _triple_of(A: np.ndarray, u: float) -> InertiaTriple:
     nul = int(np.sum(np.abs(ev) <= gap))
     pos = int(np.sum(ev > gap))
     return InertiaTriple(neg, nul, pos)
+
+
+# ---------------------------------------------------------------------------
+# discrete symmetries
+
+
+def symmetry_group(masses: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The discrete symmetry group of the balance problem, as (signs, perms).
+
+    Every axis sign flip times every relabelling of equal-mass bodies, each
+    of which maps S-balanced configurations to S-balanced configurations
+    with the same U, lambda and inertia triple. Element k sends positions
+    q to q[perms[k]] * signs[k]: body i takes the place of body perms[k][i]
+    (an equal mass) and axis j is reversed where signs[k][j] = -1.
+    signs is (g, d) and perms (g, n), relabellings outer and sign flips
+    inner, each in itertools order, so element 0 is the identity.
+    """
+    m = np.asarray(masses)
+    perms = [p for p in itertools.permutations(range(len(m))) if np.array_equal(m[list(p)], m)]
+    signs = list(itertools.product((1.0, -1.0), repeat=d))
+    return np.tile(signs, (len(perms), 1)), np.repeat(perms, len(signs), axis=0)
+
+
+def _images(q: np.ndarray, group: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The (..., g, n, d) images of (..., n, d) positions under a
+    symmetry_group, in its order: exact, since they only permute and
+    negate entries (a negated zero is written +0.0)."""
+    signs, perms = group
+    return q[..., perms, :] * signs[:, None, :] + 0.0
 
 
 # ---------------------------------------------------------------------------

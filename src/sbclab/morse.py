@@ -497,6 +497,19 @@ def bounds_main1(n: int, regime: str) -> BoundsReport:
     )
 
 
+def _large_n_adjacent(n: int, fn1: int) -> float | int:
+    """(n - (1 + gamma + log n)) (n-1)!: the large-n sharpening of the
+    adjacent case. Asymptotic, so a float while it fits one; beyond the
+    float range (n >= 171) the integer part of the float coefficient times
+    the exact (n-1)!, which stays finite for every n."""
+    coefficient = n - (1.0 + EULER_MASCHERONI + math.log(n))
+    try:
+        value = coefficient * fn1
+    except OverflowError:  # (n-1)! itself is beyond the float range
+        value = math.inf
+    return value if math.isfinite(value) else int(Fraction(coefficient) * fn1)
+
+
 def bounds_general(n: int, d: int) -> BoundsReport:
     """Dimension-d lower bounds: unconditional and hypothesis-labeled cases.
 
@@ -551,11 +564,7 @@ def bounds_general(n: int, d: int) -> BoundsReport:
             "indices_separated_off_multiples": "equal masses; differ by at "
             "least 2 and later families' indices avoid multiples of d-1",
         },
-        # large-n sharpening of the adjacent case; asymptotic, kept as float
-        "indices_adjacent_large_n_non_collinear": (
-            n - (1.0 + EULER_MASCHERONI + math.log(n))
-        )
-        * fn1,
+        "indices_adjacent_large_n_non_collinear": _large_n_adjacent(n, fn1),
     }
     return BoundsReport(n=n, d=d, regime="general", bounds=bounds, notes=notes)
 

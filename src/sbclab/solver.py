@@ -6,12 +6,18 @@ natural-parameter continuation in the axis weights with degeneracy
 localization.  All randomness is owned by the caller-supplied seed; restart
 i draws from its own generator keyed on seed XOR i, so censuses are
 reproducible and no restart depends on another.
+
+A census is closed under the problem's discrete symmetry group
+(core.symmetry_group: axis reflections times relabellings of equal
+masses).  Its deterministic saddle seeds therefore come from one collinear
+record per group orbit, and every new find is listed with its exact
+images, identity first, so the catalogue's order is fixed by solve order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from .core import (
     InertiaTriple,
     Spectrum,
     _evaluate_q,
+    _images,
     _normalize_q,
     _pair_indices,
     _pairs,
@@ -31,6 +38,7 @@ from .core import (
     _restricted_hessian_any,
     _triple_of,
     moment_of_inertia,
+    symmetry_group,
     weight_vector,
 )
 from .errors import BranchLost, SbcLabError
@@ -41,6 +49,7 @@ CONGRUENCE_TOL = 1e-5   # pair-distance match of two congruence-class members
 SEED_OFFSET = 0.05      # push off a collinear saddle along a downhill mode
 MIN_PARAM_STEP = 1e-12  # continuation sub-step below which the branch is lost
 MAX_ITER = 120          # Newton iterations per find_critical_point solve
+DISTANCE_BLOCK = 1 << 18  # float entries per block of a dedup distance matrix
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +80,11 @@ class SearchFailure:
 
 @dataclass(frozen=True)
 class Census:
-    """Deduplicated outcome of a batch of searches.
+    """Deduplicated outcome of a batch of searches, closed under the
+    problem's discrete symmetries (see census).
 
+    `extra_seeds` counts the saddle-seeded solves and the polishes of
+    closure images, so `restarts + extra_seeds` is the number of solves.
     `symmetry_caveat` is set when the weight vector has repeated entries:
     the balance equation is then invariant under a continuous rotation
     group, point-wise deduplication is not a meaningful count, and
@@ -120,6 +132,16 @@ def central_residual(config: Configuration, g: np.ndarray, u: float) -> float:
     return float(np.linalg.norm(g + lam * config.masses[:, None] * config.q))
 
 
+def _is_cc(
+    config: Configuration, classification: str, g: np.ndarray, u: float, tol_res: float
+) -> bool:
+    """Whether a balanced point is central. A collinear one always is (on
+    axis j the balance equation is the central one with multiplier
+    lam * s_j); any other is judged by its central residual against the
+    convergence gate tol_res * U."""
+    return classification.startswith("collinear") or central_residual(config, g, u) < tol_res * u
+
+
 def _as_solution(
     q: np.ndarray,
     m: np.ndarray,
@@ -134,14 +156,15 @@ def _as_solution(
     """Classify a converged point from its evaluation (grad U, U, lam) and
     restricted Hessian A; builds the solution's one Configuration."""
     config = Configuration(q, m)
+    classification = classify_support(config)
     return SBCSolution(
         config=config,
         spectrum=spectrum,
         lam=lam,
         residual_norm=res,
         triple=_triple_of(A, u),
-        classification=classify_support(config),
-        is_cc=central_residual(config, g, u) < tol_res * u,
+        classification=classification,
+        is_cc=_is_cc(config, classification, g, u, tol_res),
     )
 
 
@@ -326,18 +349,40 @@ def _descend(starts: np.ndarray, masses: np.ndarray, spectrum: Spectrum) -> np.n
         live[moved[moves[moved] == 40]] = False
 
 
+def _representatives(records: list, masses: np.ndarray) -> list:
+    """One collinear record per symmetry orbit, the first in the records'
+    (axis, ordering) order. The group (core.symmetry_group) keeps a
+    record's axis and maps its ordering to every ordering with the same
+    masses in line order, or in reversed line order (an axis flip), so
+    that pair of mass sequences and the axis name the orbit."""
+    orbits, reps = set(), []
+    for rec in records:
+        line = tuple(masses[b - 1] for b in rec.ordering)
+        orbit = rec.axis, min(line, line[::-1])
+        if orbit not in orbits:
+            orbits.add(orbit)
+            reps.append(rec)
+    return reps
+
+
 def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]:
-    """Starts reached by descending every collinear point's negative modes.
+    """Starts reached by descending the negative modes of one collinear
+    point per symmetry orbit.
 
     The counting results predict non-collinear solutions adjacent to the
     collinear family.  A plain Newton start right next to a saddle would
     simply re-converge to it, so each seed is pushed off along a downhill
     eigendirection and walked further downhill (all in one _descend call).
-    Per record: the collinear point itself (it re-enters the census anyway,
-    via the walks that stall at once), then its walks, mode by mode, + then -.
-    The modes come from the restricted Hessian and tangent basis that the
-    enumeration built for the record.  An enumeration that fails
-    numerically (SbcLabError) gives no seeds; any other error propagates.
+    The walks from the other points of an orbit are images of these, and
+    census closes its catalogue under the group, so only the orbit
+    representatives (_representatives) are walked: one record per axis
+    for equal masses, the n!/2 canonical lines per axis for distinct ones.
+    Per representative: the collinear point itself (it re-enters the census
+    anyway, via the walks that stall at once), then its walks, mode by
+    mode, + then -.  The modes come from the restricted Hessian and tangent
+    basis that the enumeration built for the record.  An enumeration that
+    fails numerically (SbcLabError) gives no seeds; any other error
+    propagates.
     """
     models: dict = {}
     try:
@@ -348,7 +393,7 @@ def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]
     n, d = len(m), spectrum.d
     seeds: list[Configuration | None] = []  # None: the next walked start
     starts = []
-    for rec in records:
+    for rec in _representatives(records, m):
         q = rec.config.q
         A, V = models[rec.axis, rec.ordering]
         seeds.append(rec.config)
@@ -366,6 +411,98 @@ def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]
     return [Configuration(next(walked), m) if c is None else c for c in seeds]
 
 
+def _near(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(A, B) mask: row i of a (A, k) lies within DEDUP_TOL of row j of
+    b (B, k) in the mass norm, w the mass of each of the k columns.  Built
+    in blocks of rows of a with one in-place pass per column, so no float
+    array of more than DISTANCE_BLOCK entries, and no (A, B, k) difference,
+    is held."""
+    near = np.empty((len(a), len(b)), dtype=bool)
+    rows = max(1, DISTANCE_BLOCK // max(len(b), 1))
+    for lo in range(0, len(a), rows):
+        d2 = np.zeros((len(a[lo : lo + rows]), len(b)))
+        for col in range(a.shape[1]):
+            diff = np.subtract.outer(a[lo : lo + rows, col], b[:, col])
+            diff *= diff
+            diff *= w[col]
+            d2 += diff
+        near[lo : lo + rows] = d2 < DEDUP_TOL**2
+    return near
+
+
+def _closed(
+    outcomes: list,
+    masses: np.ndarray,
+    group: tuple[np.ndarray, np.ndarray],
+    spectrum: Spectrum,
+    tol_res: float,
+) -> tuple[list[SBCSolution], dict[str, int], int]:
+    """Deduplicate solve outcomes and close them under a symmetry group.
+
+    In solve order: a failure is tallied by cause; a solution within
+    DEDUP_TOL (mass norm) of the list so far is skipped; any other is
+    listed with its group images (core._images), in group order, identity
+    first, leaving out the images within DEDUP_TOL of the list and those
+    within DEDUP_TOL of an earlier new image of the same orbit (a
+    configuration its own image under part of the group).  Each orbit is
+    one distance block against the list and itself.
+
+    The new images are evaluated together in one _evaluate_q call and keep
+    their source's triple and classification, which the group leaves
+    unchanged; residual, lambda and is_cc come from their own evaluation.
+    An image whose residual misses tol_res * U gets one find_critical_point
+    polish, and a failed polish is tallied and leaves the image out.
+    Returns (solutions, failures by cause, polishes made).
+    """
+    m, n, d = masses, len(masses), spectrum.d
+    w = np.repeat(m, d)
+    failures = {"collision": 0, "max_iter": 0}
+    listed = np.empty((0, n * d))
+    orbits = []  # (source solution, its new images other than itself)
+    for out in outcomes:
+        if isinstance(out, SearchFailure):
+            failures[out.cause] += 1
+            continue
+        if _near(out.config.q.reshape(1, -1), listed, w).any():
+            continue
+        images = _images(out.config.q, group).reshape(-1, n * d)
+        near = _near(images, np.concatenate([listed, images]), w)
+        new = ~near[:, : len(listed)].any(axis=1)
+        # an image repeats the first new image of its orbit within DEDUP_TOL
+        first = np.argmax(near[:, len(listed) :] & new, axis=1)
+        keep = new & (first == np.arange(len(images)))
+        listed = np.concatenate([listed, images[keep]])
+        orbits.append((out, images[keep][1:].reshape(-1, n, d)))
+
+    q = np.concatenate([imgs for _, imgs in orbits] or [np.empty((0, n, d))])
+    _, _, g, u, lam, G, collided = _evaluate_q(q, m, spectrum.array)
+    res = np.linalg.norm(G.reshape(len(q), n * d), axis=1)
+    solutions: list[SBCSolution] = []
+    polishes = 0
+    k = 0
+    for sol, imgs in orbits:
+        solutions.append(sol)
+        for _ in imgs:
+            if collided[k] or not res[k] < tol_res * u[k]:
+                polishes += 1
+                out = find_critical_point(Configuration(q[k], m), spectrum, tol_res=tol_res)
+                if isinstance(out, SearchFailure):
+                    failures[out.cause] += 1
+                else:
+                    solutions.append(out)
+            else:
+                config = Configuration(q[k], m)
+                solutions.append(replace(
+                    sol,
+                    config=config,
+                    lam=float(lam[k]),
+                    residual_norm=float(res[k]),
+                    is_cc=_is_cc(config, sol.classification, g[k], float(u[k]), tol_res),
+                ))
+            k += 1
+    return solutions, failures, polishes
+
+
 def census(
     masses,
     spectrum: Spectrum,
@@ -374,16 +511,22 @@ def census(
     *,
     tol_res: float = TOL_RES,
 ) -> Census:
-    """Random-restart catalogue of balanced configurations.
+    """Random-restart catalogue of balanced configurations, closed under
+    the problem's discrete symmetries.
 
     Restart i draws its start from generator seed XOR i (resampling any
     start within 10 * DELTA_COL of a collision), so extending n_restarts
     extends the census without changing earlier finds.  Each start gets
     one find_critical_point solve.  Deterministic starts along the negative
-    modes of the collinear points (_saddle_seeds) are appended after the
-    random batch.  Solutions are deduplicated at DEDUP_TOL in the mass
-    norm, in solve order; axis reflections are distinct solutions and are
-    NOT merged.
+    modes of one collinear point per symmetry orbit (_saddle_seeds) are
+    solved after the random batch.  The outcomes, in solve order, are then
+    deduplicated at DEDUP_TOL in the mass norm and closed under every axis
+    reflection and every relabelling of equal masses (core.symmetry_group,
+    see _closed): each new find is followed by its images, identity first,
+    so solution 0 is the first solve's find and the order is deterministic.
+    extra_seeds counts the saddle-seeded solves plus the polishes of
+    images that missed the residual gate, so restarts + extra_seeds is the
+    number of find_critical_point solves.
     """
     masses = np.asarray(masses, dtype=float)
     if n_restarts < 0:
@@ -400,31 +543,19 @@ def census(
     ]
     seeds = _saddle_seeds(masses, spectrum)
     outcomes += [solve(start) for start in seeds]
-
-    # one mass_norm_distance per kept solution, as rows of one array call
-    kept: list[SBCSolution] = []
-    kept_q = np.empty((len(outcomes), masses.size * spectrum.d))
-    m_flat = np.repeat(masses, spectrum.d)
-    failures = {"collision": 0, "max_iter": 0}
-    for out in outcomes:
-        if isinstance(out, SearchFailure):
-            failures[out.cause] += 1
-            continue
-        diff = kept_q[: len(kept)] - out.config.q.ravel()
-        if np.all(np.sqrt(np.sum(m_flat * diff * diff, axis=1)) >= DEDUP_TOL):
-            kept_q[len(kept)] = out.config.q.ravel()
-            kept.append(out)
+    group = symmetry_group(masses, spectrum.d)
+    solutions, failures, polishes = _closed(outcomes, masses, group, spectrum, tol_res)
 
     caveat = len(set(spectrum.s)) < spectrum.d
-    orbit_count = _congruence_classes(tuple(kept)) if caveat else None
+    orbit_count = _congruence_classes(tuple(solutions)) if caveat else None
     return Census(
-        solutions=tuple(kept),
+        solutions=tuple(solutions),
         restarts=n_restarts,
         seed=seed,
         failures=failures,
         masses=tuple(float(m) for m in masses),
         spectrum=spectrum,
-        extra_seeds=len(seeds),
+        extra_seeds=len(seeds) + polishes,
         symmetry_caveat=caveat,
         orbit_count=orbit_count,
     )

@@ -84,6 +84,27 @@ def test_bounds_general_dimension(capsys):
     assert "planar_quadratic" in doc["bounds"]
 
 
+@pytest.mark.parametrize("n", [171, 172])
+def test_bounds_large_n_note_stays_finite(capsys, n):
+    # (n - (1 + gamma + log n)) (n-1)! leaves the float range at n = 171
+    code, out, err = _run(capsys, "bounds", str(n), "4")
+    assert code == 0, err
+    note = json.loads(out, parse_constant=pytest.fail)["notes"][
+        "indices_adjacent_large_n_non_collinear"]
+    assert isinstance(note, str) and note.isdigit()
+    coefficient = n - (1.0 + 0.5772156649015329 + math.log(n))
+    assert int(note) // math.factorial(n - 1) == int(coefficient)
+
+
+def test_non_finite_report_is_refused(capsys, monkeypatch, tmp_path):
+    monkeypatch.setitem(cli._HANDLERS, "coeffs", lambda args: ({"x": float("nan")}, None))
+    target = tmp_path / "report.json"
+    code, out, err = _run(capsys, "coeffs", "4", "--output", str(target))
+    assert code == 1
+    assert "JSON" in err and out == ""
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # collinear
 

@@ -17,6 +17,7 @@ from sbclab.core import (
     _evaluate,
     _evaluate_q,
     _gradient_of,
+    _images,
     _inertia_s,
     _normalize_q,
     _pairs,
@@ -30,6 +31,7 @@ from sbclab.core import (
     normalize,
     potential,
     sbc_residual,
+    symmetry_group,
     tangent_basis,
     weight_vector,
 )
@@ -576,3 +578,42 @@ def test_ambient_form_reproduces_restricted_inertia():
 def test_min_separation_reports_distance_to_collision_set():
     cfg = Configuration(np.array([[0.0, 0.0], [0.25, 0.0], [2.0, 0.0]]), np.ones(3))
     assert _pairs(cfg.q)[1].min() == pytest.approx(0.25, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# discrete symmetries
+
+
+@pytest.mark.parametrize(
+    "masses, d, order",
+    [((1.0, 1.0, 1.0, 1.0), 2, 96), ((1.0, 2.0, 1.0, 3.0, 1.0), 2, 24),
+     ((1.0, 2.0, 3.0), 3, 8), ((2.0, 2.0), 1, 4)],
+)
+def test_symmetry_group_is_flips_times_equal_mass_relabellings(masses, d, order):
+    m = np.array(masses)
+    signs, perms = symmetry_group(m, d)
+    assert signs.shape == (order, d) and perms.shape == (order, len(m))
+    assert np.all(signs[0] == 1.0) and np.array_equal(perms[0], np.arange(len(m)))
+    assert len({(tuple(s), tuple(p)) for s, p in zip(signs, perms)}) == order
+    assert all(np.array_equal(m[p], m) for p in perms)
+    assert set(np.unique(signs)) <= {-1.0, 1.0}
+
+
+def test_images_are_exact_and_stay_balanced():
+    """Images permute and negate entries bit for bit (no -0.0), and map a
+    balanced point to balanced points with the same U and lambda."""
+    m = np.array([1.0, 2.0, 1.0, 1.0])
+    spec = Spectrum((1.5, 1.0))
+    q = moulton_solve(m, (1, 2, 3, 4), 1, spec).config.q
+    group = symmetry_group(m, 2)
+    images = _images(q, group)
+    signs, perms = group
+    for img, sign, perm in zip(images, signs, perms):
+        assert np.array_equal(img, q[perm] * sign)
+        assert not np.any(np.signbit(img) & (img == 0.0))
+    _, _, _, u, lam, G, collided = _evaluate_q(images, m, spec.array)
+    assert not collided.any()
+    assert np.all(np.linalg.norm(G.reshape(len(images), -1), axis=1) < 1e-10 * u)
+    assert np.allclose(u, u[0], rtol=1e-14) and np.allclose(lam, lam[0], rtol=1e-14)
+    stack = np.stack([q, -q])
+    assert np.array_equal(_images(stack, group)[1], _images(-q, group))

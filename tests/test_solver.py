@@ -20,6 +20,7 @@ from sbclab.core import (
     sbc_residual,
 )
 from sbclab.errors import BranchLost, NoConvergence
+from sbclab.morse import morse_inequality_check
 from sbclab.solver import (
     Census,
     SBCSolution,
@@ -249,10 +250,15 @@ def test_census_solution_invariants(census_15):
 
 def test_solutions_classified_from_their_own_evaluation(census_15):
     # the solver reuses the converged point's (grad U, U, lambda); the
-    # public functions evaluating afresh must give the same record
+    # public functions evaluating afresh must give the same record.  A
+    # collinear balanced point is central by structure, whatever its
+    # central residual after the solve.
     for sol in census_15.solutions:
         cfg = sol.config
-        assert sol.is_cc == (_central_residual(cfg) < 1e-10 * potential(cfg))
+        if sol.classification.startswith("collinear"):
+            assert sol.is_cc
+        else:
+            assert sol.is_cc == (_central_residual(cfg) < 1e-10 * potential(cfg))
         assert sol.triple == inertia_indices(cfg, census_15.spectrum)
 
 
@@ -451,21 +457,24 @@ def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
         ):
             expected.append(out)
 
-    todo = iter(outcomes)
-    monkeypatch.setattr(solver, "_sample_start", lambda *args: None)
-    monkeypatch.setattr(solver, "find_critical_point", lambda *args, **kwargs: next(todo))
-    monkeypatch.setattr(solver, "_saddle_seeds", lambda *args: [])
-    c = census(m, spectrum, len(outcomes), 0)
-    assert [id(s) for s in c.solutions] == [id(s) for s in expected]
+    # the dedup step of the closure: under the trivial group no images;
+    # the distance blocks may hold one row, a few, or all of them
+    trivial = (np.ones((1, 2)), np.arange(3)[None])
+    for block in (1, 7, solver.DISTANCE_BLOCK):
+        monkeypatch.setattr(solver, "DISTANCE_BLOCK", block)
+        kept, failures, polishes = solver._closed(outcomes, m, trivial, spectrum, core.TOL_RES)
+        assert [id(s) for s in kept] == [id(s) for s in expected]
+        assert failures["max_iter"] == len(outcomes) - len(configs)
+        assert polishes == 0
     assert len(base) < len(expected) < len(configs)
-    assert c.failures["max_iter"] == len(outcomes) - len(configs)
 
 
 def test_census_builds_few_configurations_and_walks_once(monkeypatch):
     """A Configuration for each start and each returned solution, not for
     each accepted Newton iterate or trial point, and one lockstep descent
-    for all 240 saddle walks.  The 48 collinear records are starts too;
-    enumerate_csbc builds each of them once."""
+    for the saddle walks of the two orbit representatives (one collinear
+    record per axis), which are starts too.  enumerate_csbc builds each of
+    its 48 records once, and each closure image is one more solution."""
     counts = {"built": 0, "descents": 0}
     post_init, descend = Configuration.__post_init__, solver._descend
 
@@ -481,9 +490,10 @@ def test_census_builds_few_configurations_and_walks_once(monkeypatch):
     monkeypatch.setattr(solver, "_descend", counting_descend)
     c = census(np.ones(4), Spectrum((1.5, 1.0)), 8, 7)
     solves = c.restarts + c.extra_seeds
-    assert solves == 296
+    assert solves == 20
     assert counts["descents"] == 1
-    assert counts["built"] <= 2 * solves
+    assert len(c.solutions) == 192
+    assert counts["built"] <= 2 * solves + 48 + len(c.solutions)
 
 
 def test_saddle_seeds_propagate_programming_errors(monkeypatch):
@@ -502,6 +512,126 @@ def test_saddle_seeds_skip_a_failed_enumeration(monkeypatch):
     monkeypatch.setattr(solver, "enumerate_csbc", failing)
     c = census(np.ones(3), Spectrum.planar(1.5), 1, seed=0)
     assert c.extra_seeds == 0 and c.restarts == 1
+
+
+# ---------------------------------------------------------------------------
+# symmetry closure and representative seeding
+
+CLOSURE_CASES = {
+    # name: (masses, S, restarts, seed)
+    "n4-s1.5": ((1.0,) * 4, (1.5, 1.0), 8, 7),
+    "n4-s4.0": ((1.0,) * 4, (4.0, 1.0), 100, 1000),
+    "n4-s5.0": ((1.0,) * 4, (5.0, 1.0), 100, 1000),
+    "n3-d3": ((1.0, 2.0, 3.0), (2.5, 1.5, 1.0), 200, 5003),
+}
+
+
+@pytest.fixture(scope="module")
+def closure_census():
+    """The census of a CLOSURE_CASES entry, seeded from the orbit
+    representatives or from every collinear record; each computed once."""
+    runs: dict = {}
+
+    def run(case: str, every_record: bool = False) -> Census:
+        key = case, every_record
+        if key not in runs:
+            masses, s, restarts, seed = CLOSURE_CASES[case]
+            with pytest.MonkeyPatch.context() as mp:
+                if every_record:
+                    mp.setattr(solver, "_representatives", lambda records, m: records)
+                runs[key] = census(np.array(masses), Spectrum(s), restarts, seed)
+        return runs[key]
+
+    return run
+
+
+def _stack(c: Census) -> np.ndarray:
+    return np.array([sol.config.q for sol in c.solutions])
+
+
+def _nearest(points: np.ndarray, catalogue: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Mass-norm distance from each point to its nearest catalogue entry."""
+    diff = points[:, None] - catalogue[None]
+    return np.sqrt(np.einsum("abij,i,abij->ab", diff, m, diff)).min(axis=1)
+
+
+@pytest.mark.parametrize("case, count", [("n4-s1.5", 192), ("n4-s4.0", 240), ("n4-s5.0", 192)])
+def test_census_is_closed_and_passes_morse_check(closure_census, case, count):
+    c = closure_census(case)
+    m = np.array(c.masses)
+    assert len(c.solutions) == count
+    qs = _stack(c)
+    for images in core._images(qs, core.symmetry_group(m, 2)).swapaxes(0, 1):
+        assert _nearest(images, qs, m).max() < solver.DEDUP_TOL
+    counts: dict[int, int] = {}
+    for sol in c.solutions:
+        counts[sol.triple.index] = counts.get(sol.triple.index, 0) + 1
+    assert morse_inequality_check(counts, 4, 2).ok
+    for sol in c.solutions:
+        assert sol.residual_norm < core.TOL_RES * potential(sol.config)
+
+
+def test_census_closed_under_reflections_in_three_dimensions(closure_census):
+    c = closure_census("n3-d3")
+    m = np.array(c.masses)
+    qs = _stack(c)
+    for signs in core.symmetry_group(m, 3)[0]:
+        assert _nearest(qs * signs, qs, m).max() < solver.DEDUP_TOL
+    assert len(c.solutions) == 50
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+def test_representative_seeding_finds_what_every_record_finds(closure_census, case):
+    reps, full = closure_census(case), closure_census(case, every_record=True)
+    assert reps.restarts + reps.extra_seeds < full.restarts + full.extra_seeds
+    m = np.array(reps.masses)
+    assert len(reps.solutions) == len(full.solutions)
+    assert _nearest(_stack(reps), _stack(full), m).max() < solver.DEDUP_TOL
+    assert _nearest(_stack(full), _stack(reps), m).max() < solver.DEDUP_TOL
+
+
+def test_closed_census_order_is_deterministic_and_starts_with_the_first_find():
+    m, spec = np.ones(3), Spectrum.planar(1.5)
+    a = census(m, spec, 6, seed=4)
+    b = census(m, spec, 6, seed=4)
+    assert np.array_equal(_stack(a), _stack(b))
+    assert [s.triple for s in a.solutions] == [s.triple for s in b.solutions]
+    first = find_critical_point(solver._sample_start(np.random.default_rng(4 ^ 0), m, spec), spec)
+    assert isinstance(first, SBCSolution)
+    assert np.array_equal(a.solutions[0].config.q, first.config.q)
+    assert a.solutions[0].lam == first.lam
+
+
+def test_an_image_over_the_gate_is_polished_and_counted(monkeypatch):
+    """With no saddle seeds the closure's image evaluation is the one
+    stacked _evaluate_q call in solver; its lane 0 is pushed over the gate."""
+    spec = Spectrum.planar(1.5)
+    monkeypatch.setattr(solver, "_saddle_seeds", lambda *args: [])
+    reference = census(np.ones(3), spec, 4, seed=2)
+
+    evaluate_q, solves = solver._evaluate_q, []
+    find = solver.find_critical_point
+
+    def spoiled(q, m, s):
+        diff, r, g, u, lam, G, collided = evaluate_q(q, m, s)
+        if q.ndim == 3:
+            G = G.copy()
+            G[0] += 1e-3
+        return diff, r, g, u, lam, G, collided
+
+    def counting(*args, **kwargs):
+        solves.append(args[0])
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_evaluate_q", spoiled)
+    monkeypatch.setattr(solver, "find_critical_point", counting)
+    c = census(np.ones(3), spec, 4, seed=2)
+    assert c.extra_seeds == 1
+    assert len(solves) == c.restarts + c.extra_seeds
+    assert len(c.solutions) == len(reference.solutions)
+    assert np.allclose(_stack(c), _stack(reference), atol=1e-9)
+    for sol in c.solutions:
+        assert sol.residual_norm < core.TOL_RES * potential(sol.config)
 
 
 # ---------------------------------------------------------------------------
