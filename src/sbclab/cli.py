@@ -337,7 +337,7 @@ def _run_census(args):
     n, masses = _resolve_masses(args)
     spectrum = _resolve_spectrum(args.s, args.d)
     start = time.perf_counter()
-    result = census(masses, spectrum, args.restarts, args.seed, tol_res=args.tol_res)
+    result = census(masses, spectrum, args.restarts, args.seed)
     wall = time.perf_counter() - start
     print(
         f"census: {len(result.solutions)} solutions from "
@@ -364,7 +364,7 @@ def _cmd_continue(args):
     if isinstance(sol, SearchFailure):
         raise NoConvergence(f"no critical point at s1 = {s_from}: {sol.cause}")
     path = [spec_at(s) for s in np.linspace(s_from, s_to, steps + 1)[1:]]
-    branch = continue_in_s(sol, path, tol_res=args.tol_res)
+    branch = continue_in_s(sol, path)
     points = [sol] + branch
     payload = {
         "n": n,
@@ -395,7 +395,7 @@ def _cmd_flow(args):
     spectrum = _resolve_spectrum(args.s, d)
     rng = np.random.default_rng(seed)
     q0 = Configuration(rng.standard_normal((n, d)), masses)
-    traj = integrate_flow(q0, spectrum, t_final, atol=args.atol, rtol=args.rtol)
+    traj = integrate_flow(q0, spectrum, t_final)
     payload = {
         "n": n,
         "d": d,
@@ -431,7 +431,7 @@ def _cmd_check45(args):
     thetas = np.concatenate(([45.0], 45.0 * rng.uniform(1e-3, 1.0, count - 1)))
     phis = rng.uniform(0.0, 2.0 * math.pi, count)
     seeds = [tilted_line_seed(th, ph) for th, ph in zip(thetas, phis)]
-    report = lyapunov_45_check(seeds, spectrum, t_final=t_final, slack=args.slack)
+    report = lyapunov_45_check(seeds, spectrum, t_final=t_final)
     payload = {
         "count": count,
         "seed": seed,
@@ -470,7 +470,7 @@ def _cmd_orbit(args):
             f"census-id {census_id} out of range, census holds "
             f"{len(result.solutions)} solutions"
         )
-    orbit = lift(result.solutions[census_id], tol_res=args.tol_res)
+    orbit = lift(result.solutions[census_id])
     t_final, samples = args.t_final, args.samples
     times = np.linspace(0.0, t_final, samples)
     report = classify_periodicity(orbit)
@@ -607,7 +607,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("census", help="random-restart solution catalogue")
     _add_problem_flags(sp, d=2, s1=1.5)
     sp.add_argument("--restarts", type=_INT_GE0, default=500)
-    sp.add_argument("--tol-res", dest="tol_res", type=_POSITIVE, default=1e-10)
     _add_io_flags(sp)
 
     sp = sub.add_parser("continue",
@@ -619,14 +618,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--from", dest="s_from", type=float, required=True)
     sp.add_argument("--to", dest="s_to", type=float, required=True)
     sp.add_argument("--steps", type=_INT_GE1, default=16)
-    sp.add_argument("--tol-res", dest="tol_res", type=_POSITIVE, default=1e-10)
     _add_io_flags(sp)
 
     sp = sub.add_parser("flow", help="integrate the ascent flow from a random seed")
     _add_problem_flags(sp, d=3, s1=2.0)
     sp.add_argument("--T", dest="t_final", type=_POSITIVE, default=50.0)
-    sp.add_argument("--atol", type=_POSITIVE, default=1e-9)
-    sp.add_argument("--rtol", type=_POSITIVE, default=1e-9)
     _add_io_flags(sp, csv_table=True)
 
     sp = sub.add_parser("check45",
@@ -636,7 +632,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--s", type=_FLOATS, default=(2.0,),
                     help="single s1 or full d=3 weight list (default 2.0)")
     sp.add_argument("--T", dest="t_final", type=_POSITIVE, default=200.0)
-    sp.add_argument("--slack", type=_POSITIVE, default=1e-9)
     _add_io_flags(sp)
 
     sp = sub.add_parser("orbit", help="lift a census solution to a rigid orbit")
@@ -645,7 +640,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--restarts", type=_INT_GE0, default=500)
     sp.add_argument("--T", dest="t_final", type=_POSITIVE, default=20.0)
     sp.add_argument("--samples", type=_INT_GE2, default=1000)
-    sp.add_argument("--tol-res", dest="tol_res", type=_POSITIVE, default=1e-10)
     _add_io_flags(sp, csv_table=True)
 
     sp = sub.add_parser("morse-check",

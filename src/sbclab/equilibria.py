@@ -67,7 +67,7 @@ class RelativeEquilibriumOrbit:
         return out
 
 
-def lift(base: SBCSolution, tol_res: float = TOL_RES) -> RelativeEquilibriumOrbit:
+def lift(base: SBCSolution) -> RelativeEquilibriumOrbit:
     """Spin a planar diag(s, 1)-balanced configuration up to an R^4 orbit.
 
     The base must be genuinely planar and balanced: the residual is
@@ -88,9 +88,9 @@ def lift(base: SBCSolution, tol_res: float = TOL_RES) -> RelativeEquilibriumOrbi
 
     *_, u, lam, G = _evaluate(config, base.spectrum)
     resid = float(np.linalg.norm(G))
-    if resid > tol_res * u:
+    if resid > TOL_RES * u:
         raise ValueError(
-            f"base is not balanced: residual {resid:.3e} exceeds {tol_res * u:.3e}"
+            f"base is not balanced: residual {resid:.3e} exceeds {TOL_RES * u:.3e}"
         )
     return RelativeEquilibriumOrbit(
         base=base,

@@ -35,6 +35,9 @@ QDOT_CONVERGED = 1e-10
 COLLISION_STOP = 1e-4  # flow collision guard, relative to the coordinate scale
 H_INIT = 1e-3          # first trial step of the integrator
 MAX_STEPS = 200_000    # accepted steps before integrate_flow gives up
+ATOL = 1e-9            # absolute error tolerance of each integrator step
+RTOL = 1e-9            # relative error tolerance of each integrator step
+SLACK = 1e-9           # angle increase (degrees) lyapunov_45_check forgives
 
 # Cash-Karp embedded Runge-Kutta 5(4) tableau
 _CK_A = (
@@ -97,17 +100,16 @@ def integrate_flow(
     q0: Configuration,
     spectrum: Spectrum,
     t_final: float,
-    atol: float = 1e-9,
-    rtol: float = 1e-9,
     theta_stop: float | None = None,
 ) -> FlowTrajectory:
     """Adaptive embedded Runge-Kutta run of the ascent field.
 
-    Steps with the Cash-Karp 5(4) pair, re-projects onto I_S = 1 after
-    every accepted step, and stops at t_final, at the collision guard,
-    at convergence |dq/dt| < 1e-10, or — when theta_stop is given — once
-    the collinearity angle falls below it.  Reaching none of these within
-    MAX_STEPS accepted steps raises NoConvergence.
+    Steps with the Cash-Karp 5(4) pair under the error tolerances ATOL and
+    RTOL, re-projects onto I_S = 1 after every accepted step, and stops at
+    t_final, at the collision guard, at convergence |dq/dt| < 1e-10, or —
+    when theta_stop is given — once the collinearity angle falls below it.
+    Reaching none of these within MAX_STEPS accepted steps raises
+    NoConvergence.
 
     The field grows like 1/r^2 as a pair separation r shrinks, so a
     trajectory headed into collision forces the step size to zero before
@@ -115,10 +117,11 @@ def integrate_flow(
     min_sep < COLLISION_STOP * scale (well above the error controller's
     resolution limit), keeping the last safe sample as the endpoint; a
     step-size underflow while pinched is reported the same way.  Underflow
-    away from any near-collision raises StepUnderflow.
+    away from any near-collision raises StepUnderflow.  A t_final that is
+    not finite and positive raises ValueError.
     """
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ValueError("t_final must be finite and positive")
     masses = q0.masses
     s = spectrum.array
     if spectrum.d != q0.d:
@@ -179,7 +182,7 @@ def integrate_flow(
             q5 = q + h * sum(b * ki for b, ki in zip(_CK_B5, k))
             q4 = q + h * sum(b * ki for b, ki in zip(_CK_B4, k))
             err_vec = (q5 - q4).ravel()
-            scale_flat = atol + rtol * np.maximum(np.abs(q).ravel(), np.abs(q5).ravel())
+            scale_flat = ATOL + RTOL * np.maximum(np.abs(q).ravel(), np.abs(q5).ravel())
             err = float(np.sqrt(np.mean((err_vec / scale_flat) ** 2)))
         if err > 1.0 or not math.isfinite(err):
             h *= 0.25 if not math.isfinite(err) else max(0.2, 0.9 * err**-0.25)
@@ -275,17 +278,12 @@ class Lyapunov45Report:
         return self.monotone == self.checked
 
 
-def lyapunov_45_check(
-    seeds,
-    spectrum: Spectrum,
-    t_final: float = 200.0,
-    slack: float = 1e-9,
-) -> Lyapunov45Report:
+def lyapunov_45_check(seeds, spectrum: Spectrum, t_final: float = 200.0) -> Lyapunov45Report:
     """Angle-monotonicity audit over a batch of seeds with theta in (0, 45].
 
     Integrates each admissible seed until the angle drops below
     THETA_ATTRACTOR (attractor reached) or a collision stop, and asserts the
-    sampled angle decreases at every step up to `slack`.  Seeds exactly on
+    sampled angle decreases at every step up to SLACK.  Seeds exactly on
     the axis are flagged "already_collinear", seeds beyond 45 degrees are
     flagged "rejected"; neither kind is integrated.  Everything is reported
     as data — no exceptions for failed monotonicity.
@@ -308,7 +306,7 @@ def lyapunov_45_check(
         traj = integrate_flow(seed, spectrum, t_final, theta_stop=THETA_ATTRACTOR)
         diffs = np.diff(traj.theta)
         worst = float(diffs.max()) if len(diffs) else 0.0
-        is_monotone = bool(len(diffs) == 0 or worst < slack)
+        is_monotone = bool(len(diffs) == 0 or worst < SLACK)
         checked += 1
         monotone_count += int(is_monotone)
         attractor += int(traj.stop_reason == "theta_target")

@@ -132,14 +132,12 @@ def central_residual(config: Configuration, g: np.ndarray, u: float) -> float:
     return float(np.linalg.norm(g + lam * config.masses[:, None] * config.q))
 
 
-def _is_cc(
-    config: Configuration, classification: str, g: np.ndarray, u: float, tol_res: float
-) -> bool:
+def _is_cc(config: Configuration, classification: str, g: np.ndarray, u: float) -> bool:
     """Whether a balanced point is central. A collinear one always is (on
     axis j the balance equation is the central one with multiplier
     lam * s_j); any other is judged by its central residual against the
-    convergence gate tol_res * U."""
-    return classification.startswith("collinear") or central_residual(config, g, u) < tol_res * u
+    convergence gate TOL_RES * U."""
+    return classification.startswith("collinear") or central_residual(config, g, u) < TOL_RES * u
 
 
 def _as_solution(
@@ -151,7 +149,6 @@ def _as_solution(
     u: float,
     lam: float,
     res: float,
-    tol_res: float,
 ) -> SBCSolution:
     """Classify a converged point from its evaluation (grad U, U, lam) and
     restricted Hessian A; builds the solution's one Configuration."""
@@ -164,7 +161,7 @@ def _as_solution(
         residual_norm=res,
         triple=_triple_of(A, u),
         classification=classification,
-        is_cc=_is_cc(config, classification, g, u, tol_res),
+        is_cc=_is_cc(config, classification, g, u),
     )
 
 
@@ -172,11 +169,7 @@ def _as_solution(
 # single-start search
 
 
-def find_critical_point(
-    q0: Configuration,
-    spectrum: Spectrum,
-    tol_res: float = TOL_RES,
-) -> SBCSolution | SearchFailure:
+def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | SearchFailure:
     """Projected Newton for the balance equation from one starting point.
 
     Works in tangent coordinates: with V the weighted-orthonormal tangent
@@ -226,8 +219,8 @@ def find_critical_point(
             A, V, y = _restricted_hessian_any(q, m, w, diff, r, g, lam)
         except ValueError:
             return SearchFailure(cause="max_iter", iterations=it + 1, residual=res)
-        if res < tol_res * u:
-            return _as_solution(q, m, spectrum, A, g, u, lam, res, tol_res)
+        if res < TOL_RES * u:
+            return _as_solution(q, m, spectrum, A, g, u, lam, res)
 
         merit = _residual_merit(G, w)
         Ay = A @ y
@@ -435,7 +428,6 @@ def _closed(
     masses: np.ndarray,
     group: tuple[np.ndarray, np.ndarray],
     spectrum: Spectrum,
-    tol_res: float,
 ) -> tuple[list[SBCSolution], dict[str, int], int]:
     """Deduplicate solve outcomes and close them under a symmetry group.
 
@@ -450,7 +442,7 @@ def _closed(
     The new images are evaluated together in one _evaluate_q call and keep
     their source's triple and classification, which the group leaves
     unchanged; residual, lambda and is_cc come from their own evaluation.
-    An image whose residual misses tol_res * U gets one find_critical_point
+    An image whose residual misses TOL_RES * U gets one find_critical_point
     polish, and a failed polish is tallied and leaves the image out.
     Returns (solutions, failures by cause, polishes made).
     """
@@ -483,9 +475,9 @@ def _closed(
     for sol, imgs in orbits:
         solutions.append(sol)
         for _ in imgs:
-            if collided[k] or not res[k] < tol_res * u[k]:
+            if collided[k] or not res[k] < TOL_RES * u[k]:
                 polishes += 1
-                out = find_critical_point(Configuration(q[k], m), spectrum, tol_res=tol_res)
+                out = find_critical_point(Configuration(q[k], m), spectrum)
                 if isinstance(out, SearchFailure):
                     failures[out.cause] += 1
                 else:
@@ -497,20 +489,13 @@ def _closed(
                     config=config,
                     lam=float(lam[k]),
                     residual_norm=float(res[k]),
-                    is_cc=_is_cc(config, sol.classification, g[k], float(u[k]), tol_res),
+                    is_cc=_is_cc(config, sol.classification, g[k], float(u[k])),
                 ))
             k += 1
     return solutions, failures, polishes
 
 
-def census(
-    masses,
-    spectrum: Spectrum,
-    n_restarts: int,
-    seed: int,
-    *,
-    tol_res: float = TOL_RES,
-) -> Census:
+def census(masses, spectrum: Spectrum, n_restarts: int, seed: int) -> Census:
     """Random-restart catalogue of balanced configurations, closed under
     the problem's discrete symmetries.
 
@@ -524,9 +509,10 @@ def census(
     reflection and every relabelling of equal masses (core.symmetry_group,
     see _closed): each new find is followed by its images, identity first,
     so solution 0 is the first solve's find and the order is deterministic.
-    extra_seeds counts the saddle-seeded solves plus the polishes of
-    images that missed the residual gate, so restarts + extra_seeds is the
-    number of find_critical_point solves.
+    Every solve and every image is gated on TOL_RES * U.  extra_seeds
+    counts the saddle-seeded solves plus the polishes of images that missed
+    that gate, so restarts + extra_seeds is the number of
+    find_critical_point solves.
     """
     masses = np.asarray(masses, dtype=float)
     if n_restarts < 0:
@@ -534,17 +520,14 @@ def census(
     if seed < 0:
         raise ValueError("seed must be >= 0")
 
-    def solve(start: Configuration) -> SBCSolution | SearchFailure:
-        return find_critical_point(start, spectrum, tol_res=tol_res)
-
-    outcomes = [
-        solve(_sample_start(np.random.default_rng(seed ^ i), masses, spectrum))
+    starts = [
+        _sample_start(np.random.default_rng(seed ^ i), masses, spectrum)
         for i in range(n_restarts)
     ]
     seeds = _saddle_seeds(masses, spectrum)
-    outcomes += [solve(start) for start in seeds]
+    outcomes = [find_critical_point(start, spectrum) for start in starts + seeds]
     group = symmetry_group(masses, spectrum.d)
-    solutions, failures, polishes = _closed(outcomes, masses, group, spectrum, tol_res)
+    solutions, failures, polishes = _closed(outcomes, masses, group, spectrum)
 
     caveat = len(set(spectrum.s)) < spectrum.d
     orbit_count = _congruence_classes(tuple(solutions)) if caveat else None
@@ -569,14 +552,14 @@ def _interp_spectrum(sa: Spectrum, sb: Spectrum, t: float) -> Spectrum:
     return Spectrum(tuple((1.0 - t) * a + t * b for a, b in zip(sa.s, sb.s)))
 
 
-def _walk(sol: SBCSolution, target: Spectrum, tol_res: float) -> SBCSolution:
+def _walk(sol: SBCSolution, target: Spectrum) -> SBCSolution:
     """Warm-started solve at `target`, halving the parameter step on failure."""
     current = sol
     lo = 0.0
     hi = 1.0
     for _ in range(300):
         spec = target if hi == 1.0 else _interp_spectrum(sol.spectrum, target, hi)
-        out = find_critical_point(current.config, spec, tol_res=tol_res)
+        out = find_critical_point(current.config, spec)
         if isinstance(out, SBCSolution):
             if hi == 1.0:
                 return out
@@ -591,9 +574,7 @@ def _walk(sol: SBCSolution, target: Spectrum, tol_res: float) -> SBCSolution:
     raise BranchLost("continuation stalled: too many sub-steps")
 
 
-def _bisect_degeneracy(
-    sol_lo: SBCSolution, sol_hi: SBCSolution, tol_res: float
-) -> SBCSolution:
+def _bisect_degeneracy(sol_lo: SBCSolution, sol_hi: SBCSolution) -> SBCSolution:
     """Localize the index jump between two nondegenerate solutions.
 
     Bisects the straight segment between the two weight vectors, tracking
@@ -608,7 +589,7 @@ def _bisect_degeneracy(
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         spec = _interp_spectrum(sa, sb, mid)
-        out = find_critical_point(lo_sol.config, spec, tol_res=tol_res)
+        out = find_critical_point(lo_sol.config, spec)
         if isinstance(out, SearchFailure):
             raise BranchLost(f"lost the branch while bisecting at s = {spec.s}")
         if out.triple.nullity >= 1:
@@ -620,11 +601,7 @@ def _bisect_degeneracy(
     raise BranchLost("degeneracy bisection failed to isolate the crossing")
 
 
-def continue_in_s(
-    sol: SBCSolution,
-    s_path: list[Spectrum],
-    tol_res: float = TOL_RES,
-) -> list[SBCSolution]:
+def continue_in_s(sol: SBCSolution, s_path: list[Spectrum]) -> list[SBCSolution]:
     """Natural-parameter continuation through a list of weight vectors.
 
     Warm-starts each solve from the previous solution, halving the
@@ -639,12 +616,12 @@ def continue_in_s(
     out: list[SBCSolution] = []
     prev = sol
     for target in s_path:
-        nxt = _walk(prev, target, tol_res)
+        nxt = _walk(prev, target)
         out.append(nxt)
         if nxt.triple.nullity > 0:
             return out
         if nxt.triple.index != prev.triple.index:
-            out.append(_bisect_degeneracy(prev, nxt, tol_res))
+            out.append(_bisect_degeneracy(prev, nxt))
             return out
         prev = nxt
     return out

@@ -215,9 +215,7 @@ def test_criterion_09_line_angle_lyapunov():
     thetas = np.concatenate(([45.0], 45.0 * rng.uniform(1e-3, 1.0, 99)))
     phis = rng.uniform(0.0, 2.0 * math.pi, 100)
     seeds = [tilted_line_seed(th, ph) for th, ph in zip(thetas, phis)]
-    report = lyapunov_45_check(
-        seeds, Spectrum((2.0, 1.0, 1.0)), t_final=200.0, slack=1e-9
-    )
+    report = lyapunov_45_check(seeds, Spectrum((2.0, 1.0, 1.0)), t_final=200.0)
     dt = time.perf_counter() - t0
     ok = report.checked == 100
     ok = ok and report.monotone == 100

@@ -212,10 +212,11 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"n": 3, "restart": 5}))
-    code, _, err = _run(capsys, "census", "--config", str(cfgfile))
-    assert code == 1
-    assert "restart" in err
+    for entry in ({"restart": 5}, {"tol_res": 1e-6}):
+        cfgfile.write_text(json.dumps({"n": 3, **entry}))
+        code, _, err = _run(capsys, "census", "--config", str(cfgfile))
+        assert code == 1
+        assert f"unknown config keys: {next(iter(entry))}" in err
 
 
 # each case: subcommand, config entries, the same values as flags; every
@@ -223,9 +224,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 _CONFIG_CASES = {
     "census": (
         {"n": 3, "d": 2, "masses": [1, 2, 3], "s": [1.5, 1.0], "seed": 4,
-         "restarts": 5, "tol_res": 1e-10, "format": "json", "count": 9},
+         "restarts": 5, "format": "json", "count": 9},
         ["--n", "3", "--d", "2", "--masses", "1,2,3", "--s", "1.5,1", "--seed", "4",
-         "--restarts", "5", "--tol-res", "1e-10", "--format", "json"],
+         "--restarts", "5", "--format", "json"],
     ),
     "collinear": (
         {"n": 3, "d": 2, "masses": [1, 2, 3], "s": 2, "ordering": [1, 3, 2],
@@ -235,28 +236,26 @@ _CONFIG_CASES = {
     ),
     "continue": (
         {"n": 3, "d": 2, "masses": [1, 1, 1], "ordering": "1,2,3", "axis": 2,
-         "s_from": 1.5, "s_to": 2.0, "steps": 3, "tol_res": 1e-10, "s": 9},
+         "s_from": 1.5, "s_to": 2.0, "steps": 3, "s": 9},
         ["--n", "3", "--d", "2", "--masses", "1,1,1", "--ordering", "1,2,3", "--axis", "2",
-         "--from", "1.5", "--to", "2.0", "--steps", "3", "--tol-res", "1e-10"],
+         "--from", "1.5", "--to", "2.0", "--steps", "3"],
     ),
     "flow": (
         {"n": 3, "d": 3, "masses": [1, 1, 2], "s": [2, 1.5, 1], "seed": 3,
-         "t_final": 5, "atol": 1e-8, "rtol": 1e-8, "format": "csv", "samples": 9},
+         "t_final": 5, "format": "csv", "samples": 9},
         ["--n", "3", "--d", "3", "--masses", "1,1,2", "--s", "2,1.5,1", "--seed", "3",
-         "--T", "5", "--atol", "1e-8", "--rtol", "1e-8", "--format", "csv"],
+         "--T", "5", "--format", "csv"],
     ),
     "check45": (
-        {"count": 3, "seed": 2, "s": [2.5, 1, 1], "t_final": 30, "slack": 1e-9,
-         "restarts": 9},
-        ["--count", "3", "--seed", "2", "--s", "2.5,1,1", "--T", "30", "--slack", "1e-9"],
+        {"count": 3, "seed": 2, "s": [2.5, 1, 1], "t_final": 30, "restarts": 9},
+        ["--count", "3", "--seed", "2", "--s", "2.5,1,1", "--T", "30"],
     ),
     "orbit": (
         {"n": 3, "d": 2, "masses": [1, 1, 1], "s": 4, "restarts": 3, "seed": 5,
-         "census_id": 1, "t_final": 5, "samples": 50, "tol_res": 1e-10,
-         "format": "csv", "steps": 9},
+         "census_id": 1, "t_final": 5, "samples": 50, "format": "csv", "steps": 9},
         ["--n", "3", "--d", "2", "--masses", "1,1,1", "--s", "4", "--restarts", "3",
          "--seed", "5", "--census-id", "1", "--T", "5", "--samples", "50",
-         "--tol-res", "1e-10", "--format", "csv"],
+         "--format", "csv"],
     ),
 }
 
@@ -282,10 +281,21 @@ def test_config_entries_are_validated_as_flags(entry, tmp_path, capsys):
     assert f"--{next(iter(entry))}" in err
 
 
+def _refused_before_the_run(capsys, monkeypatch, command, *argv):
+    """stderr of a run of command with argv, which must exit 1 before its
+    handler runs."""
+    def never(args):
+        raise AssertionError(f"{command} ran with {argv}")
+
+    monkeypatch.setitem(cli._HANDLERS, command, never)
+    code, out, err = _run(capsys, command, *argv)
+    assert code == 1 and out == ""
+    return err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("census", "--n", "1"), ("census", "--seed", "-1"), ("census", "--restarts", "-1"),
-    ("census", "--tol-res", "0"), ("census", "--masses", "1,-1,1"),
-    ("flow", "--atol", "nan"), ("continue", "--steps", "0"), ("continue", "--d", "0"),
+    ("census", "--masses", "1,-1,1"), ("continue", "--steps", "0"), ("continue", "--d", "0"),
     ("check45", "--count", "0"),
     ("orbit", "--samples", "1"), ("orbit", "--census-id", "-1"),
     ("orbit", "--T", "nan"), ("orbit", "--T", "0"), ("flow", "--T", "inf"),
@@ -293,14 +303,19 @@ def test_config_entries_are_validated_as_flags(entry, tmp_path, capsys):
 ])
 def test_out_of_range_flags_are_rejected_before_the_run(
         command, flag, value, capsys, monkeypatch):
-    def never(args):
-        raise AssertionError(f"{command} ran with {flag} {value}")
-
-    monkeypatch.setitem(cli._HANDLERS, command, never)
     required = ["--from", "1.5", "--to", "2"] if command == "continue" else []
-    code, out, err = _run(capsys, command, *required, f"{flag}={value}")
-    assert code == 1 and out == ""
+    err = _refused_before_the_run(capsys, monkeypatch, command, *required, f"{flag}={value}")
     assert f"argument {flag}: must be" in err
+
+
+# every tolerance is a module constant: no flag sets one
+@pytest.mark.parametrize("command, flag, value", [
+    ("census", "--tol-res", "1e-6"), ("flow", "--atol", "1e-8"), ("check45", "--slack", "1"),
+])
+def test_tolerance_flags_are_rejected_before_the_run(command, flag, value, capsys, monkeypatch):
+    err = _refused_before_the_run(capsys, monkeypatch, command, flag, value)
+    assert err.startswith("usage: sbc-lab ")
+    assert f"unrecognized arguments: {flag} {value}" in err
 
 
 def test_config_flag_without_a_file_reports_the_subcommand_usage(capsys):

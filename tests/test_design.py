@@ -130,3 +130,18 @@ def test_core_functions_have_a_caller():
     traced = _traced("core")
     assert public
     assert [name for name in public if not called(name) and name not in traced] == []
+
+
+def test_no_function_takes_a_tolerance():
+    """Convergence and verdict tolerances are module constants (core.TOL_RES,
+    flow.ATOL, RTOL and SLACK), so no caller can set a gate the catalogue
+    checks do not hold at."""
+    tolerances = {"tol_res", "atol", "rtol", "slack"}
+    taking = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and tolerances & {a.arg for a in node.args.args + node.args.kwonlyargs}
+    ]
+    assert taking == []

@@ -234,6 +234,11 @@ def test_rejects_bad_arguments():
         integrate_flow(tilted_line_seed(30.0, 0.0), S3, 0.0)
     with pytest.raises(ValueError):
         integrate_flow(tilted_line_seed(30.0, 0.0), Spectrum((2.0, 1.0)), 1.0)
+    for t_final in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            integrate_flow(tilted_line_seed(30.0, 0.0), S3, t_final)
+        with pytest.raises(ValueError):
+            lyapunov_45_check([tilted_line_seed(30.0, 0.0)], S3, t_final=t_final)
 
 
 # ---------------------------------------------------------------------------

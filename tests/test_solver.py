@@ -462,7 +462,7 @@ def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
     trivial = (np.ones((1, 2)), np.arange(3)[None])
     for block in (1, 7, solver.DISTANCE_BLOCK):
         monkeypatch.setattr(solver, "DISTANCE_BLOCK", block)
-        kept, failures, polishes = solver._closed(outcomes, m, trivial, spectrum, core.TOL_RES)
+        kept, failures, polishes = solver._closed(outcomes, m, trivial, spectrum)
         assert [id(s) for s in kept] == [id(s) for s in expected]
         assert failures["max_iter"] == len(outcomes) - len(configs)
         assert polishes == 0
