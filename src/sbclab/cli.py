@@ -45,6 +45,7 @@ from .morse import (
 from .solver import SearchFailure, census, continue_in_s, find_critical_point
 
 _BIG = 1 << 53  # beyond this an IEEE double can no longer hold the integer
+CSV_BLOCK = 256  # rows per float block of a CSV table
 
 
 class _UsageError(Exception):
@@ -179,8 +180,19 @@ def _triple_payload(triple):
     return [int(index), int(nullity), int(coindex)]
 
 
+def _float_blocks(*columns):
+    """Row blocks of CSV_BLOCK rows, side by side: each column is a 1-D
+    array or a 2-D array of several columns, all with one row per sample."""
+    for start in range(0, len(columns[0]), CSV_BLOCK):
+        yield np.column_stack([c[start:start + CSV_BLOCK] for c in columns])
+
+
 def _emit(args, payload: dict, table) -> None:
     """Write the report to stdout or --output; CSV rows stream as made.
+
+    A 2-D float array among the rows is a block of rows, written with one
+    write: repr is the str that csv.writer gives a float, and a float
+    never needs quoting, so the bytes are those of csv.writer.
     A JSON report holding NaN or an infinity is refused (ValueError)
     before any output is opened: those are not JSON."""
     text = None
@@ -195,14 +207,19 @@ def _emit(args, payload: dict, table) -> None:
             header, rows = table
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            for item in rows:
+                if isinstance(item, np.ndarray):
+                    fh.write("".join([",".join(map(repr, r)) + "\n" for r in item.tolist()]))
+                else:
+                    writer.writerow(item)
         else:
             fh.write(text)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (json payload, csv table | None); a
-# table's rows may be a lazy iterable, consumed only for --format csv
+# table's rows are row tuples or 2-D float blocks (_float_blocks), and may
+# be a lazy iterable, consumed only for --format csv
 
 
 def _cmd_coeffs(args):
@@ -414,13 +431,12 @@ def _cmd_flow(args):
     header = ["t"]
     header += [f"q{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
     header += ["theta_deg", "U", "min_sep"]
-    rows = (
-        (float(t), *(float(x) for x in state.q.ravel()), float(th), float(u), float(ms))
-        for t, state, th, u, ms in zip(
-            traj.times, traj.states, traj.theta, traj.potential, traj.min_sep
-        )
-    )
-    return payload, (tuple(header), rows)
+
+    def rows():  # made only for CSV
+        q = np.array([state.q.ravel() for state in traj.states])
+        yield from _float_blocks(traj.times, q, traj.theta, traj.potential, traj.min_sep)
+
+    return payload, (tuple(header), rows())
 
 
 def _cmd_check45(args):
@@ -494,9 +510,10 @@ def _cmd_orbit(args):
     }
     header = ["t"] + [f"q{i + 1}_{k + 1}" for i in range(n) for k in range(4)]
 
-    def rows():  # positions of all samples in one call, made only for CSV
-        for t, q in zip(times, orbit.positions(times)):
-            yield (float(t), *(float(x) for x in q.ravel()))
+    def rows():  # made only for CSV
+        # positions of all samples in one call: numpy's vector cos/sin may
+        # round a short tail differently from a long array
+        yield from _float_blocks(times, orbit.positions(times).reshape(samples, -1))
 
     return payload, (tuple(header), rows())
 
@@ -615,8 +632,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--ordering", type=_ORDERING, default=(1, 2, 3),
                     help="1-based body order of the start branch")
     sp.add_argument("--axis", type=int, default=1)
-    sp.add_argument("--from", dest="s_from", type=float, required=True)
-    sp.add_argument("--to", dest="s_to", type=float, required=True)
+    sp.add_argument("--from", dest="s_from", type=_POSITIVE, required=True)
+    sp.add_argument("--to", dest="s_to", type=_POSITIVE, required=True)
     sp.add_argument("--steps", type=_INT_GE1, default=16)
     _add_io_flags(sp)
 

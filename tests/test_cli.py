@@ -1,11 +1,18 @@
 """End-to-end checks of the command-line interface (in-process)."""
 
+import argparse
+import csv
+import dataclasses
+import io
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from sbclab import cli
+from sbclab.equilibria import RelativeEquilibriumOrbit
 from sbclab.errors import NoConvergence
 
 
@@ -300,12 +307,18 @@ def _refused_before_the_run(capsys, monkeypatch, command, *argv):
     ("orbit", "--samples", "1"), ("orbit", "--census-id", "-1"),
     ("orbit", "--T", "nan"), ("orbit", "--T", "0"), ("flow", "--T", "inf"),
     ("check45", "--T", "-1"),
+    ("continue", "--to", "inf"), ("continue", "--from", "nan"),
+    ("continue", "--from", "0"), ("continue", "--to", "-1"),
 ])
 def test_out_of_range_flags_are_rejected_before_the_run(
         command, flag, value, capsys, monkeypatch):
     required = ["--from", "1.5", "--to", "2"] if command == "continue" else []
-    err = _refused_before_the_run(capsys, monkeypatch, command, *required, f"{flag}={value}")
+    with warnings.catch_warnings(record=True) as caught:  # pytest keeps them off stderr
+        warnings.simplefilter("always")
+        err = _refused_before_the_run(capsys, monkeypatch, command, *required, f"{flag}={value}")
     assert f"argument {flag}: must be" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # every tolerance is a module constant: no flag sets one
@@ -396,6 +409,44 @@ def test_flow_json_and_csv(tmp_path, capsys):
     float(lines[-1].split(",")[0])  # parseable numbers
 
 
+def test_flow_json_output_builds_no_csv_rows(capsys, monkeypatch):
+    real_integrate = cli.integrate_flow
+
+    class Unread(tuple):  # the states, which only the CSV rows iterate
+        def __iter__(self):
+            raise AssertionError("CSV rows built for a JSON report")
+
+    def integrate(*args):
+        traj = real_integrate(*args)
+        return dataclasses.replace(traj, states=Unread(traj.states))
+
+    monkeypatch.setattr(cli, "integrate_flow", integrate)
+    argv = ["flow", "--n", "3", "--d", "3", "--seed", "3", "--T", "5"]
+    assert _run_json(capsys, *argv)["samples"] > 1
+    with pytest.raises(AssertionError, match="CSV rows built"):
+        cli.run([*argv, "--format", "csv"])
+
+
+_AWKWARD = [-0.0, 5e-324, 0.1, 1 / 3, 1e16, 1e22, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
+def test_float_blocks_write_the_bytes_of_csv_writer(rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_BLOCK", 3)
+    table = np.resize(np.array(_AWKWARD), (rows, 5))
+    blocks = cli._float_blocks(table[:, 0], table[:, 1:4], table[:, 4])
+    assert [len(b) for b in cli._float_blocks(table[:, 0])] == \
+        [min(3, rows - start) for start in range(0, rows, 3)]
+    header = ("t", "a", "b", "c", "u")
+    path = tmp_path / "table.csv"
+    cli._emit(argparse.Namespace(format="csv", output=str(path)), {}, (header, blocks))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(table.tolist())
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
 def test_check45_batch(capsys):
     doc = _run_json(
         capsys, "check45", "--count", "5", "--seed", "1", "--T", "200",
@@ -435,7 +486,14 @@ def test_json_output_builds_no_csv_rows(capsys, monkeypatch):
     assert doc["count"] == 1
 
 
-def test_orbit_lift_and_csv(tmp_path, capsys):
+def test_orbit_lift_and_csv(tmp_path, capsys, monkeypatch):
+    real_lift, lifted = cli.lift, []
+
+    def lift(solution):
+        lifted.append(real_lift(solution))
+        return lifted[-1]
+
+    monkeypatch.setattr(cli, "lift", lift)
     args = ["orbit", "--n", "3", "--s", "4", "--restarts", "20", "--seed", "5",
             "--census-id", "0", "--T", "20", "--samples", "100"]
     doc = _run_json(capsys, *args)
@@ -450,6 +508,30 @@ def test_orbit_lift_and_csv(tmp_path, capsys):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 100
     assert len(lines[0].split(",")) == 1 + 3 * 4
+    # every value reads back to the very float the orbit gives
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    times = np.linspace(0.0, 20.0, 100)
+    expected = np.column_stack((times, lifted[-1].positions(times).reshape(100, -1)))
+    assert table.tobytes() == expected.tobytes()
+
+
+def test_orbit_positions_made_once_and_only_for_csv(tmp_path, capsys, monkeypatch):
+    real_positions = RelativeEquilibriumOrbit.positions
+    sizes = []
+
+    def positions(self, t):
+        sizes.append(np.size(t))
+        return real_positions(self, t)
+
+    monkeypatch.setattr(RelativeEquilibriumOrbit, "positions", positions)
+    args = ["orbit", "--n", "3", "--s", "4", "--restarts", "20", "--seed", "5",
+            "--samples", "2000"]
+    _run_json(capsys, *args)
+    assert sizes and 2000 not in sizes  # newton_residual works in blocks of 1000
+    sizes.clear()
+    code, _, err = _run(capsys, *args, "--format", "csv", "--output", str(tmp_path / "o.csv"))
+    assert code == 0, err
+    assert sizes.count(2000) == 1
 
 
 def test_orbit_census_id_out_of_range(capsys):
