@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import (
     Configuration,
@@ -106,7 +105,7 @@ def ccc_spectrum(m: np.ndarray, x: np.ndarray) -> SpectralData:
     B = _b_matrix_1d(m, x)
     root_m = np.sqrt(m)
     C = B / np.outer(root_m, root_m)
-    ev = np.sort(eigh(C, eigvals_only=True))
+    ev = np.sort(np.linalg.eigvalsh(C))
     tol = GROUP_TOL * u
 
     remaining = list(ev)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import CollisionError, NotCriticalError
 
@@ -467,7 +466,7 @@ def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:
 
 def _triple_of(A: np.ndarray, u: float) -> InertiaTriple:
     """Inertia triple of the restricted Hessian A at a point where U = u."""
-    ev = eigh(A, eigvals_only=True)
+    ev = np.linalg.eigvalsh(A)
     gap = NULL_TOL * u
     neg = int(np.sum(ev < -gap))
     nul = int(np.sum(np.abs(ev) <= gap))

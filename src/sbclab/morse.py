@@ -5,7 +5,10 @@ integers and `fractions.Fraction` throughout, no floating point in any
 coefficient or bound computation.  Floats appear only in the two places
 where they are the point: the sampled-ratio monotonicity reports (asymptotic
 statements get a finite, printed surrogate) and the nested-integral
-quadrature cross-check.
+quadrature cross-check.  The latter, iterated_log_integral, is the one
+user of scipy in the package: it imports scipy.integrate.quad and
+scipy.interpolate.CubicSpline in its own body, so importing this module
+(and the command line, which never calls it) loads numpy only.
 
 The central object is the family of polynomials
 
@@ -25,8 +28,6 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateCensus, IdentityViolation, QuadratureBudgetExceeded
 
@@ -375,6 +376,8 @@ def iterated_log_integral(n: float, j: int) -> tuple[float, float]:
         raise ValueError("n must be >= 2")
     if not (1 <= j <= 6):
         raise ValueError("j must be an integer in [1, 6]")
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
 
     # the exact rational recursion behind the closed form; cheap, and keeps
     # the two routes honest against each other on every call

@@ -211,6 +211,7 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     if bad:
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
+    eye = np.eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)
     mu = 0.0
     res = math.inf
     for it in range(MAX_ITER):
@@ -230,7 +231,7 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
         accepted = False
         for _ in range(30):
             try:
-                z = np.linalg.solve(A2 + (mu * scale_a + 1e-300) * np.eye(len(y)), -Ay)
+                z = np.linalg.solve(A2 + (mu * scale_a + 1e-300) * eye, -Ay)
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue

@@ -7,9 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
-from sbclab import collinear, core
+from sbclab import collinear, core, solver
 from sbclab.collinear import (
     _b_matrix_1d,
     _potential_1d,
@@ -390,3 +391,40 @@ def test_enumerate_mirrored_records_equal_a_full_evaluation(masses, s):
         assert (rec.spectral, rec.predicted, rec.computed) == (
             full.spectral, full.predicted, full.computed
         )
+
+
+def _scipy_agrees(ev, A) -> np.ndarray:
+    """scipy.linalg.eigh's eigenvalues of A, asserted equal to ev within
+    1e-13 of the largest magnitude (LAPACK builds differ in the last bits)."""
+    ref = eigh(A, eigvals_only=True)
+    assert np.abs(np.sort(ev) - ref).max() <= 1e-13 * np.abs(ref).max()
+    return ref
+
+
+def _triple(ev, u: float) -> tuple[int, int, int]:
+    gap = core.NULL_TOL * u
+    return int(np.sum(ev < -gap)), int(np.sum(np.abs(ev) <= gap)), int(np.sum(ev > gap))
+
+
+def test_numpy_eigenvalues_agree_with_scipy_eigh():
+    """Inertia triples and line spectra come from np.linalg.eigvalsh: on the
+    n = 6 enumeration at s = 1.5 and on an n = 3 census they match
+    scipy.linalg.eigh, and every triple is the one its eigenvalues give."""
+    spectrum = Spectrum((1.5, 1.0))
+    models: dict = {}
+    records = enumerate_csbc(np.ones(6), spectrum, models)
+    assert len(records) == 1440
+    for rec in records:
+        A = models[rec.axis, rec.ordering][0]
+        ref = _scipy_agrees(np.linalg.eigvalsh(A), A)
+        assert core._triple_of(A, rec.u) == rec.computed == _triple(ref, rec.u)
+        root_m = np.sqrt(rec.masses)
+        C = _b_matrix_1d(rec.masses, rec.cc_positions) / np.outer(root_m, root_m)
+        _scipy_agrees(np.array(rec.spectral.eigenvalues), C)
+
+    result = solver.census(np.ones(3), spectrum, 20, 0)
+    assert result.solutions
+    for sol in result.solutions:
+        u, _, _, A = core._critical_model(sol.config, spectrum)
+        ref = _scipy_agrees(np.linalg.eigvalsh(A), A)
+        assert core._triple_of(A, u) == sol.triple == _triple(ref, u)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,3 +148,43 @@ def test_no_function_takes_a_tolerance():
         and tolerances & {a.arg for a in node.args.args + node.args.kwonlyargs}
     ]
     assert taking == []
+
+
+def _scipy_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running code with
+    this checkout's src/ first on its path."""
+    path = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    probe = (
+        f"{code}\nimport sys, sbclab\nassert sbclab.__file__.startswith({str(SRC)!r})\n"
+        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_cli_imports_no_scipy():
+    """The command line starts on numpy and the standard library alone."""
+    assert "scipy.linalg" in _scipy_after("import scipy.linalg")  # the probe sees scipy
+    assert _scipy_after("import sbclab.cli") == []
+
+
+# one subcommand per layer: projected Newton and saddle seeding, collinear
+# enumeration and spectra, the ascent flow
+CLI_CALLS = (
+    ("census", "--n", "3", "--s", "1.5", "--restarts", "2"),
+    ("collinear", "--n", "4"),
+    ("check45", "--count", "1"),
+)
+
+
+def test_cli_subcommands_run_without_scipy(tmp_path):
+    """No subcommand defers a scipy import into its own run."""
+    code = "import sbclab.cli as cli\n" + "".join(
+        f"assert cli.run({[*argv, '--output', str(tmp_path / f'{k}.json')]!r}) == 0\n"
+        for k, argv in enumerate(CLI_CALLS)
+    )
+    assert _scipy_after(code) == []
