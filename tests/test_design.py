@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -188,3 +189,43 @@ def test_cli_subcommands_run_without_scipy(tmp_path):
         for k, argv in enumerate(CLI_CALLS)
     )
     assert _scipy_after(code) == []
+
+
+CASH_KARP_TABLEAU = {"_CK_A", "_CK_B5", "_CK_B4"}
+
+
+def test_one_flow_integrator(monkeypatch, tmp_path):
+    """integrate_flow, lyapunov_45_check and the flow and check45 subcommands
+    all step through the lockstep kernel, and only the kernel reads the
+    Cash-Karp tableau, so no second Runge-Kutta loop can come back."""
+    from sbclab import cli, flow
+    from sbclab.core import Spectrum
+
+    tree = ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))
+    readers = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and CASH_KARP_TABLEAU & {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    }
+    assert readers == {"_flow_lanes"}
+
+    lanes = []
+    kernel = flow._flow_lanes
+
+    def recording(starts, *args):
+        lanes.append(len(starts))
+        return kernel(starts, *args)
+
+    monkeypatch.setattr(flow, "_flow_lanes", recording)
+    seed = flow.tilted_line_seed(30.0, 0.0)
+    flow.integrate_flow(seed, Spectrum((2.0, 1.0, 1.0)), 0.5)
+    assert lanes == [1]
+    report = flow.lyapunov_45_check([seed, flow.tilted_line_seed(10.0, 1.0)],
+                                    Spectrum((2.0, 1.0, 1.0)))
+    assert report.checked == 2 and lanes == [1, 2]
+    assert cli.run(["flow", "--seed", "3", "--output", str(tmp_path / "flow.json")]) == 0
+    assert lanes == [1, 2, 1]
+    assert cli.run(["check45", "--count", "6", "--output", str(tmp_path / "c45.json")]) == 0
+    checked = json.loads((tmp_path / "c45.json").read_text(encoding="utf-8"))["checked"]
+    assert checked > 1 and lanes == [1, 2, 1, checked]

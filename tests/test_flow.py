@@ -14,9 +14,10 @@ from sbclab.core import (
     gradient,
     potential,
 )
-from sbclab.errors import CollisionError, NoConvergence
+from sbclab.errors import CollisionError, NoConvergence, StepUnderflow
 from sbclab.flow import (
     FlowTrajectory,
+    SeedOutcome,
     collinearity_angle,
     integrate_flow,
     lyapunov_45_check,
@@ -229,6 +230,29 @@ def test_step_budget_exhaustion_raises(monkeypatch):
         integrate_flow(tilted_line_seed(30.0, 0.0), S3, 1000.0)
 
 
+def test_step_budget_counts_accepted_steps_only(monkeypatch):
+    # with a first step of 1.0 the controller rejects attempts on the way to
+    # T = 0.5, which takes 20 accepted steps; a budget of 20 is enough
+    monkeypatch.setattr(flow, "H_INIT", 1.0)
+    rhs_calls = []
+
+    def counting(q, masses, s):
+        rhs_calls.append(q)
+        return _flow_rhs(q, masses, s)
+
+    monkeypatch.setattr(flow, "_flow_rhs", counting)
+    monkeypatch.setattr(flow, "MAX_STEPS", 20)
+    traj = integrate_flow(tilted_line_seed(30.0, 0.0), S3, 0.5)
+    assert traj.stop_reason == "time"
+    assert len(traj) - 1 == 20
+    # one field at the start, five per attempt and one per accepted step
+    attempts = (len(rhs_calls) - 1 - 20) // 5
+    assert attempts > 20  # some were rejected
+    monkeypatch.setattr(flow, "MAX_STEPS", 19)
+    with pytest.raises(NoConvergence, match="within 19 accepted steps"):
+        integrate_flow(tilted_line_seed(30.0, 0.0), S3, 0.5)
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         integrate_flow(tilted_line_seed(30.0, 0.0), S3, 0.0)
@@ -269,12 +293,24 @@ def test_line_angle_decays_at_predicted_rate():
     assert measured == pytest.approx(predicted, rel=5e-2)
 
 
-def test_45_batch_monotone_to_attractor():
+def _batch_seeds():
     rng = np.random.default_rng(11)
     seeds = [tilted_line_seed(45.0, 0.0)]
     seeds += [tilted_line_seed(rng.uniform(0.5, 45.0), rng.uniform(0, 2 * math.pi))
               for _ in range(24)]
-    report = lyapunov_45_check(seeds, S3)
+    return seeds
+
+
+def _rising_seed():
+    """A seed whose minimal pair angle rises on the way to the axis."""
+    base = moulton_solve(M3, (1, 2, 3), 1, S3).config
+    q = base.q.copy()
+    q[:, 1:] += 0.2 * np.random.default_rng(4).standard_normal((3, 2))
+    return steer_to_angle(Configuration(q, M3), 20.0)
+
+
+def test_45_batch_monotone_to_attractor():
+    report = lyapunov_45_check(_batch_seeds(), S3)
     assert report.checked == 25
     assert report.all_monotone
     assert report.reached_attractor == 25
@@ -291,10 +327,7 @@ def test_min_angle_can_rise_when_another_pair_leaves_the_cone():
     # pair angle is NOT monotone when some other pair starts far outside
     # the 45-degree cone (independently confirmed against scipy's RK45 at
     # tolerance 1e-12).  The checker must flag this rather than hide it.
-    base = moulton_solve(M3, (1, 2, 3), 1, S3).config
-    q = base.q.copy()
-    q[:, 1:] += 0.2 * np.random.default_rng(4).standard_normal((3, 2))
-    seed = steer_to_angle(Configuration(q, M3), 20.0)
+    seed = _rising_seed()
     traj = integrate_flow(seed, S3, 200.0, theta_stop=0.1)
     rises = np.diff(traj.theta)
     assert rises.max() > 0.1  # macroscopic, far beyond integrator noise
@@ -314,3 +347,131 @@ def test_check_flags_collinear_and_rejected_seeds():
     assert statuses == ["already_collinear", "rejected", "checked"]
     assert report.checked == 1
     assert report.reached_attractor == 1
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes
+
+
+def _one_run_per_seed(seeds, spectrum, t_final=200.0):
+    """The check's outcomes built from one integrate_flow call per seed."""
+    outcomes = []
+    for i, seed in enumerate(seeds):
+        theta0 = collinearity_angle(seed)
+        if theta0 == 0.0 or theta0 > 45.0:
+            status = "already_collinear" if theta0 == 0.0 else "rejected"
+            outcomes.append(SeedOutcome(i, status, theta0, None, None, None, None))
+            continue
+        traj = integrate_flow(seed, spectrum, t_final, theta_stop=flow.THETA_ATTRACTOR)
+        diffs = np.diff(traj.theta)
+        worst = float(diffs.max()) if len(diffs) else 0.0
+        outcomes.append(SeedOutcome(i, "checked", theta0, float(traj.theta[-1]),
+                                    bool(len(diffs) == 0 or worst < flow.SLACK), worst,
+                                    traj.stop_reason))
+    return tuple(outcomes)
+
+
+def test_batch_outcomes_equal_one_run_per_seed(monkeypatch):
+    axis = _config([[-1, 0, 0], [0, 0, 0], [1, 0, 0]])
+    heavy = steer_to_angle(Configuration(np.random.default_rng(6).standard_normal((3, 3)),
+                                         np.array([1.0, 2.0, 1.5])), 30.0)
+    four = steer_to_angle(_config(np.random.default_rng(7).standard_normal((4, 3))), 25.0)
+    seeds = _batch_seeds() + [_rising_seed(), axis, tilted_line_seed(60.0, 0.4), heavy, four,
+                              tilted_line_seed(12.0, 2.5)]
+    expected = _one_run_per_seed(seeds, S3)
+    assert [o.status for o in expected[25:]] == [
+        "checked", "already_collinear", "rejected", "checked", "checked", "checked"]
+    assert expected[25].monotone is False
+    for lanes in (flow.STACK_LANES, 4):  # one stack, then stacks cut at 4 lanes
+        monkeypatch.setattr(flow, "STACK_LANES", lanes)
+        report = lyapunov_45_check(iter(seeds), S3)
+        assert report.outcomes == expected
+        checked = [o for o in expected if o.status == "checked"]
+        assert report.checked == len(checked) == 29
+        assert report.monotone == sum(o.monotone for o in checked) == 27
+        assert report.reached_attractor == sum(o.stop_reason == "theta_target" for o in checked)
+        assert report.collisions == sum(o.stop_reason == "collision" for o in checked) == 1
+
+
+def _assert_lanes_are_their_one_lane_runs(starts, masses, spectrum, t_final, theta_stop):
+    configs = [Configuration(q, masses) for q in starts]
+    lanes = flow._flow_lanes(np.stack([c.q for c in configs]), masses, spectrum, t_final,
+                             theta_stop)
+    assert len(lanes) == len(configs)
+    for config, lane in zip(configs, lanes):
+        traj = integrate_flow(config, spectrum, t_final, theta_stop)
+        assert lane.end == traj.stop_reason
+        for column in ("times", "theta", "potential", "min_sep"):
+            assert np.array(getattr(lane, column)).tobytes() == getattr(traj, column).tobytes()
+        assert np.stack(lane.states).tobytes() == np.stack([s.q for s in traj.states]).tobytes()
+    return [lane.end for lane in lanes]
+
+
+def test_lanes_are_bitwise_their_one_lane_runs_n3():
+    pinched = [[-0.5, 0.02, 0.0], [-0.44, -0.02, 0.01], [0.9, 0.0, -0.01]]
+    balanced = moulton_solve(M3, (1, 2, 3), 1, S3).config.q
+    on_axis = [[-1.1, 0, 0], [0.25, 0, 0], [0.85, 0, 0]]
+    starts = [pinched, tilted_line_seed(40.0, 0.3).q, tilted_line_seed(3.0, 1.0).q,
+              balanced, on_axis]
+    ends = _assert_lanes_are_their_one_lane_runs(starts, M3, S3, 2.0, None)
+    assert ends == ["collision", "time", "time", "converged", "collision"]
+    ends = _assert_lanes_are_their_one_lane_runs(starts, M3, S3, 2.0, 0.1)
+    assert ends == ["theta_target", "theta_target", "theta_target", "converged", "theta_target"]
+
+
+def test_lanes_are_bitwise_their_one_lane_runs_n4():
+    masses = np.array([1.0, 2.0, 1.5, 0.5])
+    starts = np.random.default_rng(8).standard_normal((12, 4, 3))
+    ends = _assert_lanes_are_their_one_lane_runs(starts, masses, Spectrum((3.0, 1.5, 1.0)),
+                                                 0.01, 1.0)
+    assert {"time", "theta_target", "collision"} <= set(ends)
+
+
+def _first_error(seeds, spectrum):
+    for seed in seeds:
+        try:
+            collinearity_angle(seed)
+            integrate_flow(seed, spectrum, 200.0, theta_stop=flow.THETA_ATTRACTOR)
+        except Exception as exc:
+            return exc
+    return None
+
+
+def test_batch_raises_the_first_failing_seeds_error(monkeypatch):
+    """The error of the lowest-index failing seed comes out, as from one run
+    per seed in order, even when a later lane of the stack fails first."""
+    monkeypatch.setattr(flow, "MAX_STEPS", 5)
+    rhs = _flow_rhs
+
+    def poisoned(q, masses, s):  # no finite field where body 1 leaves the (x, y) plane
+        qdot, u, diff, r = rhs(q, masses, s)
+        return np.where((np.abs(q[..., 0, 2]) > 0.1)[..., None, None], np.nan, qdot), u, diff, r
+
+    monkeypatch.setattr(flow, "_flow_rhs", poisoned)
+    axis = _config([[-1, 0, 0], [0, 0, 0], [1, 0, 0]])
+    collided = _config([[0, 0, 0], [1e-12, 0, 0], [1, 0.5, 0]])
+    underflow = tilted_line_seed(40.0, math.pi / 2)  # about 20 rejected attempts
+    budget = tilted_line_seed(40.0, 0.0)  # out of steps after 5 attempts
+    cases = [
+        ([axis, budget, collided], NoConvergence),
+        ([axis, collided, budget], CollisionError),
+        ([underflow, budget], StepUnderflow),
+        ([budget, underflow, collided], NoConvergence),
+    ]
+    for seeds, kind in cases:
+        serial = _first_error(seeds, S3)
+        assert type(serial) is kind
+        with pytest.raises(kind) as caught:
+            lyapunov_45_check(seeds, S3)
+        assert str(caught.value) == str(serial)
+
+
+def test_batch_rejects_bad_t_final_before_reading_seeds():
+    def unread():
+        raise AssertionError("a seed was read")
+        yield
+
+    for t_final in (0.0, -1.0, math.nan, math.inf):
+        for seeds in ([], [tilted_line_seed(60.0, 0.0)], unread()):
+            with pytest.raises(ValueError, match="t_final"):
+                lyapunov_45_check(seeds, S3, t_final=t_final)
