@@ -169,17 +169,6 @@ def _sanitize(obj):
     return obj
 
 
-def _float_or_none(value):
-    return None if value is None else float(value)
-
-
-def _triple_payload(triple):
-    if triple is None:
-        return None
-    index, nullity, coindex = triple
-    return [int(index), int(nullity), int(coindex)]
-
-
 def _float_blocks(*columns):
     """Row blocks of CSV_BLOCK rows, side by side: each column is a 1-D
     array or a 2-D array of several columns, all with one row per sample."""
@@ -275,8 +264,8 @@ def _record_payload(rec) -> dict:
         "lambda": float(rec.lam),
         "residual": float(rec.residual),
         "eta": [float(e) for e in rec.spectral.eigenvalues],
-        "predicted": _triple_payload(rec.predicted),
-        "computed": _triple_payload(rec.computed),
+        "predicted": rec.predicted,
+        "computed": rec.computed,
     }
 
 
@@ -337,7 +326,7 @@ def _census_payload(result, n: int, d: int) -> dict:
                 "q": [[float(x) for x in row] for row in sol.config.q],
                 "lambda": float(sol.lam),
                 "residual": float(sol.residual_norm),
-                "triple": _triple_payload(sol.triple),
+                "triple": sol.triple,
                 "classification": sol.classification,
                 "is_cc": sol.is_cc,
             }
@@ -372,15 +361,12 @@ def _cmd_census(args):
 def _cmd_continue(args):
     n, masses = _resolve_masses(args)
     d, s_from, s_to, steps = args.d, args.s_from, args.s_to, args.steps
-
-    def spec_at(s1):
-        return Spectrum((float(s1),) + (1.0,) * (d - 1))
-
-    rec = moulton_solve(masses, args.ordering, args.axis, spec_at(s_from))
-    sol = find_critical_point(rec.config, spec_at(s_from))
+    start = _resolve_spectrum((s_from,), d)
+    rec = moulton_solve(masses, args.ordering, args.axis, start)
+    sol = find_critical_point(rec.config, start)
     if isinstance(sol, SearchFailure):
         raise NoConvergence(f"no critical point at s1 = {s_from}: {sol.cause}")
-    path = [spec_at(s) for s in np.linspace(s_from, s_to, steps + 1)[1:]]
+    path = [_resolve_spectrum((s,), d) for s in np.linspace(s_from, s_to, steps + 1)[1:]]
     branch = continue_in_s(sol, path)
     points = [sol] + branch
     payload = {
@@ -396,7 +382,7 @@ def _cmd_continue(args):
             {
                 "s1": float(p.spectrum.s[0]),
                 "lambda": float(p.lam),
-                "triple": _triple_payload(p.triple),
+                "triple": p.triple,
                 "classification": p.classification,
             }
             for p in points
@@ -463,9 +449,9 @@ def _cmd_check45(args):
                 "index": o.index,
                 "status": o.status,
                 "theta_start": float(o.theta_start),
-                "theta_end": _float_or_none(o.theta_end),
+                "theta_end": o.theta_end,
                 "monotone": o.monotone,
-                "worst_increase": _float_or_none(o.worst_increase),
+                "worst_increase": o.worst_increase,
                 "stop_reason": o.stop_reason,
             }
             for o in report.outcomes
@@ -504,8 +490,8 @@ def _cmd_orbit(args):
             "ratio": float(report.ratio),
             "best_fraction": str(report.best_fraction),
             "mismatch": float(report.mismatch),
-            "period": _float_or_none(report.period),
-            "closure": _float_or_none(report.closure),
+            "period": report.period,
+            "closure": report.closure,
         },
     }
     header = ["t"] + [f"q{i + 1}_{k + 1}" for i in range(n) for k in range(4)]

@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,28 +114,12 @@ class Configuration:
         return float(np.max(np.abs(self.q)))
 
 
-class InertiaTriple(tuple):
+class InertiaTriple(NamedTuple):
     """(index, nullity, coindex) of the restricted second variation."""
 
-    __slots__ = ()
-
-    def __new__(cls, index: int, nullity: int, coindex: int):
-        return super().__new__(cls, (int(index), int(nullity), int(coindex)))
-
-    @property
-    def index(self) -> int:
-        return self[0]
-
-    @property
-    def nullity(self) -> int:
-        return self[1]
-
-    @property
-    def coindex(self) -> int:
-        return self[2]
-
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return f"InertiaTriple(index={self[0]}, nullity={self[1]}, coindex={self[2]})"
+    index: int
+    nullity: int
+    coindex: int
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +403,17 @@ def _restricted_hessian_any(
     return 0.5 * (A + A.swapaxes(-1, -2)), V, y[..., 0, :]
 
 
-def _critical_model(config: Configuration, spectrum: Spectrum):
-    """(U, lam, |G|, A) at a critical point from one guarded pair pass.
+def _critical_models(q: np.ndarray, m: np.ndarray, s: np.ndarray, w: np.ndarray):
+    """(U, lam, |G|, A, V) at critical points given as raw (..., n, d)
+    positions, one per leading index, from one pair pass and one restricted
+    Hessian for the whole stack.
 
     A is the second variation of the constrained problem, D^2 U + lam (S x M)
-    on tangent_basis, of shape (k, k) with k = d(n-1) - 1. Raises
-    NotCriticalError when the balance residual |G| exceeds TOL_RES * U.
-    """
-    w = weight_vector(config, spectrum)  # checks the dimensions
-    u, lam, res, A, _ = _critical_models(config.q, config.masses, spectrum.array, w)
-    return u, lam, float(res), A
-
-
-def _critical_models(q: np.ndarray, m: np.ndarray, s: np.ndarray, w: np.ndarray):
-    """_critical_model on raw (..., n, d) positions: (U, lam, |G|, A, V), one
-    per leading index, from one pair pass and one restricted Hessian for
-    the whole stack. The first lane that fails raises for the stack: the
-    collision guard's CollisionError, or the NotCriticalError of the
-    residual gate. |G| is sqrt(G . G) as one dot product per lane, which is
-    how np.linalg.norm computes it.
+    on the tangent basis V, of shape (k, k) with k = d(n-1) - 1. The first
+    lane that fails raises for the stack: the collision guard's
+    CollisionError, or NotCriticalError when the balance residual |G|
+    exceeds TOL_RES * U. |G| is sqrt(G . G) as one dot product per lane,
+    which is how np.linalg.norm computes it.
     """
     diff, r, g, u, lam, G, collided = _evaluate_q(q, m, s)
     n, d = q.shape[-2:]
@@ -458,9 +435,11 @@ def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:
     """Morse index, nullity and coindex of the restricted second variation.
 
     Eigenvalues within NULL_TOL * U(q) of zero count as null; the rest
-    split by sign. The three parts always sum to d(n-1) - 1.
+    split by sign. The three parts always sum to d(n-1) - 1. Raises
+    NotCriticalError away from a balanced configuration.
     """
-    u, _, _, A = _critical_model(config, spectrum)
+    w = weight_vector(config, spectrum)  # checks the dimensions
+    u, _, _, A, _ = _critical_models(config.q, config.masses, spectrum.array, w)
     return _triple_of(A, u)
 
 

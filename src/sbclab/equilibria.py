@@ -23,7 +23,6 @@ from .solver import SBCSolution
 RATIONAL_TOL = 1e-13
 MAX_DENOMINATOR = 10**6
 RESIDUAL_BLOCK = 1000  # time samples per batched evaluation in newton_residual
-RESIDUAL_T_MAX = 20.0  # newton_residual's time span for a sample count
 
 
 @dataclass(frozen=True)
@@ -100,22 +99,18 @@ def lift(base: SBCSolution) -> RelativeEquilibriumOrbit:
     )
 
 
-def newton_residual(orbit: RelativeEquilibriumOrbit, t_samples=1000) -> float:
+def newton_residual(orbit: RelativeEquilibriumOrbit, times) -> float:
     """Worst relative defect of Newton's equations along the orbit.
 
     Evaluates ||qddot(t) - M^{-1} grad U(q(t))|| / ||M^{-1} grad U(q(t))||
     with the acceleration taken from the closed-form rotation (never a
-    finite difference), at t_samples points spanning [0, RESIDUAL_T_MAX] —
-    or at the explicit times given as an array. The samples are evaluated
-    in batches of RESIDUAL_BLOCK. Raises ValueError when there are no
-    samples.
+    finite difference), at each of the times, an array of samples, in
+    batches of RESIDUAL_BLOCK. Raises ValueError when times is a scalar
+    or empty.
     """
-    if np.isscalar(t_samples):
-        times = np.linspace(0.0, RESIDUAL_T_MAX, int(t_samples))
-    else:
-        times = np.asarray(t_samples, dtype=float).ravel()
-    if times.size == 0:
-        raise ValueError("newton_residual needs at least one time sample")
+    if np.ndim(times) == 0 or np.size(times) == 0:
+        raise ValueError("newton_residual needs an array of at least one time sample")
+    times = np.asarray(times, dtype=float).ravel()
     masses = orbit.masses
     worst = 0.0
     for start in range(0, times.size, RESIDUAL_BLOCK):

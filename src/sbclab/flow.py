@@ -13,8 +13,9 @@ of it; lyapunov_45_check measures that statement on a batch of seeds.
 
 There is one integrator, _flow_lanes: it steps a (B, n, d) stack of starts
 in lockstep, and each lane ends bitwise as its one-lane run.
-integrate_flow is its one-lane call, and lyapunov_45_check runs its seeds
-as stacks of up to STACK_LANES lanes.
+integrate_flow is its one-lane call with no angle stop; lyapunov_45_check
+runs its seeds as stacks of up to STACK_LANES lanes that stop at
+THETA_ATTRACTOR.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class FlowTrajectory:
     theta: np.ndarray
     potential: np.ndarray
     min_sep: np.ndarray
-    stop_reason: str  # "time" | "converged" | "collision" | "theta_target"
+    stop_reason: str  # "time" | "converged" | "collision"
 
     def __len__(self) -> int:
         return len(self.states)
@@ -141,9 +142,10 @@ def _flow_lanes(
     fields and, where the step is accepted, the field at the new point.
     Each lane keeps its own t, step size, accepted-step count and samples,
     and leaves the live mask at its own stop or error, as integrate_flow
-    describes for one start.  Every operation is elementwise or a reduction
-    over one lane, so each lane ends bitwise as its one-lane run.  t_final
-    is checked by the callers.
+    describes for one start; a lane also stops at "theta_target" once its
+    collinearity angle falls below theta_stop, unless that is None.  Every
+    operation is elementwise or a reduction over one lane, so each lane
+    ends bitwise as its one-lane run.  t_final is checked by the callers.
     """
     if spectrum.d != starts.shape[-1]:
         raise ValueError("spectrum dimension does not match the configuration")
@@ -245,18 +247,12 @@ def _flow_lanes(
                     sample(b, thetas[j], speeds[j])
 
 
-def integrate_flow(
-    q0: Configuration,
-    spectrum: Spectrum,
-    t_final: float,
-    theta_stop: float | None = None,
-) -> FlowTrajectory:
+def integrate_flow(q0: Configuration, spectrum: Spectrum, t_final: float) -> FlowTrajectory:
     """Adaptive embedded Runge-Kutta run of the ascent field.
 
     Steps with the Cash-Karp 5(4) pair under the error tolerances ATOL and
     RTOL, re-projects onto I_S = 1 after every accepted step, and stops at
-    t_final, at the collision guard, at convergence |dq/dt| < 1e-10, or —
-    when theta_stop is given — once the collinearity angle falls below it.
+    t_final, at the collision guard, or at convergence |dq/dt| < 1e-10.
     Reaching none of these within MAX_STEPS accepted steps (rejected
     attempts are not counted) raises NoConvergence.
 
@@ -273,7 +269,7 @@ def integrate_flow(
     lyapunov_45_check runs on stacks of seeds.
     """
     _check_horizon(t_final)
-    (lane,) = _flow_lanes(q0.q[None], q0.masses, spectrum, t_final, theta_stop)
+    (lane,) = _flow_lanes(q0.q[None], q0.masses, spectrum, t_final, None)
     if isinstance(lane.end, Exception):
         raise lane.end
     return FlowTrajectory(
@@ -360,7 +356,7 @@ def lyapunov_45_check(seeds, spectrum: Spectrum, t_final: float = 200.0) -> Lyap
 
     Consecutive admissible seeds with the same masses and shape run as one
     lockstep stack of up to STACK_LANES lanes, each lane bitwise its own
-    integrate_flow run.  Errors come out as from one run per seed in
+    one-lane run.  Errors come out as from one run per seed in
     order: the first seed that fails, in reading its start angle or in its
     run, raises its error.  A t_final that is not finite and positive
     raises ValueError before any seed is read.

@@ -161,34 +161,26 @@ class IdentitySuiteReport:
 
 
 def _ratio_report(
-    label: str,
-    description: str,
-    pairs: list[tuple[int, Fraction]],
-    require_decrease: bool,
+    label: str, description: str, pairs: list[tuple[int, Fraction]]
 ) -> MonotoneReport:
-    strict = all(b < a for (_, a), (_, b) in zip(pairs, pairs[1:]))
-    if require_decrease and not strict:
-        bad = [
-            (na, nb)
-            for (na, a), (nb, b) in zip(pairs, pairs[1:])
-            if not b < a
-        ]
+    """The report of a ratio sequence that must decrease strictly."""
+    bad = [(na, nb) for (na, a), (nb, b) in zip(pairs, pairs[1:]) if not b < a]
+    if bad:
         raise IdentityViolation(f"{label}: ratio not decreasing at steps {bad}")
-    samples = tuple((n, float(r)) for n, r in pairs)
-    return MonotoneReport(label, description, samples, strict)
+    return MonotoneReport(label, description, tuple((n, float(r)) for n, r in pairs), True)
 
 
 def coefficient_identity_suite(n_max: int) -> IdentitySuiteReport:
     """Exact identities for all n <= n_max plus sampled asymptotic reports.
 
     Exact (IdentityViolation on failure, with a witness):
-      * sum_j c_j = n!
+      * sum_j c_j = n!, checked as each table is built
       * c_j <= n!/2, strict once n >= 4
       * c_{n-2} = (n-1)! * H_{n-1} as rationals
       * c_j = xi_j + xi_{j-1} and sum xi_j = n!/2
 
     Sampled (ratios printed in the report, strict decrease asserted on the
-    recorded ranges):
+    recorded ranges; a row is reported once it holds two samples):
       * c_j / n! at fixed j in {0..3}, n from max(4, j+2)
       * c_{n - j_n - 1} with j_n = ceil(n/2) against n^eps (n-1)!, (n-1)!,
         and (n-k)! — even n only, so the index sequence advances uniformly
@@ -199,112 +191,66 @@ def coefficient_identity_suite(n_max: int) -> IdentitySuiteReport:
         raise ValueError("n_max must be >= 4")
 
     tables = {n: poincare_coeffs(n).c for n in range(1, n_max + 1)}
-    identities: list[str] = []
-
-    for n in range(1, n_max + 1):
+    for n in range(2, n_max + 1):
         c = tables[n]
-        if sum(c) != math.factorial(n):
-            raise IdentityViolation(f"sum c_j != n! at n = {n}: {c}")
-        if n >= 2:
-            half = Fraction(math.factorial(n), 2)
-            for j, cj in enumerate(c):
-                if cj > half:
-                    raise IdentityViolation(f"c_{j}^({n}) = {cj} exceeds n!/2")
-                if n >= 4 and cj == half:
-                    raise IdentityViolation(f"c_{j}^({n}) = n!/2 but n >= 4")
-        if n >= 2:
-            expected = Fraction(math.factorial(n - 1)) * harmonic(n - 1)
-            if c[n - 2] != expected:
-                raise IdentityViolation(
-                    f"c_{n - 2}^({n}) = {c[n - 2]} != (n-1)! H_{n - 1} = {expected}"
-                )
-            xi = xi_coeffs(n).xi
-            padded = (0,) + xi + (0,)
-            for j in range(n):
-                if c[j] != padded[j + 1] + padded[j]:
-                    raise IdentityViolation(
-                        f"c_{j}^({n}) != xi_{j} + xi_{j - 1}"
-                    )
-    identities.append(f"sum c_j = n! for n <= {n_max}")
-    identities.append(f"c_j <= n!/2 for 2 <= n <= {n_max}, strict for 4 <= n")
-    identities.append(f"c_(n-2) = (n-1)! H_(n-1) for 2 <= n <= {n_max}")
-    identities.append(f"c_j = xi_j + xi_(j-1), sum xi = n!/2 for 2 <= n <= {n_max}")
-
-    monotone: list[MonotoneReport] = []
-
-    # fixed-index decay: c_j / n! -> 0.  Strictly decreasing from n = j + 2
-    # (measured; the first step can tie or rise, e.g. c_1: 1/2, 3/6).
-    for j in range(4):
-        start = max(4, j + 2)
-        pairs = [
-            (n, Fraction(tables[n][j], math.factorial(n)))
-            for n in range(start, n_max + 1)
-        ]
-        if len(pairs) >= 2:
-            monotone.append(
-                _ratio_report(
-                    f"fixed_j_{j}",
-                    f"c_{j}/n! over n in [{start}, {n_max}]",
-                    pairs,
-                    require_decrease=True,
-                )
+        half = Fraction(math.factorial(n), 2)
+        for j, cj in enumerate(c):
+            if cj > half:
+                raise IdentityViolation(f"c_{j}^({n}) = {cj} exceeds n!/2")
+            if n >= 4 and cj == half:
+                raise IdentityViolation(f"c_{j}^({n}) = n!/2 but n >= 4")
+        expected = Fraction(math.factorial(n - 1)) * harmonic(n - 1)
+        if c[n - 2] != expected:
+            raise IdentityViolation(
+                f"c_{n - 2}^({n}) = {c[n - 2]} != (n-1)! H_{n - 1} = {expected}"
             )
+        padded = (0,) + xi_coeffs(n).xi + (0,)
+        for j in range(n):
+            if c[j] != padded[j + 1] + padded[j]:
+                raise IdentityViolation(f"c_{j}^({n}) != xi_{j} + xi_{j - 1}")
+    identities = (
+        f"sum c_j = n! for n <= {n_max}",
+        f"c_j <= n!/2 for 2 <= n <= {n_max}, strict for 4 <= n",
+        f"c_(n-2) = (n-1)! H_(n-1) for 2 <= n <= {n_max}",
+        f"c_j = xi_j + xi_(j-1), sum xi = n!/2 for 2 <= n <= {n_max}",
+    )
 
     # diverging-index decay with j_n = ceil(n/2).  This single sequence is
     # positively divergent, eventually above log log n, and eventually above
     # log n, so it instantiates all three diverging-index statements.  Even n
     # only: at odd steps ceil(n/2) stalls and the raw sequence saw-tooths.
-    def half_pairs(denom, start: int) -> list[tuple[int, Fraction]]:
-        out = []
-        for n in range(start, n_max + 1, 2):
-            jn = -(-n // 2)
-            idx = n - jn - 1
-            if idx < 0:
-                continue
-            out.append((n, Fraction(tables[n][idx]) / denom(n)))
-        return out
+    # For even n the index n - j_n - 1 is n/2 - 1.
+    def half_ratios(start: int, denom) -> list[tuple[int, Fraction]]:
+        return [(n, Fraction(tables[n][n // 2 - 1]) / denom(n))
+                for n in range(start, n_max + 1, 2)]
 
-    for eps_num, eps_den, start in ((1, 10, 4), (1, 2, 4)):
-        eps = Fraction(eps_num, eps_den)
-        pairs = half_pairs(
-            lambda n: Fraction(math.factorial(n - 1)) * Fraction(float(n) ** float(eps)),
-            start,
-        )
-        if len(pairs) >= 2:
-            monotone.append(
-                _ratio_report(
-                    f"divergent_eps_{eps_num}_{eps_den}",
-                    f"c_(n-jn-1) / (n^{eps} (n-1)!), jn = ceil(n/2), "
-                    f"even n in [{start}, {n_max}]",
-                    pairs,
-                    require_decrease=True,
-                )
-            )
-
-    pairs = half_pairs(lambda n: Fraction(math.factorial(n - 1)), 4)
-    if len(pairs) >= 2:
-        monotone.append(
-            _ratio_report(
-                "divergent_loglog",
-                f"c_(n-jn-1) / (n-1)!, jn = ceil(n/2) >= log log n, "
-                f"even n in [4, {n_max}]",
-                pairs,
-                require_decrease=True,
-            )
-        )
-
+    rows = []  # (label, description, [(n, exact ratio)]), in report order
+    # fixed-index decay: c_j / n! -> 0.  Strictly decreasing from n = j + 2
+    # (measured; the first step can tie or rise, e.g. c_1: 1/2, 3/6).
+    for j in range(4):
+        start = max(4, j + 2)
+        rows.append((f"fixed_j_{j}", f"c_{j}/n! over n in [{start}, {n_max}]",
+                     [(n, Fraction(tables[n][j], math.factorial(n)))
+                      for n in range(start, n_max + 1)]))
+    for eps in (Fraction(1, 10), Fraction(1, 2)):
+        rows.append((
+            f"divergent_eps_{eps.numerator}_{eps.denominator}",
+            f"c_(n-jn-1) / (n^{eps} (n-1)!), jn = ceil(n/2), even n in [4, {n_max}]",
+            half_ratios(4, lambda n: Fraction(math.factorial(n - 1))
+                        * Fraction(float(n) ** float(eps))),
+        ))
+    rows.append((
+        "divergent_loglog",
+        f"c_(n-jn-1) / (n-1)!, jn = ceil(n/2) >= log log n, even n in [4, {n_max}]",
+        half_ratios(4, lambda n: Fraction(math.factorial(n - 1))),
+    ))
     for k, start in ((2, 6), (3, 8)):
-        pairs = half_pairs(lambda n: Fraction(math.factorial(n - k)), start)
-        if len(pairs) >= 2:
-            monotone.append(
-                _ratio_report(
-                    f"divergent_log_k{k}",
-                    f"c_(n-jn-1) / (n-{k})!, jn = ceil(n/2) >= log n, "
-                    f"even n in [{start}, {n_max}]",
-                    pairs,
-                    require_decrease=True,
-                )
-            )
+        rows.append((
+            f"divergent_log_k{k}",
+            f"c_(n-jn-1) / (n-{k})!, jn = ceil(n/2) >= log n, even n in [{start}, {n_max}]",
+            half_ratios(start, lambda n: Fraction(math.factorial(n - k))),
+        ))
+    monotone = tuple(_ratio_report(*row) for row in rows if len(row[2]) >= 2)
 
     gamma_pairs = []
     for n in range(4, n_max + 1):
@@ -323,8 +269,8 @@ def coefficient_identity_suite(n_max: int) -> IdentitySuiteReport:
 
     return IdentitySuiteReport(
         n_max=n_max,
-        identities=tuple(identities),
-        monotone=tuple(monotone),
+        identities=identities,
+        monotone=monotone,
         gamma_comparison=gamma_report,
     )
 

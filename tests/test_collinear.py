@@ -425,6 +425,7 @@ def test_numpy_eigenvalues_agree_with_scipy_eigh():
     result = solver.census(np.ones(3), spectrum, 20, 0)
     assert result.solutions
     for sol in result.solutions:
-        u, _, _, A = core._critical_model(sol.config, spectrum)
+        w = core.weight_vector(sol.config, spectrum)
+        u, _, _, A, _ = core._critical_models(sol.config.q, sol.config.masses, spectrum.array, w)
         ref = _scipy_agrees(np.linalg.eigvalsh(A), A)
         assert core._triple_of(A, u) == sol.triple == _triple(ref, u)

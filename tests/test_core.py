@@ -12,7 +12,6 @@ from sbclab.collinear import moulton_solve
 from sbclab.core import (
     Configuration,
     Spectrum,
-    _critical_model,
     _critical_models,
     _evaluate,
     _evaluate_q,
@@ -379,6 +378,11 @@ def _model(cfg, spec):
     return _restricted_hessian_any(cfg.q, cfg.masses, w, diff, r, g, lam)
 
 
+def _one_model(cfg, spec):
+    """_critical_models at the single point cfg: (U, lam, |G|, A, V)."""
+    return _critical_models(cfg.q, cfg.masses, spec.array, weight_vector(cfg, spec))
+
+
 def _assert_same_tangent_space(cfg, spec):
     """QR basis against the Gram-Schmidt oracle: the same weighted
     projector V V^T diag(w), and the same restricted-Hessian spectrum."""
@@ -448,7 +452,7 @@ def test_restricted_hessian_any_is_the_projected_ambient_form():
         assert np.array_equal(y, ref_V.T @ gradient(cfg).ravel())
         # the criticality-gated form is the same model at a root
         line = _collinear_point(cfg.masses, spec, axis=d)
-        assert np.array_equal(_critical_model(line, spec)[3], _model(line, spec)[0])
+        assert np.array_equal(_one_model(line, spec)[3], _model(line, spec)[0])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -490,11 +494,11 @@ def test_stacked_critical_models_gate_each_lane():
     w = weight_vector(lines[0], spec)
     u, lam, res, A, _ = _critical_models(q, m, spec.array, w)
     for k, line in enumerate(lines):
-        assert (u[k], lam[k], res[k]) == _critical_model(line, spec)[:3]
-        assert np.array_equal(A[k], _critical_model(line, spec)[3])
+        assert (u[k], lam[k], res[k]) == _one_model(line, spec)[:3]
+        assert np.array_equal(A[k], _one_model(line, spec)[3])
     off = normalize(random_configuration(rng, 3, 3, masses=m), spec)
     with pytest.raises(NotCriticalError) as single:
-        _critical_model(off, spec)
+        _one_model(off, spec)
     with pytest.raises(NotCriticalError) as stacked:
         _critical_models(np.array([q[0], off.q, q[1]]), m, spec.array, w)
     assert str(stacked.value) == str(single.value)
@@ -508,7 +512,7 @@ def test_restricted_hessian_requires_criticality():
     rng = np.random.default_rng(6)
     cfg = random_configuration(rng, 3, 2)
     with pytest.raises(NotCriticalError):
-        _critical_model(cfg, Spectrum.identity(2))
+        _one_model(cfg, Spectrum.identity(2))
 
 
 def test_equilateral_inertia_triple():
@@ -565,7 +569,7 @@ def test_ambient_form_reproduces_restricted_inertia():
 
     spec = Spectrum((2.0, 1.0))
     cfg = euler_on_axis(1, 2)
-    A = _critical_model(cfg, spec)[3]
+    A = _one_model(cfg, spec)[3]
     ev_restricted = np.sort(np.linalg.eigvalsh(A))
 
     H = ambient_balance_hessian(cfg, spec)

@@ -151,6 +151,42 @@ def test_no_function_takes_a_tolerance():
     assert taking == []
 
 
+def _passes_param(call: ast.Call, name: str, param: str, position: int | None) -> bool:
+    """Whether call, a call of a function called name, passes its parameter
+    param, by keyword or at the given position; a * or ** argument may."""
+    func = call.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != name:
+        return False
+    spread = any(isinstance(a, ast.Starred) for a in call.args)
+    keywords = {k.arg for k in call.keywords}
+    return spread or None in keywords or param in keywords or (
+        position is not None and len(call.args) > position)
+
+
+def test_every_default_is_set_by_a_caller():
+    """A defaulted parameter that no call in the package sets is a knob only
+    tests turn: every one must be passed by some call in the package."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            spec = node.args
+            positional = spec.posonlyargs + spec.args
+            bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            defaulted = [(p.arg, k - bound) for k, p in enumerate(positional)
+                         if k >= len(positional) - len(spec.defaults)]
+            defaulted += [(p.arg, None) for p, default in zip(spec.kwonlyargs, spec.kw_defaults)
+                          if default is not None]
+            unset += [f"{module}.{node.name}: {param}" for param, position in defaulted
+                      if not any(_passes_param(c, node.name, param, position) for c in calls)]
+    assert unset == []
+
+
 def _scipy_after(code: str) -> list[str]:
     """The scipy modules a fresh interpreter holds after running code with
     this checkout's src/ first on its path."""

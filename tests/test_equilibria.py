@@ -135,11 +135,11 @@ def test_conserved_quantities_along_orbit(orbit_s4):
 
 def test_residual_small_for_every_census_solution(census_s4):
     for sol in census_s4.solutions:
-        assert newton_residual(lift(sol), 200) < 1e-8
+        assert newton_residual(lift(sol), np.linspace(0.0, 20.0, 200)) < 1e-8
 
 
 def test_residual_accepts_explicit_times_and_shifts(orbit_s4):
-    r0 = newton_residual(orbit_s4, 300)
+    r0 = newton_residual(orbit_s4, np.linspace(0.0, 20.0, 300))
     r_shift = newton_residual(orbit_s4, np.linspace(5.0, 25.0, 300))
     assert r0 < 1e-8
     assert r_shift < 1e-8
@@ -159,7 +159,7 @@ def test_residual_blocks_match_per_sample_loop(orbit_s4):
     # 2500 samples span three evaluation blocks
     times = np.linspace(0.0, 20.0, 2500)
     ref = loop_newton_residual(orbit_s4, times)
-    assert abs(newton_residual(orbit_s4, 2500) - ref) <= 1e-15
+    assert abs(newton_residual(orbit_s4, times) - ref) <= 1e-15
     explicit = np.random.default_rng(8).uniform(-10.0, 50.0, 1700)
     ref = loop_newton_residual(orbit_s4, explicit)
     assert abs(newton_residual(orbit_s4, explicit) - ref) <= 1e-15
@@ -167,14 +167,20 @@ def test_residual_blocks_match_per_sample_loop(orbit_s4):
 
 def test_residual_rejects_empty_time_set(orbit_s4):
     with pytest.raises(ValueError):
-        newton_residual(orbit_s4, 0)
+        newton_residual(orbit_s4, np.linspace(0.0, 20.0, 0))
     with pytest.raises(ValueError):
         newton_residual(orbit_s4, np.array([]))
 
 
+def test_residual_rejects_a_sample_count(orbit_s4):
+    # a scalar is not read as one sample at that time
+    with pytest.raises(ValueError):
+        newton_residual(orbit_s4, 200)
+
+
 def test_residual_negative_control(census_s4):
     good = census_s4.solutions[0]
-    worst_prev = newton_residual(lift(good), 50)
+    worst_prev = newton_residual(lift(good), np.linspace(0.0, 20.0, 50))
     for eps in (1e-3, 1e-1):
         q = good.config.q.copy()
         q[0, 0] += eps
@@ -183,7 +189,7 @@ def test_residual_negative_control(census_s4):
         orb = RelativeEquilibriumOrbit(
             base=fake, s=4.0, lam=good.lam, omega=lift(good).omega
         )
-        r = newton_residual(orb, 50)
+        r = newton_residual(orb, np.linspace(0.0, 20.0, 50))
         assert r > worst_prev * 10
         worst_prev = r
     assert worst_prev > 0.01  # O(1) defect for an O(0.1) perturbation
@@ -200,7 +206,7 @@ def test_collinear_bases_rotate_in_a_single_plane(census_s4):
         orb = lift(sol)
         for t in (0.0, 1.3, 7.7):
             assert np.max(np.abs(orb.positions(t)[:, dead])) < 1e-14
-        assert newton_residual(orb, 100) < 1e-8
+        assert newton_residual(orb, np.linspace(0.0, 20.0, 100)) < 1e-8
 
 
 def test_s_equal_one_recovers_single_frequency():
@@ -221,7 +227,7 @@ def test_s_equal_one_recovers_single_frequency():
     )
     orb = lift(base)
     assert orb.omega[0] == pytest.approx(orb.omega[1], abs=1e-15)
-    assert newton_residual(orb, 100) < 1e-10
+    assert newton_residual(orb, np.linspace(0.0, 20.0, 100)) < 1e-10
     rep = classify_periodicity(orb)
     assert rep.kind == "periodic"
     assert rep.best_fraction == Fraction(1, 1)

@@ -34,6 +34,16 @@ def _config(q):
     return Configuration(np.asarray(q, dtype=float), np.ones(len(q)))
 
 
+def _one_lane(config, spectrum, t_final, theta_stop):
+    """One start run alone through the lockstep kernel, stopping once its
+    angle falls below theta_stop as lyapunov_45_check's lanes do; the lane's
+    error is raised."""
+    (lane,) = flow._flow_lanes(config.q[None], config.masses, spectrum, t_final, theta_stop)
+    if isinstance(lane.end, Exception):
+        raise lane.end
+    return lane
+
+
 # ---------------------------------------------------------------------------
 # collinearity angle
 
@@ -180,8 +190,8 @@ def test_flow_reads_one_pair_pass_per_evaluated_point(monkeypatch):
     monkeypatch.setattr(flow, "_flow_rhs", counting("rhs", flow._flow_rhs))
     for theta, phi in ((40.0, 0.3), (20.0, 1.1), (5.0, 2.0)):
         counts.update(pairs=0, rhs=0)
-        traj = integrate_flow(tilted_line_seed(theta, phi), S3, 50.0, theta_stop=0.1)
-        assert len(traj) > 10
+        lane = _one_lane(tilted_line_seed(theta, phi), S3, 50.0, 0.1)
+        assert len(lane.times) > 10
         assert counts["pairs"] <= counts["rhs"] + 1
 
 
@@ -208,10 +218,10 @@ def test_reflection_equivariance():
 
 
 def test_theta_stop_terminates_at_target():
-    traj = integrate_flow(tilted_line_seed(20.0, 0.0), S3, 100.0, theta_stop=0.1)
-    assert traj.stop_reason == "theta_target"
-    assert traj.theta[-1] < 0.1
-    assert traj.theta[-2] >= 0.1
+    lane = _one_lane(tilted_line_seed(20.0, 0.0), S3, 100.0, 0.1)
+    assert lane.end == "theta_target"
+    assert lane.theta[-1] < 0.1
+    assert lane.theta[-2] >= 0.1
 
 
 def test_collision_stop_keeps_last_safe_state():
@@ -328,8 +338,7 @@ def test_min_angle_can_rise_when_another_pair_leaves_the_cone():
     # the 45-degree cone (independently confirmed against scipy's RK45 at
     # tolerance 1e-12).  The checker must flag this rather than hide it.
     seed = _rising_seed()
-    traj = integrate_flow(seed, S3, 200.0, theta_stop=0.1)
-    rises = np.diff(traj.theta)
+    rises = np.diff(_one_lane(seed, S3, 200.0, 0.1).theta)
     assert rises.max() > 0.1  # macroscopic, far beyond integrator noise
     report = lyapunov_45_check([seed], S3)
     (out,) = report.outcomes
@@ -354,7 +363,7 @@ def test_check_flags_collinear_and_rejected_seeds():
 
 
 def _one_run_per_seed(seeds, spectrum, t_final=200.0):
-    """The check's outcomes built from one integrate_flow call per seed."""
+    """The check's outcomes built from a one-lane run of each seed."""
     outcomes = []
     for i, seed in enumerate(seeds):
         theta0 = collinearity_angle(seed)
@@ -362,12 +371,12 @@ def _one_run_per_seed(seeds, spectrum, t_final=200.0):
             status = "already_collinear" if theta0 == 0.0 else "rejected"
             outcomes.append(SeedOutcome(i, status, theta0, None, None, None, None))
             continue
-        traj = integrate_flow(seed, spectrum, t_final, theta_stop=flow.THETA_ATTRACTOR)
-        diffs = np.diff(traj.theta)
+        lane = _one_lane(seed, spectrum, t_final, flow.THETA_ATTRACTOR)
+        diffs = np.diff(lane.theta)
         worst = float(diffs.max()) if len(diffs) else 0.0
-        outcomes.append(SeedOutcome(i, "checked", theta0, float(traj.theta[-1]),
+        outcomes.append(SeedOutcome(i, "checked", theta0, float(lane.theta[-1]),
                                     bool(len(diffs) == 0 or worst < flow.SLACK), worst,
-                                    traj.stop_reason))
+                                    lane.end))
     return tuple(outcomes)
 
 
@@ -399,11 +408,11 @@ def _assert_lanes_are_their_one_lane_runs(starts, masses, spectrum, t_final, the
                              theta_stop)
     assert len(lanes) == len(configs)
     for config, lane in zip(configs, lanes):
-        traj = integrate_flow(config, spectrum, t_final, theta_stop)
-        assert lane.end == traj.stop_reason
-        for column in ("times", "theta", "potential", "min_sep"):
-            assert np.array(getattr(lane, column)).tobytes() == getattr(traj, column).tobytes()
-        assert np.stack(lane.states).tobytes() == np.stack([s.q for s in traj.states]).tobytes()
+        single = _one_lane(config, spectrum, t_final, theta_stop)
+        assert lane.end == single.end
+        for column in ("times", "states", "theta", "potential", "min_sep"):
+            ours, alone = (np.array(getattr(x, column)) for x in (lane, single))
+            assert ours.tobytes() == alone.tobytes()
     return [lane.end for lane in lanes]
 
 
@@ -431,7 +440,7 @@ def _first_error(seeds, spectrum):
     for seed in seeds:
         try:
             collinearity_angle(seed)
-            integrate_flow(seed, spectrum, 200.0, theta_stop=flow.THETA_ATTRACTOR)
+            _one_lane(seed, spectrum, 200.0, flow.THETA_ATTRACTOR)
         except Exception as exc:
             return exc
     return None

@@ -160,6 +160,48 @@ def test_identity_suite_rejects_small_n_max():
         coefficient_identity_suite(3)
 
 
+# every sampled row of the suite, in report order: label -> (description at
+# n_max, first sampled n, step); a row is reported once it holds two samples
+SUITE_ROWS = {
+    "fixed_j_0": ("c_0/n! over n in [4, {}]", 4, 1),
+    "fixed_j_1": ("c_1/n! over n in [4, {}]", 4, 1),
+    "fixed_j_2": ("c_2/n! over n in [4, {}]", 4, 1),
+    "fixed_j_3": ("c_3/n! over n in [5, {}]", 5, 1),
+    "divergent_eps_1_10":
+        ("c_(n-jn-1) / (n^1/10 (n-1)!), jn = ceil(n/2), even n in [4, {}]", 4, 2),
+    "divergent_eps_1_2":
+        ("c_(n-jn-1) / (n^1/2 (n-1)!), jn = ceil(n/2), even n in [4, {}]", 4, 2),
+    "divergent_loglog":
+        ("c_(n-jn-1) / (n-1)!, jn = ceil(n/2) >= log log n, even n in [4, {}]", 4, 2),
+    "divergent_log_k2":
+        ("c_(n-jn-1) / (n-2)!, jn = ceil(n/2) >= log n, even n in [6, {}]", 6, 2),
+    "divergent_log_k3":
+        ("c_(n-jn-1) / (n-3)!, jn = ceil(n/2) >= log n, even n in [8, {}]", 8, 2),
+}
+
+
+@pytest.mark.parametrize("n_max, labels", [
+    (4, ()),
+    (5, ("fixed_j_0", "fixed_j_1", "fixed_j_2")),
+    (7, ("fixed_j_0", "fixed_j_1", "fixed_j_2", "fixed_j_3", "divergent_eps_1_10",
+         "divergent_eps_1_2", "divergent_loglog")),
+    (8, tuple(SUITE_ROWS)[:-1]),
+    (30, tuple(SUITE_ROWS)),
+])
+def test_identity_suite_rows_in_order(n_max, labels):
+    """The rows, their descriptions and their sampled n at the n_max where
+    rows join the report."""
+    rows = [
+        (m.label, m.description, [n for n, _ in m.samples])
+        for m in coefficient_identity_suite(n_max).monotone
+    ]
+    expected = []
+    for label in labels:
+        description, start, step = SUITE_ROWS[label]
+        expected.append((label, description.format(n_max), list(range(start, n_max + 1, step))))
+    assert rows == expected
+
+
 def test_divergent_reports_sample_even_n():
     report = coefficient_identity_suite(24)
     for m in report.monotone:
