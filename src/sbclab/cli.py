@@ -176,17 +176,96 @@ def _float_blocks(*columns):
         yield np.column_stack([c[start:start + CSV_BLOCK] for c in columns])
 
 
+def _json_float(x: float) -> str:
+    """x as json.dumps writes a float; NaN and the infinities raise."""
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+_JSON_STR = json.encoder.encode_basestring_ascii
+_JSON_SCALAR = {  # the writer of each exact scalar type
+    str: _JSON_STR,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json_parts(parts: list, obj, nl: str) -> None:
+    """Append the JSON text of obj to parts; nl is a newline followed by
+    the indentation of obj's own line. An item of an exact scalar type is
+    written in its container's loop, with no call of its own."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in obj:
+            write = _JSON_SCALAR.get(type(value))
+            if write is None:
+                parts.append(sep)
+                _json_parts(parts, value, inner)
+            else:
+                parts.append(sep + write(value))
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {key.__class__.__name__}")
+            head = sep + _JSON_STR(key) + ": "
+            write = _JSON_SCALAR.get(type(value))
+            if write is None:
+                parts.append(head)
+                _json_parts(parts, value, inner)
+            else:
+                parts.append(head + write(value))
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif type(obj) in _JSON_SCALAR:
+        parts.append(_JSON_SCALAR[type(obj)](obj))
+    elif isinstance(obj, str):
+        parts.append(_JSON_STR(obj))
+    elif isinstance(obj, int):  # bool is exact; IntEnum and the like
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):  # np.float64
+        parts.append(_json_float(obj))
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), as
+    one join of its parts, for payloads whose dict keys are all str (every
+    report's are; _sanitize makes them so)."""
+    parts: list = []
+    _json_parts(parts, payload, "\n")
+    return "".join(parts)
+
+
 def _emit(args, payload: dict, table) -> None:
     """Write the report to stdout or --output; CSV rows stream as made.
 
     A 2-D float array among the rows is a block of rows, written with one
     write: repr is the str that csv.writer gives a float, and a float
     never needs quoting, so the bytes are those of csv.writer.
-    A JSON report holding NaN or an infinity is refused (ValueError)
-    before any output is opened: those are not JSON."""
+    JSON text comes from _json_text, which returns exactly what
+    json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) does:
+    with an indent, json.dumps skips its C encoder and runs a pure-Python
+    generator, which a list of parts and one join outpace. A JSON report
+    holding NaN or an infinity is refused (ValueError) before any output
+    is opened: those are not JSON."""
     text = None
     if args.format != "csv":
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = _json_text(payload) + "\n"
     if args.output is None or args.output == "-":
         out = contextlib.nullcontext(sys.stdout)
     else:
@@ -257,13 +336,13 @@ def _cmd_bounds(args):
 
 def _record_payload(rec) -> dict:
     return {
-        "ordering": list(rec.ordering),
+        "ordering": rec.ordering,
         "axis": rec.axis,
-        "positions": [[float(x) for x in row] for row in rec.config.q],
-        "U": float(rec.u),
-        "lambda": float(rec.lam),
-        "residual": float(rec.residual),
-        "eta": [float(e) for e in rec.spectral.eigenvalues],
+        "positions": rec.q.tolist(),
+        "U": rec.u,
+        "lambda": rec.lam,
+        "residual": rec.residual,
+        "eta": rec.spectral.eigenvalues,
         "predicted": rec.predicted,
         "computed": rec.computed,
     }
@@ -323,7 +402,7 @@ def _census_payload(result, n: int, d: int) -> dict:
         },
         "solutions": [
             {
-                "q": [[float(x) for x in row] for row in sol.config.q],
+                "q": sol.config.q.tolist(),
                 "lambda": float(sol.lam),
                 "residual": float(sol.residual_norm),
                 "triple": sol.triple,

@@ -9,16 +9,18 @@ coindex n-2, and each transverse direction i contributes according to the
 signs of eta_l + (s_i/s_j) * U(q_hat) over the eigenvalue groups eta_l of
 M^{-1} B(q_hat).
 
-Each record is built complete, from one spectrum per line and one guarded
+Each record is built complete, from its line's spectrum and one guarded
 pair pass at the point: U, lambda, residual and both triples. The gap
 equations of a line depend only on its masses in line order, so an
 enumeration solves them once per distinct mass sequence (once in all for
-equal masses), and it builds its records in stacks of up to STACK_LANES:
-one normalization, one pair pass, one residual gate and one restricted
-Hessian serve the whole stack. Reversing an ordering mirrors its line
-(x -> -x) and leaves every r_ij unchanged, so only the canonical
-orientation (first label below the last) is built, and the reversed
-ordering's records are its exact negation.
+equal masses), and it decomposes all its lines as one (L, n) stack: one
+force-matrix stack and one eigvalsh call. Its records are built in stacks
+of up to STACK_LANES: one normalization, one pair pass, one residual gate,
+one restricted Hessian and one eigvalsh for the triples serve the whole
+stack, and each record keeps its point as a read-only row of that stack.
+Reversing an ordering mirrors its line (x -> -x) and leaves every r_ij
+unchanged, so only the canonical orientation (first label below the last)
+is built, and the reversed ordering's records are its exact negation.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .core import (
     _pairs,
     _potential_of,
     _triple_of,
-    weight_vector,
+    _weights,
 )
 from .errors import NoConvergence, SpectrumAnomalyError, UnsupportedCase
 
@@ -54,19 +56,22 @@ STACK_LANES = 256        # records per stacked model build: bounds its memory
 
 
 def _b_matrix_1d(masses: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Symmetric force matrix B of the line x (one coordinate per body).
+    """Symmetric force matrix B of the line x (one coordinate per body),
+    or one per leading index of a (..., n) stack of lines.
 
     Off-diagonal entries are m_i m_j / r_ij^3 and rows sum to zero, so that
     the axis component of grad U equals B x.
     """
-    _, r = _pairs(x[:, None])
+    _, r = _pairs(x[..., None])
     B = np.outer(masses, masses) / r**3
-    np.fill_diagonal(B, -B.sum(axis=1))
+    n = len(masses)
+    # B is fresh, so the reshape is a view of its diagonals
+    B.reshape(B.shape[:-2] + (n * n,))[..., :: n + 1] = -B.sum(axis=-1)
     return B
 
 
-def _potential_1d(masses: np.ndarray, x: np.ndarray) -> float:
-    return _potential_of(masses, _pairs(x[:, None])[1])
+def _potential_1d(masses: np.ndarray, x: np.ndarray):
+    return _potential_of(masses, _pairs(x[..., None])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -93,27 +98,37 @@ class SpectralData:
         return tuple(-eta / self.u_hat for eta, _ in self.groups[1:])
 
 
-def ccc_spectrum(m: np.ndarray, x: np.ndarray) -> SpectralData:
+def ccc_spectrum(m: np.ndarray, x: np.ndarray):
     """Verified, grouped spectrum of M^{-1} B at the unit-mass-norm CC line x.
 
-    Checks the two structural eigenvalues (a simple 0 from translations and
-    a simple -U(q_hat) from the radial direction), requires every remaining
+    x is one line (n,), giving its SpectralData, or a stack of lines
+    (L, n), giving a list of L: one force-matrix stack and one eigvalsh
+    call serve the stack, each lane bitwise its one-line result. Checks the
+    two structural eigenvalues (a simple 0 from translations and a simple
+    -U(q_hat) from the radial direction), requires every remaining
     eigenvalue to sit strictly below -U(q_hat), and groups the rest to
-    GROUP_TOL * U(q_hat). Raises SpectrumAnomalyError otherwise.
+    GROUP_TOL * U(q_hat). The first line that fails raises
+    SpectrumAnomalyError.
     """
-    u = _potential_1d(m, x)
-    B = _b_matrix_1d(m, x)
     root_m = np.sqrt(m)
-    C = B / np.outer(root_m, root_m)
-    ev = np.sort(np.linalg.eigvalsh(C))
-    tol = GROUP_TOL * u
+    C = _b_matrix_1d(m, x) / np.outer(root_m, root_m)
+    ev = np.sort(np.linalg.eigvalsh(C), axis=-1).tolist()
+    u = _potential_1d(m, x)
+    if x.ndim == 1:
+        return _grouped(len(m), u, ev)
+    return [_grouped(len(m), *line) for line in zip(u.tolist(), ev)]
 
+
+def _grouped(n: int, u: float, ev: list[float]) -> SpectralData:
+    """The SpectralData of one line from U(q_hat) and its ascending
+    eigenvalues (see ccc_spectrum)."""
+    tol = GROUP_TOL * u
     remaining = list(ev)
-    i_zero = int(np.argmin(np.abs(remaining)))
+    i_zero = min(range(len(remaining)), key=lambda i: abs(remaining[i]))
     if abs(remaining[i_zero]) > tol:
         raise SpectrumAnomalyError("no translation eigenvalue near zero")
     remaining.pop(i_zero)
-    i_rad = int(np.argmin(np.abs(np.array(remaining) + u)))
+    i_rad = min(range(len(remaining)), key=lambda i: abs(remaining[i] + u))
     if abs(remaining[i_rad] + u) > tol:
         raise SpectrumAnomalyError("no radial eigenvalue near -U(q_hat)")
     remaining.pop(i_rad)
@@ -130,12 +145,7 @@ def ccc_spectrum(m: np.ndarray, x: np.ndarray) -> SpectralData:
             groups[-1] = ((eta * mult + val) / (mult + 1), mult + 1)
         else:
             groups.append((val, 1))
-    return SpectralData(
-        n=len(m),
-        u_hat=u,
-        eigenvalues=tuple(float(v) for v in ev),
-        groups=tuple((float(e), int(a)) for e, a in groups),
-    )
+    return SpectralData(n=n, u_hat=u, eigenvalues=tuple(ev), groups=tuple(groups))
 
 
 def predicted_indices(spectral: SpectralData, spectrum: Spectrum, axis: int) -> InertiaTriple:
@@ -238,18 +248,20 @@ class CollinearRecord:
     """One solved and classified collinear balanced configuration.
 
     ordering and axis are 1-based (body labels left to right along the
-    axis, and the coordinate axis carrying the weight s_axis). config is
-    normalized to I_S = 1, with U, multiplier and residual norm u, lam and
-    residual; cc_positions is the unit-mass-norm collinear CC it was built
-    from, indexed by body, with spectrum `spectral`. predicted is None only
-    where UnsupportedCase applies; computed comes from the restricted Hessian.
+    axis, and the coordinate axis carrying the weight s_axis). q is the
+    point as a read-only (n, d) array, normalized to I_S = 1 with its
+    centre of mass removed, and config builds a Configuration of it on
+    request; u, lam and residual are its U, multiplier and residual norm.
+    cc_positions is the unit-mass-norm collinear CC it was built from,
+    indexed by body, with spectrum `spectral`. predicted is None only where
+    UnsupportedCase applies; computed comes from the restricted Hessian.
     """
 
     ordering: tuple[int, ...]
     axis: int
     spectrum: Spectrum
     masses: np.ndarray
-    config: Configuration
+    q: np.ndarray
     cc_positions: np.ndarray
     u: float
     lam: float
@@ -260,30 +272,45 @@ class CollinearRecord:
     predicted: InertiaTriple | None
     computed: InertiaTriple
 
+    @property
+    def config(self) -> Configuration:
+        return Configuration(self.q, self.masses)
 
-def _cc_line(m: np.ndarray, ordering, solved: dict):
-    """(x_hat, gap residual, iterations, spectral) of one ordering: its gap
-    solve, the unit-mass-norm CC line x_hat indexed by body, and its spectrum.
-    The one place a line is solved and spectrally decomposed.
+
+def _cc_lines(m: np.ndarray, orderings) -> list:
+    """(ordering, x_hat, gap residual, iterations, spectral) of each
+    ordering: its gap solve, the unit-mass-norm CC line x_hat indexed by
+    body, and its spectrum. The one place lines are solved and spectrally
+    decomposed.
 
     The gap solve and the unit line in line order depend only on the masses
-    in line order, so `solved` keeps them by that tuple for the caller's
-    other orderings: with equal masses every ordering shares one solve.
+    in line order, so orderings with the same masses in line order share
+    one solve: with equal masses every ordering does. The lines are rows of
+    one (L, n) stack, decomposed by one ccc_spectrum call.
     """
-    order0 = [b - 1 for b in ordering]
-    m_ord = m[order0]
-    key = tuple(m_ord)
-    if key not in solved:
-        gaps, gap_res, iters = _ordered_cc_gaps(m_ord)
-        y = np.concatenate(([0.0], np.cumsum(gaps)))
-        y -= float(m_ord @ y / m_ord.sum())
-        y /= math.sqrt(float(m_ord @ y**2))
-        solved[key] = y, gap_res, iters
-    y, gap_res, iters = solved[key]
+    solved: dict = {}
+    x_hat = np.empty((len(orderings), len(m)))
+    fits = []
+    for k, ordering in enumerate(orderings):
+        order0 = [b - 1 for b in ordering]
+        m_ord = m[order0]
+        key = tuple(m_ord)
+        if key not in solved:
+            gaps, gap_res, iters = _ordered_cc_gaps(m_ord)
+            y = np.concatenate(([0.0], np.cumsum(gaps)))
+            y -= float(m_ord @ y / m_ord.sum())
+            y /= math.sqrt(float(m_ord @ y**2))
+            solved[key] = y, gap_res, iters
+        y, gap_res, iters = solved[key]
+        x_hat[k, order0] = y
+        fits.append((gap_res, iters))
+    spectra = ccc_spectrum(m, x_hat)
+    return [(o, x_hat[k], *fits[k], spectra[k]) for k, o in enumerate(orderings)]
 
-    x_hat = np.empty(len(m))
-    x_hat[order0] = y
-    return x_hat, gap_res, iters, ccc_spectrum(m, x_hat)
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _mirrored(rec: CollinearRecord) -> CollinearRecord:
@@ -297,7 +324,7 @@ def _mirrored(rec: CollinearRecord) -> CollinearRecord:
     return replace(
         rec,
         ordering=rec.ordering[::-1],
-        config=Configuration(0.0 - rec.config.q, rec.masses),
+        q=_read_only(0.0 - rec.q),
         cc_positions=0.0 - rec.cc_positions,
     )
 
@@ -306,15 +333,17 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes, models=None) -> lis
     """The records of every line on each of `axes`, line by line.
 
     lines holds (ordering, x_hat, gap residual, iterations, spectral) of
-    CC lines (see _cc_line). The line on axis j is x_hat / sqrt(s_j) on
+    CC lines (see _cc_lines). The line on axis j is x_hat / sqrt(s_j) on
     that axis, normalized to I_S = 1. Up to STACK_LANES records share one
     stacked build: one normalization, one guarded pair pass with its
-    residual gate, and one restricted Hessian (core._critical_models),
-    each lane bitwise a build of its own. When `models` is a dict, it
-    receives each record's restricted Hessian and tangent basis (A, V),
-    keyed by (axis, ordering).
+    residual gate, one restricted Hessian (core._critical_models) and one
+    eigvalsh for the triples, each lane bitwise a build of its own. Each
+    record's q is a row of the stack's read-only normalized positions.
+    When `models` is a dict, it receives each record's restricted Hessian
+    and tangent basis (A, V), keyed by (axis, ordering).
     """
     n, d, s = len(m), spectrum.d, spectrum.array
+    w = _weights(m, s)
     lanes = [(line, axis) for line in lines for axis in axes]
     records = []
     for lo in range(0, len(lanes), STACK_LANES):
@@ -322,10 +351,11 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes, models=None) -> lis
         q = np.zeros((len(chunk), n, d))
         for k, ((_, x_hat, *_), axis) in enumerate(chunk):
             q[k, :, axis - 1] = x_hat / math.sqrt(spectrum.s[axis - 1])
-        configs = [Configuration(p, m) for p in _normalize_q(q, m, s)[0]]
-        w = weight_vector(configs[0], spectrum)
+        q = _read_only(_normalize_q(q, m, s)[0])
         # evaluate the points the records hold
-        u, lam, res, A, V = _critical_models(np.array([c.q for c in configs]), m, s, w)
+        u, lam, res, A, V = _critical_models(q, m, s, w)
+        computed = _triple_of(A, u)
+        u, lam, res = u.tolist(), lam.tolist(), res.tolist()
         for k, ((ordering, x_hat, gap_res, iters, spectral), axis) in enumerate(chunk):
             try:
                 predicted = predicted_indices(spectral, spectrum, axis)
@@ -336,16 +366,16 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes, models=None) -> lis
                 axis=int(axis),
                 spectrum=spectrum,
                 masses=m,
-                config=configs[k],
+                q=q[k],
                 cc_positions=x_hat,
-                u=float(u[k]),
-                lam=float(lam[k]),
-                residual=float(res[k]),
+                u=u[k],
+                lam=lam[k],
+                residual=res[k],
                 gap_residual=gap_res,
                 iterations=iters,
                 spectral=spectral,
                 predicted=predicted,
-                computed=_triple_of(A[k], float(u[k])),
+                computed=computed[k],
             )
             records.append(rec)
             if models is not None:
@@ -378,7 +408,7 @@ def moulton_solve(masses, ordering, axis: int, spectrum: Spectrum) -> CollinearR
     mirror = ordering[0] > ordering[-1]
     if mirror:
         ordering = ordering[::-1]
-    (rec,) = _records(m, spectrum, [(ordering, *_cc_line(m, ordering, {}))], (axis,))
+    (rec,) = _records(m, spectrum, _cc_lines(m, [ordering]), (axis,))
     return _mirrored(rec) if mirror else rec
 
 
@@ -390,10 +420,10 @@ def enumerate_csbc(masses, spectrum: Spectrum, models=None) -> list[CollinearRec
     """All d * n! collinear balanced configurations, classified.
 
     One record per (ordering, axis), sorted by (axis, ordering), each built
-    complete (see CollinearRecord). Each of the n!/2 canonical lines (first
-    label below the last) gets its spectrum once, and one gap solve serves
-    every line with the same masses in line order (one in all for equal
-    masses). Every line is placed on every axis in one stacked build per
+    complete (see CollinearRecord). The n!/2 canonical lines (first label
+    below the last) get their spectra from one stacked call, and one gap
+    solve serves every line with the same masses in line order (one in all
+    for equal masses; see _cc_lines). Every line is placed on every axis in one stacked build per
     STACK_LANES records (see _records); its reversed ordering, met later in
     lexicographic order, gets the negated records (see _mirrored). When
     `models` is a dict, it receives every record's (A, V) keyed by
@@ -401,8 +431,7 @@ def enumerate_csbc(masses, spectrum: Spectrum, models=None) -> list[CollinearRec
     """
     m = np.array(masses, dtype=float)
     orderings = list(itertools.permutations(range(1, len(m) + 1)))
-    solved: dict = {}
-    lines = [(o, *_cc_line(m, o, solved)) for o in orderings if o[0] <= o[-1]]
+    lines = _cc_lines(m, [o for o in orderings if o[0] <= o[-1]])
     axes = range(1, spectrum.d + 1)
     built = iter(_records(m, spectrum, lines, axes, models))
     placed: dict[tuple[int, ...], list[CollinearRecord]] = {}
@@ -431,9 +460,10 @@ def degeneracy_thresholds(masses) -> ThresholdReport:
 
     A transverse weight ratio crossing one of these values changes the
     predicted inertia triple; at equality the point is degenerate. Only the
-    n!/2 canonical lines get a spectrum (no record is built): a reversed
-    ordering is the mirror image of its line and has the same spectrum.
-    Lines with the same masses in line order share one gap solve.
+    n!/2 canonical lines get a spectrum, from one stacked call (no record is
+    built): a reversed ordering is the mirror image of its line and has the
+    same spectrum. Lines with the same masses in line order share one gap
+    solve (see _cc_lines).
     """
     m = np.array(masses, dtype=float)
     n = len(m)
@@ -441,14 +471,10 @@ def degeneracy_thresholds(masses) -> ThresholdReport:
         raise ValueError("degeneracy thresholds require n >= 3")
     if np.any(m <= 0):
         raise ValueError("masses must be positive")
-    per: dict[tuple[int, ...], tuple[float, ...]] = {}
-    solved: dict = {}
-    for ordering in itertools.permutations(range(1, n + 1)):
-        per[ordering] = (
-            per[ordering[::-1]]
-            if ordering[0] > ordering[-1]
-            else _cc_line(m, ordering, solved)[3].thresholds
-        )
+    orderings = list(itertools.permutations(range(1, n + 1)))
+    lines = _cc_lines(m, [o for o in orderings if o[0] < o[-1]])
+    canonical = {line[0]: line[4].thresholds for line in lines}
+    per = {o: canonical[o if o in canonical else o[::-1]] for o in orderings}
     lows = [t[0] for t in per.values()]
     highs = [t[-1] for t in per.values()]
     return ThresholdReport(

@@ -241,7 +241,12 @@ def _inertia_s(q: np.ndarray, m: np.ndarray, s: np.ndarray):
 def weight_vector(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     """Flattened diagonal of (S x M): entry (i, k) is m_i * s_k."""
     _check_dims(config, spectrum)
-    return np.repeat(config.masses, config.d) * np.tile(spectrum.array, config.n)
+    return _weights(config.masses, spectrum.array)
+
+
+def _weights(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """weight_vector from the masses m and the axis weights s."""
+    return np.repeat(m, len(s)) * np.tile(s, len(m))
 
 
 def _check_dims(config: Configuration, spectrum: Spectrum) -> None:
@@ -443,14 +448,20 @@ def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:
     return _triple_of(A, u)
 
 
-def _triple_of(A: np.ndarray, u: float) -> InertiaTriple:
-    """Inertia triple of the restricted Hessian A at a point where U = u."""
+def _triple_of(A: np.ndarray, u):
+    """Inertia triple of the restricted Hessian A at a point where U = u.
+
+    A (L, k, k) stack of them, with u holding their L potentials, gives
+    the list of L triples from one eigvalsh call, each lane bitwise its
+    one-matrix result.
+    """
     ev = np.linalg.eigvalsh(A)
-    gap = NULL_TOL * u
-    neg = int(np.sum(ev < -gap))
-    nul = int(np.sum(np.abs(ev) <= gap))
-    pos = int(np.sum(ev > gap))
-    return InertiaTriple(neg, nul, pos)
+    gap = NULL_TOL * np.asarray(u)[..., None]
+    counts = np.stack(
+        [(ev < -gap).sum(axis=-1), (np.abs(ev) <= gap).sum(axis=-1), (ev > gap).sum(axis=-1)],
+        axis=-1,
+    ).tolist()
+    return InertiaTriple(*counts) if A.ndim == 2 else [InertiaTriple(*c) for c in counts]
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +502,8 @@ def to_document(config: Configuration, spectrum: Spectrum) -> dict:
     return {
         "n": config.n,
         "d": config.d,
-        "masses": [float(v) for v in config.masses],
-        "q": [[float(x) for x in row] for row in config.q],
-        "S": [float(v) for v in spectrum.s],
+        "masses": config.masses.tolist(),
+        "q": config.q.tolist(),
+        "S": list(spectrum.s),
     }
 

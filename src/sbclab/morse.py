@@ -128,18 +128,17 @@ def harmonic_tail(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MonotoneReport:
-    """A sampled ratio sequence with its strict-decrease verdict.
+    """A sampled ratio sequence that decreases strictly.
 
     `samples` holds (n, ratio) pairs; the ratio is evaluated exactly and
-    stored as a float only for display. `strict` records whether every
-    consecutive pair decreased — the honest finite surrogate for a limit
-    statement.
+    stored as a float only for display. Every consecutive pair decreased
+    (the honest finite surrogate for a limit statement): _ratio_report
+    raises IdentityViolation on any other sequence.
     """
 
     label: str
     description: str
     samples: tuple[tuple[int, float], ...]
-    strict: bool
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def _ratio_report(
     bad = [(na, nb) for (na, a), (nb, b) in zip(pairs, pairs[1:]) if not b < a]
     if bad:
         raise IdentityViolation(f"{label}: ratio not decreasing at steps {bad}")
-    return MonotoneReport(label, description, tuple((n, float(r)) for n, r in pairs), True)
+    return MonotoneReport(label, description, tuple((n, float(r)) for n, r in pairs))
 
 
 def coefficient_identity_suite(n_max: int) -> IdentitySuiteReport:

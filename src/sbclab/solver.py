@@ -388,9 +388,9 @@ def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]
     seeds: list[Configuration | None] = []  # None: the next walked start
     starts = []
     for rec in _representatives(records, m):
-        q = rec.config.q
+        q = rec.q
         A, V = models[rec.axis, rec.ordering]
-        seeds.append(rec.config)
+        seeds.append(Configuration(q, m))
         evals, evecs = np.linalg.eigh(A)
         for k in range(len(evals)):
             if evals[k] >= -NULL_TOL * rec.u:

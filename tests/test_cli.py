@@ -10,8 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sbclab import cli
+from sbclab.core import InertiaTriple
 from sbclab.equilibria import RelativeEquilibriumOrbit
 from sbclab.errors import NoConvergence
 
@@ -110,6 +113,65 @@ def test_non_finite_report_is_refused(capsys, monkeypatch, tmp_path):
     assert code == 1
     assert "JSON" in err and out == ""
     assert not target.exists()
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
+
+# what a report holds: str-keyed dicts, lists and tuples (InertiaTriple
+# among them) around str, bool, None, int and finite float scalars
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**53, max_value=2**80).flatmap(lambda v: st.sampled_from([v, -v])),
+    _FINITE,
+    _FINITE.map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, -1e22]),
+    st.text(),
+    st.builds(InertiaTriple, *[st.integers(0, 12)] * 3),
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+@example({
+    "floats": [-0.0, 5e-324, 1e16, 1e22, np.float64(0.1), np.float64(-0.0)],
+    "ints": [2**53, -(2**64), 0, True, False, None],
+    "text": ["\u00e9t\u00e9", "\u20ac \U0001f600", "tab\tquote\"", ""],
+    "triples": [InertiaTriple(1, 0, 2), (), [], {}],
+    "nested": {"b": {"a": [[], {}, ((1.5,),)]}, "a": ()},
+})
+def test_json_writer_equals_json_dumps(payload):
+    assert cli._json_text(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
+def test_json_writer_refuses_non_finite_floats(bad):
+    for payload in (bad, [1.0, bad], {"a": {"b": (2.0, bad)}}):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_text(payload)
+        with pytest.raises(ValueError):
+            _dumps(payload)
+
+
+def test_json_writer_equals_json_dumps_on_reports():
+    parser = cli.build_parser()
+    for argv in (("collinear", "--n", "4", "--d", "3", "--s", "3,2,1"),
+                 ("census", "--n", "3", "--restarts", "5"),
+                 ("bounds", "6", "3"),
+                 ("coeffs", "30")):
+        payload, _ = cli._HANDLERS[argv[0]](parser.parse_args(argv))
+        assert cli._json_text(payload) == _dumps(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -309,10 +309,11 @@ def test_degeneracy_thresholds_solve_canonical_lines_only(monkeypatch):
 )
 def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
     """One gap solve per distinct tuple of masses in line order over the
-    canonical orderings (one for equal masses), n!/2 spectra (one per mirror
-    pair of orderings), one Configuration per record, and one stacked
-    evaluation and restricted Hessian for all records; every record is
-    bitwise the record a fresh moulton_solve on its axis gives."""
+    canonical orderings (one for equal masses), one stacked spectrum call
+    for the n!/2 canonical lines (one per mirror pair of orderings), no
+    Configuration, and one stacked evaluation and restricted Hessian for all
+    records; every record is bitwise the record a fresh moulton_solve on
+    its axis gives."""
     calls = {"gaps": 0, "spectra": 0, "built": 0, "evaluated": 0, "models": 0}
 
     def counted(name, fn):
@@ -339,8 +340,8 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
     assert records // 2 <= collinear.STACK_LANES
     assert calls == {
         "gaps": len({tuple(masses[i] for i in o) for o in canonical}),
-        "spectra": orderings // 2,
-        "built": records,
+        "spectra": 1,
+        "built": 0,
         "evaluated": 1,
         "models": 1,
     }
@@ -391,6 +392,41 @@ def test_enumerate_mirrored_records_equal_a_full_evaluation(masses, s):
         assert (rec.spectral, rec.predicted, rec.computed) == (
             full.spectral, full.predicted, full.computed
         )
+
+
+@pytest.mark.parametrize(
+    "masses,s",
+    [
+        ((1.0,) * 6, (1.5, 1.0)),
+        ((1.0, 2.0, 3.0, 4.0, 5.0), (1.5, 1.0)),
+        ((1.0, 2.0, 3.0, 4.0, 5.0), (2.5, 1.5, 1.0)),
+    ],
+)
+def test_stacked_lanes_are_bitwise_their_one_line_results(masses, s):
+    """Each lane of the stacked line spectra (force matrices included) is
+    bitwise its one-line result, each lane of the stacked triples is its
+    one-matrix triple, and each record's read-only q is bitwise the point
+    a Configuration of it holds."""
+    m = np.array(masses)
+    spectrum = Spectrum(s)
+    models: dict = {}
+    recs = enumerate_csbc(m, spectrum, models)
+    lines = [r for r in recs if r.axis == 1 and r.ordering[0] < r.ordering[-1]]
+    assert len(lines) == math.factorial(len(m)) // 2
+    x = np.array([r.cc_positions for r in lines])
+    B = _b_matrix_1d(m, x)
+    for k, (rec, spectral) in enumerate(zip(lines, ccc_spectrum(m, x))):
+        line = x[k].copy()
+        assert B[k].tobytes() == _b_matrix_1d(m, line).tobytes()
+        assert repr(spectral) == repr(ccc_spectrum(m, line)) == repr(rec.spectral)
+
+    A = np.array([models[r.axis, r.ordering][0] for r in recs])
+    stacked = core._triple_of(A, np.array([r.u for r in recs]))
+    assert stacked == [core._triple_of(a, r.u) for a, r in zip(A, recs)]
+    assert stacked == [r.computed for r in recs]
+    for rec in recs:
+        assert not rec.q.flags.writeable
+        assert rec.q.tobytes() == rec.config.q.tobytes()
 
 
 def _scipy_agrees(ev, A) -> np.ndarray:

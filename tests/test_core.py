@@ -538,6 +538,26 @@ def test_inertia_indices_makes_one_pair_pass(monkeypatch):
     assert len(calls) == 1
 
 
+def test_stacked_triples_are_their_one_matrix_triples():
+    """_triple_of on an (L, k, k) stack with one U per lane gives each
+    lane's one-matrix triple, eigenvalues at the null gap included."""
+    rng = np.random.default_rng(3)
+    u = np.array([1.0, 2.0, 0.5, 3.0])
+    ev = np.array([
+        [-2.0, -1e-9, 0.0, 4e-7, 1.0],
+        [-1.0, -3e-6, 1e-6, 5e-6, 2.0],
+        [-4.0, -3.0, 1e-7, 2.0, 3.0],
+        [1.0, 2.0, 3.0, 4.0, 5.0],
+    ])
+    Q = np.linalg.qr(rng.standard_normal((4, 5, 5)))[0]
+    A = Q @ (ev[:, :, None] * Q.swapaxes(-1, -2))
+    A = 0.5 * (A + A.swapaxes(-1, -2))
+    stacked = core._triple_of(A, u)
+    assert stacked == [core._triple_of(a, uk) for a, uk in zip(A, u.tolist())]
+    assert stacked == [(1, 3, 1), (2, 1, 2), (2, 1, 2), (0, 0, 5)]
+    assert all(isinstance(t, core.InertiaTriple) for t in stacked)
+
+
 @pytest.mark.parametrize(
     "d,expected",
     [(2, (1, 1, 1)), (3, (2, 2, 1))],

@@ -120,7 +120,11 @@ def test_identity_suite_runs_clean():
     report = coefficient_identity_suite(30)
     assert report.n_max == 30
     assert len(report.identities) == 4
-    assert all(m.strict for m in report.monotone)
+    # a sampled row is reported only when it decreases strictly
+    for ratios in ([Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 2)],
+                   [Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)]):
+        with pytest.raises(IdentityViolation, match="not decreasing"):
+            morse._ratio_report("row", "a row", list(enumerate(ratios, 4)))
     labels = {m.label for m in report.monotone}
     assert "fixed_j_1" in labels
     assert "divergent_loglog" in labels
