@@ -41,6 +41,7 @@ from .core import (
     _potential_of,
     _triple_of,
     _weights,
+    mass_vector,
 )
 from .errors import NoConvergence, SpectrumAnomalyError, UnsupportedCase
 
@@ -68,10 +69,6 @@ def _b_matrix_1d(masses: np.ndarray, x: np.ndarray) -> np.ndarray:
     # B is fresh, so the reshape is a view of its diagonals
     B.reshape(B.shape[:-2] + (n * n,))[..., :: n + 1] = -B.sum(axis=-1)
     return B
-
-
-def _potential_1d(masses: np.ndarray, x: np.ndarray):
-    return _potential_of(masses, _pairs(x[..., None])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,7 @@ def ccc_spectrum(m: np.ndarray, x: np.ndarray):
     root_m = np.sqrt(m)
     C = _b_matrix_1d(m, x) / np.outer(root_m, root_m)
     ev = np.sort(np.linalg.eigvalsh(C), axis=-1).tolist()
-    u = _potential_1d(m, x)
+    u = _potential_of(m, _pairs(x[..., None])[1])
     if x.ndim == 1:
         return _grouped(len(m), u, ev)
     return [_grouped(len(m), *line) for line in zip(u.tolist(), ev)]
@@ -397,14 +394,12 @@ def moulton_solve(masses, ordering, axis: int, spectrum: Spectrum) -> CollinearR
     a reversed ordering is the mirror image of its canonical line, so it is
     bitwise the record enumerate_csbc gives it.
     """
-    m = np.array(masses, dtype=float)
+    m = mass_vector(masses)
     n = len(m)
     if sorted(ordering) != list(range(1, n + 1)):
         raise ValueError("ordering must be a permutation of 1..n")
     if not 1 <= axis <= spectrum.d:
         raise ValueError(f"axis must be in 1..{spectrum.d}")
-    if np.any(m <= 0):
-        raise ValueError("masses must be positive")
     mirror = ordering[0] > ordering[-1]
     if mirror:
         ordering = ordering[::-1]
@@ -429,7 +424,7 @@ def enumerate_csbc(masses, spectrum: Spectrum, models=None) -> list[CollinearRec
     `models` is a dict, it receives every record's (A, V) keyed by
     (axis, ordering); a mirrored record shares its canonical one's.
     """
-    m = np.array(masses, dtype=float)
+    m = mass_vector(masses)
     orderings = list(itertools.permutations(range(1, len(m) + 1)))
     lines = _cc_lines(m, [o for o in orderings if o[0] <= o[-1]])
     axes = range(1, spectrum.d + 1)
@@ -465,12 +460,10 @@ def degeneracy_thresholds(masses) -> ThresholdReport:
     same spectrum. Lines with the same masses in line order share one gap
     solve (see _cc_lines).
     """
-    m = np.array(masses, dtype=float)
+    m = mass_vector(masses)
     n = len(m)
     if n < 3:
         raise ValueError("degeneracy thresholds require n >= 3")
-    if np.any(m <= 0):
-        raise ValueError("masses must be positive")
     orderings = list(itertools.permutations(range(1, n + 1)))
     lines = _cc_lines(m, [o for o in orderings if o[0] < o[-1]])
     canonical = {line[0]: line[4].thresholds for line in lines}

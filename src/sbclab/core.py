@@ -70,6 +70,16 @@ class Spectrum:
         return cls((float(s1), 1.0))
 
 
+def mass_vector(masses) -> np.ndarray:
+    """masses as a float vector, or ValueError unless there are at least two
+    and every one is finite and positive: the one mass check of every entry
+    point taking masses."""
+    m = np.array(masses, dtype=float)
+    if m.ndim != 1 or len(m) < 2 or not np.all(np.isfinite(m) & (m > 0.0)):
+        raise ValueError("masses must be a vector of two or more finite positive values")
+    return m
+
+
 @dataclass
 class Configuration:
     """Positions and masses of n point bodies in R^d.
@@ -83,20 +93,16 @@ class Configuration:
 
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
-        m = np.array(self.masses, dtype=float)
+        m = mass_vector(self.masses)
         if q.ndim != 2:
             raise ValueError("q must be an (n, d) array")
         n, d = q.shape
-        if n < 2:
-            raise ValueError("need at least two bodies")
         if d < 1:
             raise ValueError("need at least one coordinate axis")
         if m.shape != (n,):
             raise ValueError("masses must be a length-n vector")
-        if not np.all(np.isfinite(q)) or not np.all(np.isfinite(m)):
-            raise ValueError("positions and masses must be finite")
-        if np.any(m <= 0.0):
-            raise ValueError("masses must be positive")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("positions must be finite")
         self.q = _recentre(q, m)
         self.masses = m
 

@@ -5,10 +5,9 @@ integers and `fractions.Fraction` throughout, no floating point in any
 coefficient or bound computation.  Floats appear only in the two places
 where they are the point: the sampled-ratio monotonicity reports (asymptotic
 statements get a finite, printed surrogate) and the nested-integral
-quadrature cross-check.  The latter, iterated_log_integral, is the one
-user of scipy in the package: it imports scipy.integrate.quad and
-scipy.interpolate.CubicSpline in its own body, so importing this module
-(and the command line, which never calls it) loads numpy only.
+quadrature cross-check, iterated_log_integral: one composite Gauss-Legendre
+rule on numpy alone, built in its own body, so importing this module (and
+the command line, which never calls it) does not load numpy.polynomial.
 
 The central object is the family of polynomials
 
@@ -23,6 +22,7 @@ numbers are closed forms in n, d, and these coefficients.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -307,64 +307,55 @@ def iterated_log_integral(n: float, j: int) -> tuple[float, float]:
 
     Returns (numeric, closed_form).  The numeric side is genuine quadrature:
     with G_0 = 1 and G_m(x) = int_x^n G_{m-1}(t)/t dt, the value is G_j(1).
-    Each level is integrated on a log-spaced grid (composite Gauss-Legendre
-    between nodes, cumulative from the right) and memoized as a cubic spline
-    before the next level integrates it; the grid is doubled until the
-    top-level value, itself computed by adaptive quadrature of the last
-    spline, is stable to QUAD_TOL.  Without the memoization the recursion
-    costs (points per level)^j evaluations.
+    One rule serves every level: composite 15-point Gauss-Legendre on a
+    log-spaced grid of cells.  G_m at each node is the integral from the
+    node to its cell's right end (an in-cell integration matrix applied to
+    the cell's integrand values) plus the whole cells to the right, so each
+    level needs only the previous level's values at the same nodes, and the
+    answer is the sum of the last level's cells.  The grid is doubled until
+    that sum is stable to QUAD_TOL.
 
     Raises QuadratureBudgetExceeded if stability is not reached within
     QUAD_MAX_EVALS integrand evaluations.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not (1 <= j <= 6):
+    if not math.isfinite(n) or n < 2:
+        raise ValueError("n must be finite and >= 2")
+    if not isinstance(j, numbers.Integral) or not 1 <= j <= 6:
         raise ValueError("j must be an integer in [1, 6]")
-    from scipy.integrate import quad
-    from scipy.interpolate import CubicSpline
 
     # the exact rational recursion behind the closed form; cheap, and keeps
     # the two routes honest against each other on every call
     factorial_reciprocal_recursion(j)
     closed_form = math.log(n) ** j / math.factorial(j)
 
-    # 15-point Gauss-Legendre rule, reused for every sub-interval
-    gl_x, gl_w = np.polynomial.legendre.leggauss(15)
+    # imported here, so that importing the package does not load it
+    from numpy.polynomial import legendre
+
+    # the rule on [-1, 1]: w @ f integrates the degree-14 Legendre
+    # interpolant through node values f, and (A @ f)[i] integrates it from
+    # x[i] to 1; its coefficients come from f by the rule's discrete
+    # orthogonality of P_0 .. P_14
+    x, w = legendre.leggauss(15)
+    to_coeffs = (np.arange(15) + 0.5)[:, None] * legendre.legvander(x, 14).T * w
+    anti = legendre.legint(np.eye(15))  # column k: an antiderivative of P_k
+    A = (legendre.legval(1.0, anti) - legendre.legval(x, anti).T) @ to_coeffs
 
     evals = 0
     prev_value = None
-    points = 129
+    points = 9
     while True:
         grid = np.exp(np.linspace(0.0, math.log(n), points))
         grid[0], grid[-1] = 1.0, n
-        spline = None  # level-0 integrand is 1/t exactly
-        for level in range(1, j + 1):
-            # integrate previous level over each grid cell, then accumulate
-            # from the right: G(grid[i]) = sum of cell integrals above i
-            a, b = grid[:-1], grid[1:]
-            mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-            t = mid[:, None] + rad[:, None] * gl_x[None, :]
-            f = 1.0 / t
-            if spline is not None:
-                f = f * spline(t)
-            evals += t.size
-            cells = (f * gl_w[None, :]).sum(axis=1) * rad
-            values = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-            if level < j:
-                spline = CubicSpline(grid, values)
-            else:
-                if level == 1:
-                    numeric, err = quad(
-                        lambda t: 1.0 / t, 1.0, n,
-                        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200,
-                    )
-                else:
-                    numeric, err = quad(
-                        lambda t, s=spline: s(t) / t, 1.0, n,
-                        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200,
-                    )
-                evals += 21 * 200  # worst-case budget line for the QAGS call
+        mid, rad = 0.5 * (grid[1:] + grid[:-1]), 0.5 * (grid[1:] - grid[:-1])
+        t = mid[:, None] + rad[:, None] * x
+        g = np.ones_like(t)  # G_0 at every node of every cell
+        for _ in range(j):
+            f = g / t
+            evals += f.size
+            cells = rad * (f @ w)
+            right = np.append(np.cumsum(cells[:0:-1])[::-1], 0.0)
+            g = rad[:, None] * (f @ A.T) + right[:, None]
+        numeric = float(cells.sum())
         if prev_value is not None and abs(numeric - prev_value) <= QUAD_TOL * max(
             1.0, abs(numeric)
         ):

@@ -37,6 +37,7 @@ from .core import (
     _residual_merit,
     _restricted_hessian_any,
     _triple_of,
+    mass_vector,
     moment_of_inertia,
     symmetry_group,
     weight_vector,
@@ -515,7 +516,7 @@ def census(masses, spectrum: Spectrum, n_restarts: int, seed: int) -> Census:
     that gate, so restarts + extra_seeds is the number of
     find_critical_point solves.
     """
-    masses = np.asarray(masses, dtype=float)
+    masses = mass_vector(masses)
     if n_restarts < 0:
         raise ValueError("n_restarts must be >= 0")
     if seed < 0:

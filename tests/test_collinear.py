@@ -13,14 +13,13 @@ from scipy.optimize import brentq
 from sbclab import collinear, core, solver
 from sbclab.collinear import (
     _b_matrix_1d,
-    _potential_1d,
     ccc_spectrum,
     degeneracy_thresholds,
     enumerate_csbc,
     moulton_solve,
     predicted_indices,
 )
-from sbclab.core import Configuration, Spectrum, potential, sbc_residual
+from sbclab.core import Configuration, Spectrum, _pairs, _potential_of, potential, sbc_residual
 from sbclab.errors import SpectrumAnomalyError, UnsupportedCase
 
 from oracles import (
@@ -83,7 +82,9 @@ def test_b_matrix_and_potential_match_pairwise_loops():
         B = _b_matrix_1d(m, x)
         ref = loop_b_matrix_1d(m, x)
         assert np.max(np.abs(B - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert _potential_1d(m, x) == pytest.approx(loop_potential_1d(m, x), rel=1e-13)
+        # the line potential as ccc_spectrum takes it
+        u = _potential_of(m, _pairs(x[..., None])[1])
+        assert u == pytest.approx(loop_potential_1d(m, x), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from sbclab import core
-from sbclab.collinear import moulton_solve
+from sbclab import core, solver
+from sbclab.collinear import degeneracy_thresholds, enumerate_csbc, moulton_solve
 from sbclab.core import (
     Configuration,
     Spectrum,
@@ -86,6 +86,30 @@ def test_configuration_recenters_mass_centre():
 def test_configuration_rejects_bad_input(q, m):
     with pytest.raises(ValueError):
         Configuration(q, m)
+
+
+def test_every_entry_point_taking_masses_refuses_bad_ones():
+    """census, enumerate_csbc, moulton_solve, degeneracy_thresholds and
+    Configuration all check masses through core.mass_vector, so a zero,
+    negative, NaN or infinite mass, or a single body, is refused before any
+    sampling or solve. The message is matched because numpy's LinAlgError is
+    a ValueError too; a NaN mass or a single body used to hang census in its
+    start sampler."""
+    spec = Spectrum((1.5, 1.0))
+    entry_points = (
+        lambda m: solver.census(m, spec, 2, 0),
+        lambda m: enumerate_csbc(m, spec),
+        lambda m: moulton_solve(m, (1, 2, 3), 1, spec),
+        degeneracy_thresholds,
+        lambda m: Configuration(np.eye(3, 2), m),
+    )
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for call in entry_points:
+            with pytest.raises(ValueError, match="finite positive"):
+                call(np.array([1.0, bad, 1.0]))
+    for call in entry_points[:2]:
+        with pytest.raises(ValueError, match="two or more"):
+            call(np.ones(1))
 
 
 def test_spectrum_validation():

@@ -187,13 +187,13 @@ def test_every_default_is_set_by_a_caller():
     assert unset == []
 
 
-def _scipy_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running code with
-    this checkout's src/ first on its path."""
+def _modules_after(code: str, package: str) -> list[str]:
+    """The modules of package a fresh interpreter holds after running code
+    with this checkout's src/ first on its path."""
     path = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     probe = (
         f"{code}\nimport sys, sbclab\nassert sbclab.__file__.startswith({str(SRC)!r})\n"
-        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(*sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
@@ -204,9 +204,11 @@ def _scipy_after(code: str) -> list[str]:
 
 
 def test_cli_imports_no_scipy():
-    """The command line starts on numpy and the standard library alone."""
-    assert "scipy.linalg" in _scipy_after("import scipy.linalg")  # the probe sees scipy
-    assert _scipy_after("import sbclab.cli") == []
+    """The command line starts on numpy and the standard library alone, and
+    the nested log integral builds its numpy.polynomial rule in its own call."""
+    assert "scipy.linalg" in _modules_after("import scipy.linalg", "scipy")  # the probe sees scipy
+    assert _modules_after("import sbclab.cli", "scipy") == []
+    assert _modules_after("import sbclab.cli", "numpy.polynomial") == []
 
 
 # one subcommand per layer: projected Newton and saddle seeding, collinear
@@ -224,7 +226,27 @@ def test_cli_subcommands_run_without_scipy(tmp_path):
         f"assert cli.run({[*argv, '--output', str(tmp_path / f'{k}.json')]!r}) == 0\n"
         for k, argv in enumerate(CLI_CALLS)
     )
-    assert _scipy_after(code) == []
+    assert _modules_after(code, "scipy") == []
+
+
+def test_package_runs_with_scipy_unimportable(tmp_path):
+    """numpy is the only runtime dependency: with every scipy import
+    failing, the package imports, runs the nested log integral and the
+    identity suite, and every CLI_CALLS subcommand."""
+    code = (
+        "import sys\nsys.modules['scipy'] = None\n"
+        "import sbclab\nimport sbclab.cli as cli\n"
+        "from sbclab.morse import coefficient_identity_suite, iterated_log_integral\n"
+        "numeric, closed = iterated_log_integral(100.0, 4)\n"
+        "assert abs(numeric - closed) <= 1e-8 * closed, (numeric, closed)\n"
+        "coefficient_identity_suite(12)\n"
+        + "".join(
+            f"assert cli.run({[*argv, '--output', str(tmp_path / f'{k}.json')]!r}) == 0\n"
+            for k, argv in enumerate(CLI_CALLS)
+        )
+        + "assert sys.modules.pop('scipy') is None\n"
+    )
+    assert _modules_after(code, "scipy") == []
 
 
 CASH_KARP_TABLEAU = {"_CK_A", "_CK_B5", "_CK_B4"}

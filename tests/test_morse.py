@@ -232,8 +232,8 @@ def test_log_integral_trivial_j1():
 
 
 def test_log_integral_matches_closed_form():
-    for n in (2.0, 10.0, 100.0):
-        for j in (1, 2, 3, 4):
+    for n in (2.0, math.e, 10.0, 25.0, 100.0):
+        for j in (1, 2, 3, 4, 5, 6):
             numeric, closed = iterated_log_integral(n, j)
             assert numeric == pytest.approx(closed, rel=1e-8)
 
@@ -253,19 +253,19 @@ def test_log_integral_against_unmemoized_nested_quad():
 
 
 def test_log_integral_validates_arguments():
-    with pytest.raises(ValueError):
-        iterated_log_integral(1.5, 2)
-    with pytest.raises(ValueError):
-        iterated_log_integral(10.0, 0)
-    with pytest.raises(ValueError):
-        iterated_log_integral(10.0, 7)
+    for n, j in [
+        (1.5, 2), (10.0, 0), (10.0, 7),
+        (math.nan, 2), (math.inf, 2), (-math.inf, 2), (10.0, 2.5), (10.0, math.nan),
+    ]:
+        with pytest.raises(ValueError):
+            iterated_log_integral(n, j)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_log_integral_budget_exhaustion(monkeypatch):
-    monkeypatch.setattr(morse, "QUAD_TOL", 1e-15)
-    monkeypatch.setattr(morse, "QUAD_MAX_EVALS", 10_000)
-    with pytest.raises(QuadratureBudgetExceeded):
+    # a budget below the first grid's evaluations: no second grid can run
+    # to show stability, whatever the tolerance
+    monkeypatch.setattr(morse, "QUAD_MAX_EVALS", 100)
+    with pytest.raises(QuadratureBudgetExceeded, match="after 480 evaluations"):
         iterated_log_integral(100.0, 4)
 
 
