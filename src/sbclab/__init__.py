@@ -16,7 +16,6 @@ from .core import (
     gradient,
     hessian,
     inertia_indices,
-    moment_of_inertia,
     normalize,
     potential,
     sbc_residual,
@@ -35,7 +34,6 @@ from .flow import (
     collinearity_angle,
     integrate_flow,
     lyapunov_45_check,
-    steer_to_angle,
     tilted_line_seed,
 )
 from .morse import (
@@ -59,7 +57,6 @@ from .solver import (
     SBCSolution,
     SearchFailure,
     census,
-    central_residual,
     continue_in_s,
     find_critical_point,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "gradient",
     "hessian",
     "inertia_indices",
-    "moment_of_inertia",
     "normalize",
     "potential",
     "sbc_residual",
@@ -94,7 +90,6 @@ __all__ = [
     "SBCSolution",
     "SearchFailure",
     "census",
-    "central_residual",
     "continue_in_s",
     "find_critical_point",
     "FlowTrajectory",
@@ -102,7 +97,6 @@ __all__ = [
     "collinearity_angle",
     "integrate_flow",
     "lyapunov_45_check",
-    "steer_to_angle",
     "tilted_line_seed",
     "PeriodicityReport",
     "RelativeEquilibriumOrbit",

@@ -402,16 +402,18 @@ def _census_payload(result, n: int, d: int) -> dict:
         },
         "solutions": [
             {
-                "q": sol.config.q.tolist(),
-                "lambda": float(sol.lam),
-                "residual": float(sol.residual_norm),
-                "triple": sol.triple,
-                "classification": sol.classification,
-                "is_cc": sol.is_cc,
+                "q": q,
+                "lambda": lam,
+                "residual": res,
+                "triple": triple,
+                "classification": classification,
+                "is_cc": is_cc,
             }
-            for sol in result.solutions
+            for q, lam, res, triple, classification, is_cc in zip(
+                result.q.tolist(), result.lam, result.residual, result.triple,
+                result.classification, result.is_cc)
         ],
-        "solution_count": len(result.solutions),
+        "solution_count": len(result.q),
         "failures": {k: int(v) for k, v in result.failures.items()},
         "symmetry_caveat": result.symmetry_caveat,
         "orbit_count": result.orbit_count,
@@ -425,7 +427,7 @@ def _run_census(args):
     result = census(masses, spectrum, args.restarts, args.seed)
     wall = time.perf_counter() - start
     print(
-        f"census: {len(result.solutions)} solutions from "
+        f"census: {len(result.q)} solutions from "
         f"{result.restarts} restarts in {wall:.2f} s",
         file=sys.stderr,
     )
@@ -543,13 +545,13 @@ def _cmd_orbit(args):
     if args.d != 2:
         raise ValueError("orbit lifting starts from a planar base; use d = 2")
     result, n = _run_census(args)
-    if not result.solutions:
+    if not len(result.q):
         raise NoConvergence("census found no solutions to lift")
     census_id = args.census_id
-    if census_id >= len(result.solutions):
+    if census_id >= len(result.q):
         raise ValueError(
             f"census-id {census_id} out of range, census holds "
-            f"{len(result.solutions)} solutions"
+            f"{len(result.q)} solutions"
         )
     orbit = lift(result.solutions[census_id])
     t_final, samples = args.t_final, args.samples

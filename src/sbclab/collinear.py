@@ -326,7 +326,7 @@ def _mirrored(rec: CollinearRecord) -> CollinearRecord:
     )
 
 
-def _records(m: np.ndarray, spectrum: Spectrum, lines, axes, models=None) -> list[CollinearRecord]:
+def _records(m: np.ndarray, spectrum: Spectrum, lines, axes) -> list[CollinearRecord]:
     """The records of every line on each of `axes`, line by line.
 
     lines holds (ordering, x_hat, gap residual, iterations, spectral) of
@@ -336,8 +336,6 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes, models=None) -> lis
     residual gate, one restricted Hessian (core._critical_models) and one
     eigvalsh for the triples, each lane bitwise a build of its own. Each
     record's q is a row of the stack's read-only normalized positions.
-    When `models` is a dict, it receives each record's restricted Hessian
-    and tangent basis (A, V), keyed by (axis, ordering).
     """
     n, d, s = len(m), spectrum.d, spectrum.array
     w = _weights(m, s)
@@ -350,7 +348,7 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes, models=None) -> lis
             q[k, :, axis - 1] = x_hat / math.sqrt(spectrum.s[axis - 1])
         q = _read_only(_normalize_q(q, m, s)[0])
         # evaluate the points the records hold
-        u, lam, res, A, V = _critical_models(q, m, s, w)
+        u, lam, res, A, _ = _critical_models(q, m, s, w)
         computed = _triple_of(A, u)
         u, lam, res = u.tolist(), lam.tolist(), res.tolist()
         for k, ((ordering, x_hat, gap_res, iters, spectral), axis) in enumerate(chunk):
@@ -358,7 +356,7 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes, models=None) -> lis
                 predicted = predicted_indices(spectral, spectrum, axis)
             except UnsupportedCase:
                 predicted = None
-            rec = CollinearRecord(
+            records.append(CollinearRecord(
                 ordering=tuple(int(b) for b in ordering),
                 axis=int(axis),
                 spectrum=spectrum,
@@ -373,10 +371,7 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes, models=None) -> lis
                 spectral=spectral,
                 predicted=predicted,
                 computed=computed[k],
-            )
-            records.append(rec)
-            if models is not None:
-                models[rec.axis, rec.ordering] = A[k], V[k]
+            ))
     return records
 
 
@@ -411,7 +406,7 @@ def moulton_solve(masses, ordering, axis: int, spectrum: Spectrum) -> CollinearR
 # enumeration and thresholds
 
 
-def enumerate_csbc(masses, spectrum: Spectrum, models=None) -> list[CollinearRecord]:
+def enumerate_csbc(masses, spectrum: Spectrum) -> list[CollinearRecord]:
     """All d * n! collinear balanced configurations, classified.
 
     One record per (ordering, axis), sorted by (axis, ordering), each built
@@ -420,24 +415,19 @@ def enumerate_csbc(masses, spectrum: Spectrum, models=None) -> list[CollinearRec
     solve serves every line with the same masses in line order (one in all
     for equal masses; see _cc_lines). Every line is placed on every axis in one stacked build per
     STACK_LANES records (see _records); its reversed ordering, met later in
-    lexicographic order, gets the negated records (see _mirrored). When
-    `models` is a dict, it receives every record's (A, V) keyed by
-    (axis, ordering); a mirrored record shares its canonical one's.
+    lexicographic order, gets the negated records (see _mirrored).
     """
     m = mass_vector(masses)
     orderings = list(itertools.permutations(range(1, len(m) + 1)))
     lines = _cc_lines(m, [o for o in orderings if o[0] <= o[-1]])
     axes = range(1, spectrum.d + 1)
-    built = iter(_records(m, spectrum, lines, axes, models))
+    built = iter(_records(m, spectrum, lines, axes))
     placed: dict[tuple[int, ...], list[CollinearRecord]] = {}
     for ordering in orderings:
         if ordering[0] <= ordering[-1]:
             placed[ordering] = [next(built) for _ in axes]
-            continue
-        placed[ordering] = [_mirrored(rec) for rec in placed[ordering[::-1]]]
-        if models is not None:
-            for axis in axes:
-                models[axis, ordering] = models[axis, ordering[::-1]]
+        else:
+            placed[ordering] = [_mirrored(rec) for rec in placed[ordering[::-1]]]
     return [recs[k] for k in range(spectrum.d) for recs in placed.values()]
 
 

@@ -232,11 +232,6 @@ def _hessian_of(m: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.swapaxes(blocks, -3, -2).reshape(diff.shape[:-3] + (n * d, n * d))
 
 
-def moment_of_inertia(config: Configuration) -> float:
-    """Unweighted I(q) = sum_i m_i |q_i|^2."""
-    return float(np.einsum("i,ij,ij->", config.masses, config.q, config.q))
-
-
 def _inertia_s(q: np.ndarray, m: np.ndarray, s: np.ndarray):
     """S-weighted I_S(q) = sum_i m_i <S q_i, q_i> of raw (..., n, d)
     positions; a float, or one per leading index."""

@@ -282,24 +282,6 @@ def integrate_flow(q0: Configuration, spectrum: Spectrum, t_final: float) -> Flo
     )
 
 
-def steer_to_angle(config: Configuration, theta_degrees: float) -> Configuration:
-    """Rescale the transverse coordinates to hit an exact collinearity angle.
-
-    Scaling every coordinate beyond the first by c multiplies the tangent
-    of every pair angle by c, so the minimizing pair is preserved and the
-    angle maps exactly: c = tan(target) / tan(current).
-    """
-    if not (0.0 < theta_degrees < 90.0):
-        raise ValueError("target angle must lie in (0, 90) degrees")
-    theta_now = collinearity_angle(config)
-    if theta_now == 0.0 or theta_now >= 90.0:
-        raise ValueError("seed angle must lie strictly between 0 and 90 degrees")
-    c = math.tan(math.radians(theta_degrees)) / math.tan(math.radians(theta_now))
-    q = config.q.copy()
-    q[:, 1:] *= c
-    return Configuration(q, config.masses)
-
-
 def tilted_line_seed(theta_degrees: float, phi: float = 0.0) -> Configuration:
     """Three equal masses on a line through the origin, tilted off axis 1.
 

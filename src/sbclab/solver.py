@@ -12,12 +12,14 @@ A census is closed under the problem's discrete symmetry group
 masses).  Its deterministic saddle seeds therefore come from one collinear
 record per group orbit, and every new find is listed with its exact
 images, identity first, so the catalogue's order is fixed by solve order.
+The catalogue is one read-only (N, n, d) stack of points with a column per
+reported quantity; its SBCSolution objects are built only on request.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .core import (
     Configuration,
     InertiaTriple,
     Spectrum,
+    _critical_models,
     _evaluate_q,
     _images,
     _normalize_q,
@@ -37,8 +40,8 @@ from .core import (
     _residual_merit,
     _restricted_hessian_any,
     _triple_of,
+    _weights,
     mass_vector,
-    moment_of_inertia,
     symmetry_group,
     weight_vector,
 )
@@ -82,7 +85,14 @@ class SearchFailure:
 @dataclass(frozen=True)
 class Census:
     """Deduplicated outcome of a batch of searches, closed under the
-    problem's discrete symmetries (see census).
+    problem's discrete symmetries (see census), held as columns.
+
+    Row i of the catalogue is the point `q[i]` of the read-only (N, n, d)
+    stack `q`, normalized to I_S = 1 with its centre of mass removed, and
+    the Python scalars `lam[i]`, `residual[i]` (the balance residual norm),
+    `triple[i]` (an InertiaTriple), `classification[i]` and `is_cc[i]`.
+    `solutions` builds the rows' SBCSolution objects, each with its own
+    Configuration, on every access.
 
     `extra_seeds` counts the saddle-seeded solves and the polishes of
     closure images, so `restarts + extra_seeds` is the number of solves.
@@ -93,7 +103,12 @@ class Census:
     orientation sign) is the number to quote instead.
     """
 
-    solutions: tuple[SBCSolution, ...]
+    q: np.ndarray
+    lam: tuple[float, ...]
+    residual: tuple[float, ...]
+    triple: tuple[InertiaTriple, ...]
+    classification: tuple[str, ...]
+    is_cc: tuple[bool, ...]
     restarts: int
     seed: int
     failures: dict[str, int]
@@ -102,6 +117,15 @@ class Census:
     extra_seeds: int = 0
     symmetry_caveat: bool = False
     orbit_count: int | None = None
+
+    @property
+    def solutions(self) -> tuple[SBCSolution, ...]:
+        m = np.array(self.masses)
+        columns = self.lam, self.residual, self.triple, self.classification, self.is_cc
+        return tuple(
+            SBCSolution(Configuration(q, m), self.spectrum, *row)
+            for q, *row in zip(self.q, *columns)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +150,15 @@ def classify_support(config: Configuration) -> str:
     return f"subspace(axes={axes})"
 
 
-def central_residual(config: Configuration, g: np.ndarray, u: float) -> float:
-    """Norm of grad U + (U/I) M q — zero exactly at a central configuration —
-    from the point's grad U g and potential u."""
-    lam = u / moment_of_inertia(config)
-    return float(np.linalg.norm(g + lam * config.masses[:, None] * config.q))
-
-
-def _is_cc(config: Configuration, classification: str, g: np.ndarray, u: float) -> bool:
-    """Whether a balanced point is central. A collinear one always is (on
-    axis j the balance equation is the central one with multiplier
-    lam * s_j); any other is judged by its central residual against the
-    convergence gate TOL_RES * U."""
-    return classification.startswith("collinear") or central_residual(config, g, u) < TOL_RES * u
+def _central(q: np.ndarray, m: np.ndarray, g: np.ndarray, u) -> np.ndarray:
+    """Whether raw (..., n, d) balanced points with grad U g and potential u
+    pass the central test: |grad U + (U/I) M q| < TOL_RES * U, with I the
+    unweighted moment of inertia sum_i m_i |q_i|^2, one verdict per leading
+    index.  A collinear point is central whatever this says (on axis j the
+    balance equation is the central one with multiplier lam * s_j)."""
+    lam = u / np.einsum("i,...ij,...ij->...", m, q, q)
+    c = g + np.asarray(lam)[..., None, None] * m[:, None] * q
+    return np.sqrt(np.einsum("...ij,...ij->...", c, c)) < TOL_RES * u
 
 
 def _as_solution(
@@ -162,7 +182,7 @@ def _as_solution(
         residual_norm=res,
         triple=_triple_of(A, u),
         classification=classification,
-        is_cc=_is_cc(config, classification, g, u),
+        is_cc=classification.startswith("collinear") or bool(_central(config.q, m, g, u)),
     )
 
 
@@ -273,10 +293,10 @@ def _sample_start(
             return Configuration(q, masses)
 
 
-def _orientation_sign(config: Configuration) -> int:
-    """+1/-1 for full-rank configurations, 0 when a rotation can mirror them."""
-    edges = config.q[1:] - config.q[0]
-    d = config.d
+def _orientation_sign(q: np.ndarray) -> int:
+    """+1/-1 for full-rank (n, d) positions, 0 when a rotation can mirror them."""
+    edges = q[1:] - q[0]
+    d = q.shape[1]
     if edges.shape[0] < d:
         return 0
     sv = np.linalg.svd(edges, compute_uv=False)
@@ -294,12 +314,13 @@ def _orientation_sign(config: Configuration) -> int:
     return int(np.sign(det))
 
 
-def _congruence_classes(solutions: tuple[SBCSolution, ...]) -> int:
-    """Count rotation-congruence classes by labeled distances + orientation."""
+def _congruence_classes(q: np.ndarray) -> int:
+    """Count rotation-congruence classes of the (N, n, d) points q by
+    labeled distances + orientation."""
     reps: list[tuple[np.ndarray, int]] = []
-    for sol in solutions:
-        vec = _pairs(sol.config.q)[1][_pair_indices(sol.config.n)]
-        sign = _orientation_sign(sol.config)
+    for row in q:
+        vec = _pairs(row)[1][_pair_indices(len(row))]
+        sign = _orientation_sign(row)
         for rv, rs in reps:
             if rs == sign and np.max(np.abs(rv - vec)) < CONGRUENCE_TOL:
                 break
@@ -374,29 +395,28 @@ def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]
     for equal masses, the n!/2 canonical lines per axis for distinct ones.
     Per representative: the collinear point itself (it re-enters the census
     anyway, via the walks that stall at once), then its walks, mode by
-    mode, + then -.  The modes come from the restricted Hessian and tangent
-    basis that the enumeration built for the record.  An enumeration that
-    fails numerically (SbcLabError) gives no seeds; any other error
-    propagates.
+    mode, + then -.  The modes come from the representatives' restricted
+    Hessians and tangent bases, built by one stacked core._critical_models
+    call.  An enumeration or a model build that fails numerically
+    (SbcLabError) gives no seeds; any other error propagates.
     """
-    models: dict = {}
-    try:
-        records = enumerate_csbc(masses, spectrum, models)
-    except SbcLabError:
-        return []
     m, s = masses, spectrum.array
     n, d = len(m), spectrum.d
+    try:
+        reps = _representatives(enumerate_csbc(masses, spectrum), m)
+        *_, A, V = _critical_models(np.array([rec.q for rec in reps]), m, s, _weights(m, s))
+    except SbcLabError:
+        return []
     seeds: list[Configuration | None] = []  # None: the next walked start
     starts = []
-    for rec in _representatives(records, m):
+    for rec, a, v in zip(reps, A, V):
         q = rec.q
-        A, V = models[rec.axis, rec.ordering]
         seeds.append(Configuration(q, m))
-        evals, evecs = np.linalg.eigh(A)
+        evals, evecs = np.linalg.eigh(a)
         for k in range(len(evals)):
             if evals[k] >= -NULL_TOL * rec.u:
                 break
-            direction = (V @ evecs[:, k]).reshape(n, d)
+            direction = (v @ evecs[:, k]).reshape(n, d)
             for sign in (1.0, -1.0):
                 start, bad = _normalize_q(q + sign * SEED_OFFSET * direction, m, s)
                 if not bad:
@@ -425,13 +445,19 @@ def _near(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return near
 
 
+def _row(sol: SBCSolution) -> tuple:
+    """The catalogue row of a solve's solution (see Census)."""
+    return sol.config.q, sol.lam, sol.residual_norm, sol.triple, sol.classification, sol.is_cc
+
+
 def _closed(
     outcomes: list,
     masses: np.ndarray,
     group: tuple[np.ndarray, np.ndarray],
     spectrum: Spectrum,
-) -> tuple[list[SBCSolution], dict[str, int], int]:
-    """Deduplicate solve outcomes and close them under a symmetry group.
+) -> tuple[list[tuple], dict[str, int], int]:
+    """Deduplicate solve outcomes and close them under a symmetry group,
+    as catalogue rows (q, lam, residual, triple, classification, is_cc).
 
     In solve order: a failure is tallied by cause; a solution within
     DEDUP_TOL (mass norm) of the list so far is skipped; any other is
@@ -441,12 +467,14 @@ def _closed(
     configuration its own image under part of the group).  Each orbit is
     one distance block against the list and itself.
 
-    The new images are evaluated together in one _evaluate_q call and keep
-    their source's triple and classification, which the group leaves
-    unchanged; residual, lambda and is_cc come from their own evaluation.
-    An image whose residual misses TOL_RES * U gets one find_critical_point
-    polish, and a failed polish is tallied and leaves the image out.
-    Returns (solutions, failures by cause, polishes made).
+    A find's row comes from its solve.  The new images are evaluated
+    together in one _evaluate_q call and one central test (_central), and
+    keep their source's triple and classification, which the group leaves
+    unchanged; residual, lambda and is_cc come from their own evaluation,
+    and q is the exact image, so no image builds a Configuration.  An image
+    whose residual misses TOL_RES * U gets one find_critical_point polish,
+    whose solution gives its row; a failed polish is tallied and leaves the
+    image out.  Returns (rows, failures by cause, polishes made).
     """
     m, n, d = masses, len(masses), spectrum.d
     w = np.repeat(m, d)
@@ -471,11 +499,13 @@ def _closed(
     q = np.concatenate([imgs for _, imgs in orbits] or [np.empty((0, n, d))])
     _, _, g, u, lam, G, collided = _evaluate_q(q, m, spectrum.array)
     res = np.linalg.norm(G.reshape(len(q), n * d), axis=1)
-    solutions: list[SBCSolution] = []
+    central = _central(q, m, g, u)
+    rows: list[tuple] = []
     polishes = 0
     k = 0
     for sol, imgs in orbits:
-        solutions.append(sol)
+        rows.append(_row(sol))
+        collinear = sol.classification.startswith("collinear")
         for _ in imgs:
             if collided[k] or not res[k] < TOL_RES * u[k]:
                 polishes += 1
@@ -483,18 +513,12 @@ def _closed(
                 if isinstance(out, SearchFailure):
                     failures[out.cause] += 1
                 else:
-                    solutions.append(out)
+                    rows.append(_row(out))
             else:
-                config = Configuration(q[k], m)
-                solutions.append(replace(
-                    sol,
-                    config=config,
-                    lam=float(lam[k]),
-                    residual_norm=float(res[k]),
-                    is_cc=_is_cc(config, sol.classification, g[k], float(u[k])),
-                ))
+                rows.append((q[k], float(lam[k]), float(res[k]), sol.triple,
+                             sol.classification, collinear or bool(central[k])))
             k += 1
-    return solutions, failures, polishes
+    return rows, failures, polishes
 
 
 def census(masses, spectrum: Spectrum, n_restarts: int, seed: int) -> Census:
@@ -510,7 +534,7 @@ def census(masses, spectrum: Spectrum, n_restarts: int, seed: int) -> Census:
     deduplicated at DEDUP_TOL in the mass norm and closed under every axis
     reflection and every relabelling of equal masses (core.symmetry_group,
     see _closed): each new find is followed by its images, identity first,
-    so solution 0 is the first solve's find and the order is deterministic.
+    so row 0 is the first solve's find and the order is deterministic.
     Every solve and every image is gated on TOL_RES * U.  extra_seeds
     counts the saddle-seeded solves plus the polishes of images that missed
     that gate, so restarts + extra_seeds is the number of
@@ -529,12 +553,15 @@ def census(masses, spectrum: Spectrum, n_restarts: int, seed: int) -> Census:
     seeds = _saddle_seeds(masses, spectrum)
     outcomes = [find_critical_point(start, spectrum) for start in starts + seeds]
     group = symmetry_group(masses, spectrum.d)
-    solutions, failures, polishes = _closed(outcomes, masses, group, spectrum)
+    rows, failures, polishes = _closed(outcomes, masses, group, spectrum)
+    q, *columns = zip(*rows) if rows else [()] * 6
+    q = np.array(q).reshape(-1, len(masses), spectrum.d)
+    q.flags.writeable = False
 
     caveat = len(set(spectrum.s)) < spectrum.d
-    orbit_count = _congruence_classes(tuple(solutions)) if caveat else None
     return Census(
-        solutions=tuple(solutions),
+        q,
+        *columns,  # lam, residual, triple, classification, is_cc: as a row
         restarts=n_restarts,
         seed=seed,
         failures=failures,
@@ -542,7 +569,7 @@ def census(masses, spectrum: Spectrum, n_restarts: int, seed: int) -> Census:
         spectrum=spectrum,
         extra_seeds=len(seeds) + polishes,
         symmetry_caveat=caveat,
-        orbit_count=orbit_count,
+        orbit_count=_congruence_classes(q) if caveat else None,
     )
 
 

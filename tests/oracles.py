@@ -25,6 +25,7 @@ from sbclab.core import (
     weight_vector,
 )
 from sbclab.errors import CollisionError
+from sbclab.flow import collinearity_angle
 
 
 def fd_gradient(config: Configuration, h: float | None = None) -> np.ndarray:
@@ -144,6 +145,37 @@ def ambient_balance_hessian(config: Configuration, spectrum: Spectrum) -> np.nda
     tangent basis it must give core's restricted Hessian."""
     _, lam = sbc_residual(config, spectrum)
     return hessian(config) + lam * np.diag(weight_vector(config, spectrum))
+
+
+def moment_of_inertia(config: Configuration) -> float:
+    """Unweighted I(q) = sum_i m_i |q_i|^2, summed body by body."""
+    return sum(float(m * (q @ q)) for m, q in zip(config.masses, config.q))
+
+
+def central_residual(config: Configuration) -> float:
+    """Norm of grad U + (U/I) M q, zero exactly at a central configuration,
+    from the public gradient and potential and the unweighted moment of
+    inertia above."""
+    lam = potential(config) / moment_of_inertia(config)
+    return float(np.linalg.norm(gradient(config) + lam * config.masses[:, None] * config.q))
+
+
+def steer_to_angle(config: Configuration, theta_degrees: float) -> Configuration:
+    """Rescale the transverse coordinates to hit an exact collinearity angle.
+
+    Scaling every coordinate beyond the first by c multiplies the tangent
+    of every pair angle by c, so the minimizing pair is preserved and the
+    angle maps exactly: c = tan(target) / tan(current).
+    """
+    if not (0.0 < theta_degrees < 90.0):
+        raise ValueError("target angle must lie in (0, 90) degrees")
+    theta_now = collinearity_angle(config)
+    if theta_now == 0.0 or theta_now >= 90.0:
+        raise ValueError("seed angle must lie strictly between 0 and 90 degrees")
+    c = math.tan(math.radians(theta_degrees)) / math.tan(math.radians(theta_now))
+    q = config.q.copy()
+    q[:, 1:] *= c
+    return Configuration(q, config.masses)
 
 
 def loop_b_matrix_1d(masses: np.ndarray, x: np.ndarray) -> np.ndarray:

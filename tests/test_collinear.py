@@ -410,8 +410,7 @@ def test_stacked_lanes_are_bitwise_their_one_line_results(masses, s):
     a Configuration of it holds."""
     m = np.array(masses)
     spectrum = Spectrum(s)
-    models: dict = {}
-    recs = enumerate_csbc(m, spectrum, models)
+    recs = enumerate_csbc(m, spectrum)
     lines = [r for r in recs if r.axis == 1 and r.ordering[0] < r.ordering[-1]]
     assert len(lines) == math.factorial(len(m)) // 2
     x = np.array([r.cc_positions for r in lines])
@@ -421,13 +420,20 @@ def test_stacked_lanes_are_bitwise_their_one_line_results(masses, s):
         assert B[k].tobytes() == _b_matrix_1d(m, line).tobytes()
         assert repr(spectral) == repr(ccc_spectrum(m, line)) == repr(rec.spectral)
 
-    A = np.array([models[r.axis, r.ordering][0] for r in recs])
+    A = _models(recs, spectrum)
     stacked = core._triple_of(A, np.array([r.u for r in recs]))
     assert stacked == [core._triple_of(a, r.u) for a, r in zip(A, recs)]
     assert stacked == [r.computed for r in recs]
     for rec in recs:
         assert not rec.q.flags.writeable
         assert rec.q.tobytes() == rec.config.q.tobytes()
+
+
+def _models(records, spectrum: Spectrum) -> np.ndarray:
+    """The records' restricted Hessians, from one stacked
+    core._critical_models call on their points."""
+    m, s = records[0].masses, spectrum.array
+    return core._critical_models(np.array([r.q for r in records]), m, s, core._weights(m, s))[3]
 
 
 def _scipy_agrees(ev, A) -> np.ndarray:
@@ -448,11 +454,9 @@ def test_numpy_eigenvalues_agree_with_scipy_eigh():
     n = 6 enumeration at s = 1.5 and on an n = 3 census they match
     scipy.linalg.eigh, and every triple is the one its eigenvalues give."""
     spectrum = Spectrum((1.5, 1.0))
-    models: dict = {}
-    records = enumerate_csbc(np.ones(6), spectrum, models)
+    records = enumerate_csbc(np.ones(6), spectrum)
     assert len(records) == 1440
-    for rec in records:
-        A = models[rec.axis, rec.ordering][0]
+    for rec, A in zip(records, _models(records, spectrum)):
         ref = _scipy_agrees(np.linalg.eigvalsh(A), A)
         assert core._triple_of(A, rec.u) == rec.computed == _triple(ref, rec.u)
         root_m = np.sqrt(rec.masses)

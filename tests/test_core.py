@@ -26,7 +26,6 @@ from sbclab.core import (
     gradient,
     hessian,
     inertia_indices,
-    moment_of_inertia,
     normalize,
     potential,
     sbc_residual,
@@ -42,6 +41,7 @@ from oracles import (
     fd_hessian,
     gram_schmidt_tangent_basis,
     loop_hessian,
+    moment_of_inertia,
     random_configuration,
     sum_potential_of,
     symmetric_euler_positions,

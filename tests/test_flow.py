@@ -21,10 +21,11 @@ from sbclab.flow import (
     collinearity_angle,
     integrate_flow,
     lyapunov_45_check,
-    steer_to_angle,
     tilted_line_seed,
     _flow_rhs,
 )
+
+from oracles import steer_to_angle
 
 S3 = Spectrum((2.0, 1.0, 1.0))
 M3 = np.ones(3)

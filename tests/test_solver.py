@@ -26,14 +26,13 @@ from sbclab.solver import (
     SBCSolution,
     SearchFailure,
     census,
-    central_residual,
     classify_support,
     continue_in_s,
     find_critical_point,
     mass_norm_distance,
 )
 
-from oracles import random_configuration, serial_descend
+from oracles import central_residual, random_configuration, serial_descend
 
 
 def equilateral(side: float = 1.0) -> np.ndarray:
@@ -201,15 +200,19 @@ def test_classify_support_variants():
     assert classify_support(Configuration(full, m)) == "full-dimensional"
 
 
-def _central_residual(cfg: Configuration) -> float:
-    return central_residual(cfg, gradient(cfg), potential(cfg))
-
-
 def test_central_residual_zero_at_cc():
-    cfg = Configuration(equilateral(), np.ones(3))
-    assert _central_residual(cfg) < 1e-13 * potential(cfg)
-    stretched = Configuration(equilateral() * np.array([1.4, 1.0]), np.ones(3))
-    assert _central_residual(stretched) > 0.1
+    """The oracle's central residual vanishes at the equilateral triangle and
+    not at a stretched one, and the solver's stacked central test agrees
+    with it lane by lane."""
+    m = np.ones(3)
+    cfg = Configuration(equilateral(), m)
+    assert central_residual(cfg) < 1e-13 * potential(cfg)
+    stretched = Configuration(equilateral() * np.array([1.4, 1.0]), m)
+    assert central_residual(stretched) > 0.1
+    q = np.array([cfg.q, stretched.q])
+    g = np.array([gradient(cfg), gradient(stretched)])
+    u = np.array([potential(cfg), potential(stretched)])
+    assert solver._central(q, m, g, u).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,7 @@ def test_census_solution_invariants(census_15):
             # the first-axis-dominance hypothesis: non-collinear solutions
             # are never central; their central residual is O(1), not noise
             assert not sol.is_cc
-            assert _central_residual(sol.config) > 1e-3
+            assert central_residual(sol.config) > 1e-3
 
 
 def test_solutions_classified_from_their_own_evaluation(census_15):
@@ -258,7 +261,7 @@ def test_solutions_classified_from_their_own_evaluation(census_15):
         if sol.classification.startswith("collinear"):
             assert sol.is_cc
         else:
-            assert sol.is_cc == (_central_residual(cfg) < 1e-10 * potential(cfg))
+            assert sol.is_cc == (central_residual(cfg) < 1e-10 * potential(cfg))
         assert sol.triple == inertia_indices(cfg, census_15.spectrum)
 
 
@@ -463,7 +466,7 @@ def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
     for block in (1, 7, solver.DISTANCE_BLOCK):
         monkeypatch.setattr(solver, "DISTANCE_BLOCK", block)
         kept, failures, polishes = solver._closed(outcomes, m, trivial, spectrum)
-        assert [id(s) for s in kept] == [id(s) for s in expected]
+        assert [id(row[0]) for row in kept] == [id(s.config.q) for s in expected]
         assert failures["max_iter"] == len(outcomes) - len(configs)
         assert polishes == 0
     assert len(base) < len(expected) < len(configs)
@@ -473,8 +476,8 @@ def test_census_builds_few_configurations_and_walks_once(monkeypatch):
     """A Configuration for each start and each returned solution, not for
     each accepted Newton iterate or trial point, and one lockstep descent
     for the saddle walks of the two orbit representatives (one collinear
-    record per axis), which are starts too.  enumerate_csbc builds each of
-    its 48 records once, and each closure image is one more solution."""
+    record per axis), which are starts too.  Neither the 48 collinear
+    records nor the closure images build one."""
     counts = {"built": 0, "descents": 0}
     post_init, descend = Configuration.__post_init__, solver._descend
 
@@ -492,8 +495,58 @@ def test_census_builds_few_configurations_and_walks_once(monkeypatch):
     solves = c.restarts + c.extra_seeds
     assert solves == 20
     assert counts["descents"] == 1
-    assert len(c.solutions) == 192
-    assert counts["built"] <= 2 * solves + 48 + len(c.solutions)
+    assert counts["built"] <= 2 * solves
+    assert len(c.q) == 192
+
+
+def test_census_is_a_read_only_column_store(monkeypatch):
+    """The catalogue is one read-only (N, n, d) stack with columns of the
+    Python scalars the report writes; solutions rebuilds each row bitwise,
+    and the census itself builds at most two Configurations per solve (its
+    start and its solution), however many closure images it lists."""
+    built = []
+    post_init = Configuration.__post_init__
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Configuration, "__post_init__", counting_post_init)
+    c = census(np.ones(5), Spectrum.planar(1.5), 2, 1)
+    assert len(built) <= 2 * (c.restarts + c.extra_seeds)
+    assert c.q.shape == (len(c.q), 5, 2) and len(c.q) > 2 * len(built)
+    assert not c.q.flags.writeable
+    with pytest.raises(ValueError):
+        c.q[0, 0, 0] = 1.0
+    columns = c.lam, c.residual, c.triple, c.classification, c.is_cc
+    assert all(len(column) == len(c.q) for column in columns)
+    for kind, column in zip((float, float, core.InertiaTriple, str, bool), columns):
+        assert {type(value) for value in column} == {kind}
+    assert all(type(k) is int for t in c.triple for k in t)
+    solutions = c.solutions
+    assert len(solutions) == len(c.q)
+    for k, sol in enumerate(solutions):
+        assert sol.config.q.tobytes() == c.q[k].tobytes()
+        assert sol.config.masses.tolist() == list(c.masses)
+        assert sol.spectrum == c.spectrum
+        row = sol.lam, sol.residual_norm, sol.triple, sol.classification, sol.is_cc
+        assert row == tuple(column[k] for column in columns)
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e5])
+def test_census_of_scaled_masses_is_the_unit_catalogue_rescaled(c):
+    """Multiplying every mass by c scales the balanced points on I_S = 1 by
+    1/sqrt(c): equal masses c give the unit-mass catalogue as a set, after
+    rescaling by sqrt(c).  (The gate |G| < TOL_RES * U is not scale-free,
+    so far larger or smaller c do not.)"""
+    spec = Spectrum.planar(1.5)
+    unit = census(np.ones(3), spec, 20, 1)
+    scaled = census(np.full(3, c), spec, 20, 1)
+    assert len(scaled.q) == len(unit.q) > 0
+    m = np.ones(3)
+    rescaled = scaled.q * math.sqrt(c)
+    assert _nearest(rescaled, unit.q, m).max() < solver.DEDUP_TOL
+    assert _nearest(unit.q, rescaled, m).max() < solver.DEDUP_TOL
 
 
 def test_saddle_seeds_propagate_programming_errors(monkeypatch):
