@@ -35,12 +35,12 @@ from .core import (
     Configuration,
     InertiaTriple,
     Spectrum,
+    _constants,
     _critical_models,
     _normalize_q,
     _pairs,
     _potential_of,
     _triple_of,
-    _weights,
     mass_vector,
 )
 from .errors import NoConvergence, SpectrumAnomalyError, UnsupportedCase
@@ -110,7 +110,7 @@ def ccc_spectrum(m: np.ndarray, x: np.ndarray):
     root_m = np.sqrt(m)
     C = _b_matrix_1d(m, x) / np.outer(root_m, root_m)
     ev = np.sort(np.linalg.eigvalsh(C), axis=-1).tolist()
-    u = _potential_of(m, _pairs(x[..., None])[1])
+    u = _potential_of(np.outer(m, m), _pairs(x[..., None])[1])
     if x.ndim == 1:
         return _grouped(len(m), u, ev)
     return [_grouped(len(m), *line) for line in zip(u.tolist(), ev)]
@@ -338,7 +338,7 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes) -> list[CollinearRe
     record's q is a row of the stack's read-only normalized positions.
     """
     n, d, s = len(m), spectrum.d, spectrum.array
-    w = _weights(m, s)
+    c = _constants(m, s)
     lanes = [(line, axis) for line in lines for axis in axes]
     records = []
     for lo in range(0, len(lanes), STACK_LANES):
@@ -346,9 +346,9 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes) -> list[CollinearRe
         q = np.zeros((len(chunk), n, d))
         for k, ((_, x_hat, *_), axis) in enumerate(chunk):
             q[k, :, axis - 1] = x_hat / math.sqrt(spectrum.s[axis - 1])
-        q = _read_only(_normalize_q(q, m, s)[0])
+        q = _read_only(_normalize_q(q, c)[0])
         # evaluate the points the records hold
-        u, lam, res, A, _ = _critical_models(q, m, s, w)
+        u, lam, res, A, _ = _critical_models(q, c)
         computed = _triple_of(A, u)
         u, lam, res = u.tolist(), lam.tolist(), res.tolist()
         for k, ((ordering, x_hat, gap_res, iters, spectral), axis) in enumerate(chunk):

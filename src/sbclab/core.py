@@ -103,7 +103,7 @@ class Configuration:
             raise ValueError("masses must be a length-n vector")
         if not np.all(np.isfinite(q)):
             raise ValueError("positions must be finite")
-        self.q = _recentre(q, m)
+        self.q = _recentre(q, m, m.sum())
         self.masses = m
 
     @property
@@ -179,23 +179,26 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 # potential, derivatives, inertia
 
 
-def _potential_of(m: np.ndarray, r: np.ndarray):
-    """U from the kernel's r; a float, or an array over r's leading axes.
-    The running sum keeps each U's bits independent of the stack's shape."""
-    iu = _pair_indices(len(m))
-    u = np.cumsum(np.outer(m, m)[iu] / r[..., iu[0], iu[1]], axis=-1)[..., -1]
+def _potential_of(mm: np.ndarray, r: np.ndarray):
+    """U from the kernel's r and mm = np.outer(m, m); a float, or an array
+    over r's leading axes. The running sum keeps each U's bits independent
+    of the stack's shape."""
+    iu = _pair_indices(len(mm))
+    u = np.cumsum(mm[iu] / r[..., iu[0], iu[1]], axis=-1)[..., -1]
     return float(u) if u.ndim == 0 else u
 
 
-def _gradient_of(m: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
-    w = np.outer(m, m) / r**3
-    return np.einsum("...ij,...ijk->...ik", w, diff)
+def _gradient_of(mm: np.ndarray, diff: np.ndarray, r: np.ndarray):
+    """(grad U, pw) from the kernel's diff, r and mm = np.outer(m, m), with
+    pw the pair weights m_i m_j / r_ij^3, which _hessian_of reuses."""
+    pw = mm / r**3
+    return np.einsum("...ij,...ijk->...ik", pw, diff), pw
 
 
 def potential(config: Configuration) -> float:
     """Newtonian potential U(q) = sum_{i<j} m_i m_j / |q_i - q_j|."""
     _, r = _pairwise(config)
-    return _potential_of(config.masses, r)
+    return _potential_of(np.outer(config.masses, config.masses), r)
 
 
 def gradient(config: Configuration) -> np.ndarray:
@@ -205,7 +208,7 @@ def gradient(config: Configuration) -> np.ndarray:
     row i is sum_{j != i} m_i m_j (q_j - q_i) / r_ij^3.
     """
     diff, r = _pairwise(config)
-    return _gradient_of(config.masses, diff, r)
+    return _gradient_of(np.outer(config.masses, config.masses), diff, r)[0]
 
 
 def hessian(config: Configuration) -> np.ndarray:
@@ -216,15 +219,15 @@ def hessian(config: Configuration) -> np.ndarray:
     row's off-diagonal blocks (translation invariance).
     """
     diff, r = _pairwise(config)
-    return _hessian_of(config.masses, diff, r)
+    return _hessian_of(_gradient_of(np.outer(config.masses, config.masses), diff, r)[1], diff, r)
 
 
-def _hessian_of(m: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """hessian from the kernel's (..., n, n, d) diff and r: one (n*d, n*d)
-    matrix per leading index."""
+def _hessian_of(pw: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """hessian from the kernel's (..., n, n, d) diff and r and the pair
+    weights pw of _gradient_of: one (n*d, n*d) matrix per leading index."""
     n, d = diff.shape[-2:]
     u = diff / r[..., None]
-    blocks = (np.outer(m, m) / r**3)[..., None, None] * (
+    blocks = pw[..., None, None] * (
         np.eye(d) - 3.0 * (u[..., :, None] * u[..., None, :])
     )
     # blocks is fresh, so the reshape is a view of its diagonal blocks
@@ -239,15 +242,30 @@ def _inertia_s(q: np.ndarray, m: np.ndarray, s: np.ndarray):
     return float(i_s) if i_s.ndim == 0 else i_s
 
 
-def weight_vector(config: Configuration, spectrum: Spectrum) -> np.ndarray:
-    """Flattened diagonal of (S x M): entry (i, k) is m_i * s_k."""
-    _check_dims(config, spectrum)
-    return _weights(config.masses, spectrum.array)
+class _Constants(NamedTuple):
+    """The kernels' constants of masses m and axis weights s (_constants),
+    built once per solve or stacked call, never cached: mm = np.outer(m, m),
+    the weight vector w (the diagonal of S x M, entry (i, k) m_i s_k), W = w
+    as (n, d), m.sum(), sw = sqrt(w), the d translations scaled by sw as
+    (n*d, d) columns, and diag(w)."""
+
+    m: np.ndarray
+    s: np.ndarray
+    mm: np.ndarray
+    w: np.ndarray
+    W: np.ndarray
+    m_sum: float
+    sw: np.ndarray
+    translations: np.ndarray
+    diag_w: np.ndarray
 
 
-def _weights(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """weight_vector from the masses m and the axis weights s."""
-    return np.repeat(m, len(s)) * np.tile(s, len(m))
+def _constants(m: np.ndarray, s: np.ndarray) -> _Constants:
+    n, d = len(m), len(s)
+    w = np.repeat(m, d) * np.tile(s, n)
+    sw = np.sqrt(w)
+    return _Constants(m, s, np.outer(m, m), w, w.reshape(n, d), m.sum(), sw,
+                      np.tile(np.eye(d), (n, 1)) * sw[:, None], np.diag(w))
 
 
 def _check_dims(config: Configuration, spectrum: Spectrum) -> None:
@@ -272,34 +290,35 @@ def sbc_residual(config: Configuration, spectrum: Spectrum):
     return G, lam
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _evaluate(config: Configuration, spectrum: Spectrum):
-    """(diff, r, grad U, U, lam, G) at q from one pairwise pass.
+    """(diff, r, pw, grad U, U, lam, G) at q from one pairwise pass.
 
     Guarded by the collision test; the values are those of _pairs,
-    gradient, potential and sbc_residual, bit for bit.
+    _gradient_of, gradient, potential and sbc_residual, bit for bit.
     """
     _check_dims(config, spectrum)
-    *values, collided = _evaluate_q(config.q, config.masses, spectrum.array)
+    *values, collided = _evaluate_q(config.q, _constants(config.masses, spectrum.array))
     if collided:
         _pairwise(config)  # raises the guard's CollisionError
     return tuple(values)
 
 
-def _evaluate_q(q: np.ndarray, m: np.ndarray, s: np.ndarray):
+def _evaluate_q(q: np.ndarray, c: _Constants):
     """_evaluate on raw (..., n, d) positions, with a mask for its raise:
-    (diff, r, grad U, U, lam, G, collided); values where collided are garbage."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        diff, r = _pairs(q)
-        g = _gradient_of(m, diff, r)
-        u = _potential_of(m, r)
-        lam = u / _inertia_s(q, m, s)
-        G = g + np.asarray(lam)[..., None, None] * (m[:, None] * s[None, :]) * q
-    return diff, r, g, u, lam, G, _collided(q, r)
+    (diff, r, pw, grad U, U, lam, G, collided); values where collided are
+    garbage, so callers silence numpy's floating-point warnings."""
+    diff, r = _pairs(q)
+    g, pw = _gradient_of(c.mm, diff, r)
+    u = _potential_of(c.mm, r)
+    lam = u / _inertia_s(q, c.m, c.s)
+    G = g + np.asarray(lam)[..., None, None] * c.W * q
+    return diff, r, pw, g, u, lam, G, _collided(q, r)
 
 
 def _residual_merit(G: np.ndarray, w: np.ndarray) -> float:
-    """G^T W^-1 G with w = weight_vector; equals |V^T grad U|^2 for the
-    tangent basis V (see find_critical_point for why)."""
+    """G^T W^-1 G with w the weight vector (_Constants); equals
+    |V^T grad U|^2 for the tangent basis V (see find_critical_point)."""
     v = G.ravel()
     return float(v @ (v / w))
 
@@ -313,10 +332,10 @@ def normalize(config: Configuration, spectrum: Spectrum) -> Configuration:
     return Configuration(config.q / math.sqrt(i_s), config.masses)
 
 
-def _recentre(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _recentre(q: np.ndarray, m: np.ndarray, m_sum: float) -> np.ndarray:
     """Remove the centre of mass of each (n, d) configuration in q where it
-    exceeds TOL_COM * scale: the test Configuration makes on construction."""
-    com = m @ q / m.sum()
+    exceeds TOL_COM * scale (m_sum = m.sum()): Configuration's test."""
+    com = m @ q / m_sum
     scale = np.abs(q).max(axis=(-2, -1))
     off = np.abs(com).max(axis=-1) > TOL_COM * np.maximum(scale, 1e-300)
     if off.ndim == 0:  # one configuration: no masked copy
@@ -324,16 +343,15 @@ def _recentre(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(off[..., None, None], q - com[..., None, :], q)
 
 
-def _normalize_q(q: np.ndarray, m: np.ndarray, s: np.ndarray):
-    """normalize(Configuration(q, m), spectrum) on raw (..., n, d) positions,
-    with the centre-of-mass test before and after the rescaling. Returns
-    (q, bad), bad marking where that raises ValueError (non-finite q,
-    I_S <= 0)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = _recentre(q, m)
-        i_s = _inertia_s(q, m, s)
-        bad = ~(np.isfinite(q).all(axis=(-2, -1)) & np.greater(i_s, 0.0))
-        return _recentre(q / np.sqrt(i_s)[..., None, None], m), bad
+def _normalize_q(q: np.ndarray, c: _Constants):
+    """normalize(Configuration(q, c.m), spectrum) on raw (..., n, d)
+    positions, with the centre-of-mass test before and after the rescaling.
+    Returns (q, bad), bad marking where that raises ValueError (non-finite
+    q, I_S <= 0); callers silence numpy's floating-point warnings."""
+    q = _recentre(q, c.m, c.m_sum)
+    i_s = _inertia_s(q, c.m, c.s)
+    bad = ~(np.isfinite(q).all(axis=(-2, -1)) & np.greater(i_s, 0.0))
+    return _recentre(q / np.sqrt(i_s)[..., None, None], c.m, c.m_sum), bad
 
 
 # ---------------------------------------------------------------------------
@@ -345,71 +363,63 @@ def tangent_basis(config: Configuration, spectrum: Spectrum) -> np.ndarray:
 
     The space is {v : sum_i m_i v_i = 0, <(S x M) q, v> = 0}, of dimension
     d(n-1) - 1, and the returned (n*d, k) matrix V has columns orthonormal
-    in the S-weighted mass product: V^T diag(w) V = I with w from
-    weight_vector. It is the null space of the constraints: in coordinates
+    in the S-weighted mass product: V^T diag(w) V = I with w_(i,k) =
+    m_i s_k. It is the null space of the constraints: in coordinates
     scaled by sqrt(w), the last k columns of a complete QR of the d
     translation directions and q. Any such basis gives the same Newton
     steps and inertia; this one is deterministic.
     """
-    return _tangent_basis_of(config.q, weight_vector(config, spectrum))
+    _check_dims(config, spectrum)
+    return _tangent_basis_of(config.q, _constants(config.masses, spectrum.array))
 
 
-@lru_cache(maxsize=None)
-def _translations(n: int, d: int) -> np.ndarray:
-    """The d translation directions as (n*d, d) columns, built once per
-    (n, d) and shared read-only."""
-    t = np.tile(np.eye(d), (n, 1))
-    t.flags.writeable = False
-    return t
-
-
-def _tangent_basis_of(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _tangent_basis_of(q: np.ndarray, c: _Constants) -> np.ndarray:
     """tangent_basis of raw (..., n, d) positions: one (n*d, k) basis per
     leading index, each bitwise the basis of its own 2-D call. Raises
     ValueError when any of them is degenerate."""
     n, d = q.shape[-2:]
-    sw = np.sqrt(w)
-    wq = q.reshape(q.shape[:-2] + (1, n * d)) * sw
+    wq = q.reshape(q.shape[:-2] + (1, n * d)) * c.sw
     C = np.empty(q.shape[:-2] + (n * d, d + 1))
-    C[..., :d] = _translations(n, d) * sw[:, None]
+    C[..., :d] = c.translations
     C[..., d] = wq[..., 0, :]
     Q, R = np.linalg.qr(C, mode="complete")
     # |wq| as one dot product, as np.linalg.norm computes it
     norm = np.sqrt(wq @ wq.swapaxes(-1, -2))[..., 0, 0]
     if (abs(R[..., d, d]) <= 1e-10 * norm).any():
         raise ValueError("degenerate configuration: constraints are dependent")
-    return Q[..., d + 1 :] / sw[:, None]
+    return Q[..., d + 1 :] / c.sw[:, None]
 
 
 def _restricted_hessian_any(
     q: np.ndarray,
-    m: np.ndarray,
-    w: np.ndarray,
+    c: _Constants,
     diff: np.ndarray,
     r: np.ndarray,
+    pw: np.ndarray,
     g: np.ndarray,
     lam,
 ):
     """Restricted second variation without the criticality gate.
 
-    On raw arrays: positions q (..., n, d), masses m, w = weight_vector, and
-    the points' own evaluation (diff, r and grad U g from _evaluate_q,
-    and lam), so no pair is computed again. Returns (A, V, y) with
+    On raw arrays: positions q (..., n, d), the _Constants c, and the
+    points' own evaluation (diff, r, pair weights pw and grad U g from
+    _evaluate_q, and lam), so no pair is computed again. Returns (A, V, y) with
     A = V^T (D^2 U + lam diag(w)) V, symmetrized, V = tangent_basis and
     y = V^T grad U: the Newton model of a search iterate, and at a root
     the matrix whose inertia classifies it. Leading axes of q are a stack
     of points, each lane bitwise its own 2-D call; a degenerate lane
     raises ValueError for the stack.
     """
-    V = _tangent_basis_of(q, w)
-    H = _hessian_of(m, diff, r)
-    H += np.multiply.outer(lam, np.diag(w))
+    V = _tangent_basis_of(q, c)
+    H = _hessian_of(pw, diff, r)
+    H += np.multiply.outer(lam, c.diag_w)
     A = V.swapaxes(-1, -2) @ H @ V
     y = g.reshape(g.shape[:-2] + (1, -1)) @ V
     return 0.5 * (A + A.swapaxes(-1, -2)), V, y[..., 0, :]
 
 
-def _critical_models(q: np.ndarray, m: np.ndarray, s: np.ndarray, w: np.ndarray):
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _critical_models(q: np.ndarray, c: _Constants):
     """(U, lam, |G|, A, V) at critical points given as raw (..., n, d)
     positions, one per leading index, from one pair pass and one restricted
     Hessian for the whole stack.
@@ -421,11 +431,11 @@ def _critical_models(q: np.ndarray, m: np.ndarray, s: np.ndarray, w: np.ndarray)
     exceeds TOL_RES * U. |G| is sqrt(G . G) as one dot product per lane,
     which is how np.linalg.norm computes it.
     """
-    diff, r, g, u, lam, G, collided = _evaluate_q(q, m, s)
+    diff, r, pw, g, u, lam, G, collided = _evaluate_q(q, c)
     n, d = q.shape[-2:]
     if np.any(collided):
         lane = np.argmax(np.ravel(collided))
-        _pairwise(Configuration(q.reshape(-1, n, d)[lane], m))  # raises
+        _pairwise(Configuration(q.reshape(-1, n, d)[lane], c.m))  # raises
     Gf = G.reshape(G.shape[:-2] + (1, n * d))
     res = np.sqrt(Gf @ Gf.swapaxes(-1, -2))[..., 0, 0]
     over = np.ravel(res > TOL_RES * u)
@@ -433,7 +443,7 @@ def _critical_models(q: np.ndarray, m: np.ndarray, s: np.ndarray, w: np.ndarray)
         raise NotCriticalError(
             f"balance residual {np.ravel(res)[over.argmax()]:.3e} exceeds {TOL_RES:.1e} * U"
         )
-    A, V, _ = _restricted_hessian_any(q, m, w, diff, r, g, lam)
+    A, V, _ = _restricted_hessian_any(q, c, diff, r, pw, g, lam)
     return u, lam, res, A, V
 
 
@@ -444,8 +454,8 @@ def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:
     split by sign. The three parts always sum to d(n-1) - 1. Raises
     NotCriticalError away from a balanced configuration.
     """
-    w = weight_vector(config, spectrum)  # checks the dimensions
-    u, _, _, A, _ = _critical_models(config.q, config.masses, spectrum.array, w)
+    _check_dims(config, spectrum)
+    u, _, _, A, _ = _critical_models(config.q, _constants(config.masses, spectrum.array))
     return _triple_of(A, u)
 
 

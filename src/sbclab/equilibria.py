@@ -112,10 +112,11 @@ def newton_residual(orbit: RelativeEquilibriumOrbit, times) -> float:
         raise ValueError("newton_residual needs an array of at least one time sample")
     times = np.asarray(times, dtype=float).ravel()
     masses = orbit.masses
+    mm = np.outer(masses, masses)
     worst = 0.0
     for start in range(0, times.size, RESIDUAL_BLOCK):
         t = times[start:start + RESIDUAL_BLOCK]
-        field = _gradient_of(masses, *_pairs(orbit.positions(t))) / masses[:, None]
+        field = _gradient_of(mm, *_pairs(orbit.positions(t)))[0] / masses[:, None]
         defect = orbit.accelerations(t) - field
         ratio = np.linalg.norm(defect, axis=(1, 2)) / np.linalg.norm(field, axis=(1, 2))
         worst = max(worst, float(ratio.max()))

@@ -87,8 +87,9 @@ def _flow_rhs(q: np.ndarray, masses: np.ndarray, s: np.ndarray):
     pass (diff, r) they were read from, for the guards and samples taken at
     the same point."""
     diff, r = _pairs(q)
-    u = _potential_of(masses, r)
-    qdot = _gradient_of(masses, diff, r) / (masses[:, None] * s) + np.asarray(u)[..., None, None] * q
+    mm = np.outer(masses, masses)
+    u = _potential_of(mm, r)
+    qdot = _gradient_of(mm, diff, r)[0] / (masses[:, None] * s) + np.asarray(u)[..., None, None] * q
     return qdot, u, diff, r
 
 

@@ -31,6 +31,9 @@ from .core import (
     Configuration,
     InertiaTriple,
     Spectrum,
+    _check_dims,
+    _constants,
+    _Constants,
     _critical_models,
     _evaluate_q,
     _images,
@@ -40,10 +43,8 @@ from .core import (
     _residual_merit,
     _restricted_hessian_any,
     _triple_of,
-    _weights,
     mass_vector,
     symmetry_group,
-    weight_vector,
 )
 from .errors import BranchLost, SbcLabError
 
@@ -190,6 +191,7 @@ def _as_solution(
 # single-start search
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | SearchFailure:
     """Projected Newton for the balance equation from one starting point.
 
@@ -202,7 +204,7 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     and re-normalizes I_S = 1.
 
     The line-search merit is G^T W^-1 G, with G the balance residual and
-    W = S x M (w = weight_vector), and it equals |y|^2 = |V^T grad U|^2.
+    W = S x M (w its diagonal), and it equals |y|^2 = |V^T grad U|^2.
     W^-1 G is tangent: its weighted mass sum is sum_i G_i = 0 (U is
     translation invariant and the centre of mass is at 0), and its
     weighted product with q is q . G = q . grad U + lam I_S = -U + U = 0
@@ -211,40 +213,43 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     weighted-orthogonal to q.  Trial points therefore need only their
     residual, not a tangent basis or a Hessian.
 
-    The whole solve runs on one raw-array state (q, diff, r, grad U, U,
-    lam, G): each point, the start and every trial, gets one pairwise pass
-    (_evaluate_q), and an accepted trial's pass also feeds its restricted
-    Hessian (_restricted_hessian_any), built once per iterate.  That model
-    gives the Newton step, or at a root the inertia triple; the one
-    Configuration is built for the returned solution.
+    Built once per solve: the constants of (m, s) that every kernel call
+    shares (core._constants: m_i m_j, w, sqrt(w), the scaled translations,
+    diag(w)), and one numpy error state silencing rejected trials' warnings.
+    Built once per point, the start and every trial: one pairwise pass
+    (_evaluate_q), the state (q, diff, r, pair weights m_i m_j / r^3,
+    grad U, U, lam, G).  An accepted trial's pass, pair weights included,
+    also feeds its restricted Hessian (_restricted_hessian_any), built once
+    per iterate.  That model gives the Newton step, or at a root the
+    inertia triple; the one Configuration is built for the returned solution.
 
     The solve takes at most MAX_ITER Newton iterations.  It returns a
     SearchFailure, never raises, on collision or stagnation: the
     census layer tallies causes.  A spectrum whose dimension differs from
     the configuration's raises ValueError.
     """
-    m, s = q0.masses, spectrum.array
     n, d = q0.n, q0.d
-    w = weight_vector(q0, spectrum)  # raises ValueError on a dimension mismatch
-    q, bad = _normalize_q(q0.q, m, s)
+    _check_dims(q0, spectrum)  # raises ValueError on a dimension mismatch
+    c = _constants(q0.masses, spectrum.array)
+    q, bad = _normalize_q(q0.q, c)
     if not bad:
-        diff, r, g, u, lam, G, bad = _evaluate_q(q, m, s)
+        diff, r, pw, g, u, lam, G, bad = _evaluate_q(q, c)
     if bad:
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
     eye = np.eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)
     mu = 0.0
     res = math.inf
+    merit = _residual_merit(G, c.w)
     for it in range(MAX_ITER):
         res = float(np.linalg.norm(G))
         try:
-            A, V, y = _restricted_hessian_any(q, m, w, diff, r, g, lam)
+            A, V, y = _restricted_hessian_any(q, c, diff, r, pw, g, lam)
         except ValueError:
             return SearchFailure(cause="max_iter", iterations=it + 1, residual=res)
         if res < TOL_RES * u:
-            return _as_solution(q, m, spectrum, A, g, u, lam, res)
+            return _as_solution(q, c.m, spectrum, A, g, u, lam, res)
 
-        merit = _residual_merit(G, w)
         Ay = A @ y
         A2 = A @ A
         scale_a = float(np.trace(A2)) / A.shape[0] or 1.0
@@ -256,12 +261,12 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue
-            q_try, bad = _normalize_q(q + (V @ z).reshape(n, d), m, s)
+            q_try, bad = _normalize_q(q + (V @ z).reshape(n, d), c)
             if not bad:
-                *trial, bad = _evaluate_q(q_try, m, s)
-            if not bad and _residual_merit(trial[-1], w) < merit:
-                q = q_try
-                diff, r, g, u, lam, G = trial
+                *trial, bad = _evaluate_q(q_try, c)
+            if not bad and (trial_merit := _residual_merit(trial[-1], c.w)) < merit:
+                q, merit = q_try, trial_merit
+                diff, r, pw, g, u, lam, G = trial
                 mu *= 0.25
                 accepted = True
                 break
@@ -283,14 +288,11 @@ def mass_norm_distance(a: Configuration, b: Configuration) -> float:
     return math.sqrt(float(np.sum(a.masses[:, None] * diff * diff)))
 
 
-def _sample_start(
-    rng: np.random.Generator, masses: np.ndarray, spectrum: Spectrum
-) -> Configuration:
-    n, d = len(masses), spectrum.d
+def _sample_start(rng: np.random.Generator, c: _Constants) -> Configuration:
     while True:
-        q, bad = _normalize_q(rng.standard_normal((n, d)), masses, spectrum.array)
+        q, bad = _normalize_q(rng.standard_normal((len(c.m), len(c.s))), c)
         if not bad and _pairs(q)[1].min() >= 10.0 * DELTA_COL * np.max(np.abs(q)):
-            return Configuration(q, masses)
+            return Configuration(q, c.m)
 
 
 def _orientation_sign(q: np.ndarray) -> int:
@@ -329,7 +331,8 @@ def _congruence_classes(q: np.ndarray) -> int:
     return len(reps)
 
 
-def _descend(starts: np.ndarray, masses: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _descend(starts: np.ndarray, c: _Constants) -> np.ndarray:
     """Projected steepest descent on U along the sphere from a (B, n, d)
     stack of normalized starts, walked in lockstep; returns the end points.
 
@@ -339,23 +342,21 @@ def _descend(starts: np.ndarray, masses: np.ndarray, spectrum: Spectrum) -> np.n
     or colliding one) halves it.  A lane stops after 40 moves or at
     step * |v| <= 1e-10.  For n >= 3 it ends where it would alone, bitwise.
     """
-    m, s = masses, spectrum.array
-    w = m[:, None] * s
     q = np.array(starts, dtype=float)
-    *_, u, _, G, collided = _evaluate_q(q, m, s)
+    *_, u, _, G, collided = _evaluate_q(q, c)
     live = ~collided
     step = np.full(len(q), 0.1)
     moves = np.zeros(len(q), dtype=int)
     while True:
         lanes = np.flatnonzero(live)
-        v = -(G[lanes] / w)
+        v = -(G[lanes] / c.W)
         trying = step[lanes] * np.sqrt(np.einsum("bij,bij->b", v, v)) > 1e-10
         live[lanes[~trying]] = False
         lanes, v = lanes[trying], v[trying]
         if not len(lanes):
             return q
-        q_new, bad = _normalize_q(q[lanes] + step[lanes, None, None] * v, m, s)
-        *_, u_new, _, G_new, collided = _evaluate_q(q_new, m, s)
+        q_new, bad = _normalize_q(q[lanes] + step[lanes, None, None] * v, c)
+        *_, u_new, _, G_new, collided = _evaluate_q(q_new, c)
         better = ~bad & ~collided & (u_new < u[lanes])
         moved = lanes[better]
         q[moved], u[moved], G[moved] = q_new[better], u_new[better], G_new[better]
@@ -381,7 +382,7 @@ def _representatives(records: list, masses: np.ndarray) -> list:
     return reps
 
 
-def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]:
+def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
     """Starts reached by descending the negative modes of one collinear
     point per symmetry orbit.
 
@@ -400,11 +401,10 @@ def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]
     call.  An enumeration or a model build that fails numerically
     (SbcLabError) gives no seeds; any other error propagates.
     """
-    m, s = masses, spectrum.array
-    n, d = len(m), spectrum.d
+    m, n, d = c.m, len(c.m), spectrum.d
     try:
-        reps = _representatives(enumerate_csbc(masses, spectrum), m)
-        *_, A, V = _critical_models(np.array([rec.q for rec in reps]), m, s, _weights(m, s))
+        reps = _representatives(enumerate_csbc(m, spectrum), m)
+        *_, A, V = _critical_models(np.array([rec.q for rec in reps]), c)
     except SbcLabError:
         return []
     seeds: list[Configuration | None] = []  # None: the next walked start
@@ -418,11 +418,11 @@ def _saddle_seeds(masses: np.ndarray, spectrum: Spectrum) -> list[Configuration]
                 break
             direction = (v @ evecs[:, k]).reshape(n, d)
             for sign in (1.0, -1.0):
-                start, bad = _normalize_q(q + sign * SEED_OFFSET * direction, m, s)
+                start, bad = _normalize_q(q + sign * SEED_OFFSET * direction, c)
                 if not bad:
                     seeds.append(None)
                     starts.append(start)
-    walked = iter(_descend(np.array(starts), m, spectrum) if starts else ())
+    walked = iter(_descend(np.array(starts), c) if starts else ())
     return [Configuration(next(walked), m) if c is None else c for c in seeds]
 
 
@@ -450,9 +450,10 @@ def _row(sol: SBCSolution) -> tuple:
     return sol.config.q, sol.lam, sol.residual_norm, sol.triple, sol.classification, sol.is_cc
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _closed(
     outcomes: list,
-    masses: np.ndarray,
+    c: _Constants,
     group: tuple[np.ndarray, np.ndarray],
     spectrum: Spectrum,
 ) -> tuple[list[tuple], dict[str, int], int]:
@@ -476,7 +477,7 @@ def _closed(
     whose solution gives its row; a failed polish is tallied and leaves the
     image out.  Returns (rows, failures by cause, polishes made).
     """
-    m, n, d = masses, len(masses), spectrum.d
+    m, n, d = c.m, len(c.m), spectrum.d
     w = np.repeat(m, d)
     failures = {"collision": 0, "max_iter": 0}
     listed = np.empty((0, n * d))
@@ -497,7 +498,7 @@ def _closed(
         orbits.append((out, images[keep][1:].reshape(-1, n, d)))
 
     q = np.concatenate([imgs for _, imgs in orbits] or [np.empty((0, n, d))])
-    _, _, g, u, lam, G, collided = _evaluate_q(q, m, spectrum.array)
+    *_, g, u, lam, G, collided = _evaluate_q(q, c)
     res = np.linalg.norm(G.reshape(len(q), n * d), axis=1)
     central = _central(q, m, g, u)
     rows: list[tuple] = []
@@ -546,14 +547,12 @@ def census(masses, spectrum: Spectrum, n_restarts: int, seed: int) -> Census:
     if seed < 0:
         raise ValueError("seed must be >= 0")
 
-    starts = [
-        _sample_start(np.random.default_rng(seed ^ i), masses, spectrum)
-        for i in range(n_restarts)
-    ]
-    seeds = _saddle_seeds(masses, spectrum)
+    c = _constants(masses, spectrum.array)
+    starts = [_sample_start(np.random.default_rng(seed ^ i), c) for i in range(n_restarts)]
+    seeds = _saddle_seeds(c, spectrum)
     outcomes = [find_critical_point(start, spectrum) for start in starts + seeds]
     group = symmetry_group(masses, spectrum.d)
-    rows, failures, polishes = _closed(outcomes, masses, group, spectrum)
+    rows, failures, polishes = _closed(outcomes, c, group, spectrum)
     q, *columns = zip(*rows) if rows else [()] * 6
     q = np.array(q).reshape(-1, len(masses), spectrum.d)
     q.flags.writeable = False

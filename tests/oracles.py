@@ -22,7 +22,6 @@ from sbclab.core import (
     normalize,
     potential,
     sbc_residual,
-    weight_vector,
 )
 from sbclab.errors import CollisionError
 from sbclab.flow import collinearity_angle
@@ -137,6 +136,12 @@ def gram_schmidt_tangent_basis(config: Configuration, spectrum: Spectrum) -> np.
     V = np.array(basis[d + 1 :]).reshape(-1, n * d).T
     assert V.shape == (n * d, dim)
     return V
+
+
+def weight_vector(config: Configuration, spectrum: Spectrum) -> np.ndarray:
+    """Flattened diagonal of S x M: entry (i, k) is m_i * s_k, one product
+    each, as core._constants builds its w."""
+    return np.outer(config.masses, spectrum.array).ravel()
 
 
 def ambient_balance_hessian(config: Configuration, spectrum: Spectrum) -> np.ndarray:

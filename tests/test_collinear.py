@@ -83,7 +83,7 @@ def test_b_matrix_and_potential_match_pairwise_loops():
         ref = loop_b_matrix_1d(m, x)
         assert np.max(np.abs(B - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the line potential as ccc_spectrum takes it
-        u = _potential_of(m, _pairs(x[..., None])[1])
+        u = _potential_of(np.outer(m, m), _pairs(x[..., None])[1])
         assert u == pytest.approx(loop_potential_1d(m, x), rel=1e-13)
 
 
@@ -432,8 +432,8 @@ def test_stacked_lanes_are_bitwise_their_one_line_results(masses, s):
 def _models(records, spectrum: Spectrum) -> np.ndarray:
     """The records' restricted Hessians, from one stacked
     core._critical_models call on their points."""
-    m, s = records[0].masses, spectrum.array
-    return core._critical_models(np.array([r.q for r in records]), m, s, core._weights(m, s))[3]
+    c = core._constants(records[0].masses, spectrum.array)
+    return core._critical_models(np.array([r.q for r in records]), c)[3]
 
 
 def _scipy_agrees(ev, A) -> np.ndarray:
@@ -466,7 +466,7 @@ def test_numpy_eigenvalues_agree_with_scipy_eigh():
     result = solver.census(np.ones(3), spectrum, 20, 0)
     assert result.solutions
     for sol in result.solutions:
-        w = core.weight_vector(sol.config, spectrum)
-        u, _, _, A, _ = core._critical_models(sol.config.q, sol.config.masses, spectrum.array, w)
+        c = core._constants(sol.config.masses, spectrum.array)
+        u, _, _, A, _ = core._critical_models(sol.config.q, c)
         ref = _scipy_agrees(np.linalg.eigvalsh(A), A)
         assert core._triple_of(A, u) == sol.triple == _triple(ref, u)

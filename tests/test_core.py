@@ -12,10 +12,12 @@ from sbclab.collinear import degeneracy_thresholds, enumerate_csbc, moulton_solv
 from sbclab.core import (
     Configuration,
     Spectrum,
+    _constants,
     _critical_models,
     _evaluate,
     _evaluate_q,
     _gradient_of,
+    _hessian_of,
     _images,
     _inertia_s,
     _normalize_q,
@@ -31,7 +33,6 @@ from sbclab.core import (
     sbc_residual,
     symmetry_group,
     tangent_basis,
-    weight_vector,
 )
 from sbclab.errors import CollisionError, NotCriticalError
 
@@ -45,6 +46,7 @@ from oracles import (
     random_configuration,
     sum_potential_of,
     symmetric_euler_positions,
+    weight_vector,
 )
 
 
@@ -221,23 +223,33 @@ def test_pairs_convention():
     assert np.all(np.diag(r) == np.inf)
 
 
-@pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (5, 3), (6, 4)])
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (5, 2), (5, 3), (6, 4)])
 def test_pairs_batch_matches_each_slice_bitwise(n, d):
+    """The stacked pair kernel, potential, gradient and pair weights give
+    each slice's own values, and those of the public potential, gradient
+    and hessian, bit for bit (unequal masses)."""
     rng = np.random.default_rng(40 * n + d)
     m = 1.0 + rng.random(n)
-    q = rng.standard_normal((2, 3, n, d))
+    configs = [Configuration(rng.standard_normal((n, d)), m) for _ in range(6)]
+    q = np.array([cfg.q for cfg in configs]).reshape(2, 3, n, d)
+    mm = np.outer(m, m)
     diff, r = _pairs(q)
     assert diff.shape == (2, 3, n, n, d) and r.shape == (2, 3, n, n)
-    u = _potential_of(m, r)
-    g = _gradient_of(m, diff, r)
+    u = _potential_of(mm, r)
+    g, pw = _gradient_of(mm, diff, r)
     for a in range(2):
         for b in range(3):
+            cfg = configs[3 * a + b]
             d1, r1 = _pairs(q[a, b])
             assert np.array_equal(diff[a, b], d1)
             assert np.array_equal(r[a, b], r1)
             assert np.all(np.diag(r[a, b]) == np.inf)
-            assert np.array_equal(g[a, b], _gradient_of(m, d1, r1))
-            assert u[a, b] == _potential_of(m, r1)
+            g1, pw1 = _gradient_of(mm, d1, r1)
+            assert np.array_equal(g[a, b], g1) and np.array_equal(pw[a, b], pw1)
+            assert u[a, b] == _potential_of(mm, r1)
+            assert np.array_equal(g1, gradient(cfg))
+            assert u[a, b] == potential(cfg)
+            assert np.array_equal(_hessian_of(pw1, d1, r1), hessian(cfg))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -245,9 +257,9 @@ def test_potential_of_bits_do_not_depend_on_the_stack(n):
     rng = np.random.default_rng(70 + n)
     m = 1.0 + 2.0 * rng.random(n)
     r = _pairs(rng.standard_normal((240, n, 3)))[1]
-    each = np.array([_potential_of(m, r[b]) for b in range(240)])
+    each = np.array([_potential_of(np.outer(m, m), r[b]) for b in range(240)])
     for size in (1, 7, 240):
-        stacked = [_potential_of(m, r[a : a + size]) for a in range(0, 240, size)]
+        stacked = [_potential_of(np.outer(m, m), r[a : a + size]) for a in range(0, 240, size)]
         assert np.array_equal(np.concatenate(stacked), each)
     if n <= 4:  # at most six pairs: the old .sum formula has the same bits
         assert np.array_equal(each, [sum_potential_of(m, r[b]) for b in range(240)])
@@ -293,10 +305,12 @@ def test_moments_of_inertia():
 
 
 def test_weight_vector_layout():
-    cfg = Configuration(np.zeros((2, 3)) + [[0.0, 0, 0], [1.0, 0, 0]], np.array([2.0, 5.0]))
-    spec = Spectrum((4.0, 3.0, 1.0))
-    w = weight_vector(cfg, spec)
-    assert np.allclose(w, [8.0, 6.0, 2.0, 20.0, 15.0, 5.0])
+    """The kernels' weight vector is the flattened diagonal of S x M, and W
+    its (n, d) layout."""
+    c = _constants(np.array([2.0, 5.0]), Spectrum((4.0, 3.0, 1.0)).array)
+    assert np.array_equal(c.w, [8.0, 6.0, 2.0, 20.0, 15.0, 5.0])
+    assert np.array_equal(c.W, [[8.0, 6.0, 2.0], [20.0, 15.0, 5.0]])
+    assert np.array_equal(c.diag_w, np.diag(c.w)) and np.array_equal(c.sw, np.sqrt(c.w))
 
 
 def test_residual_vanishes_at_equilateral_for_identity_weights():
@@ -340,7 +354,7 @@ def test_normalize_matches_the_raw_array_path_bitwise():
             q[:, 1:] = 0.0  # collinear on the first axis
         cfg = Configuration(q + rng.standard_normal(d), 0.5 + 2.0 * rng.random(n))
         spec = Spectrum(tuple(sorted(1.0 + 2.0 * rng.random(d), reverse=True)))
-        raw, bad = _normalize_q(cfg.q, cfg.masses, spec.array)
+        raw, bad = _normalize_q(cfg.q, _constants(cfg.masses, spec.array))
         assert not bad
         assert np.array_equal(normalize(cfg, spec).q, raw)
     with pytest.raises(ValueError, match="I_S = 0"):
@@ -397,14 +411,14 @@ def _weighted_point(rng, n: int, d: int):
 
 def _model(cfg, spec):
     """_restricted_hessian_any at cfg from its own evaluation: (A, V, y)."""
-    diff, r, g, _, lam, _ = _evaluate(cfg, spec)
-    w = weight_vector(cfg, spec)
-    return _restricted_hessian_any(cfg.q, cfg.masses, w, diff, r, g, lam)
+    diff, r, pw, g, _, lam, _ = _evaluate(cfg, spec)
+    c = _constants(cfg.masses, spec.array)
+    return _restricted_hessian_any(cfg.q, c, diff, r, pw, g, lam)
 
 
 def _one_model(cfg, spec):
     """_critical_models at the single point cfg: (U, lam, |G|, A, V)."""
-    return _critical_models(cfg.q, cfg.masses, spec.array, weight_vector(cfg, spec))
+    return _critical_models(cfg.q, _constants(cfg.masses, spec.array))
 
 
 def _assert_same_tangent_space(cfg, spec):
@@ -452,7 +466,7 @@ def test_residual_merit_equals_reduced_gradient_norm(n, d):
 
 def test_sbc_residual_matches_separate_evaluations_bitwise():
     rng = np.random.default_rng(12)
-    for n, d in [(3, 2), (4, 3), (5, 1)]:
+    for n, d in [(3, 2), (4, 3), (5, 1), (5, 2)]:
         cfg, spec = _weighted_point(rng, n, d)
         G, lam = sbc_residual(cfg, spec)
         ref_lam = potential(cfg) / _inertia_s(cfg.q, cfg.masses, spec.array)
@@ -466,7 +480,7 @@ def test_restricted_hessian_any_is_the_projected_ambient_form():
     V^T (hessian + lam diag w) V, symmetrized, and V^T grad U, bit for bit,
     with V from tangent_basis."""
     rng = np.random.default_rng(13)
-    for n, d in [(2, 2), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (6, 2)]:
+    for n, d in [(2, 2), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)]:
         cfg, spec = _weighted_point(rng, n, d)
         A, V, y = _model(cfg, spec)
         ref_V = tangent_basis(cfg, spec)
@@ -488,22 +502,23 @@ def test_restricted_hessian_any_lanes_equal_their_own_call(n, d):
     rng = np.random.default_rng(3000 + 10 * n + d)
     m = 0.5 + 2.0 * rng.random(n)
     s = np.array(sorted(1.0 + 2.0 * rng.random(d), reverse=True))
-    w = np.repeat(m, d) * np.tile(s, n)
+    c = _constants(m, s)
     for lanes in (1, 7, 64):
-        q, bad = _normalize_q(rng.standard_normal((lanes, n, d)), m, s)
+        q, bad = _normalize_q(rng.standard_normal((lanes, n, d)), c)
         assert not bad.any()
-        diff, r, g, _, lam, _, _ = _evaluate_q(q, m, s)
-        A, V, y = _restricted_hessian_any(q, m, w, diff, r, g, lam)
+        diff, r, pw, g, _, lam, _, _ = _evaluate_q(q, c)
+        A, V, y = _restricted_hessian_any(q, c, diff, r, pw, g, lam)
         assert len(A) == len(V) == len(y) == lanes
         for k in range(lanes):
-            one = _restricted_hessian_any(q[k], m, w, diff[k], r[k], g[k], float(lam[k]))
+            one = _restricted_hessian_any(q[k], c, diff[k], r[k], pw[k], g[k], float(lam[k]))
             for stacked, single in zip((A[k], V[k], y[k]), one):
                 assert stacked.shape == single.shape
                 assert np.array_equal(stacked, single)
     q[lanes // 2] = 0.0
-    diff, r, g, _, lam, _, _ = _evaluate_q(q, m, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff, r, pw, g, _, lam, _, _ = _evaluate_q(q, c)
     with pytest.raises(ValueError, match="constraints are dependent"):
-        _restricted_hessian_any(q, m, w, diff, r, g, lam)
+        _restricted_hessian_any(q, c, diff, r, pw, g, lam)
 
 
 def test_stacked_critical_models_gate_each_lane():
@@ -515,8 +530,8 @@ def test_stacked_critical_models_gate_each_lane():
     m = np.array([1.0, 2.0, 3.0])
     lines = [_collinear_point(m, spec, axis=axis) for axis in (1, 2, 3)]
     q = np.array([c.q for c in lines])
-    w = weight_vector(lines[0], spec)
-    u, lam, res, A, _ = _critical_models(q, m, spec.array, w)
+    c = _constants(m, spec.array)
+    u, lam, res, A, _ = _critical_models(q, c)
     for k, line in enumerate(lines):
         assert (u[k], lam[k], res[k]) == _one_model(line, spec)[:3]
         assert np.array_equal(A[k], _one_model(line, spec)[3])
@@ -524,12 +539,12 @@ def test_stacked_critical_models_gate_each_lane():
     with pytest.raises(NotCriticalError) as single:
         _one_model(off, spec)
     with pytest.raises(NotCriticalError) as stacked:
-        _critical_models(np.array([q[0], off.q, q[1]]), m, spec.array, w)
+        _critical_models(np.array([q[0], off.q, q[1]]), c)
     assert str(stacked.value) == str(single.value)
     clash = q[1].copy()
     clash[1] = clash[0]
     with pytest.raises(CollisionError):
-        _critical_models(np.array([q[0], clash]), m, spec.array, w)
+        _critical_models(np.array([q[0], clash]), c)
 
 
 def test_restricted_hessian_requires_criticality():
@@ -659,7 +674,7 @@ def test_images_are_exact_and_stay_balanced():
     for img, sign, perm in zip(images, signs, perms):
         assert np.array_equal(img, q[perm] * sign)
         assert not np.any(np.signbit(img) & (img == 0.0))
-    _, _, _, u, lam, G, collided = _evaluate_q(images, m, spec.array)
+    *_, u, lam, G, collided = _evaluate_q(images, _constants(m, spec.array))
     assert not collided.any()
     assert np.all(np.linalg.norm(G.reshape(len(images), -1), axis=1) < 1e-10 * u)
     assert np.allclose(u, u[0], rtol=1e-14) and np.allclose(lam, lam[0], rtol=1e-14)

@@ -424,11 +424,12 @@ def test_descend_lanes_walk_as_if_alone(n, d):
     collided[1] = collided[0]
     starts = np.concatenate([starts, collided[None]])
 
-    ends = solver._descend(starts, m, spectrum)
+    c = core._constants(m, spectrum.array)
+    ends = solver._descend(starts, c)
     assert np.array_equal(ends[-1], collided)
     for start, end in zip(starts[:-1], ends[:-1]):
         assert not np.array_equal(start, end)
-        assert np.array_equal(solver._descend(start[None], m, spectrum)[0], end)
+        assert np.array_equal(solver._descend(start[None], c)[0], end)
         assert np.array_equal(serial_descend(Configuration(start, m), spectrum), end)
 
 
@@ -465,7 +466,8 @@ def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
     trivial = (np.ones((1, 2)), np.arange(3)[None])
     for block in (1, 7, solver.DISTANCE_BLOCK):
         monkeypatch.setattr(solver, "DISTANCE_BLOCK", block)
-        kept, failures, polishes = solver._closed(outcomes, m, trivial, spectrum)
+        kept, failures, polishes = solver._closed(
+            outcomes, core._constants(m, spectrum.array), trivial, spectrum)
         assert [id(row[0]) for row in kept] == [id(s.config.q) for s in expected]
         assert failures["max_iter"] == len(outcomes) - len(configs)
         assert polishes == 0
@@ -531,6 +533,85 @@ def test_census_is_a_read_only_column_store(monkeypatch):
         assert sol.spectrum == c.spectrum
         row = sol.lam, sol.residual_norm, sol.triple, sol.classification, sol.is_cc
         assert row == tuple(column[k] for column in columns)
+
+
+def _census_bits(c: Census) -> tuple:
+    """Every field of a census, q as bytes and floats by repr, so equal
+    tuples mean bitwise equal catalogues."""
+    columns = c.lam, c.residual, c.triple, c.classification, c.is_cc
+    rest = c.restarts, c.seed, c.failures, c.masses, c.spectrum, c.extra_seeds
+    return c.q.shape, c.q.tobytes(), repr(columns), repr(rest), c.symmetry_caveat, c.orbit_count
+
+
+def _outcome_bits(out) -> tuple:
+    """Every field of a solve's outcome, bitwise (see _census_bits)."""
+    if isinstance(out, SearchFailure):
+        return (repr(out),)
+    row = out.spectrum, out.lam, out.residual_norm, out.triple, out.classification, out.is_cc
+    return out.config.q.tobytes(), out.config.masses.tobytes(), repr(row)
+
+
+@pytest.mark.parametrize("s, restarts, seed", [
+    ((1.5, 1.0), 20, 1), ((1.5, 1.0), 20, 7), ((4.0, 3.0, 2.0, 1.0), 0, 0),
+])
+def test_census_is_bitwise_deterministic_and_rebuilds_through_configuration(s, restarts, seed):
+    """Two censuses of one problem in one process are bitwise equal, and row
+    i is bitwise solutions[i] rebuilt through Configuration: the same point,
+    and evaluated again through the public sbc_residual and inertia_indices,
+    the same lambda and triple.  |G| is one of the census's two norms: a
+    solve's is np.linalg.norm of its point, an image's its row of the
+    closure's stacked norm."""
+    spec = Spectrum(s)
+    a, b = (census(np.ones(3), spec, restarts, seed) for _ in range(2))
+    assert _census_bits(a) == _census_bits(b)
+    for k, sol in enumerate(a.solutions):
+        config = Configuration(a.q[k], np.array(a.masses))
+        assert config.q.tobytes() == a.q[k].tobytes() == sol.config.q.tobytes()
+        G, lam = sbc_residual(config, spec)
+        assert lam == a.lam[k] == sol.lam
+        norms = float(np.linalg.norm(G)), float(np.linalg.norm(G.reshape(1, -1), axis=1)[0])
+        assert a.residual[k] == sol.residual_norm and a.residual[k] in norms
+        assert inertia_indices(config, spec) == a.triple[k] == sol.triple
+
+
+LEAK_PROBLEMS = (
+    (np.ones(3), Spectrum((1.5, 1.0))),
+    (np.array([1.0, 2.0, 3.0]), Spectrum((3.0, 1.0))),
+    (np.ones(4), Spectrum((4.0, 3.0, 2.0, 1.0))),
+)
+
+
+def test_constants_never_leak_between_problems():
+    """Solves and censuses of different masses and spectra, interleaved in
+    a new order, give every outcome bitwise as when each problem ran on its
+    own, so nothing of one problem's constants reaches the next.  A
+    continuation path, whose spectrum changes at every step, is bitwise the
+    same between other problems' solves, and each of its members is the
+    solve from the member before at its own spectrum."""
+    rng = np.random.default_rng(22)
+    starts = [Configuration(rng.standard_normal((len(m), spec.d)), m) for m, spec in LEAK_PROBLEMS]
+
+    def run(k):
+        m, spec = LEAK_PROBLEMS[k]
+        return (_outcome_bits(find_critical_point(starts[k], spec)),
+                _census_bits(census(m, spec, 2, seed=11 + k)))
+
+    alone = [run(k) for k in range(len(LEAK_PROBLEMS))]
+    assert len(set(alone)) == len(LEAK_PROBLEMS)
+    for k in (2, 0, 1, 0, 2, 1):
+        assert run(k) == alone[k]
+
+    minimum = next(s for s in census(np.ones(3), Spectrum.planar(1.2), 0, seed=1).solutions
+                   if s.triple.index == 0)
+    path = [Spectrum.planar(x) for x in (1.3, 1.45, 1.6)]
+    family = [_outcome_bits(out) for out in continue_in_s(minimum, path)]
+    run(2)
+    assert [_outcome_bits(out) for out in continue_in_s(minimum, path)] == family
+    run(1)
+    members = [minimum, *continue_in_s(minimum, path)]
+    for before, member in zip(members, members[1:]):
+        assert _outcome_bits(find_critical_point(before.config, member.spectrum)) == \
+            _outcome_bits(member)
 
 
 @pytest.mark.parametrize("c", [1e-5, 1e5])
@@ -649,7 +730,8 @@ def test_closed_census_order_is_deterministic_and_starts_with_the_first_find():
     b = census(m, spec, 6, seed=4)
     assert np.array_equal(_stack(a), _stack(b))
     assert [s.triple for s in a.solutions] == [s.triple for s in b.solutions]
-    first = find_critical_point(solver._sample_start(np.random.default_rng(4 ^ 0), m, spec), spec)
+    c = core._constants(m, spec.array)
+    first = find_critical_point(solver._sample_start(np.random.default_rng(4 ^ 0), c), spec)
     assert isinstance(first, SBCSolution)
     assert np.array_equal(a.solutions[0].config.q, first.config.q)
     assert a.solutions[0].lam == first.lam
@@ -665,12 +747,12 @@ def test_an_image_over_the_gate_is_polished_and_counted(monkeypatch):
     evaluate_q, solves = solver._evaluate_q, []
     find = solver.find_critical_point
 
-    def spoiled(q, m, s):
-        diff, r, g, u, lam, G, collided = evaluate_q(q, m, s)
+    def spoiled(q, c):
+        diff, r, pw, g, u, lam, G, collided = evaluate_q(q, c)
         if q.ndim == 3:
             G = G.copy()
             G[0] += 1e-3
-        return diff, r, g, u, lam, G, collided
+        return diff, r, pw, g, u, lam, G, collided
 
     def counting(*args, **kwargs):
         solves.append(args[0])
