@@ -175,6 +175,14 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
+@lru_cache(maxsize=None)
+def _eye(d: int) -> np.ndarray:
+    """np.eye(d), built once per d and shared read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 # ---------------------------------------------------------------------------
 # potential, derivatives, inertia
 
@@ -228,7 +236,7 @@ def _hessian_of(pw: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
     n, d = diff.shape[-2:]
     u = diff / r[..., None]
     blocks = pw[..., None, None] * (
-        np.eye(d) - 3.0 * (u[..., :, None] * u[..., None, :])
+        _eye(d) - 3.0 * (u[..., :, None] * u[..., None, :])
     )
     # blocks is fresh, so the reshape is a view of its diagonal blocks
     blocks.reshape(r.shape[:-2] + (n * n, d, d))[..., :: n + 1, :, :] = -blocks.sum(axis=-3)
@@ -265,7 +273,7 @@ def _constants(m: np.ndarray, s: np.ndarray) -> _Constants:
     w = np.repeat(m, d) * np.tile(s, n)
     sw = np.sqrt(w)
     return _Constants(m, s, np.outer(m, m), w, w.reshape(n, d), m.sum(), sw,
-                      np.tile(np.eye(d), (n, 1)) * sw[:, None], np.diag(w))
+                      np.tile(_eye(d), (n, 1)) * sw[:, None], np.diag(w))
 
 
 def _check_dims(config: Configuration, spectrum: Spectrum) -> None:
@@ -343,15 +351,27 @@ def _recentre(q: np.ndarray, m: np.ndarray, m_sum: float) -> np.ndarray:
     return np.where(off[..., None, None], q - com[..., None, :], q)
 
 
+def _scale_q(q: np.ndarray, c: _Constants):
+    """(q / sqrt(I_S), bad) for raw (..., n, d) positions, bad marking
+    where I_S is not in (0, inf): non-finite q, all bodies at the origin,
+    or an I_S that overflows. No centre-of-mass test: a move from a centred
+    point along a tangent direction (a Newton trial, a descent move, a
+    saddle push) keeps its centre of mass within rounding, far below
+    TOL_COM * scale. One point stays on Python scalars; callers silence
+    numpy's floating-point warnings."""
+    i_s = _inertia_s(q, c.m, c.s)
+    if q.ndim == 2:
+        return q / math.sqrt(i_s), not 0.0 < i_s < math.inf
+    return q / np.sqrt(i_s)[..., None, None], ~((0.0 < i_s) & (i_s < math.inf))
+
+
 def _normalize_q(q: np.ndarray, c: _Constants):
     """normalize(Configuration(q, c.m), spectrum) on raw (..., n, d)
-    positions, with the centre-of-mass test before and after the rescaling.
-    Returns (q, bad), bad marking where that raises ValueError (non-finite
-    q, I_S <= 0); callers silence numpy's floating-point warnings."""
-    q = _recentre(q, c.m, c.m_sum)
-    i_s = _inertia_s(q, c.m, c.s)
-    bad = ~(np.isfinite(q).all(axis=(-2, -1)) & np.greater(i_s, 0.0))
-    return _recentre(q / np.sqrt(i_s)[..., None, None], c.m, c.m_sum), bad
+    positions from any start: _scale_q between a centre-of-mass test before
+    and one after. Returns (q, bad) with _scale_q's bad, which covers
+    where normalize raises ValueError (non-finite q, I_S = 0)."""
+    q, bad = _scale_q(_recentre(q, c.m, c.m_sum), c)
+    return _recentre(q, c.m, c.m_sum), bad
 
 
 # ---------------------------------------------------------------------------

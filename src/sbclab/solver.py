@@ -27,6 +27,7 @@ from .collinear import enumerate_csbc
 from .core import (
     DELTA_COL,
     NULL_TOL,
+    TOL_COM,
     TOL_RES,
     Configuration,
     InertiaTriple,
@@ -36,12 +37,14 @@ from .core import (
     _Constants,
     _critical_models,
     _evaluate_q,
+    _eye,
     _images,
     _normalize_q,
     _pair_indices,
     _pairs,
     _residual_merit,
     _restricted_hessian_any,
+    _scale_q,
     _triple_of,
     mass_vector,
     symmetry_group,
@@ -200,8 +203,13 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     Newton right-hand side.  The step solves (A^2 + mu) z = -A y — Newton
     when the damping mu is small, shrinking toward a weighted-gradient
     descent step on |y|^2 as mu grows, which is the fallback when A is
-    singular or indefinite in the wrong way.  Each accepted step re-centers
-    and re-normalizes I_S = 1.
+    singular or indefinite in the wrong way.  The start is re-centred and
+    normalized (core._normalize_q).  From a start centred well inside the
+    centre-of-mass test's TOL_COM, each trial q + V z goes back on I_S = 1
+    by scaling alone (core._scale_q): V z is tangent, so the test could not
+    fire.  From a start with a centre of mass just under TOL_COM * scale (a
+    walked saddle seed, a continuation step) a trial that shrinks the scale
+    can trip it, so there each trial is normalized in full.
 
     The line-search merit is G^T W^-1 G, with G the balance residual and
     W = S x M (w its diagonal), and it equals |y|^2 = |V^T grad U|^2.
@@ -237,7 +245,13 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     if bad:
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
-    eye = np.eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)
+    # A trial q + V z keeps q's centre of mass up to rounding, shrinks it
+    # when scaled back (I_S = 1 + |z|^2), and on the sphere has scale at
+    # least 1 / sqrt(sum w): from a start centred well inside TOL_COM on
+    # that scale, no trial can trip the centre-of-mass test.
+    centred = math.sqrt(c.w.sum()) * np.abs(c.m @ q).max() <= 0.01 * TOL_COM * c.m_sum
+    to_sphere = _scale_q if centred else _normalize_q
+    eye = _eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)
     mu = 0.0
     res = math.inf
     merit = _residual_merit(G, c.w)
@@ -261,7 +275,7 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue
-            q_try, bad = _normalize_q(q + (V @ z).reshape(n, d), c)
+            q_try, bad = to_sphere(q + (V @ z).reshape(n, d), c)
             if not bad:
                 *trial, bad = _evaluate_q(q_try, c)
             if not bad and (trial_merit := _residual_merit(trial[-1], c.w)) < merit:
@@ -341,6 +355,12 @@ def _descend(starts: np.ndarray, c: _Constants) -> np.ndarray:
     and grows the lane's step by 1.3; any other (or a non-finite, I_S <= 0
     or colliding one) halves it.  A lane stops after 40 moves or at
     step * |v| <= 1e-10.  For n >= 3 it ends where it would alone, bitwise.
+
+    Unlike a Newton trial, each move keeps the centre-of-mass test
+    (core._normalize_q): v is tangent only up to the rounding of G's
+    pair-force sums, which is large against G next to a saddle, and the
+    drift adds up over the moves until the test fires (it does on the
+    n = 3, S = diag(4, 3, 2, 1) saddle walks).
     """
     q = np.array(starts, dtype=float)
     *_, u, _, G, collided = _evaluate_q(q, c)
@@ -389,7 +409,9 @@ def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
     The counting results predict non-collinear solutions adjacent to the
     collinear family.  A plain Newton start right next to a saddle would
     simply re-converge to it, so each seed is pushed off along a downhill
-    eigendirection and walked further downhill (all in one _descend call).
+    eigendirection, a tangent one, so it is put back on I_S = 1 by scaling
+    alone (core._scale_q), and walked further downhill (all in one
+    _descend call).
     The walks from the other points of an orbit are images of these, and
     census closes its catalogue under the group, so only the orbit
     representatives (_representatives) are walked: one record per axis
@@ -418,7 +440,7 @@ def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
                 break
             direction = (v @ evecs[:, k]).reshape(n, d)
             for sign in (1.0, -1.0):
-                start, bad = _normalize_q(q + sign * SEED_OFFSET * direction, c)
+                start, bad = _scale_q(q + sign * SEED_OFFSET * direction, c)
                 if not bad:
                     seeds.append(None)
                     starts.append(start)

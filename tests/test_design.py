@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -305,3 +306,46 @@ def test_one_flow_integrator(monkeypatch, tmp_path):
     assert cli.run(["check45", "--count", "6", "--output", str(tmp_path / "c45.json")]) == 0
     checked = json.loads((tmp_path / "c45.json").read_text(encoding="utf-8"))["checked"]
     assert checked > 1 and lanes == [1, 2, 1, checked]
+
+
+def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypatch):
+    """One find_critical_point solve from a centred start evaluates each
+    point once, the start and every trial the line search keeps in play,
+    and calls the centre-of-mass test only from the start's normalization
+    (before and after its rescaling) and the returned Configuration."""
+    import numpy as np
+
+    from sbclab import core, solver
+    from sbclab.core import Configuration, Spectrum
+
+    log = {"recentre": [], "points": [], "evaluated": []}
+
+    def spy(module, name, record):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            record(args, out)
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(core, "_recentre",
+        lambda args, out: log["recentre"].append(traceback.extract_stack(limit=3)[0].name))
+    spy(solver, "_normalize_q", lambda args, out: log["points"].append(out))
+    spy(solver, "_scale_q", lambda args, out: log["points"].append(out))
+    spy(solver, "_evaluate_q", lambda args, out: log["evaluated"].append(args[0]))
+    rng = np.random.default_rng(23)
+    for masses, spec in ((np.ones(3), Spectrum.planar(1.5)),
+                         (np.array([1.0, 2.0, 3.0, 4.0]), Spectrum((3.0, 2.0, 1.0)))):
+        for _ in range(3):
+            start = Configuration(rng.standard_normal((len(masses), spec.d)), masses)
+            for record in log.values():
+                record.clear()
+            out = solver.find_critical_point(start, spec)
+            assert isinstance(out, solver.SBCSolution)
+            assert log["recentre"] == ["_normalize_q", "_normalize_q", "__post_init__"]
+            points = [q for q, bad in log["points"] if not bad]
+            assert len(points) > 2  # the start and at least two trials
+            assert len(log["evaluated"]) == len(points)
+            assert all(a is b for a, b in zip(log["evaluated"], points))

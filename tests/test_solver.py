@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sbclab import core, solver
 from sbclab.collinear import moulton_solve
@@ -431,6 +433,90 @@ def test_descend_lanes_walk_as_if_alone(n, d):
         assert not np.array_equal(start, end)
         assert np.array_equal(solver._descend(start[None], c)[0], end)
         assert np.array_equal(serial_descend(Configuration(start, m), spectrum), end)
+
+
+# (n, d) of the dead-recentre check: n 3-5 and d 1-4 each covered
+TANGENT_MOVE_CASES = [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5, 2), (5, 4)]
+
+
+@pytest.mark.parametrize("n, d", TANGENT_MOVE_CASES)
+def test_tangent_moves_need_no_centre_of_mass_test(monkeypatch, n, d):
+    """Newton trials and saddle pushes go back on the sphere by scaling
+    alone (core._scale_q).  With the full core._normalize_q in its place,
+    the centre-of-mass tests included, no bit changes: not a solve's
+    outcome, from off-centre starts, one centred just inside the test's
+    tolerance (whose trials keep the test) and a colliding one, nor a
+    saddle seed's pushed start, nor its descent's end point."""
+    rng = np.random.default_rng(2300 + 10 * n + d)
+    m = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+    spec = Spectrum(tuple(sorted(1.0 + 2.0 * rng.random(d), reverse=True)))
+    starts = [Configuration(rng.standard_normal((n, d)) + 10.0 ** rng.uniform(0, 6)
+                            * rng.standard_normal(d), m) for _ in range(5)]
+    # a centre of mass just under the test's tolerance, which a trial can trip
+    edge = starts[0].q + 0.9 * core.TOL_COM * np.abs(starts[0].q).max()
+    colliding = rng.standard_normal((n, d))
+    colliding[1] = colliding[0]
+    starts += [Configuration(edge, m), Configuration(colliding, m)]
+    descend = solver._descend
+
+    def run():
+        walks = []
+
+        def recording(pushed, c):
+            ends = descend(pushed, c)
+            walks.append((pushed.tobytes(), ends.tobytes()))
+            return ends
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_descend", recording)
+            seeds = [s.q.tobytes() for s in solver._saddle_seeds(core._constants(m, spec.array), spec)]
+        return [_outcome_bits(find_critical_point(start, spec)) for start in starts], walks, seeds
+
+    scaled = run()
+    outcomes, walks, _ = scaled
+    assert any(len(bits) > 1 for bits in outcomes)  # some solve converges
+    assert outcomes[-1] == (repr(SearchFailure("collision", 0, math.inf)),)
+    assert len(walks) == (d > 1)  # a line has no downhill mode
+    monkeypatch.setattr(solver, "_scale_q", core._normalize_q)
+    assert run() == scaled
+
+
+def test_descent_moves_keep_the_centre_of_mass_test(monkeypatch):
+    """A descent move is tangent only up to the rounding of the residual's
+    pair-force sums, which adds up over the moves: on the n = 3,
+    S = diag(4, 3, 2, 1) saddle walks, scaling alone, without _normalize_q's
+    centre-of-mass tests, ends some walks elsewhere."""
+    m, spec = np.ones(3), Spectrum((4.0, 3.0, 2.0, 1.0))
+    c = core._constants(m, spec.array)
+    full = [s.q.tobytes() for s in solver._saddle_seeds(c, spec)]
+    monkeypatch.setattr(solver, "_normalize_q", core._scale_q)
+    assert [s.q.tobytes() for s in solver._saddle_seeds(c, spec)] != full
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+        st.lists(st.floats(0.25, 4.0), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+        st.floats(1e-6, 1e6),
+    ))
+)
+def test_a_tangent_move_stays_centred(case):
+    """From a centred point on the sphere, q + V z for a tangent basis V
+    passes the centre-of-mass test untouched, for masses over six decades
+    and moves up to 1e6 times the coordinate scale."""
+    masses, s, seed, size = case
+    m, s = np.array(masses), np.array(sorted(s, reverse=True))
+    n, d = len(m), len(s)
+    rng = np.random.default_rng(seed)
+    c = core._constants(m, s)
+    with np.errstate(all="ignore"):
+        q, bad = core._normalize_q(rng.standard_normal((n, d)), c)
+    assume(not bad)
+    z = rng.uniform(-1.0, 1.0, d * (n - 1) - 1) * size * np.abs(q).max()
+    moved = q + (core._tangent_basis_of(q, c) @ z).reshape(n, d)
+    assert core._recentre(moved, m, c.m_sum) is moved
 
 
 def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
