@@ -324,6 +324,15 @@ def _evaluate_q(q: np.ndarray, c: _Constants):
     return diff, r, pw, g, u, lam, G, _collided(q, r)
 
 
+def _residual_norm(G: np.ndarray):
+    """|G| of raw (..., n, d) residuals, one per leading index, as
+    sqrt(G . G) from one dot product per lane: bitwise np.linalg.norm of
+    each lane, as a solve takes it."""
+    n, d = G.shape[-2:]
+    Gf = G.reshape(G.shape[:-2] + (1, n * d))
+    return np.sqrt(Gf @ Gf.swapaxes(-1, -2))[..., 0, 0]
+
+
 def _residual_merit(G: np.ndarray, w: np.ndarray) -> float:
     """G^T W^-1 G with w the weight vector (_Constants); equals
     |V^T grad U|^2 for the tangent basis V (see find_critical_point)."""
@@ -448,16 +457,14 @@ def _critical_models(q: np.ndarray, c: _Constants):
     on the tangent basis V, of shape (k, k) with k = d(n-1) - 1. The first
     lane that fails raises for the stack: the collision guard's
     CollisionError, or NotCriticalError when the balance residual |G|
-    exceeds TOL_RES * U. |G| is sqrt(G . G) as one dot product per lane,
-    which is how np.linalg.norm computes it.
+    exceeds TOL_RES * U, with |G| from _residual_norm.
     """
     diff, r, pw, g, u, lam, G, collided = _evaluate_q(q, c)
     n, d = q.shape[-2:]
     if np.any(collided):
         lane = np.argmax(np.ravel(collided))
         _pairwise(Configuration(q.reshape(-1, n, d)[lane], c.m))  # raises
-    Gf = G.reshape(G.shape[:-2] + (1, n * d))
-    res = np.sqrt(Gf @ Gf.swapaxes(-1, -2))[..., 0, 0]
+    res = _residual_norm(G)
     over = np.ravel(res > TOL_RES * u)
     if over.any():
         raise NotCriticalError(

@@ -43,6 +43,7 @@ from .core import (
     _pair_indices,
     _pairs,
     _residual_merit,
+    _residual_norm,
     _restricted_hessian_any,
     _scale_q,
     _triple_of,
@@ -494,7 +495,8 @@ def _closed(
     together in one _evaluate_q call and one central test (_central), and
     keep their source's triple and classification, which the group leaves
     unchanged; residual, lambda and is_cc come from their own evaluation,
-    and q is the exact image, so no image builds a Configuration.  An image
+    the residual as a solve takes it (core._residual_norm), and q is the
+    exact image, so no image builds a Configuration.  An image
     whose residual misses TOL_RES * U gets one find_critical_point polish,
     whose solution gives its row; a failed polish is tallied and leaves the
     image out.  Returns (rows, failures by cause, polishes made).
@@ -521,7 +523,7 @@ def _closed(
 
     q = np.concatenate([imgs for _, imgs in orbits] or [np.empty((0, n, d))])
     *_, g, u, lam, G, collided = _evaluate_q(q, c)
-    res = np.linalg.norm(G.reshape(len(q), n * d), axis=1)
+    res = _residual_norm(G)
     central = _central(q, m, g, u)
     rows: list[tuple] = []
     polishes = 0
