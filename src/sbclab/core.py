@@ -363,11 +363,11 @@ def _recentre(q: np.ndarray, m: np.ndarray, m_sum: float) -> np.ndarray:
 def _scale_q(q: np.ndarray, c: _Constants):
     """(q / sqrt(I_S), bad) for raw (..., n, d) positions, bad marking
     where I_S is not in (0, inf): non-finite q, all bodies at the origin,
-    or an I_S that overflows. No centre-of-mass test: a move from a centred
-    point along a tangent direction (a Newton trial, a descent move, a
-    saddle push) keeps its centre of mass within rounding, far below
-    TOL_COM * scale. One point stays on Python scalars; callers silence
-    numpy's floating-point warnings."""
+    or an I_S that overflows. No centre-of-mass test: it is for moves along
+    a tangent direction from a point centred far inside TOL_COM (a Newton
+    trial, a saddle push), whose centre of mass stays there up to rounding.
+    One point stays on Python scalars; callers silence numpy's
+    floating-point warnings."""
     i_s = _inertia_s(q, c.m, c.s)
     if q.ndim == 2:
         return q / math.sqrt(i_s), not 0.0 < i_s < math.inf

@@ -205,12 +205,13 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     when the damping mu is small, shrinking toward a weighted-gradient
     descent step on |y|^2 as mu grows, which is the fallback when A is
     singular or indefinite in the wrong way.  The start is re-centred and
-    normalized (core._normalize_q).  From a start centred well inside the
+    normalized (core._normalize_q).  From a start centred far inside the
     centre-of-mass test's TOL_COM, each trial q + V z goes back on I_S = 1
-    by scaling alone (core._scale_q): V z is tangent, so the test could not
-    fire.  From a start with a centre of mass just under TOL_COM * scale (a
-    walked saddle seed, a continuation step) a trial that shrinks the scale
-    can trip it, so there each trial is normalized in full.
+    by scaling alone (core._scale_q), since the test cannot fire on it.
+    From a start whose centre of mass is just under TOL_COM * scale (as a
+    walked saddle seed's or a continuation step's can be), a trial that
+    shrinks the scale can trip the test, so there each trial is normalized
+    in full.
 
     The line-search merit is G^T W^-1 G, with G the balance residual and
     W = S x M (w its diagonal), and it equals |y|^2 = |V^T grad U|^2.
@@ -246,10 +247,10 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     if bad:
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
-    # A trial q + V z keeps q's centre of mass up to rounding, shrinks it
-    # when scaled back (I_S = 1 + |z|^2), and on the sphere has scale at
-    # least 1 / sqrt(sum w): from a start centred well inside TOL_COM on
-    # that scale, no trial can trip the centre-of-mass test.
+    # V z is tangent, so a trial keeps q's centre of mass up to rounding
+    # and scaling it back (I_S = 1 + |z|^2) only shrinks it, while its scale
+    # on the sphere is at least 1 / sqrt(sum w): held to a hundredth of
+    # TOL_COM on that scale, the test is left the rest for rounding drift.
     centred = math.sqrt(c.w.sum()) * np.abs(c.m @ q).max() <= 0.01 * TOL_COM * c.m_sum
     to_sphere = _scale_q if centred else _normalize_q
     eye = _eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)
@@ -410,9 +411,9 @@ def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
     The counting results predict non-collinear solutions adjacent to the
     collinear family.  A plain Newton start right next to a saddle would
     simply re-converge to it, so each seed is pushed off along a downhill
-    eigendirection, a tangent one, so it is put back on I_S = 1 by scaling
-    alone (core._scale_q), and walked further downhill (all in one
-    _descend call).
+    eigendirection, and walked further downhill (all in one _descend call).
+    A record is centred by construction and the direction is tangent, so
+    the push goes back on I_S = 1 by scaling alone (core._scale_q).
     The walks from the other points of an orbit are images of these, and
     census closes its catalogue under the group, so only the orbit
     representatives (_representatives) are walked: one record per axis
