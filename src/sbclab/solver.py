@@ -205,13 +205,10 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     when the damping mu is small, shrinking toward a weighted-gradient
     descent step on |y|^2 as mu grows, which is the fallback when A is
     singular or indefinite in the wrong way.  The start is re-centred and
-    normalized (core._normalize_q).  From a start centred far inside the
-    centre-of-mass test's TOL_COM, each trial q + V z goes back on I_S = 1
-    by scaling alone (core._scale_q), since the test cannot fire on it.
-    From a start whose centre of mass is just under TOL_COM * scale (as a
-    walked saddle seed's or a continuation step's can be), a trial that
-    shrinks the scale can trip the test, so there each trial is normalized
-    in full.
+    normalized (core._normalize_q).  A trial q + V z goes back on I_S = 1
+    by scaling alone (core._scale_q) when the start is centred far inside
+    TOL_COM, and is normalized in full when the start's centre of mass is
+    just under TOL_COM * scale, where a trial can trip the test.
 
     The line-search merit is G^T W^-1 G, with G the balance residual and
     W = S x M (w its diagonal), and it equals |y|^2 = |V^T grad U|^2.
@@ -247,10 +244,11 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     if bad:
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
-    # V z is tangent, so a trial keeps q's centre of mass up to rounding
-    # and scaling it back (I_S = 1 + |z|^2) only shrinks it, while its scale
-    # on the sphere is at least 1 / sqrt(sum w): held to a hundredth of
-    # TOL_COM on that scale, the test is left the rest for rounding drift.
+    # V z is tangent, so a trial keeps q's centre of mass up to rounding,
+    # scaling back (I_S = 1 + |z|^2) only shrinks it, and a point on the
+    # sphere has scale >= 1 / sqrt(sum w).  A start whose centre of mass is
+    # under TOL_COM / 100 on that scale leaves the rest of TOL_COM for
+    # rounding drift, so no trial can trip the test.
     centred = math.sqrt(c.w.sum()) * np.abs(c.m @ q).max() <= 0.01 * TOL_COM * c.m_sum
     to_sphere = _scale_q if centred else _normalize_q
     eye = _eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)

@@ -25,6 +25,7 @@ from sbclab.core import (
     _potential_of,
     _residual_merit,
     _restricted_hessian_any,
+    _scale_q,
     gradient,
     hessian,
     inertia_indices,
@@ -359,6 +360,27 @@ def test_normalize_matches_the_raw_array_path_bitwise():
         assert np.array_equal(normalize(cfg, spec).q, raw)
     with pytest.raises(ValueError, match="I_S = 0"):
         normalize(Configuration(np.zeros((3, 2)), np.ones(3)), Spectrum.identity(2))
+
+
+def test_scale_q_lanes_equal_the_one_point_path():
+    """_scale_q takes one point on Python scalars and a stack with numpy;
+    each lane of a stack is bitwise its own call, and bad marks a NaN, all
+    bodies at the origin and an I_S that overflows, in either form."""
+    rng = np.random.default_rng(23)
+    c = _constants(np.array([0.5, 1.0, 2.0, 3.0]), np.array([2.0, 1.5, 1.0]))
+    q = rng.standard_normal((6, 4, 3))
+    q[1, 2, 0] = np.nan
+    q[2] = 0.0
+    q[3] *= 1e160
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled, bad = _scale_q(q, c)
+        lanes = [_scale_q(lane, c) for lane in q]
+    assert bad.tolist() == [False, True, True, True, False, False]
+    for k, (one, one_bad) in enumerate(lanes):
+        assert type(one_bad) is bool and one_bad == bad[k]
+        if not one_bad:
+            assert np.array_equal(one, scaled[k])
+            assert _inertia_s(one, c.m, c.s) == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

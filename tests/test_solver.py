@@ -435,7 +435,7 @@ def test_descend_lanes_walk_as_if_alone(n, d):
         assert np.array_equal(serial_descend(Configuration(start, m), spectrum), end)
 
 
-# (n, d) of the dead-recentre check: n 3-5 and d 1-4 each covered
+# (n, d) cases: n 3-5 and d 1-4 each covered
 TANGENT_MOVE_CASES = [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5, 2), (5, 4)]
 
 
