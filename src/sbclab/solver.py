@@ -205,10 +205,10 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     when the damping mu is small, shrinking toward a weighted-gradient
     descent step on |y|^2 as mu grows, which is the fallback when A is
     singular or indefinite in the wrong way.  The start is re-centred and
-    normalized (core._normalize_q).  A trial q + V z goes back on I_S = 1
-    by scaling alone (core._scale_q) when the start is centred far inside
-    TOL_COM, and is normalized in full when the start's centre of mass is
-    just under TOL_COM * scale, where a trial can trip the test.
+    normalized (core._normalize_q), and centred once more if it passed the
+    centre-of-mass test only just.  Every trial q + V z goes back on
+    I_S = 1 by scaling alone (core._scale_q): V z is tangent, so a trial
+    keeps the start's centre of mass up to rounding, far inside the test.
 
     The line-search merit is G^T W^-1 G, with G the balance residual and
     W = S x M (w its diagonal), and it equals |y|^2 = |V^T grad U|^2.
@@ -240,17 +240,17 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     c = _constants(q0.masses, spectrum.array)
     q, bad = _normalize_q(q0.q, c)
     if not bad:
+        # A trial keeps q's centre of mass up to rounding, and a point on
+        # the sphere has scale >= 1 / sqrt(sum w): a start centred under
+        # TOL_COM / 100 on that scale leaves the rest of TOL_COM for drift.
+        # A start that passed the test only just (a hand-built one far off
+        # the origin) is centred once more, which takes it there.
+        if math.sqrt(c.w.sum()) * np.abs(c.m @ q).max() > 0.01 * TOL_COM * c.m_sum:
+            q = q - c.m @ q / c.m_sum
         diff, r, pw, g, u, lam, G, bad = _evaluate_q(q, c)
     if bad:
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
-    # V z is tangent, so a trial keeps q's centre of mass up to rounding,
-    # scaling back (I_S = 1 + |z|^2) only shrinks it, and a point on the
-    # sphere has scale >= 1 / sqrt(sum w).  A start whose centre of mass is
-    # under TOL_COM / 100 on that scale leaves the rest of TOL_COM for
-    # rounding drift, so no trial can trip the test.
-    centred = math.sqrt(c.w.sum()) * np.abs(c.m @ q).max() <= 0.01 * TOL_COM * c.m_sum
-    to_sphere = _scale_q if centred else _normalize_q
     eye = _eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)
     mu = 0.0
     res = math.inf
@@ -275,7 +275,7 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue
-            q_try, bad = to_sphere(q + (V @ z).reshape(n, d), c)
+            q_try, bad = _scale_q(q + (V @ z).reshape(n, d), c)
             if not bad:
                 *trial, bad = _evaluate_q(q_try, c)
             if not bad and (trial_merit := _residual_merit(trial[-1], c.w)) < merit:

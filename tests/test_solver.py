@@ -444,19 +444,16 @@ def test_tangent_moves_need_no_centre_of_mass_test(monkeypatch, n, d):
     """Newton trials and saddle pushes go back on the sphere by scaling
     alone (core._scale_q).  With the full core._normalize_q in its place,
     the centre-of-mass tests included, no bit changes: not a solve's
-    outcome, from off-centre starts, one centred just inside the test's
-    tolerance (whose trials keep the test) and a colliding one, nor a
-    saddle seed's pushed start, nor its descent's end point."""
+    outcome, from off-centre starts and a colliding one, nor a saddle
+    seed's pushed start, nor its descent's end point."""
     rng = np.random.default_rng(2300 + 10 * n + d)
     m = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
     spec = Spectrum(tuple(sorted(1.0 + 2.0 * rng.random(d), reverse=True)))
     starts = [Configuration(rng.standard_normal((n, d)) + 10.0 ** rng.uniform(0, 6)
                             * rng.standard_normal(d), m) for _ in range(5)]
-    # a centre of mass just under the test's tolerance, which a trial can trip
-    edge = starts[0].q + 0.9 * core.TOL_COM * np.abs(starts[0].q).max()
     colliding = rng.standard_normal((n, d))
     colliding[1] = colliding[0]
-    starts += [Configuration(edge, m), Configuration(colliding, m)]
+    starts.append(Configuration(colliding, m))
     descend = solver._descend
 
     def run():
@@ -481,16 +478,31 @@ def test_tangent_moves_need_no_centre_of_mass_test(monkeypatch, n, d):
     assert run() == scaled
 
 
-def test_descent_moves_keep_the_centre_of_mass_test(monkeypatch):
+def test_descent_moves_need_the_centre_of_mass_test(monkeypatch):
     """A descent move is tangent only up to the rounding of the residual's
-    pair-force sums, which adds up over the moves: on the n = 3,
-    S = diag(4, 3, 2, 1) saddle walks, scaling alone, without _normalize_q's
-    centre-of-mass tests, ends some walks elsewhere."""
+    pair-force sums, which adds up over the moves, so _descend keeps
+    core._normalize_q: on the n = 3, S = diag(4, 3, 2, 1) saddle walks its
+    centre-of-mass test fires."""
     m, spec = np.ones(3), Spectrum((4.0, 3.0, 2.0, 1.0))
-    c = core._constants(m, spec.array)
-    full = [s.q.tobytes() for s in solver._saddle_seeds(c, spec)]
-    monkeypatch.setattr(solver, "_normalize_q", core._scale_q)
-    assert [s.q.tobytes() for s in solver._saddle_seeds(c, spec)] != full
+    fired, walking = [], []
+    recentre, descend = core._recentre, solver._descend
+
+    def recording_recentre(q, m, m_sum):
+        out = recentre(q, m, m_sum)
+        if walking:
+            fired.append(not np.array_equal(out, q))
+        return out
+
+    def walk(starts, c):
+        walking.append(True)
+        ends = descend(starts, c)
+        walking.clear()
+        return ends
+
+    monkeypatch.setattr(core, "_recentre", recording_recentre)
+    monkeypatch.setattr(solver, "_descend", walk)
+    solver._saddle_seeds(core._constants(m, spec.array), spec)
+    assert fired and any(fired)
 
 
 @settings(max_examples=200, deadline=None)
