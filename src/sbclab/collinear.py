@@ -56,16 +56,15 @@ STACK_LANES = 256        # records per stacked model build: bounds its memory
 # force matrix of a collinear configuration
 
 
-def _b_matrix_1d(masses: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Symmetric force matrix B of the line x (one coordinate per body),
-    or one per leading index of a (..., n) stack of lines.
+def _b_matrix_1d(mm: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Symmetric force matrix B of a line x, or of each line of an (..., n)
+    stack, from mm = np.outer(m, m) and its pair distances _pairs(x[..., None])[1].
 
     Off-diagonal entries are m_i m_j / r_ij^3 and rows sum to zero, so that
     the axis component of grad U equals B x.
     """
-    _, r = _pairs(x[..., None])
-    B = np.outer(masses, masses) / r**3
-    n = len(masses)
+    B = mm / r**3
+    n = len(mm)
     # B is fresh, so the reshape is a view of its diagonals
     B.reshape(B.shape[:-2] + (n * n,))[..., :: n + 1] = -B.sum(axis=-1)
     return B
@@ -107,10 +106,11 @@ def ccc_spectrum(m: np.ndarray, x: np.ndarray):
     GROUP_TOL * U(q_hat). The first line that fails raises
     SpectrumAnomalyError.
     """
+    mm, r = np.outer(m, m), _pairs(x[..., None])[1]  # one pair pass for B and U
     root_m = np.sqrt(m)
-    C = _b_matrix_1d(m, x) / np.outer(root_m, root_m)
+    C = _b_matrix_1d(mm, r) / np.outer(root_m, root_m)
     ev = np.sort(np.linalg.eigvalsh(C), axis=-1).tolist()
-    u = _potential_of(np.outer(m, m), _pairs(x[..., None])[1])
+    u = _potential_of(mm, r)
     if x.ndim == 1:
         return _grouped(len(m), u, ev)
     return [_grouped(len(m), *line) for line in zip(u.tolist(), ev)]

@@ -28,6 +28,8 @@ import numpy as np
 from .core import (
     Configuration,
     Spectrum,
+    _constants,
+    _Constants,
     _gradient_of,
     _pair_indices,
     _pairs,
@@ -82,14 +84,13 @@ def _theta_of(diff: np.ndarray, r: np.ndarray) -> list[float]:
     return [math.degrees(math.acos(c)) for c in best.tolist()]
 
 
-def _flow_rhs(q: np.ndarray, masses: np.ndarray, s: np.ndarray):
+def _flow_rhs(q: np.ndarray, c: _Constants):
     """Field value and potential on raw (..., n, d) arrays, with the pair
     pass (diff, r) they were read from, for the guards and samples taken at
-    the same point."""
+    the same point; c holds the problem's constants (core._constants)."""
     diff, r = _pairs(q)
-    mm = np.outer(masses, masses)
-    u = _potential_of(mm, r)
-    qdot = _gradient_of(mm, diff, r)[0] / (masses[:, None] * s) + np.asarray(u)[..., None, None] * q
+    u = _potential_of(c.mm, r)
+    qdot = _gradient_of(c.mm, diff, r)[0] / c.W + np.asarray(u)[..., None, None] * q
     return qdot, u, diff, r
 
 
@@ -150,9 +151,8 @@ def _flow_lanes(
     """
     if spectrum.d != starts.shape[-1]:
         raise ValueError("spectrum dimension does not match the configuration")
-    s = spectrum.array
-    w = masses[:, None] * s
-    q = _project(np.stack([q0 - (masses @ q0 / masses.sum())[None, :] for q0 in starts]), w)
+    c = _constants(masses, spectrum.array)
+    q = _project(np.stack([q0 - (masses @ q0 / masses.sum())[None, :] for q0 in starts]), c.W)
     lanes = [_Lane() for _ in q]
     theta0 = []
     for lane, qb in zip(lanes, q):
@@ -186,7 +186,7 @@ def _flow_lanes(
     # a stage that is not finite, or has coincident bodies, fails its own
     # lane only; the others never read its values
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        qdot, u, _, r = _flow_rhs(q, masses, s)  # the field at q: each attempt's k[0]
+        qdot, u, _, r = _flow_rhs(q, c)  # the field at q: each attempt's k[0]
         sep, scale = r.min(axis=(1, 2)), np.abs(q).max(axis=(1, 2))
         speeds = np.linalg.norm(qdot, axis=(1, 2))
         for b in np.flatnonzero(live).tolist():
@@ -208,11 +208,11 @@ def _flow_lanes(
             ok = np.ones(len(idx), dtype=bool)
             for stage in range(1, 6):
                 qs = qa + hb * sum(a * ki for a, ki in zip(_CK_A[stage], k))
-                ks, _, _, r = _flow_rhs(qs, masses, s)
+                ks, _, _, r = _flow_rhs(qs, c)
                 ok &= np.isfinite(qs).all(axis=(1, 2)) & ~(r.min(axis=(1, 2)) <= 0.0)
                 k.append(ks)
-            q5 = qa + hb * sum(c * ki for c, ki in zip(_CK_B5, k))
-            q4 = qa + hb * sum(c * ki for c, ki in zip(_CK_B4, k))
+            q5 = qa + hb * sum(a * ki for a, ki in zip(_CK_B5, k))
+            q4 = qa + hb * sum(a * ki for a, ki in zip(_CK_B4, k))
             flat = (len(idx), -1)
             scale_flat = ATOL + RTOL * np.maximum(np.abs(qa).reshape(flat), np.abs(q5).reshape(flat))
             err = np.sqrt(np.mean(((q5 - q4).reshape(flat) / scale_flat) ** 2, axis=1))
@@ -236,8 +236,8 @@ def _flow_lanes(
             h[acc] *= [min(5.0, max(0.2, 0.9 * e**-0.2)) if e > 0.0 else 5.0
                        for e in err[~rejected].tolist()]
             accepted[acc] += 1
-            q[acc] = _project(q5[~rejected], w)
-            qdot[acc], u[acc], diff, r = _flow_rhs(q[acc], masses, s)
+            q[acc] = _project(q5[~rejected], c.W)
+            qdot[acc], u[acc], diff, r = _flow_rhs(q[acc], c)
             sep[acc], scale[acc] = r.min(axis=(1, 2)), np.abs(q[acc]).max(axis=(1, 2))
             thetas = _theta_of(diff, r)
             speeds = np.linalg.norm(qdot[acc], axis=(1, 2))

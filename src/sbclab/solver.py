@@ -12,6 +12,9 @@ A census is closed under the problem's discrete symmetry group
 masses).  Its deterministic saddle seeds therefore come from one collinear
 record per group orbit, and every new find is listed with its exact
 images, identity first, so the catalogue's order is fixed by solve order.
+Only a find is checked against the list, which stays closed under the
+group up to DEDUP_TOL, and not its images: checking them could change the
+list only for a find between DEDUP_TOL and 2 * DEDUP_TOL from it.
 The catalogue is one read-only (N, n, d) stack of points with a column per
 reported quantity; its SBCSolution objects are built only on request.
 """
@@ -485,20 +488,23 @@ def _closed(
     In solve order: a failure is tallied by cause; a solution within
     DEDUP_TOL (mass norm) of the list so far is skipped; any other is
     listed with its group images (core._images), in group order, identity
-    first, leaving out the images within DEDUP_TOL of the list and those
-    within DEDUP_TOL of an earlier new image of the same orbit (a
-    configuration its own image under part of the group).  Each orbit is
-    one distance block against the list and itself.
+    first, leaving out those within DEDUP_TOL of an earlier image of the
+    same orbit.  No image is checked against the list: each group element
+    is an isometry of the mass norm and every kept image stays listed, even
+    if its polish fails, so the list is closed under the group up to
+    DEDUP_TOL and an image within DEDUP_TOL of it puts its find within
+    2 * DEDUP_TOL.  Only in that band could the two checks differ; finds of
+    one solution lie far inside DEDUP_TOL, distinct ones far outside.
 
     A find's row comes from its solve.  The new images are evaluated
     together in one _evaluate_q call and one central test (_central), and
     keep their source's triple and classification, which the group leaves
     unchanged; residual, lambda and is_cc come from their own evaluation,
     the residual as a solve takes it (core._residual_norm), and q is the
-    exact image, so no image builds a Configuration.  An image
-    whose residual misses TOL_RES * U gets one find_critical_point polish,
-    whose solution gives its row; a failed polish is tallied and leaves the
-    image out.  Returns (rows, failures by cause, polishes made).
+    exact image, so no image builds a Configuration.  An image whose
+    residual misses TOL_RES * U gets one find_critical_point polish, whose
+    solution gives its row; a failed polish is tallied and leaves the image
+    out.  Returns (rows, failures by cause, polishes made).
     """
     m, n, d = c.m, len(c.m), spectrum.d
     w = np.repeat(m, d)
@@ -512,11 +518,7 @@ def _closed(
         if _near(out.config.q.reshape(1, -1), listed, w).any():
             continue
         images = _images(out.config.q, group).reshape(-1, n * d)
-        near = _near(images, np.concatenate([listed, images]), w)
-        new = ~near[:, : len(listed)].any(axis=1)
-        # an image repeats the first new image of its orbit within DEDUP_TOL
-        first = np.argmax(near[:, len(listed) :] & new, axis=1)
-        keep = new & (first == np.arange(len(images)))
+        keep = np.argmax(_near(images, images, w), axis=1) == np.arange(len(images))
         listed = np.concatenate([listed, images[keep]])
         orbits.append((out, images[keep][1:].reshape(-1, n, d)))
 
@@ -525,8 +527,7 @@ def _closed(
     res = _residual_norm(G)
     central = _central(q, m, g, u)
     rows: list[tuple] = []
-    polishes = 0
-    k = 0
+    polishes = k = 0  # k: the next image's lane of the stacked evaluation
     for sol, imgs in orbits:
         rows.append(_row(sol))
         collinear = sol.classification.startswith("collinear")
@@ -551,18 +552,17 @@ def census(masses, spectrum: Spectrum, n_restarts: int, seed: int) -> Census:
 
     Restart i draws its start from generator seed XOR i (resampling any
     start within 10 * DELTA_COL of a collision), so extending n_restarts
-    extends the census without changing earlier finds.  Each start gets
-    one find_critical_point solve.  Deterministic starts along the negative
-    modes of one collinear point per symmetry orbit (_saddle_seeds) are
-    solved after the random batch.  The outcomes, in solve order, are then
-    deduplicated at DEDUP_TOL in the mass norm and closed under every axis
-    reflection and every relabelling of equal masses (core.symmetry_group,
-    see _closed): each new find is followed by its images, identity first,
-    so row 0 is the first solve's find and the order is deterministic.
-    Every solve and every image is gated on TOL_RES * U.  extra_seeds
-    counts the saddle-seeded solves plus the polishes of images that missed
-    that gate, so restarts + extra_seeds is the number of
-    find_critical_point solves.
+    extends the census without changing earlier finds.  Each start, and
+    then each start along the negative modes of one collinear point per
+    symmetry orbit (_saddle_seeds), gets one find_critical_point solve.
+    In solve order, the outcomes are deduplicated at DEDUP_TOL in the mass
+    norm and closed under the group (core.symmetry_group, _closed): each
+    new find is followed by its images, identity first.  The list stays
+    closed under the group up to DEDUP_TOL, so only a find is checked
+    against it: its images could change the list only for a find between
+    DEDUP_TOL and 2 * DEDUP_TOL from it.  Every solve and every image is
+    gated on TOL_RES * U; extra_seeds counts the saddle-seeded solves and
+    the polishes of the images that missed it.
     """
     masses = mass_vector(masses)
     if n_restarts < 0:

@@ -245,6 +245,32 @@ def serial_descend(
     return config.q
 
 
+def catalogue_wide_closure(outcomes, m: np.ndarray, group, tol: float) -> list:
+    """The closure's dedup by the rule that checked images against the
+    catalogue: in order, a solution within tol (mass norm) of the list is
+    skipped; any other is listed with its images under group (signs,
+    perms), identity first, leaving out those within tol of the list and
+    those within tol of an earlier new image of the same orbit. Returns
+    (index in outcomes, kept images (K, n, d)) per listed orbit."""
+    w = np.repeat(m, len(group[0][0]))
+
+    def near(a, b):  # (A, B) mask of rows within tol, by broadcasting
+        return (w * (a[:, None] - b[None]) ** 2).sum(axis=-1) < tol**2
+
+    listed, orbits = np.empty((0, len(w))), []
+    for k, out in enumerate(outcomes):
+        if not hasattr(out, "config") or near(out.config.q.reshape(1, -1), listed).any():
+            continue
+        images = np.array([out.config.q[p] * s for s, p in zip(*group)]).reshape(len(group[0]), -1)
+        near_all = near(images, np.concatenate([listed, images]))
+        new = ~near_all[:, : len(listed)].any(axis=1)
+        first = np.argmax(near_all[:, len(listed) :] & new, axis=1)
+        keep = new & (first == np.arange(len(images)))
+        listed = np.concatenate([listed, images[keep]])
+        orbits.append((k, images[keep].reshape((-1,) + out.config.q.shape)))
+    return orbits
+
+
 def loop_newton_residual(orbit, times) -> float:
     """Worst relative defect of Newton's equations, one time at a time."""
     masses = orbit.masses

@@ -30,6 +30,11 @@ from oracles import (
 )
 
 
+def _b_of(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The force matrix of a line x, or a stack of them, from its own pair pass."""
+    return _b_matrix_1d(np.outer(m, m), _pairs(x[..., None])[1])
+
+
 def ordered_three_body_ratio(m1: float, m2: float, m3: float) -> float:
     """Independent oracle for the 1-2-3 collinear central configuration.
 
@@ -52,7 +57,7 @@ def ordered_three_body_ratio(m1: float, m2: float, m3: float) -> float:
 
 def test_b_matrix_symmetric_euler_exact():
     a = 1.0 / math.sqrt(2.0)
-    B = _b_matrix_1d(np.ones(3), symmetric_euler_positions())
+    B = _b_of(np.ones(3), symmetric_euler_positions())
     expected = np.array(
         [[-2.25, 2.0, 0.25], [2.0, -4.0, 2.0], [0.25, 2.0, -2.25]]
     ) / a
@@ -67,7 +72,7 @@ def test_b_matrix_structure_random():
         while np.min(np.diff(x)) < 0.1:
             x = np.sort(rng.normal(size=n) * 2.0)
         m = 0.5 + rng.random(n)
-        B = _b_matrix_1d(m, x)
+        B = _b_of(m, x)
         assert np.allclose(B, B.T, rtol=1e-14)
         assert np.max(np.abs(B.sum(axis=1))) < 1e-12 * np.max(np.abs(B))
         off = B[~np.eye(n, dtype=bool)]
@@ -79,7 +84,7 @@ def test_b_matrix_and_potential_match_pairwise_loops():
     for n in range(2, 8):
         x = rng.permutation(np.cumsum(0.1 + rng.random(n)))
         m = 0.5 + rng.random(n)
-        B = _b_matrix_1d(m, x)
+        B = _b_of(m, x)
         ref = loop_b_matrix_1d(m, x)
         assert np.max(np.abs(B - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the line potential as ccc_spectrum takes it
@@ -165,8 +170,8 @@ def test_ccc_spectrum_scaling_between_weighted_and_central():
     s1 = 3.0
     spec = Spectrum((s1, 1.0))
     rec = moulton_solve(m, (1, 2, 3), 1, spec)
-    B_q = _b_matrix_1d(m, rec.config.q[:, 0])
-    B_hat = _b_matrix_1d(m, rec.config.q[:, 0] * math.sqrt(s1))
+    B_q = _b_of(m, rec.config.q[:, 0])
+    B_hat = _b_of(m, rec.config.q[:, 0] * math.sqrt(s1))
     assert np.allclose(B_q, s1 * math.sqrt(s1) * B_hat, rtol=1e-12)
 
 
@@ -414,10 +419,10 @@ def test_stacked_lanes_are_bitwise_their_one_line_results(masses, s):
     lines = [r for r in recs if r.axis == 1 and r.ordering[0] < r.ordering[-1]]
     assert len(lines) == math.factorial(len(m)) // 2
     x = np.array([r.cc_positions for r in lines])
-    B = _b_matrix_1d(m, x)
+    B = _b_of(m, x)
     for k, (rec, spectral) in enumerate(zip(lines, ccc_spectrum(m, x))):
         line = x[k].copy()
-        assert B[k].tobytes() == _b_matrix_1d(m, line).tobytes()
+        assert B[k].tobytes() == _b_of(m, line).tobytes()
         assert repr(spectral) == repr(ccc_spectrum(m, line)) == repr(rec.spectral)
 
     A = _models(recs, spectrum)
@@ -460,7 +465,7 @@ def test_numpy_eigenvalues_agree_with_scipy_eigh():
         ref = _scipy_agrees(np.linalg.eigvalsh(A), A)
         assert core._triple_of(A, rec.u) == rec.computed == _triple(ref, rec.u)
         root_m = np.sqrt(rec.masses)
-        C = _b_matrix_1d(rec.masses, rec.cc_positions) / np.outer(root_m, root_m)
+        C = _b_of(rec.masses, rec.cc_positions) / np.outer(root_m, root_m)
         _scipy_agrees(np.array(rec.spectral.eigenvalues), C)
 
     result = solver.census(np.ones(3), spectrum, 20, 0)

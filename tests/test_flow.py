@@ -124,7 +124,7 @@ def test_flow_rhs_matches_gradient():
     for _ in range(10):
         q = rng.standard_normal((4, 3))
         cfg = Configuration(q, np.ones(4))
-        qdot, u = _flow_rhs(cfg.q, cfg.masses, S3.array)[:2]
+        qdot, u = _flow_rhs(cfg.q, core._constants(cfg.masses, S3.array))[:2]
         expected = gradient(cfg) / (cfg.masses[:, None] * S3.array[None, :])
         expected += potential(cfg) * cfg.q
         assert u == pytest.approx(potential(cfg), rel=1e-14)
@@ -162,9 +162,9 @@ def test_flow_field_is_evaluated_once_per_point(monkeypatch):
     point is evaluated twice, after an accepted step or a rejected one."""
     points = []
 
-    def recording_rhs(q, masses, s):
+    def recording_rhs(q, c):
         points.append(q.tobytes())
-        return _flow_rhs(q, masses, s)
+        return _flow_rhs(q, c)
 
     monkeypatch.setattr(flow, "_flow_rhs", recording_rhs)
     q = np.array([[-0.5, 0.02, 0.0], [-0.44, -0.02, 0.01], [0.9, 0.0, -0.01]])
@@ -247,9 +247,9 @@ def test_step_budget_counts_accepted_steps_only(monkeypatch):
     monkeypatch.setattr(flow, "H_INIT", 1.0)
     rhs_calls = []
 
-    def counting(q, masses, s):
+    def counting(q, c):
         rhs_calls.append(q)
-        return _flow_rhs(q, masses, s)
+        return _flow_rhs(q, c)
 
     monkeypatch.setattr(flow, "_flow_rhs", counting)
     monkeypatch.setattr(flow, "MAX_STEPS", 20)
@@ -453,8 +453,8 @@ def test_batch_raises_the_first_failing_seeds_error(monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 5)
     rhs = _flow_rhs
 
-    def poisoned(q, masses, s):  # no finite field where body 1 leaves the (x, y) plane
-        qdot, u, diff, r = rhs(q, masses, s)
+    def poisoned(q, c):  # no finite field where body 1 leaves the (x, y) plane
+        qdot, u, diff, r = rhs(q, c)
         return np.where((np.abs(q[..., 0, 2]) > 0.1)[..., None, None], np.nan, qdot), u, diff, r
 
     monkeypatch.setattr(flow, "_flow_rhs", poisoned)

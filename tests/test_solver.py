@@ -34,7 +34,12 @@ from sbclab.solver import (
     mass_norm_distance,
 )
 
-from oracles import central_residual, random_configuration, serial_descend
+from oracles import (
+    catalogue_wide_closure,
+    central_residual,
+    random_configuration,
+    serial_descend,
+)
 
 
 def equilateral(side: float = 1.0) -> np.ndarray:
@@ -531,6 +536,27 @@ def test_a_tangent_move_stays_centred(case):
     assert core._recentre(moved, m, c.m_sum) is moved
 
 
+def _kept_by_closed(args: tuple) -> tuple[list[int], np.ndarray]:
+    """What solver._closed(*args) lists: the outcome index of each new find,
+    in order, and the kept images other than the finds themselves, read
+    from its one stacked _evaluate_q call.  Polishes are stubbed to fail:
+    only the images that they would replace are left out of the rows."""
+    outcomes = args[0]
+    evaluate_q, stacked = solver._evaluate_q, []
+
+    def spy(q, c):
+        stacked.append(q)
+        return evaluate_q(q, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_evaluate_q", spy)
+        mp.setattr(solver, "find_critical_point", lambda *a: SearchFailure("max_iter", 1, 1.0))
+        rows = solver._closed(*args)[0]
+    index = {id(out.config.q): k for k, out in enumerate(outcomes) if isinstance(out, SBCSolution)}
+    assert len(stacked) == 1
+    return [index[id(row[0])] for row in rows if id(row[0]) in index], stacked[0]
+
+
 def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
     rng = np.random.default_rng(8)
     m = np.array([1.0, 2.0, 3.0])
@@ -562,7 +588,8 @@ def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
     # the dedup step of the closure: under the trivial group no images;
     # the distance blocks may hold one row, a few, or all of them
     trivial = (np.ones((1, 2)), np.arange(3)[None])
-    for block in (1, 7, solver.DISTANCE_BLOCK):
+    blocks = (1, 7, solver.DISTANCE_BLOCK)
+    for block in blocks:
         monkeypatch.setattr(solver, "DISTANCE_BLOCK", block)
         kept, failures, polishes = solver._closed(
             outcomes, core._constants(m, spectrum.array), trivial, spectrum)
@@ -570,6 +597,47 @@ def test_census_dedup_keeps_what_a_distance_loop_keeps(monkeypatch):
         assert failures["max_iter"] == len(outcomes) - len(configs)
         assert polishes == 0
     assert len(base) < len(expected) < len(configs)
+
+    # under the axis reflections the self-block alone drops repeated images.
+    # Flipping axis 2 moves the nearly collinear point `flat` by
+    # 0.9 DEDUP_TOL, so that image is dropped; `past` lies 0.3 DEDUP_TOL
+    # beyond it and 1.2 DEDUP_TOL from `flat`, so it is a new find whose
+    # flipped image, 0.3 DEDUP_TOL from `flat`, is kept.  Checking images
+    # against the list would drop that image: the two rules differ only for
+    # such a find, between DEDUP_TOL and 2 DEDUP_TOL from the list.
+    group = core.symmetry_group(m, 2)
+
+    def dist(a, b):
+        return math.sqrt(float(np.sum(m[:, None] * (a - b) ** 2)))
+
+    y = base[0].q[:, 1] / dist(base[0].q[:, 1:], 0.0) * solver.DEDUP_TOL
+    flat, past = base[0].q.copy(), base[0].q.copy()
+    flat[:, 1], past[:, 1] = 0.45 * y, -0.75 * y
+    for k, q in ((3, flat), (4, past)):
+        outcomes.insert(k, SBCSolution(Configuration(q, m), spectrum, 1.0, 0.0, (0, 0, 1), "", False))
+
+    finds, listed, images = [], [], []
+    for k, out in enumerate(outcomes):
+        if isinstance(out, SBCSolution) and all(
+            dist(out.config.q, p) >= solver.DEDUP_TOL for p in listed
+        ):
+            orbit: list[np.ndarray] = []
+            for image in core._images(out.config.q, group):
+                if all(dist(image, p) >= solver.DEDUP_TOL for p in orbit):
+                    orbit.append(image)
+            finds.append(k)
+            listed += orbit
+            images += orbit[1:]
+    assert len(images) < 3 * len(finds)
+    c = core._constants(m, spectrum.array)
+    for block in blocks:
+        monkeypatch.setattr(solver, "DISTANCE_BLOCK", block)
+        kept_finds, kept_images = _kept_by_closed((outcomes, c, group, spectrum))
+        assert kept_finds == finds
+        assert np.array_equal(kept_images, np.array(images))
+    wide = catalogue_wide_closure(outcomes, m, group, solver.DEDUP_TOL)
+    assert [k for k, _ in wide] == finds
+    assert sum(len(imgs) - 1 for _, imgs in wide) < len(images)
 
 
 def test_census_builds_few_configurations_and_walks_once(monkeypatch):
@@ -754,24 +822,39 @@ CLOSURE_CASES = {
     "n4-s5.0": ((1.0,) * 4, (5.0, 1.0), 100, 1000),
     "n3-d3": ((1.0, 2.0, 3.0), (2.5, 1.5, 1.0), 200, 5003),
 }
+# repeated weights, and four axes, for the closure's dedup alone
+DEDUP_CASES = {
+    "n2-s1,1": ((1.0,) * 2, (1.0, 1.0), 10, 3),
+    "n4-s1,1": ((1.0,) * 4, (1.0, 1.0), 10, 11),
+    "n3-d4": ((1.0,) * 3, (4.0, 3.0, 2.0, 1.0), 20, 1000),
+}
 
 
 @pytest.fixture(scope="module")
 def closure_census():
-    """The census of a CLOSURE_CASES entry, seeded from the orbit
-    representatives or from every collinear record; each computed once."""
+    """The census of a CLOSURE_CASES or DEDUP_CASES entry, seeded from the
+    orbit representatives or from every collinear record; each computed
+    once.  run.inputs holds the arguments of each run's _closed call."""
     runs: dict = {}
 
     def run(case: str, every_record: bool = False) -> Census:
         key = case, every_record
         if key not in runs:
-            masses, s, restarts, seed = CLOSURE_CASES[case]
+            masses, s, restarts, seed = {**CLOSURE_CASES, **DEDUP_CASES}[case]
+            closed = solver._closed
+
+            def capturing(*args):
+                run.inputs[key] = args
+                return closed(*args)
+
             with pytest.MonkeyPatch.context() as mp:
                 if every_record:
                     mp.setattr(solver, "_representatives", lambda records, m: records)
+                mp.setattr(solver, "_closed", capturing)
                 runs[key] = census(np.array(masses), Spectrum(s), restarts, seed)
         return runs[key]
 
+    run.inputs = {}
     return run
 
 
@@ -818,6 +901,42 @@ def test_representative_seeding_finds_what_every_record_finds(closure_census, ca
     assert len(reps.solutions) == len(full.solutions)
     assert _nearest(_stack(reps), _stack(full), m).max() < solver.DEDUP_TOL
     assert _nearest(_stack(full), _stack(reps), m).max() < solver.DEDUP_TOL
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_CASES) + sorted(DEDUP_CASES))
+def test_closure_keeps_what_the_catalogue_wide_rule_keeps(closure_census, case):
+    """Checking only a find against the list, and its images against each
+    other, keeps the points that checking the images against the list too
+    kept, in the same order."""
+    closure_census(case)
+    args = closure_census.inputs[case, False]
+    outcomes, c, group, _ = args
+    reference = catalogue_wide_closure(outcomes, c.m, group, solver.DEDUP_TOL)
+    finds, images = _kept_by_closed(args)
+    assert finds == [k for k, _ in reference]
+    assert np.array_equal(images, np.concatenate([imgs[1:] for _, imgs in reference]))
+    assert len(images) > len(finds)
+
+
+def test_closure_compares_no_image_with_the_catalogue(monkeypatch):
+    """Every distance block of a census is one find against the list so far
+    or one orbit's images against themselves."""
+    near, calls = solver._near, []
+
+    def spy(a, b, w):
+        calls.append((a, b))
+        return near(a, b, w)
+
+    monkeypatch.setattr(solver, "_near", spy)
+    c = census(np.ones(4), Spectrum((1.5, 1.0)), 8, 7)
+    g = len(core.symmetry_group(np.ones(4), 2)[0])
+    rows = [(a, b) for a, b in calls if a is not b]  # a find against the list
+    blocks = [a for a, b in calls if a is b]
+    assert all(a.shape == (1, 8) for a, _ in rows)
+    assert all(a.shape == (g, 8) for a in blocks)
+    listed = [len(b) for _, b in rows]
+    assert listed == sorted(listed) and listed[-1] <= len(c.q)
+    assert 0 < len(blocks) < len(rows)
 
 
 def test_closed_census_order_is_deterministic_and_starts_with_the_first_find():
