@@ -243,10 +243,14 @@ def _hessian_of(pw: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.swapaxes(blocks, -3, -2).reshape(diff.shape[:-3] + (n * d, n * d))
 
 
-def _inertia_s(q: np.ndarray, m: np.ndarray, s: np.ndarray):
+def _inertia_s(q: np.ndarray, w: np.ndarray):
     """S-weighted I_S(q) = sum_i m_i <S q_i, q_i> of raw (..., n, d)
-    positions; a float, or one per leading index."""
-    i_s = np.einsum("i,j,...ij,...ij->...", m, s, q, q)
+    positions, w the weight vector (_Constants); a float, or one per leading
+    index. One (1, n*d) @ (n*d, 1) product per lane, so each lane is
+    bitwise its own call."""
+    n, d = q.shape[-2:]
+    qf = q.reshape(q.shape[:-2] + (1, n * d))
+    i_s = ((qf * w) @ qf.swapaxes(-1, -2))[..., 0, 0]
     return float(i_s) if i_s.ndim == 0 else i_s
 
 
@@ -254,8 +258,14 @@ class _Constants(NamedTuple):
     """The kernels' constants of masses m and axis weights s (_constants),
     built once per solve or stacked call, never cached: mm = np.outer(m, m),
     the weight vector w (the diagonal of S x M, entry (i, k) m_i s_k), W = w
-    as (n, d), m.sum(), sw = sqrt(w), the d translations scaled by sw as
-    (n*d, d) columns, and diag(w)."""
+    as (n, d), m.sum(), and K, a translation-free frame of the (n-1)d
+    directions that keep the centre of mass: an (n*d, (n-1)d) matrix with
+    K^T diag(w) K = I whose every column has zero mass sum on every axis.
+
+    K is closed-form: with C (n, n-1) the columns 1.. of the Householder
+    reflection that sends e_0 to -sqrt(m / m.sum()), an orthonormal
+    complement of that unit vector, K[(i, k), (j, l)] = delta_kl C[i, j] /
+    sqrt(m_i s_k)."""
 
     m: np.ndarray
     s: np.ndarray
@@ -263,17 +273,17 @@ class _Constants(NamedTuple):
     w: np.ndarray
     W: np.ndarray
     m_sum: float
-    sw: np.ndarray
-    translations: np.ndarray
-    diag_w: np.ndarray
+    K: np.ndarray
 
 
 def _constants(m: np.ndarray, s: np.ndarray) -> _Constants:
     n, d = len(m), len(s)
-    w = np.repeat(m, d) * np.tile(s, n)
-    sw = np.sqrt(w)
-    return _Constants(m, s, np.outer(m, m), w, w.reshape(n, d), m.sum(), sw,
-                      np.tile(_eye(d), (n, 1)) * sw[:, None], np.diag(w))
+    W = np.outer(m, s)
+    h = np.sqrt(m / m.sum())
+    h[0] += 1.0  # h = u + e_0 with u = sqrt(m / m.sum()), a unit vector, u_0 > 0
+    C = _eye(n)[:, 1:] - np.outer(h, h[1:] / h[0])  # I - h h^T / h_0, as h.h = 2 h_0
+    K = C[:, None, :, None] * _eye(d)[:, None, :] / np.sqrt(W)[:, :, None, None]
+    return _Constants(m, s, np.outer(m, m), W.ravel(), W, m.sum(), K.reshape(n * d, -1))
 
 
 def _check_dims(config: Configuration, spectrum: Spectrum) -> None:
@@ -319,7 +329,7 @@ def _evaluate_q(q: np.ndarray, c: _Constants):
     diff, r = _pairs(q)
     g, pw = _gradient_of(c.mm, diff, r)
     u = _potential_of(c.mm, r)
-    lam = u / _inertia_s(q, c.m, c.s)
+    lam = u / _inertia_s(q, c.w)
     G = g + np.asarray(lam)[..., None, None] * c.W * q
     return diff, r, pw, g, u, lam, G, _collided(q, r)
 
@@ -343,7 +353,7 @@ def _residual_merit(G: np.ndarray, w: np.ndarray) -> float:
 def normalize(config: Configuration, spectrum: Spectrum) -> Configuration:
     """Rescale onto the sphere I_S = 1 (centre of mass is untouched)."""
     _check_dims(config, spectrum)
-    i_s = _inertia_s(config.q, config.masses, spectrum.array)
+    i_s = _inertia_s(config.q, _constants(config.masses, spectrum.array).w)
     if not i_s > 0.0:
         raise ValueError("cannot normalize a configuration with I_S = 0")
     return Configuration(config.q / math.sqrt(i_s), config.masses)
@@ -368,7 +378,7 @@ def _scale_q(q: np.ndarray, c: _Constants):
     trial, a saddle push), whose centre of mass stays there up to rounding.
     One point stays on Python scalars; callers silence numpy's
     floating-point warnings."""
-    i_s = _inertia_s(q, c.m, c.s)
+    i_s = _inertia_s(q, c.w)
     if q.ndim == 2:
         return q / math.sqrt(i_s), not 0.0 < i_s < math.inf
     return q / np.sqrt(i_s)[..., None, None], ~((0.0 < i_s) & (i_s < math.inf))
@@ -393,10 +403,11 @@ def tangent_basis(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     The space is {v : sum_i m_i v_i = 0, <(S x M) q, v> = 0}, of dimension
     d(n-1) - 1, and the returned (n*d, k) matrix V has columns orthonormal
     in the S-weighted mass product: V^T diag(w) V = I with w_(i,k) =
-    m_i s_k. It is the null space of the constraints: in coordinates
-    scaled by sqrt(w), the last k columns of a complete QR of the d
-    translation directions and q. Any such basis gives the same Newton
-    steps and inertia; this one is deterministic.
+    m_i s_k. In the translation-free frame K of the problem's constants
+    (_Constants), q has coordinates x = K^T diag(w) q, and V = K P with P
+    the last k columns of the Householder reflection that sends x to a
+    multiple of e_0. Any such basis gives the same Newton steps and
+    inertia; this one is deterministic.
     """
     _check_dims(config, spectrum)
     return _tangent_basis_of(config.q, _constants(config.masses, spectrum.array))
@@ -404,19 +415,23 @@ def tangent_basis(config: Configuration, spectrum: Spectrum) -> np.ndarray:
 
 def _tangent_basis_of(q: np.ndarray, c: _Constants) -> np.ndarray:
     """tangent_basis of raw (..., n, d) positions: one (n*d, k) basis per
-    leading index, each bitwise the basis of its own 2-D call. Raises
-    ValueError when any of them is degenerate."""
+    leading index, each bitwise the basis of its own 2-D call (every product
+    is one lane's row or column). Raises ValueError when any of them is
+    degenerate: |x| <= 1e-10 |sqrt(w) q|, as for q = 0 or a translation.
+
+    With v = x + sign(x_0) |x| e_0, the reflection is I - v v^T / (|x| |v_0|),
+    so V = K[:, 1:] - (K v) v[1:]^T / (|x| |v_0|)."""
     n, d = q.shape[-2:]
-    wq = q.reshape(q.shape[:-2] + (1, n * d)) * c.sw
-    C = np.empty(q.shape[:-2] + (n * d, d + 1))
-    C[..., :d] = c.translations
-    C[..., d] = wq[..., 0, :]
-    Q, R = np.linalg.qr(C, mode="complete")
-    # |wq| as one dot product, as np.linalg.norm computes it
-    norm = np.sqrt(wq @ wq.swapaxes(-1, -2))[..., 0, 0]
-    if (abs(R[..., d, d]) <= 1e-10 * norm).any():
+    qf = q.reshape(q.shape[:-2] + (1, n * d))
+    wq = qf * c.w
+    x = wq @ c.K
+    x_norm = np.sqrt(x @ x.swapaxes(-1, -2))
+    if (x_norm <= 1e-10 * np.sqrt(wq @ qf.swapaxes(-1, -2))).any():
         raise ValueError("degenerate configuration: constraints are dependent")
-    return Q[..., d + 1 :] / c.sw[:, None]
+    v0 = np.abs(x[..., :1]) + x_norm  # |v_0|
+    v = x.copy()
+    v[..., :1] = np.copysign(v0, x[..., :1])
+    return c.K[:, 1:] - (c.K @ v.swapaxes(-1, -2)) * (x[..., 1:] / (x_norm * v0))
 
 
 def _restricted_hessian_any(
@@ -433,18 +448,19 @@ def _restricted_hessian_any(
     On raw arrays: positions q (..., n, d), the _Constants c, and the
     points' own evaluation (diff, r, pair weights pw and grad U g from
     _evaluate_q, and lam), so no pair is computed again. Returns (A, V, y) with
-    A = V^T (D^2 U + lam diag(w)) V, symmetrized, V = tangent_basis and
-    y = V^T grad U: the Newton model of a search iterate, and at a root
-    the matrix whose inertia classifies it. Leading axes of q are a stack
-    of points, each lane bitwise its own 2-D call; a degenerate lane
-    raises ValueError for the stack.
+    A = V^T D^2 U V, symmetrized, plus lam I (V^T diag(w) V = I), V =
+    tangent_basis and y = V^T grad U: the Newton model of a search iterate,
+    and at a root the matrix whose inertia classifies it. Leading axes of q
+    are a stack of points, each lane bitwise its own 2-D call; a degenerate
+    lane raises ValueError for the stack.
     """
     V = _tangent_basis_of(q, c)
-    H = _hessian_of(pw, diff, r)
-    H += np.multiply.outer(lam, c.diag_w)
-    A = V.swapaxes(-1, -2) @ H @ V
+    A = V.swapaxes(-1, -2) @ _hessian_of(pw, diff, r) @ V
     y = g.reshape(g.shape[:-2] + (1, -1)) @ V
-    return 0.5 * (A + A.swapaxes(-1, -2)), V, y[..., 0, :]
+    A = 0.5 * (A + A.swapaxes(-1, -2))
+    k = A.shape[-1]
+    A.reshape(A.shape[:-2] + (k * k,))[..., :: k + 1] += np.asarray(lam)[..., None]  # A is fresh
+    return A, V, y[..., 0, :]
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -495,11 +511,10 @@ def _triple_of(A: np.ndarray, u):
     """
     ev = np.linalg.eigvalsh(A)
     gap = NULL_TOL * np.asarray(u)[..., None]
-    counts = np.stack(
-        [(ev < -gap).sum(axis=-1), (np.abs(ev) <= gap).sum(axis=-1), (ev > gap).sum(axis=-1)],
-        axis=-1,
-    ).tolist()
-    return InertiaTriple(*counts) if A.ndim == 2 else [InertiaTriple(*c) for c in counts]
+    counts = (ev < -gap).sum(axis=-1), (np.abs(ev) <= gap).sum(axis=-1), (ev > gap).sum(axis=-1)
+    if A.ndim == 2:
+        return InertiaTriple(*map(int, counts))
+    return [InertiaTriple(*c) for c in zip(*(a.tolist() for a in counts))]
 
 
 # ---------------------------------------------------------------------------

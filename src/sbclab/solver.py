@@ -146,8 +146,7 @@ def classify_support(config: Configuration) -> str:
     An axis counts as occupied when some |coordinate| exceeds
     OCCUPANCY_TOL * scale.  Axes are reported 1-based.
     """
-    amp = np.max(np.abs(config.q), axis=0)
-    occupied = [j for j in range(config.d) if amp[j] > OCCUPANCY_TOL * config.scale]
+    occupied = np.flatnonzero(_occupied(config.q)).tolist()
     if len(occupied) == 1:
         return f"collinear(axis={occupied[0] + 1})"
     if len(occupied) == config.d:
@@ -156,6 +155,13 @@ def classify_support(config: Configuration) -> str:
     if len(occupied) == 2:
         return f"planar(axes={axes})"
     return f"subspace(axes={axes})"
+
+
+def _occupied(q: np.ndarray) -> np.ndarray:
+    """Per axis of (n, d) positions q: whether some |coordinate| on it
+    exceeds OCCUPANCY_TOL times the largest one."""
+    amp = np.max(np.abs(q), axis=0)
+    return amp > OCCUPANCY_TOL * amp.max()
 
 
 def _central(q: np.ndarray, m: np.ndarray, g: np.ndarray, u) -> np.ndarray:
@@ -224,8 +230,9 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     residual, not a tangent basis or a Hessian.
 
     Built once per solve: the constants of (m, s) that every kernel call
-    shares (core._constants: m_i m_j, w, sqrt(w), the scaled translations,
-    diag(w)), and one numpy error state silencing rejected trials' warnings.
+    shares (core._constants: m_i m_j, w, the translation-free frame that
+    every tangent basis starts from), and one numpy error state silencing
+    rejected trials' warnings.
     Built once per point, the start and every trial: one pairwise pass
     (_evaluate_q), the state (q, diff, r, pair weights m_i m_j / r^3,
     grad U, U, lam, G).  An accepted trial's pass, pair weights included,
@@ -357,13 +364,13 @@ def _descend(starts: np.ndarray, c: _Constants) -> np.ndarray:
     along the inverse-weighted residual.  A trial that lowers U is taken
     and grows the lane's step by 1.3; any other (or a non-finite, I_S <= 0
     or colliding one) halves it.  A lane stops after 40 moves or at
-    step * |v| <= 1e-10.  For n >= 3 it ends where it would alone, bitwise.
+    step * |v| <= 1e-10.  Each lane ends where it would alone, bitwise.
 
     Unlike a Newton trial, each move keeps the centre-of-mass test
     (core._normalize_q): v is tangent only up to the rounding of G's
     pair-force sums, which is large against G next to a saddle, and the
     drift adds up over the moves until the test fires (it does on the
-    n = 3, S = diag(4, 3, 2, 1) saddle walks).
+    saddle walks of masses (1, 2, 3) with S = diag(4, 3, 2, 1)).
     """
     q = np.array(starts, dtype=float)
     *_, u, _, G, collided = _evaluate_q(q, c)
@@ -414,7 +421,12 @@ def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
     simply re-converge to it, so each seed is pushed off along a downhill
     eigendirection, and walked further downhill (all in one _descend call).
     A record is centred by construction and the direction is tangent, so
-    the push goes back on I_S = 1 by scaling alone (core._scale_q).
+    the push goes back on I_S = 1 by scaling alone (core._scale_q).  The
+    direction is set to exactly zero on the axes that neither the point nor
+    the mode occupies (_occupied, as classify_support counts them), so the
+    push stays on its mode's invariant coordinate subspace: the residual
+    keeps exact zeros there, and so does every move of the walk, which
+    then does not depend on the tangent basis's rounding off that subspace.
     The walks from the other points of an orbit are images of these, and
     census closes its catalogue under the group, so only the orbit
     representatives (_representatives) are walked: one record per axis
@@ -435,13 +447,14 @@ def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
     seeds: list[Configuration | None] = []  # None: the next walked start
     starts = []
     for rec, a, v in zip(reps, A, V):
-        q = rec.q
+        q, line = rec.q, _occupied(rec.q)
         seeds.append(Configuration(q, m))
         evals, evecs = np.linalg.eigh(a)
         for k in range(len(evals)):
             if evals[k] >= -NULL_TOL * rec.u:
                 break
             direction = (v @ evecs[:, k]).reshape(n, d)
+            direction[:, ~(line | _occupied(direction))] = 0.0
             for sign in (1.0, -1.0):
                 start, bad = _scale_q(q + sign * SEED_OFFSET * direction, c)
                 if not bad:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbclab import core, solver
 from sbclab.collinear import degeneracy_thresholds, enumerate_csbc, moulton_solve
@@ -26,6 +28,7 @@ from sbclab.core import (
     _residual_merit,
     _restricted_hessian_any,
     _scale_q,
+    _tangent_basis_of,
     gradient,
     hessian,
     inertia_indices,
@@ -300,18 +303,27 @@ def test_moments_of_inertia():
     cfg = euler_on_axis(0, 2)
     assert moment_of_inertia(cfg) == pytest.approx(1.0, rel=1e-14)
     s = np.array([3.0, 1.0])
-    assert _inertia_s(cfg.q, cfg.masses, s) == pytest.approx(3.0, rel=1e-14)
+    assert _inertia_s(cfg.q, weight_vector(cfg, Spectrum(s))) == pytest.approx(3.0, rel=1e-14)
     on_e2 = euler_on_axis(1, 2)
-    assert _inertia_s(on_e2.q, on_e2.masses, s) == pytest.approx(1.0, rel=1e-14)
+    assert _inertia_s(on_e2.q, weight_vector(on_e2, Spectrum(s))) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_weight_vector_layout():
     """The kernels' weight vector is the flattened diagonal of S x M, and W
-    its (n, d) layout."""
+    its (n, d) layout; the frame K is weighted-orthonormal, K^T diag(w) K =
+    I, and translation-free, every column's mass sum zero on every axis."""
     c = _constants(np.array([2.0, 5.0]), Spectrum((4.0, 3.0, 1.0)).array)
     assert np.array_equal(c.w, [8.0, 6.0, 2.0, 20.0, 15.0, 5.0])
     assert np.array_equal(c.W, [[8.0, 6.0, 2.0], [20.0, 15.0, 5.0]])
-    assert np.array_equal(c.diag_w, np.diag(c.w)) and np.array_equal(c.sw, np.sqrt(c.w))
+    rng = np.random.default_rng(24)
+    for n, d in [(2, 3), (2, 1), (3, 2), (5, 4), (7, 3)]:
+        m = 10.0 ** rng.uniform(-3, 3, n)
+        s = np.sort(1.0 + 3.0 * rng.random(d))[::-1]
+        c = _constants(m, s)
+        assert c.K.shape == (n * d, (n - 1) * d)
+        assert np.allclose(c.K.T @ (c.w[:, None] * c.K), np.eye((n - 1) * d), rtol=0.0, atol=1e-14)
+        mass_sums = np.einsum("i,ikc->kc", m, c.K.reshape(n, d, -1))
+        assert np.max(np.abs(mass_sums)) < 1e-14 * np.max(np.abs(m[:, None] * c.K.reshape(n, -1)))
 
 
 def test_residual_vanishes_at_equilateral_for_identity_weights():
@@ -330,7 +342,7 @@ def test_residual_vanishes_for_rescaled_collinear_family():
     spec = Spectrum((s1, 1.0))
     on_e1 = euler_on_axis(0, 2, scale=1.0 / math.sqrt(s1))
     assert np.linalg.norm(sbc_residual(on_e1, spec)[0]) < 1e-13 * potential(on_e1)
-    assert _inertia_s(on_e1.q, on_e1.masses, spec.array) == pytest.approx(1.0, rel=1e-13)
+    assert _inertia_s(on_e1.q, weight_vector(on_e1, spec)) == pytest.approx(1.0, rel=1e-13)
     on_e2 = euler_on_axis(1, 2)
     assert np.linalg.norm(sbc_residual(on_e2, spec)[0]) < 1e-13 * potential(on_e2)
 
@@ -340,7 +352,7 @@ def test_normalize_puts_config_on_weighted_sphere():
     cfg = random_configuration(rng, 3, 2)
     spec = Spectrum((2.5, 1.0))
     out = normalize(cfg, spec)
-    assert _inertia_s(out.q, out.masses, spec.array) == pytest.approx(1.0, rel=1e-14)
+    assert _inertia_s(out.q, weight_vector(out, spec)) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_normalize_matches_the_raw_array_path_bitwise():
@@ -362,6 +374,28 @@ def test_normalize_matches_the_raw_array_path_bitwise():
         normalize(Configuration(np.zeros((3, 2)), np.ones(3)), Spectrum.identity(2))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(2, 5), st.integers(1, 4)).flatmap(lambda nd: st.tuples(
+        st.lists(st.floats(1e-3, 1e3), min_size=nd[0], max_size=nd[0]),
+        st.lists(st.floats(0.25, 4.0), min_size=nd[1], max_size=nd[1]),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+    ))
+)
+def test_inertia_s_lanes_equal_the_one_point_call(case):
+    """I_S of a (K, n, d) stack is, lane by lane, bitwise I_S of that lane
+    alone, a Python float, for n = 2..5 and d = 1..4."""
+    masses, s, lanes, seed = case
+    c = _constants(np.array(masses), np.array(sorted(s, reverse=True)))
+    q = np.random.default_rng(seed).standard_normal((lanes, len(masses), len(s)))
+    stacked = _inertia_s(q, c.w)
+    assert stacked.shape == (lanes,)
+    for k in range(lanes):
+        one = _inertia_s(q[k], c.w)
+        assert type(one) is float and one == stacked[k]
+
+
 def test_scale_q_lanes_equal_the_one_point_path():
     """_scale_q takes one point on Python scalars and a stack with numpy;
     each lane of a stack is bitwise its own call, and bad marks a NaN, all
@@ -380,7 +414,7 @@ def test_scale_q_lanes_equal_the_one_point_path():
         assert type(one_bad) is bool and one_bad == bad[k]
         if not one_bad:
             assert np.array_equal(one, scaled[k])
-            assert _inertia_s(one, c.m, c.s) == pytest.approx(1.0, rel=1e-14)
+            assert _inertia_s(one, c.w) == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +525,7 @@ def test_sbc_residual_matches_separate_evaluations_bitwise():
     for n, d in [(3, 2), (4, 3), (5, 1), (5, 2)]:
         cfg, spec = _weighted_point(rng, n, d)
         G, lam = sbc_residual(cfg, spec)
-        ref_lam = potential(cfg) / _inertia_s(cfg.q, cfg.masses, spec.array)
+        ref_lam = potential(cfg) / _inertia_s(cfg.q, weight_vector(cfg, spec))
         weights = cfg.masses[:, None] * spec.array[None, :]
         assert lam == ref_lam
         assert np.array_equal(G, gradient(cfg) + ref_lam * weights * cfg.q)
@@ -499,20 +533,60 @@ def test_sbc_residual_matches_separate_evaluations_bitwise():
 
 def test_restricted_hessian_any_is_the_projected_ambient_form():
     """The array model from an evaluation's (diff, r, grad U, lam) equals
-    V^T (hessian + lam diag w) V, symmetrized, and V^T grad U, bit for bit,
-    with V from tangent_basis."""
+    V^T hessian V, symmetrized, plus lam I, and V^T grad U, bit for bit,
+    with V from tangent_basis; lam I is lam V^T diag(w) V to rounding."""
     rng = np.random.default_rng(13)
     for n, d in [(2, 2), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)]:
         cfg, spec = _weighted_point(rng, n, d)
         A, V, y = _model(cfg, spec)
         ref_V = tangent_basis(cfg, spec)
-        B = ref_V.T @ ambient_balance_hessian(cfg, spec) @ ref_V
+        B = ref_V.T @ hessian(cfg) @ ref_V
+        _, lam = sbc_residual(cfg, spec)
         assert np.array_equal(V, ref_V)
-        assert np.array_equal(A, 0.5 * (B + B.T))
+        assert np.array_equal(A, 0.5 * (B + B.T) + lam * np.eye(len(B)))
+        ambient = ref_V.T @ ambient_balance_hessian(cfg, spec) @ ref_V
+        assert np.allclose(A, 0.5 * (ambient + ambient.T), rtol=0.0, atol=1e-12 * lam)
         assert np.array_equal(y, ref_V.T @ gradient(cfg).ravel())
         # the criticality-gated form is the same model at a root
         line = _collinear_point(cfg.masses, spec, axis=d)
         assert np.array_equal(_one_model(line, spec)[3], _model(line, spec)[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tangent_basis_lanes_equal_their_own_call(n, d):
+    """A (K, n, d) stack of points gives, lane by lane, the basis of the
+    lane's own call, bit for bit, for 1, 7 and 64 lanes, collinear lanes
+    included."""
+    rng = np.random.default_rng(4000 + 10 * n + d)
+    s = np.array(sorted(1.0 + 2.0 * rng.random(d), reverse=True))
+    c = _constants(0.5 + 2.0 * rng.random(n), s)
+    for lanes in (1, 7, 64):
+        q = rng.standard_normal((lanes, n, d))
+        q[::3, :, 1:] = 0.0
+        q, bad = _normalize_q(q, c)
+        assert not bad.any()
+        V = _tangent_basis_of(q, c)
+        assert V.shape == (lanes, n * d, d * (n - 1) - 1)
+        for k in range(lanes):
+            assert np.array_equal(V[k], _tangent_basis_of(q[k], c))
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (2, 3), (3, 2), (5, 4)])
+def test_tangent_basis_of_a_translation_is_degenerate(n, d):
+    """q = 0 and all bodies at one point off the origin (q a pure
+    translation, so its translation-free part vanishes) leave the
+    constraints dependent, alone or as one lane of a stack."""
+    rng = np.random.default_rng(50 + n + d)
+    s = np.array(sorted(1.0 + 2.0 * rng.random(d), reverse=True))
+    c = _constants(0.5 + 2.0 * rng.random(n), s)
+    good, _ = _normalize_q(rng.standard_normal((n, d)), c)
+    for q in (np.zeros((n, d)), np.tile(rng.standard_normal(d), (n, 1))):
+        for points in (q, np.array([good, q])):
+            with pytest.raises(ValueError, match="constraints are dependent"):
+                _tangent_basis_of(points, c)
+    with pytest.raises(ValueError, match="constraints are dependent"):
+        tangent_basis(Configuration(np.zeros((n, d)), c.m), Spectrum(tuple(c.s)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

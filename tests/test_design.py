@@ -155,6 +155,23 @@ def test_public_functions_have_a_caller():
     assert uncalled == TEST_ONLY
 
 
+def test_every_constants_field_has_a_reader():
+    """Each field of core._Constants is read as an attribute somewhere in
+    the package outside _constants, which builds it, so no field is built
+    for nothing."""
+    from sbclab.core import _Constants
+
+    read = {
+        sub.attr
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if getattr(node, "name", None) not in ("_constants", "_Constants")
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    assert set(_Constants._fields) - read == set()
+
+
 def test_no_function_takes_a_tolerance():
     """Convergence and verdict tolerances are module constants (core.TOL_RES,
     flow.ATOL, RTOL and SLACK), so no caller can set a gate the catalogue

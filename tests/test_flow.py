@@ -25,7 +25,7 @@ from sbclab.flow import (
     _flow_rhs,
 )
 
-from oracles import steer_to_angle
+from oracles import steer_to_angle, weight_vector
 
 S3 = Spectrum((2.0, 1.0, 1.0))
 M3 = np.ones(3)
@@ -145,7 +145,7 @@ def test_trajectory_invariants_over_t50():
     assert isinstance(traj, FlowTrajectory)
     assert np.all(np.diff(traj.times) > 0)
     for state in traj.states:
-        assert abs(_inertia_s(state.q, state.masses, S3.array) - 1.0) < 1e-9
+        assert abs(_inertia_s(state.q, weight_vector(state, S3)) - 1.0) < 1e-9
     # retained samples stay clear of the collision guard
     scales = np.array([s.scale for s in traj.states])
     assert np.all(traj.min_sep > 1e-8 * scales)

@@ -22,7 +22,7 @@ from sbclab.core import (
     sbc_residual,
 )
 from sbclab.errors import BranchLost, NoConvergence
-from sbclab.morse import morse_inequality_check
+from sbclab.morse import index_counts, morse_inequality_check
 from sbclab.solver import (
     Census,
     SBCSolution,
@@ -39,6 +39,7 @@ from oracles import (
     central_residual,
     random_configuration,
     serial_descend,
+    weight_vector,
 )
 
 
@@ -115,7 +116,7 @@ def test_solution_satisfies_constraints():
         Configuration(rng.standard_normal((4, 2)), np.ones(4)), spec
     )
     assert isinstance(sol, SBCSolution)
-    assert _inertia_s(sol.config.q, sol.config.masses, spec.array) == pytest.approx(
+    assert _inertia_s(sol.config.q, weight_vector(sol.config, spec)) == pytest.approx(
         1.0, abs=1e-12
     )
     u = potential(sol.config)
@@ -246,7 +247,7 @@ def test_census_solution_invariants(census_15):
     for sol in census_15.solutions:
         u = potential(sol.config)
         assert sol.residual_norm < 1e-10 * u
-        i_s = _inertia_s(sol.config.q, sol.config.masses, census_15.spectrum.array)
+        i_s = _inertia_s(sol.config.q, weight_vector(sol.config, census_15.spectrum))
         assert abs(i_s - 1.0) < 1e-12
         assert sol.classification == classify_support(sol.config)
         if sol.classification.startswith("collinear"):
@@ -415,7 +416,7 @@ def test_continue_branch_lost_on_hopeless_budget(monkeypatch):
 # saddle-seed descent, dedup and object churn
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("d", [2, 3])
 def test_descend_lanes_walk_as_if_alone(n, d):
     """Each lane of the lockstep walk ends bitwise where a 1-lane call and
@@ -486,9 +487,9 @@ def test_tangent_moves_need_no_centre_of_mass_test(monkeypatch, n, d):
 def test_descent_moves_need_the_centre_of_mass_test(monkeypatch):
     """A descent move is tangent only up to the rounding of the residual's
     pair-force sums, which adds up over the moves, so _descend keeps
-    core._normalize_q: on the n = 3, S = diag(4, 3, 2, 1) saddle walks its
-    centre-of-mass test fires."""
-    m, spec = np.ones(3), Spectrum((4.0, 3.0, 2.0, 1.0))
+    core._normalize_q: on the saddle walks of masses (1, 2, 3) with
+    S = diag(4, 3, 2, 1) its centre-of-mass test fires."""
+    m, spec = np.array([1.0, 2.0, 3.0]), Spectrum((4.0, 3.0, 2.0, 1.0))
     fired, walking = [], []
     recentre, descend = core._recentre, solver._descend
 
@@ -508,6 +509,30 @@ def test_descent_moves_need_the_centre_of_mass_test(monkeypatch):
     monkeypatch.setattr(solver, "_descend", walk)
     solver._saddle_seeds(core._constants(m, spec.array), spec)
     assert any(fired)
+
+
+def test_saddle_pushes_stay_on_their_invariant_axes(monkeypatch):
+    """Each saddle push is exactly zero on the axes that neither its
+    collinear point nor its mode occupies, and so is the walk's end; with
+    no random restart, n = 3 equal masses with S = diag(4, 3, 2, 1) then
+    give the complete 144-point catalogue, which passes morse-check."""
+    walks = []
+    descend = solver._descend
+
+    def recording_descend(starts, c):
+        ends = descend(starts, c)
+        walks.append((starts, ends))
+        return ends
+
+    monkeypatch.setattr(solver, "_descend", recording_descend)
+    result = census(np.ones(3), Spectrum((4.0, 3.0, 2.0, 1.0)), 0, seed=0)
+    (starts, ends), = walks
+    dead = np.all(starts == 0.0, axis=1)  # (walk, axis): exactly zero
+    assert dead.sum(axis=1).min() >= 2  # a line and one mode leave two axes
+    assert np.all(ends[np.repeat(dead[:, None, :], 3, axis=1)] == 0.0)
+    assert len(result.q) == 144
+    check = morse_inequality_check(index_counts(result.triple), 3, 4)
+    assert check.divisible and check.nonnegative
 
 
 @settings(max_examples=200, deadline=None)
@@ -726,8 +751,25 @@ def test_census_is_bitwise_deterministic_and_rebuilds_through_configuration(s, r
     and evaluated again through the public sbc_residual and inertia_indices,
     the same lambda, |G| (np.linalg.norm, as a solve takes it, for a find
     and for an image alike) and triple."""
-    spec = Spectrum(s)
-    a, b = (census(np.ones(3), spec, restarts, seed) for _ in range(2))
+    _assert_census_rebuilds((1.0,) * 3, Spectrum(s), restarts, seed)
+
+
+@pytest.mark.parametrize("masses, s", [
+    pytest.param((1.0, 1.0), (1.0, 1.0), id="n2-d2"),
+    pytest.param((1.0, 3.0), (2.0, 2.0, 1.0), id="n2-d3"),
+])
+def test_two_body_census_rows_rebuild_through_configuration(masses, s):
+    """As for three bodies: at n = 2, where the images' lambda and |G| come
+    from one stacked evaluation of all of them, every row still equals
+    sbc_residual at its point, bit for bit."""
+    _assert_census_rebuilds(masses, Spectrum(s), 10, 3)
+
+
+def _assert_census_rebuilds(masses, spec: Spectrum, restarts: int, seed: int) -> None:
+    """Two runs of census(masses, spec, restarts, seed) are bitwise equal,
+    and every row equals its point rebuilt through Configuration and
+    evaluated by sbc_residual and inertia_indices, bit for bit."""
+    a, b = (census(np.array(masses), spec, restarts, seed) for _ in range(2))
     assert _census_bits(a) == _census_bits(b)
     for k, sol in enumerate(a.solutions):
         config = Configuration(a.q[k], np.array(a.masses))
