@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .collinear import enumerate_csbc, moulton_solve
-from .core import Configuration, Spectrum, to_document
+from .core import MASS_RANGE, Configuration, Spectrum, to_document
 from .equilibria import classify_periodicity, lift, newton_residual
 from .errors import (
     DegenerateCensus,
@@ -105,7 +105,8 @@ _INT_GE1 = _checked(int, ">= 1", lambda v: v >= 1)
 _INT_GE2 = _checked(int, ">= 2", lambda v: v >= 2)
 _POSITIVE = _checked(float, "finite and positive", _positive)
 _FLOATS = _checked(_floats)
-_MASSES = _checked(_floats, "positive", lambda v: all(map(_positive, v)))
+_MASSES = _checked(_floats, "in [{:.0e}, {:.0e}]".format(*MASS_RANGE),
+                   lambda v: all(MASS_RANGE[0] <= m <= MASS_RANGE[1] for m in v))
 _ORDERING = _checked(_int_tuple)
 
 

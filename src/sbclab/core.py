@@ -30,6 +30,9 @@ TOL_COM = 1e-12
 TOL_RES = 1e-10
 NULL_TOL = 1e-6
 DELTA_COL = 1e-8
+# Accepted masses: the scales the scaled-mass census test covers. The gate
+# TOL_RES * U is not scale-free, and far out m_i m_j and powers of r overflow.
+MASS_RANGE = (1e-5, 1e5)
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +75,13 @@ class Spectrum:
 
 def mass_vector(masses) -> np.ndarray:
     """masses as a float vector, or ValueError unless there are at least two
-    and every one is finite and positive: the one mass check of every entry
+    and every one lies in MASS_RANGE: the one mass check of every entry
     point taking masses."""
     m = np.array(masses, dtype=float)
-    if m.ndim != 1 or len(m) < 2 or not np.all(np.isfinite(m) & (m > 0.0)):
-        raise ValueError("masses must be a vector of two or more finite positive values")
+    lo, hi = MASS_RANGE
+    if m.ndim != 1 or len(m) < 2 or not np.all((m >= lo) & (m <= hi)):
+        raise ValueError("masses must be a vector of two or more finite positive values"
+                         f" in [{lo:.0e}, {hi:.0e}]")
     return m
 
 
@@ -148,10 +153,11 @@ def _pairs(q: np.ndarray):
 
 
 def _collided(q: np.ndarray, r: np.ndarray):
-    """Where the collision guard trips on (..., n, d) positions q with pair
-    distances r: scale 0, or a pair closer than DELTA_COL * scale."""
+    """Where the collision guard trips on positions q, (..., n, d) or
+    (..., 1, n*d), with pair distances r, (..., n, n) or (..., P): scale 0,
+    or a pair closer than DELTA_COL * scale."""
     scale = np.abs(q).max(axis=(-2, -1))
-    return (scale == 0.0) | (r.min(axis=(-2, -1)) < DELTA_COL * scale)
+    return (scale == 0.0) | (r.min(axis=tuple(range(q.ndim - 2, r.ndim))) < DELTA_COL * scale)
 
 
 def _pairwise(config: Configuration):
@@ -260,7 +266,10 @@ class _Constants(NamedTuple):
     the weight vector w (the diagonal of S x M, entry (i, k) m_i s_k), W = w
     as (n, d), m.sum(), and K, a translation-free frame of the (n-1)d
     directions that keep the centre of mass: an (n*d, (n-1)d) matrix with
-    K^T diag(w) K = I whose every column has zero mass sum on every axis.
+    K^T diag(w) K = I whose every column has zero mass sum on every axis,
+    so I_S = |x|^2 for q = K x. Over the pairs i < j (_pair_indices):
+    D (P, d, (n-1)d), D_p = K_j - K_i of K's body blocks (q_j - q_i = D_p x),
+    each D_p^T D_p flattened in DtD, and mm_p = m_i m_j.
 
     K is closed-form: with C (n, n-1) the columns 1.. of the Householder
     reflection that sends e_0 to -sqrt(m / m.sum()), an orthonormal
@@ -274,16 +283,23 @@ class _Constants(NamedTuple):
     W: np.ndarray
     m_sum: float
     K: np.ndarray
+    D: np.ndarray
+    DtD: np.ndarray
+    mm_p: np.ndarray
 
 
 def _constants(m: np.ndarray, s: np.ndarray) -> _Constants:
-    n, d = len(m), len(s)
-    W = np.outer(m, s)
-    h = np.sqrt(m / m.sum())
+    n, d, m_sum = len(m), len(s), m.sum()
+    W = m[:, None] * s
+    h = np.sqrt(m / m_sum)
     h[0] += 1.0  # h = u + e_0 with u = sqrt(m / m.sum()), a unit vector, u_0 > 0
-    C = _eye(n)[:, 1:] - np.outer(h, h[1:] / h[0])  # I - h h^T / h_0, as h.h = 2 h_0
-    K = C[:, None, :, None] * _eye(d)[:, None, :] / np.sqrt(W)[:, :, None, None]
-    return _Constants(m, s, np.outer(m, m), W.ravel(), W, m.sum(), K.reshape(n * d, -1))
+    C = _eye(n)[:, 1:] - h[:, None] * (h[1:] / h[0])  # I - h h^T / h_0, as h.h = 2 h_0
+    K = (C[:, None, :, None] * _eye(d)[:, None, :] / np.sqrt(W)[:, :, None, None]).reshape(n, d, -1)
+    i, j = _pair_indices(n)
+    D = K[j] - K[i]
+    mm = m[:, None] * m
+    return _Constants(m, s, mm, W.ravel(), W, m_sum, K.reshape(n * d, -1), D,
+                      (D.swapaxes(1, 2) @ D).reshape(len(i), -1), mm[i, j])
 
 
 def _check_dims(config: Configuration, spectrum: Spectrum) -> None:
@@ -334,6 +350,25 @@ def _evaluate_q(q: np.ndarray, c: _Constants):
     return diff, r, pw, g, u, lam, G, _collided(q, r)
 
 
+def _evaluate_x(x: np.ndarray, c: _Constants):
+    """The pair pass at frame coordinates x (..., (n-1)d) of q = K x:
+    (diff, r, pw, gx, U, lam, a, collided), diff (..., P, d) holding the
+    pairs' q_j - q_i = D_p x, pw = m_i m_j / r^3, gx = K^T grad U = -sum_p
+    pw_p D_p^T diff_p, lam = U / |x|^2, a = K^T G = gx + lam x, and the
+    collision guard on q. Each lane is bitwise its own call; values where
+    collided are garbage, so callers silence numpy's warnings."""
+    xr = x[..., None, :]
+    D = c.D.reshape(-1, x.shape[-1])
+    diff = (xr @ D.T).reshape(x.shape[:-1] + c.D.shape[:2])
+    r = np.sqrt((diff * diff).sum(axis=-1))
+    e = c.mm_p / r  # the pairs' terms of U
+    pw = e / (r * r)
+    u = e.sum(axis=-1)
+    gx = -((pw[..., None] * diff).reshape(xr.shape[:-1] + (-1,)) @ D)[..., 0, :]
+    lam = u / (xr @ x[..., None])[..., 0, 0]
+    return diff, r, pw, gx, u, lam, gx + lam[..., None] * x, _collided(xr @ c.K.T, r)
+
+
 def _residual_norm(G: np.ndarray):
     """|G| of raw (..., n, d) residuals, one per leading index, as
     sqrt(G . G) from one dot product per lane: bitwise np.linalg.norm of
@@ -341,13 +376,6 @@ def _residual_norm(G: np.ndarray):
     n, d = G.shape[-2:]
     Gf = G.reshape(G.shape[:-2] + (1, n * d))
     return np.sqrt(Gf @ Gf.swapaxes(-1, -2))[..., 0, 0]
-
-
-def _residual_merit(G: np.ndarray, w: np.ndarray) -> float:
-    """G^T W^-1 G with w the weight vector (_Constants); equals
-    |V^T grad U|^2 for the tangent basis V (see find_critical_point)."""
-    v = G.ravel()
-    return float(v @ (v / w))
 
 
 def normalize(config: Configuration, spectrum: Spectrum) -> Configuration:
@@ -373,11 +401,9 @@ def _recentre(q: np.ndarray, m: np.ndarray, m_sum: float) -> np.ndarray:
 def _scale_q(q: np.ndarray, c: _Constants):
     """(q / sqrt(I_S), bad) for raw (..., n, d) positions, bad marking
     where I_S is not in (0, inf): non-finite q, all bodies at the origin,
-    or an I_S that overflows. No centre-of-mass test: it is for moves along
-    a tangent direction from a point centred far inside TOL_COM (a Newton
-    trial, a saddle push), whose centre of mass stays there up to rounding.
-    One point stays on Python scalars; callers silence numpy's
-    floating-point warnings."""
+    or an I_S that overflows. No centre-of-mass test: besides _normalize_q,
+    it serves only saddle pushes, tangent moves from a centred point. One
+    point stays on Python scalars; callers silence numpy's warnings."""
     i_s = _inertia_s(q, c.w)
     if q.ndim == 2:
         return q / math.sqrt(i_s), not 0.0 < i_s < math.inf
@@ -401,79 +427,73 @@ def tangent_basis(config: Configuration, spectrum: Spectrum) -> np.ndarray:
     """Orthonormal basis of the constrained tangent space at q.
 
     The space is {v : sum_i m_i v_i = 0, <(S x M) q, v> = 0}, of dimension
-    d(n-1) - 1, and the returned (n*d, k) matrix V has columns orthonormal
-    in the S-weighted mass product: V^T diag(w) V = I with w_(i,k) =
-    m_i s_k. In the translation-free frame K of the problem's constants
-    (_Constants), q has coordinates x = K^T diag(w) q, and V = K P with P
-    the last k columns of the Householder reflection that sends x to a
-    multiple of e_0. Any such basis gives the same Newton steps and
-    inertia; this one is deterministic.
+    k = d(n-1) - 1, and the returned (n*d, k) matrix V has columns
+    orthonormal in the S-weighted mass product: V^T diag(w) V = I with
+    w_(i,k) = m_i s_k. It is V = K P, with K the frame of _Constants and P
+    the Householder complement of q's frame coordinates (_complement).
     """
     _check_dims(config, spectrum)
-    return _tangent_basis_of(config.q, _constants(config.masses, spectrum.array))
+    c = _constants(config.masses, spectrum.array)
+    return c.K @ _complement(_frame_of(config.q, c))
 
 
-def _tangent_basis_of(q: np.ndarray, c: _Constants) -> np.ndarray:
-    """tangent_basis of raw (..., n, d) positions: one (n*d, k) basis per
-    leading index, each bitwise the basis of its own 2-D call (every product
-    is one lane's row or column). Raises ValueError when any of them is
-    degenerate: |x| <= 1e-10 |sqrt(w) q|, as for q = 0 or a translation.
-
-    With v = x + sign(x_0) |x| e_0, the reflection is I - v v^T / (|x| |v_0|),
-    so V = K[:, 1:] - (K v) v[1:]^T / (|x| |v_0|)."""
-    n, d = q.shape[-2:]
-    qf = q.reshape(q.shape[:-2] + (1, n * d))
+def _frame_of(q: np.ndarray, c: _Constants) -> np.ndarray:
+    """Frame coordinates x = K^T diag(w) q of raw (..., n, d) positions,
+    one row product per lane; ValueError when a lane is degenerate,
+    |x| <= 1e-10 |sqrt(w) q|, as for q = 0 or a translation."""
+    qf = q.reshape(q.shape[:-2] + (1, -1))
     wq = qf * c.w
     x = wq @ c.K
-    x_norm = np.sqrt(x @ x.swapaxes(-1, -2))
-    if (x_norm <= 1e-10 * np.sqrt(wq @ qf.swapaxes(-1, -2))).any():
+    if (x @ x.swapaxes(-1, -2) <= 1e-20 * (wq @ qf.swapaxes(-1, -2))).any():
         raise ValueError("degenerate configuration: constraints are dependent")
-    v0 = np.abs(x[..., :1]) + x_norm  # |v_0|
+    return x[..., 0, :]
+
+
+def _complement(x: np.ndarray) -> np.ndarray:
+    """P (..., k, k - 1), orthonormal columns orthogonal to nonzero x
+    (..., k): the last k - 1 columns of the Householder reflection
+    I - v v^T / (|x| |v_0|), v = x + sign(x_0) |x| e_0, so P = I[:, 1:] -
+    v x[1:]^T / (|x| |v_0|). Each lane is bitwise its own call."""
+    x_norm = np.sqrt(x[..., None, :] @ x[..., :, None])
     v = x.copy()
-    v[..., :1] = np.copysign(v0, x[..., :1])
-    return c.K[:, 1:] - (c.K @ v.swapaxes(-1, -2)) * (x[..., 1:] / (x_norm * v0))
+    v[..., :1] += np.copysign(x_norm[..., 0], x[..., :1])  # |v_0| = |x_0| + |x|, exactly
+    return _eye(x.shape[-1])[:, 1:] - v[..., :, None] * (
+        x[..., None, 1:] / (x_norm * np.abs(v[..., None, :1])))
 
 
-def _restricted_hessian_any(
-    q: np.ndarray,
-    c: _Constants,
-    diff: np.ndarray,
-    r: np.ndarray,
-    pw: np.ndarray,
-    g: np.ndarray,
-    lam,
-):
+def _restricted_hessian_any(x, c: _Constants, diff, r, pw, gx, lam):
     """Restricted second variation without the criticality gate.
 
-    On raw arrays: positions q (..., n, d), the _Constants c, and the
-    points' own evaluation (diff, r, pair weights pw and grad U g from
-    _evaluate_q, and lam), so no pair is computed again. Returns (A, V, y) with
-    A = V^T D^2 U V, symmetrized, plus lam I (V^T diag(w) V = I), V =
-    tangent_basis and y = V^T grad U: the Newton model of a search iterate,
-    and at a root the matrix whose inertia classifies it. Leading axes of q
-    are a stack of points, each lane bitwise its own 2-D call; a degenerate
-    lane raises ValueError for the stack.
+    At frame coordinates x (..., (n-1)d), from the point's own pair pass
+    (diff, r, pw, gx, lam as _evaluate_x gives them). The Hessian of U in x
+    is H = 3 T^T diag(pw) T - sum_p pw_p D_p^T D_p, T_p = D_p^T diff_p / r_p.
+    Returns (A, P, y), P = _complement(x), A = P^T H P, symmetrized, plus
+    lam I, and y = P^T gx: V^T D^2 U V + lam I and V^T grad U on the tangent
+    basis V = K P, the Newton model of an iterate, and at a root the matrix
+    whose inertia classifies it. Each lane is bitwise its own call.
     """
-    V = _tangent_basis_of(q, c)
-    A = V.swapaxes(-1, -2) @ _hessian_of(pw, diff, r) @ V
-    y = g.reshape(g.shape[:-2] + (1, -1)) @ V
+    k0 = x.shape[-1]
+    T = ((diff / r[..., None])[..., None, :] @ c.D)[..., 0, :]
+    H = 3.0 * (T.swapaxes(-1, -2) * pw[..., None, :]) @ T
+    H -= (pw[..., None, :] @ c.DtD).reshape(H.shape)
+    P = _complement(x)
+    A = P.swapaxes(-1, -2) @ H @ P
+    y = (gx[..., None, :] @ P)[..., 0, :]
     A = 0.5 * (A + A.swapaxes(-1, -2))
-    k = A.shape[-1]
-    A.reshape(A.shape[:-2] + (k * k,))[..., :: k + 1] += np.asarray(lam)[..., None]  # A is fresh
-    return A, V, y[..., 0, :]
+    A.reshape(A.shape[:-2] + ((k0 - 1) ** 2,))[..., ::k0] += np.asarray(lam)[..., None]  # A is fresh
+    return A, P, y
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _critical_models(q: np.ndarray, c: _Constants):
-    """(U, lam, |G|, A, V) at critical points given as raw (..., n, d)
-    positions, one per leading index, from one pair pass and one restricted
-    Hessian for the whole stack.
+    """(U, lam, |G|, A, P) at critical points, raw (..., n, d) positions,
+    from one pair pass and one restricted Hessian for the whole stack.
 
     A is the second variation of the constrained problem, D^2 U + lam (S x M)
-    on the tangent basis V, of shape (k, k) with k = d(n-1) - 1. The first
-    lane that fails raises for the stack: the collision guard's
-    CollisionError, or NotCriticalError when the balance residual |G|
-    exceeds TOL_RES * U, with |G| from _residual_norm.
+    on the tangent basis K P, (k, k) with k = d(n-1) - 1, built at q's frame
+    coordinates (_frame_of). The first lane that fails raises for the stack:
+    the collision guard's CollisionError, or NotCriticalError when the
+    balance residual |G| exceeds TOL_RES * U, with |G| from _residual_norm.
     """
     diff, r, pw, g, u, lam, G, collided = _evaluate_q(q, c)
     n, d = q.shape[-2:]
@@ -486,8 +506,13 @@ def _critical_models(q: np.ndarray, c: _Constants):
         raise NotCriticalError(
             f"balance residual {np.ravel(res)[over.argmax()]:.3e} exceeds {TOL_RES:.1e} * U"
         )
-    A, V, _ = _restricted_hessian_any(q, c, diff, r, pw, g, lam)
-    return u, lam, res, A, V
+    lead, flat = q.shape[:-2], np.ravel_multi_index(_pair_indices(n), (n, n))
+    # np.take keeps the pair arrays C-ordered, as the lanes' bits need
+    diff, r, pw = (np.take(a.reshape(lead + (n * n,) + a.shape[q.ndim:]), flat, axis=len(lead))
+                   for a in (diff, r, pw))
+    gx = (g.reshape(lead + (1, -1)) @ c.K)[..., 0, :]
+    A, P, _ = _restricted_hessian_any(_frame_of(q, c), c, diff, r, pw, gx, lam)
+    return u, lam, res, A, P
 
 
 def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:

@@ -30,7 +30,6 @@ from .collinear import enumerate_csbc
 from .core import (
     DELTA_COL,
     NULL_TOL,
-    TOL_COM,
     TOL_RES,
     Configuration,
     InertiaTriple,
@@ -40,12 +39,13 @@ from .core import (
     _Constants,
     _critical_models,
     _evaluate_q,
+    _evaluate_x,
     _eye,
+    _frame_of,
     _images,
     _normalize_q,
     _pair_indices,
     _pairs,
-    _residual_merit,
     _residual_norm,
     _restricted_hessian_any,
     _scale_q,
@@ -175,16 +175,8 @@ def _central(q: np.ndarray, m: np.ndarray, g: np.ndarray, u) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", c, c)) < TOL_RES * u
 
 
-def _as_solution(
-    q: np.ndarray,
-    m: np.ndarray,
-    spectrum: Spectrum,
-    A: np.ndarray,
-    g: np.ndarray,
-    u: float,
-    lam: float,
-    res: float,
-) -> SBCSolution:
+def _as_solution(q: np.ndarray, m: np.ndarray, spectrum: Spectrum, A: np.ndarray,
+                 g: np.ndarray, u: float, lam: float, res: float) -> SBCSolution:
     """Classify a converged point from its evaluation (grad U, U, lam) and
     restricted Hessian A; builds the solution's one Configuration."""
     config = Configuration(q, m)
@@ -208,75 +200,55 @@ def _as_solution(
 def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | SearchFailure:
     """Projected Newton for the balance equation from one starting point.
 
-    Works in tangent coordinates: with V the weighted-orthonormal tangent
-    basis at the current point, the reduced residual y = V^T grad U is the
-    Newton right-hand side.  The step solves (A^2 + mu) z = -A y — Newton
-    when the damping mu is small, shrinking toward a weighted-gradient
-    descent step on |y|^2 as mu grows, which is the fallback when A is
-    singular or indefinite in the wrong way.  The start is re-centred and
-    normalized (core._normalize_q), and centred once more if it passed the
-    centre-of-mass test only just.  Every trial q + V z goes back on
-    I_S = 1 by scaling alone (core._scale_q): V z is tangent, so a trial
-    keeps the start's centre of mass up to rounding, far inside the test.
+    The state is the frame coordinate x of q = K x (core._constants:
+    K^T W K = I, W = S x M with diagonal w), so I_S = |x|^2 and every point
+    keeps its centre of mass at 0 to K's rounding.  The start is re-centred
+    and normalized (core._normalize_q), then mapped once, x = K^T W q.  With
+    P the Householder complement of x, y = P^T K^T grad U, and the step
+    solves (A^2 + mu) z = -A y: Newton for small damping mu, a weighted
+    descent step on |y|^2 as mu grows.  A trial is (x + P z) / |x + P z|.
 
-    The line-search merit is G^T W^-1 G, with G the balance residual and
-    W = S x M (w its diagonal), and it equals |y|^2 = |V^T grad U|^2.
-    W^-1 G is tangent: its weighted mass sum is sum_i G_i = 0 (U is
-    translation invariant and the centre of mass is at 0), and its
-    weighted product with q is q . G = q . grad U + lam I_S = -U + U = 0
-    (U is homogeneous of degree -1).  V V^T W projects onto the tangent
-    space, so |V^T G|^2 = G^T W^-1 G, and V^T G = V^T grad U because V is
-    weighted-orthogonal to q.  Trial points therefore need only their
-    residual, not a tangent basis or a Hessian.
+    The merit is G^T W^-1 G, G the balance residual.  W^-1 G has zero mass
+    sum (sum_i G_i = 0), so it is K a with a = K^T G = K^T grad U + lam x,
+    and the merit is |a|^2; q . G = -U + U = 0 (U is homogeneous of degree
+    -1) makes a orthogonal to x, so |a|^2 = |y|^2.  Trials need only a.
 
-    Built once per solve: the constants of (m, s) that every kernel call
-    shares (core._constants: m_i m_j, w, the translation-free frame that
-    every tangent basis starts from), and one numpy error state silencing
-    rejected trials' warnings.
-    Built once per point, the start and every trial: one pairwise pass
-    (_evaluate_q), the state (q, diff, r, pair weights m_i m_j / r^3,
-    grad U, U, lam, G).  An accepted trial's pass, pair weights included,
-    also feeds its restricted Hessian (_restricted_hessian_any), built once
-    per iterate.  That model gives the Newton step, or at a root the
-    inertia triple; the one Configuration is built for the returned solution.
-
-    The solve takes at most MAX_ITER Newton iterations.  It returns a
-    SearchFailure, never raises, on collision or stagnation: the
-    census layer tallies causes.  A spectrum whose dimension differs from
-    the configuration's raises ValueError.
+    Per solve: the constants of (m, s) and one numpy error state silencing
+    rejected trials' warnings.  Per point, the start and every trial: one
+    frame pair pass (core._evaluate_x).  Per iterate: one restricted Hessian
+    from that pass (_restricted_hessian_any), for the step or the inertia
+    triple.  Where |G| = |w K a| < TOL_RES * U, q = K x gets one pass of its
+    own (_evaluate_q), whose grad U, U, lam and |G| give the solution's row
+    and have the final say on the gate.  At most MAX_ITER iterations; a
+    collision or stagnation returns a SearchFailure, a spectrum whose
+    dimension differs from the configuration's raises ValueError.
     """
     n, d = q0.n, q0.d
     _check_dims(q0, spectrum)  # raises ValueError on a dimension mismatch
     c = _constants(q0.masses, spectrum.array)
     q, bad = _normalize_q(q0.q, c)
     if not bad:
-        # A trial keeps q's centre of mass up to rounding, and a point on
-        # the sphere has scale >= 1 / sqrt(sum w): a start centred under
-        # TOL_COM / 100 on that scale leaves the rest of TOL_COM for drift.
-        # A start that passed the test only just (a hand-built one far off
-        # the origin) is centred once more, which takes it there.
-        if math.sqrt(c.w.sum()) * np.abs(c.m @ q).max() > 0.01 * TOL_COM * c.m_sum:
-            q = q - c.m @ q / c.m_sum
-        diff, r, pw, g, u, lam, G, bad = _evaluate_q(q, c)
+        x = _frame_of(q, c)
+        diff, r, pw, gx, u, lam, a, bad = _evaluate_x(x, c)
     if bad:
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
     eye = _eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)
-    mu = 0.0
-    res = math.inf
-    merit = _residual_merit(G, c.w)
+    mu, res, merit = 0.0, math.inf, a @ a
     for it in range(MAX_ITER):
-        res = float(np.linalg.norm(G))
-        try:
-            A, V, y = _restricted_hessian_any(q, c, diff, r, pw, g, lam)
-        except ValueError:
-            return SearchFailure(cause="max_iter", iterations=it + 1, residual=res)
+        G = c.w * (c.K @ a)
+        res = math.sqrt(G @ G)
+        A, P, y = _restricted_hessian_any(x, c, diff, r, pw, gx, lam)
         if res < TOL_RES * u:
-            return _as_solution(q, c.m, spectrum, A, g, u, lam, res)
+            q = (c.K @ x).reshape(n, d)
+            _, _, _, g, u_q, lam_q, G, collided = _evaluate_q(q, c)
+            res_q = float(np.linalg.norm(G))
+            if not collided and res_q < TOL_RES * u_q:
+                return _as_solution(q, c.m, spectrum, A, g, u_q, lam_q, res_q)
 
         Ay = A @ y
         A2 = A @ A
-        scale_a = float(np.trace(A2)) / A.shape[0] or 1.0
+        scale_a = float(A2.trace()) / A.shape[0] or 1.0
 
         accepted = False
         for _ in range(30):
@@ -285,12 +257,15 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue
-            q_try, bad = _scale_q(q + (V @ z).reshape(n, d), c)
+            x_try = x + P @ z
+            size = math.sqrt(x_try @ x_try)
+            bad = not 0.0 < size < math.inf
             if not bad:
-                *trial, bad = _evaluate_q(q_try, c)
-            if not bad and (trial_merit := _residual_merit(trial[-1], c.w)) < merit:
-                q, merit = q_try, trial_merit
-                diff, r, pw, g, u, lam, G = trial
+                x_try = x_try / size
+                *trial, bad = _evaluate_x(x_try, c)
+            if not bad and (trial_merit := trial[-1] @ trial[-1]) < merit:
+                x, merit = x_try, trial_merit
+                diff, r, pw, gx, u, lam, a = trial
                 mu *= 0.25
                 accepted = True
                 break
@@ -366,11 +341,9 @@ def _descend(starts: np.ndarray, c: _Constants) -> np.ndarray:
     or colliding one) halves it.  A lane stops after 40 moves or at
     step * |v| <= 1e-10.  Each lane ends where it would alone, bitwise.
 
-    Unlike a Newton trial, each move keeps the centre-of-mass test
-    (core._normalize_q): v is tangent only up to the rounding of G's
-    pair-force sums, which is large against G next to a saddle, and the
-    drift adds up over the moves until the test fires (it does on the
-    saddle walks of masses (1, 2, 3) with S = diag(4, 3, 2, 1)).
+    Each move keeps the centre-of-mass test (core._normalize_q): v is
+    tangent only up to the rounding of G's pair-force sums, and the drift
+    adds up until the test fires (masses (1, 2, 3), S = diag(4, 3, 2, 1)).
     """
     q = np.array(starts, dtype=float)
     *_, u, _, G, collided = _evaluate_q(q, c)
@@ -433,27 +406,26 @@ def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
     for equal masses, the n!/2 canonical lines per axis for distinct ones.
     Per representative: the collinear point itself (it re-enters the census
     anyway, via the walks that stall at once), then its walks, mode by
-    mode, + then -.  The modes come from the representatives' restricted
-    Hessians and tangent bases, built by one stacked core._critical_models
-    call.  An enumeration or a model build that fails numerically
-    (SbcLabError) gives no seeds; any other error propagates.
+    mode, + then -, from one stacked core._critical_models model build.
+    An enumeration or a model build that fails numerically (SbcLabError)
+    gives no seeds; any other error propagates.
     """
     m, n, d = c.m, len(c.m), spectrum.d
     try:
         reps = _representatives(enumerate_csbc(m, spectrum), m)
-        *_, A, V = _critical_models(np.array([rec.q for rec in reps]), c)
+        *_, A, P = _critical_models(np.array([rec.q for rec in reps]), c)
     except SbcLabError:
         return []
     seeds: list[Configuration | None] = []  # None: the next walked start
     starts = []
-    for rec, a, v in zip(reps, A, V):
+    for rec, a, p in zip(reps, A, P):
         q, line = rec.q, _occupied(rec.q)
         seeds.append(Configuration(q, m))
         evals, evecs = np.linalg.eigh(a)
         for k in range(len(evals)):
             if evals[k] >= -NULL_TOL * rec.u:
                 break
-            direction = (v @ evecs[:, k]).reshape(n, d)
+            direction = (c.K @ (p @ evecs[:, k])).reshape(n, d)
             direction[:, ~(line | _occupied(direction))] = 0.0
             for sign in (1.0, -1.0):
                 start, bad = _scale_q(q + sign * SEED_OFFSET * direction, c)

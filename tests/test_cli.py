@@ -364,7 +364,9 @@ def _refused_before_the_run(capsys, monkeypatch, command, *argv):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("census", "--n", "1"), ("census", "--seed", "-1"), ("census", "--restarts", "-1"),
-    ("census", "--masses", "1,-1,1"), ("continue", "--steps", "0"), ("continue", "--d", "0"),
+    ("census", "--masses", "1,-1,1"), ("census", "--masses", "1,1e300,1"),
+    ("census", "--masses", "1,9.999999999999999e-06,1"), ("census", "--masses", "1,100000.00000000001,1"),
+    ("continue", "--steps", "0"), ("continue", "--d", "0"),
     ("check45", "--count", "0"),
     ("orbit", "--samples", "1"), ("orbit", "--census-id", "-1"),
     ("orbit", "--T", "nan"), ("orbit", "--T", "0"), ("flow", "--T", "inf"),

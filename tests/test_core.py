@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from sbclab.collinear import degeneracy_thresholds, enumerate_csbc, moulton_solv
 from sbclab.core import (
     Configuration,
     Spectrum,
+    _complement,
     _constants,
     _critical_models,
     _evaluate,
     _evaluate_q,
+    _evaluate_x,
+    _frame_of,
     _gradient_of,
     _hessian_of,
     _images,
@@ -25,10 +29,8 @@ from sbclab.core import (
     _normalize_q,
     _pairs,
     _potential_of,
-    _residual_merit,
     _restricted_hessian_any,
     _scale_q,
-    _tangent_basis_of,
     gradient,
     hessian,
     inertia_indices,
@@ -109,13 +111,29 @@ def test_every_entry_point_taking_masses_refuses_bad_ones():
         degeneracy_thresholds,
         lambda m: Configuration(np.eye(3, 2), m),
     )
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    lo, hi = core.MASS_RANGE
+    for bad in (0.0, -1.0, math.nan, math.inf,
+                np.nextafter(lo, 0.0), np.nextafter(hi, math.inf), 1e300):
         for call in entry_points:
             with pytest.raises(ValueError, match="finite positive"):
                 call(np.array([1.0, bad, 1.0]))
     for call in entry_points[:2]:
         with pytest.raises(ValueError, match="two or more"):
             call(np.ones(1))
+
+
+@pytest.mark.parametrize("s", [(1.5, 1.0), (3.0, 2.0, 1.0)])
+def test_masses_at_the_ends_of_their_range_run_without_warnings(s):
+    """Masses at either end of core.MASS_RANGE, alone or mixed, give a
+    census with solutions and no floating-point warning, with warnings
+    raised as errors (masses of 1e300 overflowed in m_i m_j and in the
+    collinear gap system before the range was checked)."""
+    lo, hi = core.MASS_RANGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in ([lo, hi, lo], [hi, lo, hi], [lo] * 3, [hi] * 3):
+            result = solver.census(np.array(m), Spectrum(s), 3, 0)
+            assert len(result.q) > 0 and result.failures == {"collision": 0, "max_iter": 0}
 
 
 def test_spectrum_validation():
@@ -466,19 +484,22 @@ def _weighted_point(rng, n: int, d: int):
 
 
 def _model(cfg, spec):
-    """_restricted_hessian_any at cfg from its own evaluation: (A, V, y)."""
-    diff, r, pw, g, _, lam, _ = _evaluate(cfg, spec)
+    """_restricted_hessian_any at cfg's frame coordinates from their own
+    frame pair pass: (A, V, y) with V = K P."""
     c = _constants(cfg.masses, spec.array)
-    return _restricted_hessian_any(cfg.q, c, diff, r, pw, g, lam)
+    x = _frame_of(cfg.q, c)
+    diff, r, pw, gx, _, lam, _, _ = _evaluate_x(x, c)
+    A, P, y = _restricted_hessian_any(x, c, diff, r, pw, gx, lam)
+    return A, c.K @ P, y
 
 
 def _one_model(cfg, spec):
-    """_critical_models at the single point cfg: (U, lam, |G|, A, V)."""
+    """_critical_models at the single point cfg: (U, lam, |G|, A, P)."""
     return _critical_models(cfg.q, _constants(cfg.masses, spec.array))
 
 
 def _assert_same_tangent_space(cfg, spec):
-    """QR basis against the Gram-Schmidt oracle: the same weighted
+    """Householder basis against the Gram-Schmidt oracle: the same weighted
     projector V V^T diag(w), and the same restricted-Hessian spectrum."""
     V = tangent_basis(cfg, spec)
     ref = gram_schmidt_tangent_basis(cfg, spec)
@@ -509,6 +530,9 @@ def test_tangent_basis_matches_gram_schmidt(n, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_residual_merit_equals_reduced_gradient_norm(n, d):
+    """The frame merit |a|^2, a = K^T G from the frame pair pass, equals
+    G^T W^-1 G of sbc_residual's G, and both equal |y|^2 = |V^T grad U|^2,
+    within 1e-12."""
     rng = np.random.default_rng(1000 + 10 * n + d)
     for _ in range(5):
         cfg, spec = _weighted_point(rng, n, d)
@@ -516,8 +540,11 @@ def test_residual_merit_equals_reduced_gradient_norm(n, d):
         _, _, y = _model(cfg, spec)
         reduced = float(y @ y)
         assert reduced > 1e-6 * potential(cfg) ** 2  # not a critical point
-        merit = _residual_merit(G, weight_vector(cfg, spec))
+        merit = float(G.ravel() @ (G.ravel() / weight_vector(cfg, spec)))
         assert merit == pytest.approx(reduced, rel=1e-12)
+        c = _constants(cfg.masses, spec.array)
+        a = _evaluate_x(_frame_of(cfg.q, c), c)[6]
+        assert float(a @ a) == pytest.approx(merit, rel=1e-12)
 
 
 def test_sbc_residual_matches_separate_evaluations_bitwise():
@@ -532,32 +559,73 @@ def test_sbc_residual_matches_separate_evaluations_bitwise():
 
 
 def test_restricted_hessian_any_is_the_projected_ambient_form():
-    """The array model from an evaluation's (diff, r, grad U, lam) equals
-    V^T hessian V, symmetrized, plus lam I, and V^T grad U, bit for bit,
-    with V from tangent_basis; lam I is lam V^T diag(w) V to rounding."""
-    rng = np.random.default_rng(13)
-    for n, d in [(2, 2), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)]:
+    """The frame model (A, P, y) from x's own frame pair pass equals
+    V^T hessian V, symmetrized, plus lam I, and V^T grad U, with V = K P and
+    hessian, gradient and lam from the public functions at q = K x, within
+    1e-12 relative, for n = 2..5 and d = 1..4 with unequal masses (n = 2,
+    d = 1 included, where the tangent space is empty); V is
+    weighted-orthonormal, so lam I is lam V^T diag(w) V, and the model at a
+    collinear root is the criticality-gated _critical_models one."""
+    for n in range(2, 6):
+        for d in range(1, 5):
+            _assert_frame_model_is_the_projected_form(np.random.default_rng(13 + 10 * n + d), n, d)
+
+
+def _assert_frame_model_is_the_projected_form(rng, n: int, d: int) -> None:
+    for _ in range(3):
         cfg, spec = _weighted_point(rng, n, d)
-        A, V, y = _model(cfg, spec)
-        ref_V = tangent_basis(cfg, spec)
-        B = ref_V.T @ hessian(cfg) @ ref_V
-        _, lam = sbc_residual(cfg, spec)
-        assert np.array_equal(V, ref_V)
-        assert np.array_equal(A, 0.5 * (B + B.T) + lam * np.eye(len(B)))
-        ambient = ref_V.T @ ambient_balance_hessian(cfg, spec) @ ref_V
-        assert np.allclose(A, 0.5 * (ambient + ambient.T), rtol=0.0, atol=1e-12 * lam)
-        assert np.array_equal(y, ref_V.T @ gradient(cfg).ravel())
-        # the criticality-gated form is the same model at a root
+        c = _constants(cfg.masses, spec.array)
+        x = _frame_of(cfg.q, c)
+        diff, r, pw, gx, u, lam, a, _ = _evaluate_x(x, c)
+        A, P, y = _restricted_hessian_any(x, c, diff, r, pw, gx, lam)
+        k = d * (n - 1) - 1
+        assert A.shape == (k, k) and P.shape == (k + 1, k) and y.shape == (k,)
+        at = Configuration((c.K @ x).reshape(n, d), cfg.masses)
+        V = c.K @ P
+        assert np.allclose(V.T @ (c.w[:, None] * V), np.eye(k), rtol=0.0, atol=1e-13)
+        B = V.T @ hessian(at) @ V
+        _, lam_q = sbc_residual(at, spec)
+        assert lam == pytest.approx(lam_q, rel=1e-14) and u == pytest.approx(potential(at), rel=1e-14)
+        ref = 0.5 * (B + B.T) + lam_q * np.eye(k)
+        scale = max(np.abs(ref).max(initial=0.0), lam)
+        assert np.allclose(A, ref, rtol=0.0, atol=1e-12 * scale)
+        ref_y = V.T @ gradient(at).ravel()
+        assert np.allclose(y, ref_y, rtol=0.0, atol=1e-12 * np.abs(gradient(at)).max())
+        ambient = V.T @ ambient_balance_hessian(at, spec) @ V
+        assert np.allclose(A, 0.5 * (ambient + ambient.T), rtol=0.0, atol=1e-12 * scale)
+    if n > 2:  # the criticality-gated form is the same model at a root
         line = _collinear_point(cfg.masses, spec, axis=d)
-        assert np.array_equal(_one_model(line, spec)[3], _model(line, spec)[0])
+        gated = _one_model(line, spec)[3]
+        assert np.allclose(gated, _model(line, spec)[0], rtol=0.0, atol=1e-12 * np.abs(gated).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(2, 6), st.integers(1, 4)).flatmap(lambda nd: st.tuples(
+        st.lists(st.floats(1e-3, 1e3), min_size=nd[0], max_size=nd[0]),
+        st.lists(st.floats(0.25, 4.0), min_size=nd[1], max_size=nd[1]),
+        st.integers(0, 2**32 - 1),
+    ))
+)
+def test_every_frame_point_is_centred(case):
+    """For any frame coordinates x, q = K x has its centre of mass at
+    rounding level, within 1e-15 of the coordinate scale (Configuration's
+    test is at TOL_COM = 1e-12), for masses over six decades: the solve
+    never needs to centre the points it visits."""
+    masses, s, seed = case
+    m, s = np.array(masses), np.array(sorted(s, reverse=True))
+    c = _constants(m, s)
+    x = np.random.default_rng(seed).standard_normal(c.K.shape[1])
+    q = (c.K @ x).reshape(len(m), len(s))
+    assert np.abs(m @ q / m.sum()).max() <= 1e-15 * np.abs(q).max()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_tangent_basis_lanes_equal_their_own_call(n, d):
-    """A (K, n, d) stack of points gives, lane by lane, the basis of the
-    lane's own call, bit for bit, for 1, 7 and 64 lanes, collinear lanes
-    included."""
+    """A (K, n, d) stack of points gives, lane by lane, the frame
+    coordinates and the Householder complement of the lane's own call, bit
+    for bit, for 1, 7 and 64 lanes, collinear lanes included."""
     rng = np.random.default_rng(4000 + 10 * n + d)
     s = np.array(sorted(1.0 + 2.0 * rng.random(d), reverse=True))
     c = _constants(0.5 + 2.0 * rng.random(n), s)
@@ -566,10 +634,12 @@ def test_tangent_basis_lanes_equal_their_own_call(n, d):
         q[::3, :, 1:] = 0.0
         q, bad = _normalize_q(q, c)
         assert not bad.any()
-        V = _tangent_basis_of(q, c)
-        assert V.shape == (lanes, n * d, d * (n - 1) - 1)
+        x = _frame_of(q, c)
+        P = _complement(x)
+        assert P.shape == (lanes, d * (n - 1), d * (n - 1) - 1)
         for k in range(lanes):
-            assert np.array_equal(V[k], _tangent_basis_of(q[k], c))
+            assert np.array_equal(x[k], _frame_of(q[k], c))
+            assert np.array_equal(P[k], _complement(x[k]))
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 3), (3, 2), (5, 4)])
@@ -584,7 +654,7 @@ def test_tangent_basis_of_a_translation_is_degenerate(n, d):
     for q in (np.zeros((n, d)), np.tile(rng.standard_normal(d), (n, 1))):
         for points in (q, np.array([good, q])):
             with pytest.raises(ValueError, match="constraints are dependent"):
-                _tangent_basis_of(points, c)
+                _frame_of(points, c)
     with pytest.raises(ValueError, match="constraints are dependent"):
         tangent_basis(Configuration(np.zeros((n, d)), c.m), Spectrum(tuple(c.s)))
 
@@ -592,9 +662,9 @@ def test_tangent_basis_of_a_translation_is_degenerate(n, d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_restricted_hessian_any_lanes_equal_their_own_call(n, d):
-    """A (K, n, d) stack gives, lane by lane, the (A, V, y) of the 2-D call
-    on that lane's arrays, bit for bit, for 1, 7 and 64 lanes; one
-    degenerate lane (q = 0) raises ValueError for the whole stack."""
+    """A (K, (n-1)d) stack of frame coordinates gives, lane by lane, the
+    frame pair pass and the (A, P, y) of the 1-lane call on that lane's
+    arrays, bit for bit, for 1, 7 and 64 lanes."""
     rng = np.random.default_rng(3000 + 10 * n + d)
     m = 0.5 + 2.0 * rng.random(n)
     s = np.array(sorted(1.0 + 2.0 * rng.random(d), reverse=True))
@@ -602,19 +672,20 @@ def test_restricted_hessian_any_lanes_equal_their_own_call(n, d):
     for lanes in (1, 7, 64):
         q, bad = _normalize_q(rng.standard_normal((lanes, n, d)), c)
         assert not bad.any()
-        diff, r, pw, g, _, lam, _, _ = _evaluate_q(q, c)
-        A, V, y = _restricted_hessian_any(q, c, diff, r, pw, g, lam)
-        assert len(A) == len(V) == len(y) == lanes
+        x = _frame_of(q, c)
+        frame = _evaluate_x(x, c)
+        diff, r, pw, gx, _, lam, _, _ = frame
+        model = _restricted_hessian_any(x, c, diff, r, pw, gx, lam)
+        assert len(model[0]) == len(model[1]) == len(model[2]) == lanes
         for k in range(lanes):
-            one = _restricted_hessian_any(q[k], c, diff[k], r[k], pw[k], g[k], float(lam[k]))
-            for stacked, single in zip((A[k], V[k], y[k]), one):
-                assert stacked.shape == single.shape
-                assert np.array_equal(stacked, single)
-    q[lanes // 2] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff, r, pw, g, _, lam, _, _ = _evaluate_q(q, c)
-    with pytest.raises(ValueError, match="constraints are dependent"):
-        _restricted_hessian_any(q, c, diff, r, pw, g, lam)
+            one = _evaluate_x(x[k], c)
+            for stacked, single in zip(frame, one):
+                assert np.shape(stacked[k]) == np.shape(single)
+                assert np.array_equal(stacked[k], single)
+            one_model = _restricted_hessian_any(x[k], c, *one[:4], one[5])
+            for stacked, single in zip(model, one_model):
+                assert stacked[k].shape == single.shape
+                assert np.array_equal(stacked[k], single)
 
 
 def test_stacked_critical_models_gate_each_lane():

@@ -327,7 +327,10 @@ def test_one_flow_integrator(monkeypatch, tmp_path):
 
 def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypatch):
     """One find_critical_point solve from a centred start evaluates each
-    point once, the start and every trial the line search keeps in play,
+    point once in the frame (core._evaluate_x), the start and every trial
+    the line search keeps in play, each on its own x, and builds each
+    iterate's model on an evaluated x; it evaluates the returned point once
+    in positions (core._evaluate_q), never rescales one (core._scale_q),
     and calls the centre-of-mass test only from the start's normalization
     (before and after its rescaling) and the returned Configuration."""
     import numpy as np
@@ -335,7 +338,7 @@ def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypat
     from sbclab import core, solver
     from sbclab.core import Configuration, Spectrum
 
-    log = {"recentre": [], "points": [], "evaluated": []}
+    log = {"recentre": [], "frame": [], "models": [], "positions": [], "scaled": []}
 
     def spy(module, name, record):
         real = getattr(module, name)
@@ -349,9 +352,10 @@ def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypat
 
     spy(core, "_recentre",
         lambda args, out: log["recentre"].append(traceback.extract_stack(limit=3)[0].name))
-    spy(solver, "_normalize_q", lambda args, out: log["points"].append(out))
-    spy(solver, "_scale_q", lambda args, out: log["points"].append(out))
-    spy(solver, "_evaluate_q", lambda args, out: log["evaluated"].append(args[0]))
+    spy(solver, "_evaluate_x", lambda args, out: log["frame"].append(args[0]))
+    spy(solver, "_restricted_hessian_any", lambda args, out: log["models"].append(args[0]))
+    spy(solver, "_evaluate_q", lambda args, out: log["positions"].append(args[0]))
+    spy(solver, "_scale_q", lambda args, out: log["scaled"].append(args[0]))
     rng = np.random.default_rng(23)
     for masses, spec in ((np.ones(3), Spectrum.planar(1.5)),
                          (np.array([1.0, 2.0, 3.0, 4.0]), Spectrum((3.0, 2.0, 1.0)))):
@@ -362,7 +366,10 @@ def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypat
             out = solver.find_critical_point(start, spec)
             assert isinstance(out, solver.SBCSolution)
             assert log["recentre"] == ["_normalize_q", "_normalize_q", "__post_init__"]
-            points = [q for q, bad in log["points"] if not bad]
+            assert log["scaled"] == []
+            points = log["frame"]
             assert len(points) > 2  # the start and at least two trials
-            assert len(log["evaluated"]) == len(points)
-            assert all(a is b for a, b in zip(log["evaluated"], points))
+            assert len({x.tobytes() for x in points}) == len(points)
+            assert all(any(m is x for x in points) for m in log["models"])
+            assert len(log["positions"]) == 1
+            assert log["positions"][0].tobytes() == out.config.q.tobytes()

@@ -157,29 +157,48 @@ def test_each_iterate_builds_one_restricted_hessian(monkeypatch):
 
 
 def test_solve_makes_one_pair_pass_per_evaluated_point(monkeypatch):
-    """The start and every trial point get one pairwise pass; an accepted
-    trial's pass also feeds its restricted Hessian, so no iterate is
-    paired again (counted through both core's and solver's names)."""
-    calls = {"pairs": 0, "points": 0}
-    pairs, evaluate_q = core._pairs, core._evaluate_q
+    """The start and every trial point get one frame pair pass
+    (core._evaluate_x), each on its own x; an accepted trial's pass also
+    feeds its restricted Hessian, so no iterate is paired again.  The
+    returned solution's point q = K x gets the one position-space pass
+    (core._evaluate_q, the one caller of core._pairs), counted through both
+    core's and solver's names."""
+    calls = {"pairs": 0, "positions": 0, "frame": [], "models": []}
+    pairs, evaluate_q, evaluate_x = core._pairs, core._evaluate_q, core._evaluate_x
+    build = core._restricted_hessian_any
 
     def counting_pairs(q):
         calls["pairs"] += 1
         return pairs(q)
 
     def counting_evaluate_q(*args):
-        calls["points"] += 1
+        calls["positions"] += 1
         return evaluate_q(*args)
+
+    def recording_evaluate_x(x, c):
+        calls["frame"].append(x)
+        return evaluate_x(x, c)
+
+    def recording_build(x, *args):
+        calls["models"].append(x)
+        return build(x, *args)
 
     monkeypatch.setattr(core, "_pairs", counting_pairs)
     for module in (core, solver):
         monkeypatch.setattr(module, "_evaluate_q", counting_evaluate_q)
+        monkeypatch.setattr(module, "_evaluate_x", recording_evaluate_x)
+    monkeypatch.setattr(solver, "_restricted_hessian_any", recording_build)
     rng = np.random.default_rng(3)
     q0 = equilateral() + 0.2 * rng.standard_normal((3, 2))
     sol = find_critical_point(Configuration(q0, np.ones(3)), Spectrum.planar(1.5))
     assert isinstance(sol, SBCSolution)
-    assert calls["points"] > 3
-    assert calls["pairs"] == calls["points"]
+    frame, models = calls["frame"], calls["models"]
+    assert len(frame) > 3
+    assert len({x.tobytes() for x in frame}) == len(frame)
+    assert all(any(m is x for x in frame) for m in models)
+    assert calls["positions"] == calls["pairs"] == 1
+    c = core._constants(np.ones(3), Spectrum.planar(1.5).array)
+    assert sol.config.q.tobytes() == (c.K @ models[-1]).reshape(3, 2).tobytes()
 
 
 def test_failure_max_iter(monkeypatch):
@@ -447,11 +466,11 @@ TANGENT_MOVE_CASES = [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5
 
 @pytest.mark.parametrize("n, d", TANGENT_MOVE_CASES)
 def test_tangent_moves_need_no_centre_of_mass_test(monkeypatch, n, d):
-    """Newton trials and saddle pushes go back on the sphere by scaling
-    alone (core._scale_q).  With the full core._normalize_q in its place,
-    the centre-of-mass tests included, no bit changes: not a solve's
-    outcome, from off-centre starts and a colliding one, nor a saddle
-    seed's pushed start, nor its descent's end point."""
+    """Saddle pushes go back on the sphere by scaling alone (core._scale_q),
+    and a solve's trials stay in the frame.  With the full core._normalize_q
+    in _scale_q's place, the centre-of-mass tests included, no bit changes:
+    not a solve's outcome, from off-centre starts and a colliding one, nor
+    a saddle seed's pushed start, nor its descent's end point."""
     rng = np.random.default_rng(2300 + 10 * n + d)
     m = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
     spec = Spectrum(tuple(sorted(1.0 + 2.0 * rng.random(d), reverse=True)))
@@ -557,7 +576,7 @@ def test_a_tangent_move_stays_centred(case):
         q, bad = core._normalize_q(rng.standard_normal((n, d)), c)
     assume(not bad)
     z = rng.uniform(-1.0, 1.0, d * (n - 1) - 1) * size * np.abs(q).max()
-    moved = q + (core._tangent_basis_of(q, c) @ z).reshape(n, d)
+    moved = q + (core.tangent_basis(Configuration(q, m), Spectrum(tuple(s))) @ z).reshape(n, d)
     assert core._recentre(moved, m, c.m_sum) is moved
 
 
