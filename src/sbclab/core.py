@@ -454,11 +454,10 @@ def _complement(x: np.ndarray) -> np.ndarray:
     (..., k): the last k - 1 columns of the Householder reflection
     I - v v^T / (|x| |v_0|), v = x + sign(x_0) |x| e_0, so P = I[:, 1:] -
     v x[1:]^T / (|x| |v_0|). Each lane is bitwise its own call."""
-    x_norm = np.sqrt(x[..., None, :] @ x[..., :, None])
+    s = np.copysign(np.sqrt(x[..., None, :] @ x[..., :, None]), x[..., None, :1])
     v = x.copy()
-    v[..., :1] += np.copysign(x_norm[..., 0], x[..., :1])  # |v_0| = |x_0| + |x|, exactly
-    return _eye(x.shape[-1])[:, 1:] - v[..., :, None] * (
-        x[..., None, 1:] / (x_norm * np.abs(v[..., None, :1])))
+    v[..., :1] += s[..., 0]  # s = sign(x_0) |x|: v_0 = x_0 + s, and s v_0 = |x| |v_0|
+    return _eye(x.shape[-1])[:, 1:] - v[..., :, None] * (x[..., None, 1:] / (s * v[..., None, :1]))
 
 
 def _restricted_hessian_any(x, c: _Constants, diff, r, pw, gx, lam):
@@ -480,7 +479,7 @@ def _restricted_hessian_any(x, c: _Constants, diff, r, pw, gx, lam):
     A = P.swapaxes(-1, -2) @ H @ P
     y = (gx[..., None, :] @ P)[..., 0, :]
     A = 0.5 * (A + A.swapaxes(-1, -2))
-    A.reshape(A.shape[:-2] + ((k0 - 1) ** 2,))[..., ::k0] += np.asarray(lam)[..., None]  # A is fresh
+    A.reshape(A.shape[:-2] + ((k0 - 1) ** 2,))[..., ::k0] += np.asarray(lam)[..., None]  # fresh A
     return A, P, y
 
 
