@@ -486,15 +486,16 @@ def _restricted_hessian_any(x, c: _Constants, diff, r, pw, gx, lam):
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _critical_models(q: np.ndarray, c: _Constants):
     """(U, lam, |G|, A, P) at critical points, raw (..., n, d) positions,
-    from one pair pass and one restricted Hessian for the whole stack.
+    for the whole stack from one position pass (U, lam and the gate) and
+    the solve's frame pass and restricted Hessian at x = _frame_of(q).
 
     A is the second variation of the constrained problem, D^2 U + lam (S x M)
-    on the tangent basis K P, (k, k) with k = d(n-1) - 1, built at q's frame
-    coordinates (_frame_of). The first lane that fails raises for the stack:
-    the collision guard's CollisionError, or NotCriticalError when the
-    balance residual |G| exceeds TOL_RES * U, with |G| from _residual_norm.
+    on the tangent basis K P, (k, k) with k = d(n-1) - 1. The first lane
+    that fails raises for the stack: the collision guard's CollisionError,
+    or NotCriticalError when the balance residual |G| exceeds TOL_RES * U,
+    with |G| from _residual_norm.
     """
-    diff, r, pw, g, u, lam, G, collided = _evaluate_q(q, c)
+    *_, u, lam, G, collided = _evaluate_q(q, c)
     n, d = q.shape[-2:]
     if np.any(collided):
         lane = np.argmax(np.ravel(collided))
@@ -505,12 +506,9 @@ def _critical_models(q: np.ndarray, c: _Constants):
         raise NotCriticalError(
             f"balance residual {np.ravel(res)[over.argmax()]:.3e} exceeds {TOL_RES:.1e} * U"
         )
-    lead, flat = q.shape[:-2], np.ravel_multi_index(_pair_indices(n), (n, n))
-    # np.take keeps the pair arrays C-ordered, as the lanes' bits need
-    diff, r, pw = (np.take(a.reshape(lead + (n * n,) + a.shape[q.ndim:]), flat, axis=len(lead))
-                   for a in (diff, r, pw))
-    gx = (g.reshape(lead + (1, -1)) @ c.K)[..., 0, :]
-    A, P, _ = _restricted_hessian_any(_frame_of(q, c), c, diff, r, pw, gx, lam)
+    x = _frame_of(q, c)
+    diff, r, pw, gx, _, lam_x, _, _ = _evaluate_x(x, c)
+    A, P, _ = _restricted_hessian_any(x, c, diff, r, pw, gx, lam_x)
     return u, lam, res, A, P
 
 

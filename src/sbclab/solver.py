@@ -234,14 +234,11 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
         return SearchFailure(cause="collision", iterations=0, residual=math.inf)
 
     eye = _eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)
-    mu, merit, w_min, a_it = 0.0, a @ a, c.w.min(), a
-    def g_norm(a):  # |G| = |w K a|
-        return math.sqrt((G := c.w * (c.K @ a)) @ G)
+    mu, res, merit = 0.0, math.inf, a @ a
     for it in range(MAX_ITER):
-        a_it = a
+        res = math.sqrt((G := c.w * (c.K @ a)) @ G)  # |G| = |w K a|
         A, P, y = _restricted_hessian_any(x, c, diff, r, pw, gx, lam)
-        # |G|^2 >= w_min |a|^2 (K^T W K = I): a larger merit fails the gate
-        if w_min * merit < (TOL_RES * u) ** 2 and g_norm(a) < TOL_RES * u:
+        if res < TOL_RES * u:
             q = (c.K @ x).reshape(n, d)
             _, _, _, g, u_q, lam_q, G, collided = _evaluate_q(q, c)
             res_q = float(np.linalg.norm(G))
@@ -274,9 +271,9 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
             mu = max(10.0 * mu, 1e-8)
         if not accepted:
             # merit-stationary without a root: cannot make progress
-            return SearchFailure(cause="max_iter", iterations=it + 1, residual=g_norm(a_it))
+            return SearchFailure(cause="max_iter", iterations=it + 1, residual=res)
 
-    return SearchFailure(cause="max_iter", iterations=MAX_ITER, residual=g_norm(a_it))
+    return SearchFailure(cause="max_iter", iterations=MAX_ITER, residual=res)
 
 
 # ---------------------------------------------------------------------------

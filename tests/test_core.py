@@ -563,12 +563,12 @@ def test_restricted_hessian_any_is_the_projected_ambient_form():
     V^T hessian V, symmetrized, plus lam I, and V^T grad U, with V = K P and
     hessian, gradient and lam from the public functions at q = K x, within
     1e-12 relative, for n = 2..5 and d = 1..4 with unequal masses (n = 2,
-    d = 1 included, where the tangent space is empty); V is
-    weighted-orthonormal, so lam I is lam V^T diag(w) V, and the model at a
-    collinear root is the criticality-gated _critical_models one."""
-    for n in range(2, 6):
-        for d in range(1, 5):
-            _assert_frame_model_is_the_projected_form(np.random.default_rng(13 + 10 * n + d), n, d)
+    d = 1 included, where the tangent space is empty) and for n = 6, d = 2;
+    V is weighted-orthonormal, so lam I is lam V^T diag(w) V, and the model
+    at a collinear root is the criticality-gated _critical_models one, bit
+    for bit."""
+    for n, d in [(n, d) for n in range(2, 6) for d in range(1, 5)] + [(6, 2)]:
+        _assert_frame_model_is_the_projected_form(np.random.default_rng(13 + 10 * n + d), n, d)
 
 
 def _assert_frame_model_is_the_projected_form(rng, n: int, d: int) -> None:
@@ -593,10 +593,9 @@ def _assert_frame_model_is_the_projected_form(rng, n: int, d: int) -> None:
         assert np.allclose(y, ref_y, rtol=0.0, atol=1e-12 * np.abs(gradient(at)).max())
         ambient = V.T @ ambient_balance_hessian(at, spec) @ V
         assert np.allclose(A, 0.5 * (ambient + ambient.T), rtol=0.0, atol=1e-12 * scale)
-    if n > 2:  # the criticality-gated form is the same model at a root
-        line = _collinear_point(cfg.masses, spec, axis=d)
-        gated = _one_model(line, spec)[3]
-        assert np.allclose(gated, _model(line, spec)[0], rtol=0.0, atol=1e-12 * np.abs(gated).max())
+    # the criticality-gated form is the same model at a root
+    line = _collinear_point(cfg.masses, spec, axis=d)
+    assert np.array_equal(_one_model(line, spec)[3], _model(line, spec)[0])
 
 
 @settings(max_examples=300, deadline=None)
