@@ -348,7 +348,7 @@ def _records(m: np.ndarray, spectrum: Spectrum, lines, axes) -> list[CollinearRe
             q[k, :, axis - 1] = x_hat / math.sqrt(spectrum.s[axis - 1])
         q = _read_only(_normalize_q(q, c)[0])
         # evaluate the points the records hold
-        u, lam, res, A, _ = _critical_models(q, c)
+        u, lam, res, A, *_ = _critical_models(q, c)
         computed = _triple_of(A, u)
         u, lam, res = u.tolist(), lam.tolist(), res.tolist()
         for k, ((ordering, x_hat, gap_res, iters, spectral), axis) in enumerate(chunk):

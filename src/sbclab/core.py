@@ -274,7 +274,8 @@ class _Constants(NamedTuple):
     K is closed-form: with C (n, n-1) the columns 1.. of the Householder
     reflection that sends e_0 to -sqrt(m / m.sum()), an orthonormal
     complement of that unit vector, K[(i, k), (j, l)] = delta_kl C[i, j] /
-    sqrt(m_i s_k)."""
+    sqrt(m_i s_k), block-diagonal per axis: column l of x.reshape(n - 1, d)
+    gives axis l of q = K x alone, exactly zero where that column is."""
 
     m: np.ndarray
     s: np.ndarray
@@ -398,25 +399,17 @@ def _recentre(q: np.ndarray, m: np.ndarray, m_sum: float) -> np.ndarray:
     return np.where(off[..., None, None], q - com[..., None, :], q)
 
 
-def _scale_q(q: np.ndarray, c: _Constants):
-    """(q / sqrt(I_S), bad) for raw (..., n, d) positions, bad marking
-    where I_S is not in (0, inf): non-finite q, all bodies at the origin,
-    or an I_S that overflows. No centre-of-mass test: besides _normalize_q,
-    it serves only saddle pushes, tangent moves from a centred point. One
-    point stays on Python scalars; callers silence numpy's warnings."""
-    i_s = _inertia_s(q, c.w)
-    if q.ndim == 2:
-        return q / math.sqrt(i_s), not 0.0 < i_s < math.inf
-    return q / np.sqrt(i_s)[..., None, None], ~((0.0 < i_s) & (i_s < math.inf))
-
-
 def _normalize_q(q: np.ndarray, c: _Constants):
     """normalize(Configuration(q, c.m), spectrum) on raw (..., n, d)
-    positions from any start: _scale_q between a centre-of-mass test before
-    and one after. Returns (q, bad) with _scale_q's bad, which covers
-    where normalize raises ValueError (non-finite q, I_S = 0)."""
-    q, bad = _scale_q(_recentre(q, c.m, c.m_sum), c)
-    return _recentre(q, c.m, c.m_sum), bad
+    positions from any start, one expression for a point or a stack: q /
+    sqrt(I_S) between a centre-of-mass test before and one after. Returns
+    (q, bad), bad where I_S is not in (0, inf): where normalize raises
+    ValueError (non-finite q, I_S = 0), or I_S overflows. Callers silence
+    numpy's warnings."""
+    q = _recentre(q, c.m, c.m_sum)
+    i_s = np.asarray(_inertia_s(q, c.w))
+    q = _recentre(q / np.sqrt(i_s)[..., None, None], c.m, c.m_sum)
+    return q, ~((0.0 < i_s) & (i_s < math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +478,10 @@ def _restricted_hessian_any(x, c: _Constants, diff, r, pw, gx, lam):
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _critical_models(q: np.ndarray, c: _Constants):
-    """(U, lam, |G|, A, P) at critical points, raw (..., n, d) positions,
-    for the whole stack from one position pass (U, lam and the gate) and
-    the solve's frame pass and restricted Hessian at x = _frame_of(q).
+    """(U, lam, |G|, A, P, x) at critical points, raw (..., n, d)
+    positions, for the whole stack from one position pass (U, lam and the
+    gate) and the solve's frame pass and restricted Hessian at the frame
+    coordinates x = _frame_of(q), which it returns.
 
     A is the second variation of the constrained problem, D^2 U + lam (S x M)
     on the tangent basis K P, (k, k) with k = d(n-1) - 1. The first lane
@@ -509,7 +503,7 @@ def _critical_models(q: np.ndarray, c: _Constants):
     x = _frame_of(q, c)
     diff, r, pw, gx, _, lam_x, _, _ = _evaluate_x(x, c)
     A, P, _ = _restricted_hessian_any(x, c, diff, r, pw, gx, lam_x)
-    return u, lam, res, A, P
+    return u, lam, res, A, P, x
 
 
 def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:
@@ -520,7 +514,7 @@ def inertia_indices(config: Configuration, spectrum: Spectrum) -> InertiaTriple:
     NotCriticalError away from a balanced configuration.
     """
     _check_dims(config, spectrum)
-    u, _, _, A, _ = _critical_models(config.q, _constants(config.masses, spectrum.array))
+    u, _, _, A, *_ = _critical_models(config.q, _constants(config.masses, spectrum.array))
     return _triple_of(A, u)
 
 

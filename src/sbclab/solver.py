@@ -48,7 +48,6 @@ from .core import (
     _pairs,
     _residual_norm,
     _restricted_hessian_any,
-    _scale_q,
     _triple_of,
     mass_vector,
     symmetry_group,
@@ -158,8 +157,9 @@ def classify_support(config: Configuration) -> str:
 
 
 def _occupied(q: np.ndarray) -> np.ndarray:
-    """Per axis of (n, d) positions q: whether some |coordinate| on it
-    exceeds OCCUPANCY_TOL times the largest one."""
+    """Per axis (column) of (n, d) positions q, or of (n - 1, d) frame
+    coordinates: whether some |entry| on it exceeds OCCUPANCY_TOL times the
+    largest one."""
     amp = np.max(np.abs(q), axis=0)
     return amp > OCCUPANCY_TOL * amp.max()
 
@@ -331,37 +331,39 @@ def _congruence_classes(q: np.ndarray) -> int:
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _descend(starts: np.ndarray, c: _Constants) -> np.ndarray:
-    """Projected steepest descent on U along the sphere from a (B, n, d)
-    stack of normalized starts, walked in lockstep; returns the end points.
+    """Projected steepest descent on U along the sphere from a (B, (n-1)d)
+    stack of unit frame coordinates x (core._Constants), walked in
+    lockstep; returns the end points' x.
 
-    Walks seeds out of the Newton basin of the saddle they start next to,
-    along the inverse-weighted residual.  A trial that lowers U is taken
-    and grows the lane's step by 1.3; any other (or a non-finite, I_S <= 0
-    or colliding one) halves it.  A lane stops after 40 moves or at
-    step * |v| <= 1e-10.  Each lane ends where it would alone, bitwise.
-
-    Each move keeps the centre-of-mass test (core._normalize_q): v is
-    tangent only up to the rounding of G's pair-force sums, and the drift
-    adds up until the test fires (masses (1, 2, 3), S = diag(4, 3, 2, 1)).
+    Walks seeds out of the Newton basin of the saddle they start next to.
+    A move is x - step v over its own norm, v = a / U with a = K^T G from
+    core._evaluate_x: W^-1 G = K a, so v is the inverse-weighted residual
+    in the frame, divided by U to be free of the mass scale.  A trial that
+    lowers U is taken and grows the lane's step by 1.3; any other (or a
+    non-finite, zero or colliding one) halves it.  A lane stops after 40
+    moves or at step * |v| <= 1e-10.  Each x maps to a centred q = K x, so
+    no move needs a centre-of-mass test.  Each lane ends as it would alone.
     """
-    q = np.array(starts, dtype=float)
-    *_, u, _, G, collided = _evaluate_q(q, c)
+    x = np.array(starts, dtype=float)
+    *_, u, _, a, collided = _evaluate_x(x, c)
     live = ~collided
-    step = np.full(len(q), 0.1)
-    moves = np.zeros(len(q), dtype=int)
+    step = np.full(len(x), 0.1)
+    moves = np.zeros(len(x), dtype=int)
     while True:
         lanes = np.flatnonzero(live)
-        v = -(G[lanes] / c.W)
-        trying = step[lanes] * np.sqrt(np.einsum("bij,bij->b", v, v)) > 1e-10
+        v = a[lanes] / u[lanes, None]
+        trying = step[lanes] * np.sqrt((v * v).sum(axis=-1)) > 1e-10
         live[lanes[~trying]] = False
         lanes, v = lanes[trying], v[trying]
         if not len(lanes):
-            return q
-        q_new, bad = _normalize_q(q[lanes] + step[lanes, None, None] * v, c)
-        *_, u_new, _, G_new, collided = _evaluate_q(q_new, c)
-        better = ~bad & ~collided & (u_new < u[lanes])
+            return x
+        x_new = x[lanes] - step[lanes, None] * v
+        size = np.sqrt((x_new * x_new).sum(axis=-1))
+        x_new /= size[:, None]
+        *_, u_new, _, a_new, collided = _evaluate_x(x_new, c)
+        better = (0.0 < size) & (size < math.inf) & ~collided & (u_new < u[lanes])
         moved = lanes[better]
-        q[moved], u[moved], G[moved] = q_new[better], u_new[better], G_new[better]
+        x[moved], u[moved], a[moved] = x_new[better], u_new[better], a_new[better]
         step[moved] *= 1.3
         step[lanes[~better]] *= 0.5
         moves[moved] += 1
@@ -391,14 +393,16 @@ def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
     The counting results predict non-collinear solutions adjacent to the
     collinear family.  A plain Newton start right next to a saddle would
     simply re-converge to it, so each seed is pushed off along a downhill
-    eigendirection, and walked further downhill (all in one _descend call).
-    A record is centred by construction and the direction is tangent, so
-    the push goes back on I_S = 1 by scaling alone (core._scale_q).  The
-    direction is set to exactly zero on the axes that neither the point nor
-    the mode occupies (_occupied, as classify_support counts them), so the
-    push stays on its mode's invariant coordinate subspace: the residual
-    keeps exact zeros there, and so does every move of the walk, which
-    then does not depend on the tangent basis's rounding off that subspace.
+    eigendirection and walked further downhill (all in one _descend call),
+    in frame coordinates: a push is x +- SEED_OFFSET * P e_k over its norm,
+    x and P from the record's model build, and a walk's end x gives the
+    seed q = K x.  Each mode's sign is fixed first (its first component
+    above 1e-6 of its largest is positive), so the model's rounding cannot
+    swap its + and - walks.  The push is exactly zero on the axes (columns
+    of x.reshape(n - 1, d), core._Constants) that neither the point nor
+    the mode occupies (_occupied, as classify_support counts them), so it
+    stays on its mode's invariant coordinate subspace, as does every move
+    of the walk, which then does not depend on rounding off that subspace.
     The walks from the other points of an orbit are images of these, and
     census closes its catalogue under the group, so only the orbit
     representatives (_representatives) are walked: one record per axis
@@ -412,27 +416,28 @@ def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
     m, n, d = c.m, len(c.m), spectrum.d
     try:
         reps = _representatives(enumerate_csbc(m, spectrum), m)
-        *_, A, P = _critical_models(np.array([rec.q for rec in reps]), c)
+        *_, A, P, X = _critical_models(np.array([rec.q for rec in reps]), c)
     except SbcLabError:
         return []
     seeds: list[Configuration | None] = []  # None: the next walked start
     starts = []
-    for rec, a, p in zip(reps, A, P):
-        q, line = rec.q, _occupied(rec.q)
-        seeds.append(Configuration(q, m))
+    for rec, a, p, x in zip(reps, A, P, X):
+        seeds.append(Configuration(rec.q, m))
         evals, evecs = np.linalg.eigh(a)
         for k in range(len(evals)):
             if evals[k] >= -NULL_TOL * rec.u:
                 break
-            direction = (c.K @ (p @ evecs[:, k])).reshape(n, d)
-            direction[:, ~(line | _occupied(direction))] = 0.0
+            mode = evecs[:, k]
+            lead = mode[np.argmax(np.abs(mode) > 1e-6 * np.abs(mode).max())]
+            direction = (p @ (math.copysign(1.0, lead) * mode)).reshape(n - 1, d)
+            direction[:, ~(_occupied(rec.q) | _occupied(direction))] = 0.0
             for sign in (1.0, -1.0):
-                start, bad = _scale_q(q + sign * SEED_OFFSET * direction, c)
-                if not bad:
-                    seeds.append(None)
-                    starts.append(start)
+                start = x + sign * SEED_OFFSET * direction.ravel()
+                seeds.append(None)
+                starts.append(start / math.sqrt(start @ start))
     walked = iter(_descend(np.array(starts), c) if starts else ())
-    return [Configuration(next(walked), m) if c is None else c for c in seeds]
+    return [Configuration((c.K @ next(walked)).reshape(n, d), m) if seed is None else seed
+            for seed in seeds]
 
 
 def _near(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:

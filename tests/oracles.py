@@ -16,10 +16,9 @@ import numpy as np
 from sbclab.core import (
     Configuration,
     Spectrum,
-    _evaluate,
+    _evaluate_x,
     gradient,
     hessian,
-    normalize,
     potential,
     sbc_residual,
 )
@@ -213,36 +212,46 @@ def sum_potential_of(m: np.ndarray, r: np.ndarray):
     return (np.outer(m, m)[iu] / r[..., iu[0], iu[1]]).sum(axis=-1)
 
 
-def serial_descend(
-    config: Configuration, spectrum: Spectrum, steps: int = 40, first_step: float = 0.1
-) -> np.ndarray:
-    """One saddle-seed descent walked alone, with try/except rejections:
-    the loop solver._descend runs in lockstep. Returns the end positions."""
-    w = weight_vector(config, spectrum)
+def serial_descend(x: np.ndarray, c, steps: int = 40, first_step: float = 0.1) -> np.ndarray:
+    """One saddle-seed descent from unit frame coordinates x (constants c
+    of core._constants) walked alone, with try/except rejections: the loop
+    solver._descend runs in lockstep. Returns the end's frame coordinates."""
+
+    def evaluate(point):  # (U, a), or CollisionError where the guard trips
+        *_, u, _, a, collided = _evaluate_x(point[None], c)
+        if collided[0]:
+            raise CollisionError("trial collides")
+        return u[0], a[0]
+
+    def unit(point):
+        size = math.sqrt((point * point).sum())
+        if not 0.0 < size < math.inf:
+            raise ValueError("trial is not on the sphere")
+        return point / size
+
     step = first_step
-    *_, u, _, G = _evaluate(config, spectrum)
+    u, a = evaluate(x)
     for _ in range(steps):
-        v = -(G.ravel() / w).reshape(config.n, config.d)
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            break
+        v = a / u
+        vnorm = math.sqrt((v * v).sum())
         moved = False
         while step * vnorm > 1e-10:
             try:
-                cand = normalize(Configuration(config.q + step * v, config.masses), spectrum)
-                *_, u_new, _, G_new = _evaluate(cand, spectrum)
+                with np.errstate(all="ignore"):
+                    cand = unit(x - step * v)
+                    u_new, a_new = evaluate(cand)
             except (CollisionError, ValueError):
                 step *= 0.5
                 continue
             if u_new < u:
-                config, u, G = cand, u_new, G_new
+                x, u, a = cand, u_new, a_new
                 step *= 1.3
                 moved = True
                 break
             step *= 0.5
         if not moved:
             break
-    return config.q
+    return x
 
 
 def catalogue_wide_closure(outcomes, m: np.ndarray, group, tol: float) -> list:

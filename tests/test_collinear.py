@@ -472,6 +472,6 @@ def test_numpy_eigenvalues_agree_with_scipy_eigh():
     assert result.solutions
     for sol in result.solutions:
         c = core._constants(sol.config.masses, spectrum.array)
-        u, _, _, A, _ = core._critical_models(sol.config.q, c)
+        u, _, _, A, *_ = core._critical_models(sol.config.q, c)
         ref = _scipy_agrees(np.linalg.eigvalsh(A), A)
         assert core._triple_of(A, u) == sol.triple == _triple(ref, u)

@@ -30,7 +30,6 @@ from sbclab.core import (
     _pairs,
     _potential_of,
     _restricted_hessian_any,
-    _scale_q,
     gradient,
     hessian,
     inertia_indices,
@@ -414,22 +413,24 @@ def test_inertia_s_lanes_equal_the_one_point_call(case):
         assert type(one) is float and one == stacked[k]
 
 
-def test_scale_q_lanes_equal_the_one_point_path():
-    """_scale_q takes one point on Python scalars and a stack with numpy;
-    each lane of a stack is bitwise its own call, and bad marks a NaN, all
-    bodies at the origin and an I_S that overflows, in either form."""
+def test_normalize_q_lanes_equal_the_one_point_path():
+    """_normalize_q is one expression for a point and a stack: each lane of
+    a stack is bitwise its own call, off-centre lanes included, and bad
+    marks a NaN, all bodies at the origin and an I_S that overflows, in
+    either form."""
     rng = np.random.default_rng(23)
     c = _constants(np.array([0.5, 1.0, 2.0, 3.0]), np.array([2.0, 1.5, 1.0]))
     q = rng.standard_normal((6, 4, 3))
     q[1, 2, 0] = np.nan
     q[2] = 0.0
     q[3] *= 1e160
+    q[4] += 1e3 * rng.standard_normal(3)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scaled, bad = _scale_q(q, c)
-        lanes = [_scale_q(lane, c) for lane in q]
+        scaled, bad = _normalize_q(q, c)
+        lanes = [_normalize_q(lane, c) for lane in q]
     assert bad.tolist() == [False, True, True, True, False, False]
     for k, (one, one_bad) in enumerate(lanes):
-        assert type(one_bad) is bool and one_bad == bad[k]
+        assert not one_bad.shape and one_bad == bad[k]
         if not one_bad:
             assert np.array_equal(one, scaled[k])
             assert _inertia_s(one, c.w) == pytest.approx(1.0, rel=1e-14)
@@ -494,7 +495,7 @@ def _model(cfg, spec):
 
 
 def _one_model(cfg, spec):
-    """_critical_models at the single point cfg: (U, lam, |G|, A, P)."""
+    """_critical_models at the single point cfg: (U, lam, |G|, A, P, x)."""
     return _critical_models(cfg.q, _constants(cfg.masses, spec.array))
 
 
@@ -604,19 +605,30 @@ def _assert_frame_model_is_the_projected_form(rng, n: int, d: int) -> None:
         st.lists(st.floats(1e-3, 1e3), min_size=nd[0], max_size=nd[0]),
         st.lists(st.floats(0.25, 4.0), min_size=nd[1], max_size=nd[1]),
         st.integers(0, 2**32 - 1),
+        st.floats(1e-6, 1e6),
     ))
 )
 def test_every_frame_point_is_centred(case):
     """For any frame coordinates x, q = K x has its centre of mass at
-    rounding level, within 1e-15 of the coordinate scale (Configuration's
-    test is at TOL_COM = 1e-12), for masses over six decades: the solve
-    never needs to centre the points it visits."""
-    masses, s, seed = case
+    rounding level, within 1e-15 of the coordinate scale, and passes
+    Configuration's test (TOL_COM = 1e-12) untouched, for masses over six
+    decades.  So do the points the saddle seeding visits: a push of unit x
+    along its tangent complement, x + P z with |z| up to 1e6, divided by its
+    norm, and the ends of the descent walks (solver._descend) from both.
+    Neither the solve nor the seeding needs to centre a point."""
+    masses, s, seed, size = case
     m, s = np.array(masses), np.array(sorted(s, reverse=True))
+    n, d = len(m), len(s)
     c = _constants(m, s)
-    x = np.random.default_rng(seed).standard_normal(c.K.shape[1])
-    q = (c.K @ x).reshape(len(m), len(s))
-    assert np.abs(m @ q / m.sum()).max() <= 1e-15 * np.abs(q).max()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(c.K.shape[1])
+    unit = x / math.sqrt(x @ x)
+    pushed = unit + _complement(unit) @ (size * rng.uniform(-1.0, 1.0, len(x) - 1))
+    pushed /= math.sqrt(pushed @ pushed)
+    for point in (x, unit, pushed, *solver._descend(np.array([unit, pushed]), c)):
+        q = (c.K @ point).reshape(n, d)
+        assert np.abs(m @ q / m.sum()).max() <= 1e-15 * np.abs(q).max()
+        assert core._recentre(q, m, c.m_sum) is q
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -697,10 +709,12 @@ def test_stacked_critical_models_gate_each_lane():
     lines = [_collinear_point(m, spec, axis=axis) for axis in (1, 2, 3)]
     q = np.array([c.q for c in lines])
     c = _constants(m, spec.array)
-    u, lam, res, A, _ = _critical_models(q, c)
+    u, lam, res, A, P, x = _critical_models(q, c)
     for k, line in enumerate(lines):
         assert (u[k], lam[k], res[k]) == _one_model(line, spec)[:3]
-        assert np.array_equal(A[k], _one_model(line, spec)[3])
+        for stacked, single in zip((A, P, x), _one_model(line, spec)[3:]):
+            assert np.array_equal(stacked[k], single)
+        assert np.array_equal(x[k], _frame_of(line.q, c))
     off = normalize(random_configuration(rng, 3, 3, masses=m), spec)
     with pytest.raises(NotCriticalError) as single:
         _one_model(off, spec)

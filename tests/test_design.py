@@ -330,15 +330,15 @@ def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypat
     point once in the frame (core._evaluate_x), the start and every trial
     the line search keeps in play, each on its own x, and builds each
     iterate's model on an evaluated x; it evaluates the returned point once
-    in positions (core._evaluate_q), never rescales one (core._scale_q),
-    and calls the centre-of-mass test only from the start's normalization
-    (before and after its rescaling) and the returned Configuration."""
+    in positions (core._evaluate_q), and calls the centre-of-mass test only
+    from the start's normalization (before and after its rescaling) and the
+    returned Configuration."""
     import numpy as np
 
     from sbclab import core, solver
     from sbclab.core import Configuration, Spectrum
 
-    log = {"recentre": [], "frame": [], "models": [], "positions": [], "scaled": []}
+    log = {"recentre": [], "frame": [], "models": [], "positions": []}
 
     def spy(module, name, record):
         real = getattr(module, name)
@@ -355,7 +355,6 @@ def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypat
     spy(solver, "_evaluate_x", lambda args, out: log["frame"].append(args[0]))
     spy(solver, "_restricted_hessian_any", lambda args, out: log["models"].append(args[0]))
     spy(solver, "_evaluate_q", lambda args, out: log["positions"].append(args[0]))
-    spy(solver, "_scale_q", lambda args, out: log["scaled"].append(args[0]))
     rng = np.random.default_rng(23)
     for masses, spec in ((np.ones(3), Spectrum.planar(1.5)),
                          (np.array([1.0, 2.0, 3.0, 4.0]), Spectrum((3.0, 2.0, 1.0)))):
@@ -366,10 +365,57 @@ def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypat
             out = solver.find_critical_point(start, spec)
             assert isinstance(out, solver.SBCSolution)
             assert log["recentre"] == ["_normalize_q", "_normalize_q", "__post_init__"]
-            assert log["scaled"] == []
             points = log["frame"]
             assert len(points) > 2  # the start and at least two trials
             assert len({x.tobytes() for x in points}) == len(points)
             assert all(any(m is x for x in points) for m in log["models"])
             assert len(log["positions"]) == 1
             assert log["positions"][0].tobytes() == out.config.q.tobytes()
+
+
+def test_only_starts_and_library_entry_centre_a_point(monkeypatch):
+    """Across whole censuses, the centre-of-mass test (core._recentre) runs
+    only inside core._normalize_q and at library entry (Configuration), and
+    _normalize_q only from _sample_start, find_critical_point's start and
+    the collinear records (collinear._records).  So neither _saddle_seeds
+    nor _descend calls either, and no call at all happens inside a descent
+    walk: the seeding works in frame coordinates, whose every point is
+    centred (masses (1, 2, 3) with S = diag(4, 3, 2, 1) are the walks on
+    which the test used to fire)."""
+    import numpy as np
+
+    from sbclab import collinear, core, solver
+    from sbclab.core import Spectrum
+
+    callers = {"_recentre": set(), "_normalize_q": set()}
+    walking, walks = [], []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            callers[name].add(traceback.extract_stack(limit=2)[0].name)
+            assert not walking, f"{name} called inside a descent walk"
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(core, "_recentre")
+    for module in (core, solver, collinear):
+        spy(module, "_normalize_q")
+    descend = solver._descend
+
+    def walk(starts, c):
+        walks.append(len(starts))
+        walking.append(True)
+        ends = descend(starts, c)
+        walking.clear()
+        return ends
+
+    monkeypatch.setattr(solver, "_descend", walk)
+    for masses, spec in ((np.array([1.0, 2.0, 3.0]), Spectrum((4.0, 3.0, 2.0, 1.0))),
+                         (np.ones(4), Spectrum.planar(1.5))):
+        solver.census(masses, spec, 3, seed=2)
+    assert len(walks) == 2 and min(walks) > 0
+    assert callers == {"_recentre": {"__post_init__", "_normalize_q"},
+                       "_normalize_q": {"_sample_start", "find_critical_point", "_records"}}

@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from sbclab import core, solver
 from sbclab.collinear import moulton_solve
@@ -438,26 +436,28 @@ def test_continue_branch_lost_on_hopeless_budget(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("d", [2, 3])
 def test_descend_lanes_walk_as_if_alone(n, d):
-    """Each lane of the lockstep walk ends bitwise where a 1-lane call and
-    the serial try/except walk end; a colliding start stays put."""
+    """Each lane of the lockstep walk, a stack of unit frame coordinates,
+    ends bitwise where a 1-lane call and the serial try/except walk end;
+    a colliding start (all bodies at one point for n = 2) stays put."""
     rng = np.random.default_rng(10 * n + d)
     m = 1.0 + 2.0 * rng.random(n)
     spectrum = Spectrum((2.5, 1.5, 1.0)[-d:])
+    c = core._constants(m, spectrum.array)
     line = moulton_solve(m, tuple(range(1, n + 1)), 1, spectrum).config.q
     pushed = [line + 0.05 * rng.standard_normal((n, d)) for _ in range(4)]
     pushed += [random_configuration(rng, n, d, masses=m).q for _ in range(4)]
-    starts = np.array([normalize(Configuration(q, m), spectrum).q for q in pushed])
-    collided = starts[0].copy()
-    collided[1] = collided[0]
-    starts = np.concatenate([starts, collided[None]])
+    starts = [core._frame_of(normalize(Configuration(q, m), spectrum).q, c) for q in pushed]
+    collided = pushed[0].copy()
+    collided[1] = collided[0]  # for n = 2 a translation, whose x is 0
+    starts = np.array(starts + [core._frame_of(collided, c) if n > 2 else 0.0 * starts[0]])
 
-    c = core._constants(m, spectrum.array)
     ends = solver._descend(starts, c)
-    assert np.array_equal(ends[-1], collided)
+    assert ends.shape == starts.shape
+    assert np.array_equal(ends[-1], starts[-1])
     for start, end in zip(starts[:-1], ends[:-1]):
         assert not np.array_equal(start, end)
         assert np.array_equal(solver._descend(start[None], c)[0], end)
-        assert np.array_equal(serial_descend(Configuration(start, m), spectrum), end)
+        assert np.array_equal(serial_descend(start, c), end)
 
 
 # (n, d) cases: n 3-5 and d 1-4 each covered
@@ -466,118 +466,93 @@ TANGENT_MOVE_CASES = [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5
 
 @pytest.mark.parametrize("n, d", TANGENT_MOVE_CASES)
 def test_tangent_moves_need_no_centre_of_mass_test(monkeypatch, n, d):
-    """Saddle pushes go back on the sphere by scaling alone (core._scale_q),
-    and a solve's trials stay in the frame.  With the full core._normalize_q
-    in _scale_q's place, the centre-of-mass tests included, no bit changes:
-    not a solve's outcome, from off-centre starts and a colliding one, nor
-    a saddle seed's pushed start, nor its descent's end point."""
+    """Every point that the saddle seeding and a solve move to is a frame
+    point, and core._recentre leaves its q = K x untouched: the pushes that
+    _saddle_seeds walks, every move of its walks (solver._descend), and the
+    start and every trial of solves from off-centre starts and a colliding
+    one.  (test_every_frame_point_is_centred is the property for any x;
+    these are the points the program builds.)"""
     rng = np.random.default_rng(2300 + 10 * n + d)
     m = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
     spec = Spectrum(tuple(sorted(1.0 + 2.0 * rng.random(d), reverse=True)))
+    c = core._constants(m, spec.array)
     starts = [Configuration(rng.standard_normal((n, d)) + 10.0 ** rng.uniform(0, 6)
                             * rng.standard_normal(d), m) for _ in range(5)]
     colliding = rng.standard_normal((n, d))
     colliding[1] = colliding[0]
     starts.append(Configuration(colliding, m))
-    descend = solver._descend
+    points, walks = [], []
+    evaluate_x, descend = solver._evaluate_x, solver._descend
 
-    def run():
-        walks = []
+    def recording_evaluate_x(x, c):
+        points.append(np.atleast_2d(x))
+        return evaluate_x(x, c)
 
-        def recording(pushed, c):
-            ends = descend(pushed, c)
-            walks.append((pushed.tobytes(), ends.tobytes()))
-            return ends
+    def recording_descend(pushed, c):
+        walks.append(pushed)
+        return descend(pushed, c)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_descend", recording)
-            seeds = [s.q.tobytes() for s in solver._saddle_seeds(core._constants(m, spec.array), spec)]
-        return [_outcome_bits(find_critical_point(start, spec)) for start in starts], walks, seeds
-
-    scaled = run()
-    outcomes, walks, _ = scaled
-    assert any(len(bits) > 1 for bits in outcomes)  # some solve converges
-    assert outcomes[-1] == (repr(SearchFailure("collision", 0, math.inf)),)
+    monkeypatch.setattr(solver, "_evaluate_x", recording_evaluate_x)
+    monkeypatch.setattr(solver, "_descend", recording_descend)
+    solver._saddle_seeds(c, spec)
+    outcomes = [find_critical_point(start, spec) for start in starts]
     assert len(walks) == (d > 1)  # a line has no downhill mode
-    monkeypatch.setattr(solver, "_scale_q", core._normalize_q)
-    assert run() == scaled
-
-
-def test_descent_moves_need_the_centre_of_mass_test(monkeypatch):
-    """A descent move is tangent only up to the rounding of the residual's
-    pair-force sums, which adds up over the moves, so _descend keeps
-    core._normalize_q: on the saddle walks of masses (1, 2, 3) with
-    S = diag(4, 3, 2, 1) its centre-of-mass test fires."""
-    m, spec = np.array([1.0, 2.0, 3.0]), Spectrum((4.0, 3.0, 2.0, 1.0))
-    fired, walking = [], []
-    recentre, descend = core._recentre, solver._descend
-
-    def recording_recentre(q, m, m_sum):
-        out = recentre(q, m, m_sum)
-        if walking:
-            fired.append(not np.array_equal(out, q))
-        return out
-
-    def walk(starts, c):
-        walking.append(True)
-        ends = descend(starts, c)
-        walking.clear()
-        return ends
-
-    monkeypatch.setattr(core, "_recentre", recording_recentre)
-    monkeypatch.setattr(solver, "_descend", walk)
-    solver._saddle_seeds(core._constants(m, spec.array), spec)
-    assert any(fired)
+    assert any(isinstance(out, SBCSolution) for out in outcomes)
+    assert outcomes[-1] == SearchFailure("collision", 0, math.inf)
+    q = (np.concatenate(points) @ c.K.T).reshape(-1, n, d)
+    assert len(q) > 5 * (len(walks[0]) if walks else 1)
+    assert np.array_equal(core._recentre(q, m, c.m_sum), q, equal_nan=True)
 
 
 def test_saddle_pushes_stay_on_their_invariant_axes(monkeypatch):
-    """Each saddle push is exactly zero on the axes that neither its
-    collinear point nor its mode occupies, and so is the walk's end; with
-    no random restart, n = 3 equal masses with S = diag(4, 3, 2, 1) then
-    give the complete 144-point catalogue, which passes morse-check."""
+    """Each saddle push is exactly zero on the columns of x.reshape(n - 1, d)
+    (the axes) that neither its collinear point nor its mode occupies, and
+    so is the walk's end, in x and in q = K x; with no random restart,
+    n = 3 equal masses with S = diag(4, 3, 2, 1) then give the complete
+    144-point catalogue, which passes morse-check."""
     walks = []
     descend = solver._descend
 
     def recording_descend(starts, c):
         ends = descend(starts, c)
-        walks.append((starts, ends))
+        walks.append((starts, ends, c.K))
         return ends
 
     monkeypatch.setattr(solver, "_descend", recording_descend)
     result = census(np.ones(3), Spectrum((4.0, 3.0, 2.0, 1.0)), 0, seed=0)
-    (starts, ends), = walks
-    dead = np.all(starts == 0.0, axis=1)  # (walk, axis): exactly zero
+    (starts, ends, K), = walks
+    dead = np.all(starts.reshape(-1, 2, 4) == 0.0, axis=1)  # (walk, axis): exactly zero
     assert dead.sum(axis=1).min() >= 2  # a line and one mode leave two axes
-    assert np.all(ends[np.repeat(dead[:, None, :], 3, axis=1)] == 0.0)
+    assert np.all(ends.reshape(-1, 2, 4)[np.repeat(dead[:, None, :], 2, axis=1)] == 0.0)
+    q = (ends @ K.T).reshape(-1, 3, 4)
+    assert np.all(q[np.repeat(dead[:, None, :], 3, axis=1)] == 0.0)
     assert len(result.q) == 144
     check = morse_inequality_check(index_counts(result.triple), 3, 4)
     assert check.divisible and check.nonnegative
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(3, 5).flatmap(lambda n: st.tuples(
-        st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
-        st.lists(st.floats(0.25, 4.0), min_size=1, max_size=4),
-        st.integers(0, 2**32 - 1),
-        st.floats(1e-6, 1e6),
-    ))
-)
-def test_a_tangent_move_stays_centred(case):
-    """From a centred point on the sphere, q + V z for a tangent basis V
-    passes the centre-of-mass test untouched, for masses over six decades
-    and moves up to 1e6 times the coordinate scale."""
-    masses, s, seed, size = case
-    m, s = np.array(masses), np.array(sorted(s, reverse=True))
-    n, d = len(m), len(s)
-    rng = np.random.default_rng(seed)
-    c = core._constants(m, s)
-    with np.errstate(all="ignore"):
-        q, bad = core._normalize_q(rng.standard_normal((n, d)), c)
-    assume(not bad)
-    z = rng.uniform(-1.0, 1.0, d * (n - 1) - 1) * size * np.abs(q).max()
-    moved = q + (core.tangent_basis(Configuration(q, m), Spectrum(tuple(s))) @ z).reshape(n, d)
-    assert core._recentre(moved, m, c.m_sum) is moved
+@pytest.mark.parametrize("masses, s", [
+    ((1.0, 1.0, 1.0), (1.5, 1.0)),
+    ((1.0, 2.0, 3.0), (4.0, 3.0, 2.0, 1.0)),
+    ((1.0, 1.0, 1.0, 1.0), (3.0, 2.0, 1.0)),
+])
+def test_saddle_seeds_do_not_depend_on_eigenvector_signs(monkeypatch, masses, s):
+    """Each downhill mode's sign is fixed before its pushes, so an eigh
+    that negates its eigenvectors leaves every saddle seed bitwise as it
+    was: the + and - walks of a mode do not swap with the model's rounding."""
+    m, spec = np.array(masses), Spectrum(s)
+    c = core._constants(m, spec.array)
+    seeds = solver._saddle_seeds(c, spec)
+    assert any(solver._occupied(seed.q).sum() > 1 for seed in seeds)  # modes were pushed
+    plain = [seed.q.tobytes() for seed in seeds]
+    eigh = np.linalg.eigh
+
+    def negated(a):
+        evals, evecs = eigh(a)
+        return evals, -evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", negated)
+    assert [seed.q.tobytes() for seed in solver._saddle_seeds(c, spec)] == plain
 
 
 def _kept_by_closed(args: tuple) -> tuple[list[int], np.ndarray]:
@@ -843,16 +818,19 @@ def test_constants_never_leak_between_problems():
 def test_census_of_scaled_masses_is_the_unit_catalogue_rescaled(c):
     """Multiplying every mass by c scales the balanced points on I_S = 1 by
     1/sqrt(c): equal masses c give the unit-mass catalogue as a set, after
-    rescaling by sqrt(c).  (The gate |G| < TOL_RES * U is not scale-free,
-    so far larger or smaller c do not.)"""
-    spec = Spectrum.planar(1.5)
-    unit = census(np.ones(3), spec, 20, 1)
-    scaled = census(np.full(3, c), spec, 20, 1)
-    assert len(scaled.q) == len(unit.q) > 0
-    m = np.ones(3)
-    rescaled = scaled.q * math.sqrt(c)
-    assert _nearest(rescaled, unit.q, m).max() < solver.DEDUP_TOL
-    assert _nearest(unit.q, rescaled, m).max() < solver.DEDUP_TOL
+    rescaling by sqrt(c), with random restarts and from the saddle seeds
+    alone (their descent steps along a / U, which does not scale).  (The
+    gate |G| < TOL_RES * U is not scale-free, so far larger or smaller c
+    do not.)"""
+    for n, s, restarts, seed in ((3, (1.5, 1.0), 20, 1), (3, (1.5, 1.0), 0, 0),
+                                 (4, (1.5, 1.0), 0, 0), (3, (3.0, 2.0, 1.0), 3, 0)):
+        spec, m = Spectrum(s), np.ones(n)
+        unit = census(m, spec, restarts, seed)
+        scaled = census(np.full(n, c), spec, restarts, seed)
+        assert len(scaled.q) == len(unit.q) > 0
+        rescaled = scaled.q * math.sqrt(c)
+        assert _nearest(rescaled, unit.q, m).max() < solver.DEDUP_TOL
+        assert _nearest(unit.q, rescaled, m).max() < solver.DEDUP_TOL
 
 
 def test_saddle_seeds_propagate_programming_errors(monkeypatch):
