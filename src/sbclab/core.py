@@ -165,11 +165,14 @@ def _pairwise(config: Configuration):
     than DELTA_COL * scale."""
     diff, r = _pairs(config.q)
     if _collided(config.q, r):
-        raise CollisionError(
-            f"minimum separation {r.min():.3e} below {DELTA_COL:.1e} * scale"
-            if config.scale else "all bodies coincide at the origin"
-        )
+        raise _collision(r if config.scale else None)
     return diff, r
+
+
+def _collision(r) -> CollisionError:
+    """The guard's error at pair distances r, or with all bodies at the origin (r None)."""
+    return CollisionError("all bodies coincide at the origin" if r is None else
+                          f"minimum separation {r.min():.3e} below {DELTA_COL:.1e} * scale")
 
 
 @lru_cache(maxsize=None)
@@ -202,17 +205,16 @@ def _potential_of(mm: np.ndarray, r: np.ndarray):
     return float(u) if u.ndim == 0 else u
 
 
-def _gradient_of(mm: np.ndarray, diff: np.ndarray, r: np.ndarray):
-    """(grad U, pw) from the kernel's diff, r and mm = np.outer(m, m), with
-    pw the pair weights m_i m_j / r_ij^3, which _hessian_of reuses."""
-    pw = mm / r**3
-    return np.einsum("...ij,...ijk->...ik", pw, diff), pw
+def _gradient_of(mm: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """grad U from the kernel's diff, r and mm = np.outer(m, m): row i is
+    sum_j m_i m_j (q_j - q_i) / r_ij^3."""
+    return np.einsum("...ij,...ijk->...ik", mm / r**3, diff)
 
 
 def potential(config: Configuration) -> float:
     """Newtonian potential U(q) = sum_{i<j} m_i m_j / |q_i - q_j|."""
-    _, r = _pairwise(config)
-    return _potential_of(np.outer(config.masses, config.masses), r)
+    *_, u, _, _ = _evaluate(config, Spectrum.identity(config.d))
+    return float(u)
 
 
 def gradient(config: Configuration) -> np.ndarray:
@@ -221,8 +223,8 @@ def gradient(config: Configuration) -> np.ndarray:
     Sign convention: the equations of motion read M qdd = grad U(q), i.e.
     row i is sum_{j != i} m_i m_j (q_j - q_i) / r_ij^3.
     """
-    diff, r = _pairwise(config)
-    return _gradient_of(np.outer(config.masses, config.masses), diff, r)[0]
+    c, *_, gx, _, _, _ = _evaluate(config, Spectrum.identity(config.d))
+    return _ambient(gx, c)
 
 
 def hessian(config: Configuration) -> np.ndarray:
@@ -230,23 +232,13 @@ def hessian(config: Configuration) -> np.ndarray:
 
     Off-diagonal body blocks are (m_i m_j / r^3)(I - 3 u u^T) with u the
     unit separation vector; each diagonal block is minus the sum of its
-    row's off-diagonal blocks (translation invariance).
+    row's off-diagonal blocks (translation invariance). It is (W K) H (W K)^T,
+    symmetrized, with H the Hessian in frame coordinates (_frame_hessian).
     """
-    diff, r = _pairwise(config)
-    return _hessian_of(_gradient_of(np.outer(config.masses, config.masses), diff, r)[1], diff, r)
-
-
-def _hessian_of(pw: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """hessian from the kernel's (..., n, n, d) diff and r and the pair
-    weights pw of _gradient_of: one (n*d, n*d) matrix per leading index."""
-    n, d = diff.shape[-2:]
-    u = diff / r[..., None]
-    blocks = pw[..., None, None] * (
-        _eye(d) - 3.0 * (u[..., :, None] * u[..., None, :])
-    )
-    # blocks is fresh, so the reshape is a view of its diagonal blocks
-    blocks.reshape(r.shape[:-2] + (n * n, d, d))[..., :: n + 1, :, :] = -blocks.sum(axis=-3)
-    return np.swapaxes(blocks, -3, -2).reshape(diff.shape[:-3] + (n * d, n * d))
+    c, _, diff, r, pw, *_ = _evaluate(config, Spectrum.identity(config.d))
+    L = c.w[:, None] * c.K
+    B = L @ _frame_hessian(c, diff, r, pw) @ L.T
+    return 0.5 * (B + B.T)
 
 
 def _inertia_s(q: np.ndarray, w: np.ndarray):
@@ -321,34 +313,33 @@ def sbc_residual(config: Configuration, spectrum: Spectrum):
     array and lam = U(q) / I_S(q). G vanishes exactly at an S-balanced
     configuration.
     """
-    *_, lam, G = _evaluate(config, spectrum)
-    return G, lam
+    c, *_, lam, a = _evaluate(config, spectrum)
+    return _ambient(a, c), float(lam)
+
+
+def _evaluate(config: Configuration, spectrum: Spectrum):
+    """(c, x, diff, r, pw, gx, U, lam, a): the constants c (_constants) and
+    _frame_pass at config, behind every public evaluation. K x is q's
+    translation-free part: a centre-of-mass offset below TOL_COM * scale,
+    which Configuration leaves in place, drops out."""
+    _check_dims(config, spectrum)
+    c = _constants(config.masses, spectrum.array)
+    return (c, *_frame_pass(config.q, c))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _evaluate(config: Configuration, spectrum: Spectrum):
-    """(diff, r, pw, grad U, U, lam, G) at q from one pairwise pass.
-
-    Guarded by the collision test; the values are those of _pairs,
-    _gradient_of, gradient, potential and sbc_residual, bit for bit.
-    """
-    _check_dims(config, spectrum)
-    *values, collided = _evaluate_q(config.q, _constants(config.masses, spectrum.array))
-    if collided:
-        _pairwise(config)  # raises the guard's CollisionError
-    return tuple(values)
-
-
-def _evaluate_q(q: np.ndarray, c: _Constants):
-    """_evaluate on raw (..., n, d) positions, with a mask for its raise:
-    (diff, r, pw, grad U, U, lam, G, collided); values where collided are
-    garbage, so callers silence numpy's floating-point warnings."""
-    diff, r = _pairs(q)
-    g, pw = _gradient_of(c.mm, diff, r)
-    u = _potential_of(c.mm, r)
-    lam = u / _inertia_s(q, c.w)
-    G = g + np.asarray(lam)[..., None, None] * c.W * q
-    return diff, r, pw, g, u, lam, G, _collided(q, r)
+def _frame_pass(q: np.ndarray, c: _Constants):
+    """(x, diff, r, pw, gx, U, lam, a): _evaluate_x at x = _frame_of(q) of
+    raw (..., n, d) positions, raising the guard's CollisionError for the
+    first lane that trips it (all bodies at the origin before _frame_of)."""
+    if not np.abs(q).max(axis=(-2, -1)).all():
+        raise _collision(None)
+    x = _frame_of(q, c)
+    *values, collided = _evaluate_x(x, c)
+    if np.any(collided):
+        r = values[1]
+        raise _collision(r.reshape(-1, r.shape[-1])[np.argmax(np.ravel(collided))])
+    return (x, *values)
 
 
 def _evaluate_x(x: np.ndarray, c: _Constants):
@@ -365,18 +356,24 @@ def _evaluate_x(x: np.ndarray, c: _Constants):
     e = c.mm_p / r  # the pairs' terms of U
     pw = e / (r * r)
     u = e.sum(axis=-1)
-    gx = -((pw[..., None] * diff).reshape(xr.shape[:-1] + (-1,)) @ D)[..., 0, :]
+    gx = -((pw[..., None] * diff).reshape(xr.shape[:-1] + (len(D),)) @ D)[..., 0, :]
     lam = u / (xr @ x[..., None])[..., 0, 0]
     return diff, r, pw, gx, u, lam, gx + lam[..., None] * x, _collided(xr @ c.K.T, r)
 
 
-def _residual_norm(G: np.ndarray):
-    """|G| of raw (..., n, d) residuals, one per leading index, as
-    sqrt(G . G) from one dot product per lane: bitwise np.linalg.norm of
-    each lane, as a solve takes it."""
-    n, d = G.shape[-2:]
-    Gf = G.reshape(G.shape[:-2] + (1, n * d))
-    return np.sqrt(Gf @ Gf.swapaxes(-1, -2))[..., 0, 0]
+def _ambient(v: np.ndarray, c: _Constants) -> np.ndarray:
+    """W K v of frame vectors v (..., (n-1)d) as raw (..., n, d) arrays, one
+    row product per lane: grad U of gx and G of a, as U(q) = U(K K^T W q)."""
+    return ((v[..., None, :] @ c.K.T) * c.w).reshape(v.shape[:-1] + c.W.shape)
+
+
+def _residual_norm(a: np.ndarray, c: _Constants):
+    """|G| = |W K a| of frame residuals a (..., (n-1)d), a float or one per
+    leading index, each lane bitwise its own call and np.linalg.norm of its
+    G = _ambient(a, c)."""
+    G = _ambient(a, c).reshape(a.shape[:-1] + (1, len(c.w)))
+    res = np.sqrt(G @ G.swapaxes(-1, -2))[..., 0, 0]
+    return float(res) if res.ndim == 0 else res
 
 
 def normalize(config: Configuration, spectrum: Spectrum) -> Configuration:
@@ -434,7 +431,7 @@ def _frame_of(q: np.ndarray, c: _Constants) -> np.ndarray:
     """Frame coordinates x = K^T diag(w) q of raw (..., n, d) positions,
     one row product per lane; ValueError when a lane is degenerate,
     |x| <= 1e-10 |sqrt(w) q|, as for q = 0 or a translation."""
-    qf = q.reshape(q.shape[:-2] + (1, -1))
+    qf = q.reshape(q.shape[:-2] + (1, len(c.w)))  # an empty stack too
     wq = qf * c.w
     x = wq @ c.K
     if (x @ x.swapaxes(-1, -2) <= 1e-20 * (wq @ qf.swapaxes(-1, -2))).any():
@@ -453,21 +450,28 @@ def _complement(x: np.ndarray) -> np.ndarray:
     return _eye(x.shape[-1])[:, 1:] - v[..., :, None] * (x[..., None, 1:] / (s * v[..., None, :1]))
 
 
+def _frame_hessian(c: _Constants, diff, r, pw) -> np.ndarray:
+    """The Hessian of U in the frame coordinates x, (..., (n-1)d, (n-1)d),
+    from x's pair pass (diff, r, pw as _evaluate_x gives them): H =
+    3 T^T diag(pw) T - sum_p pw_p D_p^T D_p, T_p = D_p^T diff_p / r_p."""
+    T = ((diff / r[..., None])[..., None, :] @ c.D)[..., 0, :]
+    H = 3.0 * (T.swapaxes(-1, -2) * pw[..., None, :]) @ T
+    H -= (pw[..., None, :] @ c.DtD).reshape(H.shape)
+    return H
+
+
 def _restricted_hessian_any(x, c: _Constants, diff, r, pw, gx, lam):
     """Restricted second variation without the criticality gate.
 
     At frame coordinates x (..., (n-1)d), from the point's own pair pass
-    (diff, r, pw, gx, lam as _evaluate_x gives them). The Hessian of U in x
-    is H = 3 T^T diag(pw) T - sum_p pw_p D_p^T D_p, T_p = D_p^T diff_p / r_p.
-    Returns (A, P, y), P = _complement(x), A = P^T H P, symmetrized, plus
-    lam I, and y = P^T gx: V^T D^2 U V + lam I and V^T grad U on the tangent
-    basis V = K P, the Newton model of an iterate, and at a root the matrix
-    whose inertia classifies it. Each lane is bitwise its own call.
+    (diff, r, pw, gx, lam as _evaluate_x gives them). Returns (A, P, y),
+    P = _complement(x), A = P^T H P (H from _frame_hessian), symmetrized,
+    plus lam I, and y = P^T gx: V^T D^2 U V + lam I and V^T grad U on the
+    tangent basis V = K P, the Newton model of an iterate, and at a root the
+    matrix whose inertia classifies it. Each lane is bitwise its own call.
     """
     k0 = x.shape[-1]
-    T = ((diff / r[..., None])[..., None, :] @ c.D)[..., 0, :]
-    H = 3.0 * (T.swapaxes(-1, -2) * pw[..., None, :]) @ T
-    H -= (pw[..., None, :] @ c.DtD).reshape(H.shape)
+    H = _frame_hessian(c, diff, r, pw)
     P = _complement(x)
     A = P.swapaxes(-1, -2) @ H @ P
     y = (gx[..., None, :] @ P)[..., 0, :]
@@ -476,12 +480,10 @@ def _restricted_hessian_any(x, c: _Constants, diff, r, pw, gx, lam):
     return A, P, y
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _critical_models(q: np.ndarray, c: _Constants):
     """(U, lam, |G|, A, P, x) at critical points, raw (..., n, d)
-    positions, for the whole stack from one position pass (U, lam and the
-    gate) and the solve's frame pass and restricted Hessian at the frame
-    coordinates x = _frame_of(q), which it returns.
+    positions, for the whole stack from one frame pass (_frame_pass) at
+    x = _frame_of(q), which it returns, and its restricted Hessian.
 
     A is the second variation of the constrained problem, D^2 U + lam (S x M)
     on the tangent basis K P, (k, k) with k = d(n-1) - 1. The first lane
@@ -489,20 +491,14 @@ def _critical_models(q: np.ndarray, c: _Constants):
     or NotCriticalError when the balance residual |G| exceeds TOL_RES * U,
     with |G| from _residual_norm.
     """
-    *_, u, lam, G, collided = _evaluate_q(q, c)
-    n, d = q.shape[-2:]
-    if np.any(collided):
-        lane = np.argmax(np.ravel(collided))
-        _pairwise(Configuration(q.reshape(-1, n, d)[lane], c.m))  # raises
-    res = _residual_norm(G)
+    x, diff, r, pw, gx, u, lam, a = _frame_pass(q, c)
+    res = _residual_norm(a, c)
     over = np.ravel(res > TOL_RES * u)
     if over.any():
         raise NotCriticalError(
             f"balance residual {np.ravel(res)[over.argmax()]:.3e} exceeds {TOL_RES:.1e} * U"
         )
-    x = _frame_of(q, c)
-    diff, r, pw, gx, _, lam_x, _, _ = _evaluate_x(x, c)
-    A, P, _ = _restricted_hessian_any(x, c, diff, r, pw, gx, lam_x)
+    A, P, _ = _restricted_hessian_any(x, c, diff, r, pw, gx, lam)
     return u, lam, res, A, P, x
 
 

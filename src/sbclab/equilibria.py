@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import TOL_RES, _evaluate, _gradient_of, _pairs
+from .core import TOL_RES, _evaluate, _gradient_of, _pairs, _residual_norm
 from .errors import NotPlanarError
 from .solver import SBCSolution
 
@@ -85,8 +85,8 @@ def lift(base: SBCSolution) -> RelativeEquilibriumOrbit:
     if s < 1.0:
         raise ValueError("the first weight must satisfy s >= 1")
 
-    *_, u, lam, G = _evaluate(config, base.spectrum)
-    resid = float(np.linalg.norm(G))
+    c, *_, u, lam, a = _evaluate(config, base.spectrum)
+    resid = _residual_norm(a, c)
     if resid > TOL_RES * u:
         raise ValueError(
             f"base is not balanced: residual {resid:.3e} exceeds {TOL_RES * u:.3e}"
@@ -116,7 +116,7 @@ def newton_residual(orbit: RelativeEquilibriumOrbit, times) -> float:
     worst = 0.0
     for start in range(0, times.size, RESIDUAL_BLOCK):
         t = times[start:start + RESIDUAL_BLOCK]
-        field = _gradient_of(mm, *_pairs(orbit.positions(t)))[0] / masses[:, None]
+        field = _gradient_of(mm, *_pairs(orbit.positions(t))) / masses[:, None]
         defect = orbit.accelerations(t) - field
         ratio = np.linalg.norm(defect, axis=(1, 2)) / np.linalg.norm(field, axis=(1, 2))
         worst = max(worst, float(ratio.max()))

@@ -90,7 +90,7 @@ def _flow_rhs(q: np.ndarray, c: _Constants):
     the same point; c holds the problem's constants (core._constants)."""
     diff, r = _pairs(q)
     u = _potential_of(c.mm, r)
-    qdot = _gradient_of(c.mm, diff, r)[0] / c.W + np.asarray(u)[..., None, None] * q
+    qdot = _gradient_of(c.mm, diff, r) / c.W + np.asarray(u)[..., None, None] * q
     return qdot, u, diff, r
 
 

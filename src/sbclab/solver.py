@@ -34,11 +34,11 @@ from .core import (
     Configuration,
     InertiaTriple,
     Spectrum,
+    _ambient,
     _check_dims,
     _constants,
     _Constants,
     _critical_models,
-    _evaluate_q,
     _evaluate_x,
     _eye,
     _frame_of,
@@ -84,7 +84,7 @@ class SBCSolution:
 class SearchFailure:
     """A single search that did not produce a solution."""
 
-    cause: str  # "collision" | "max_iter"
+    cause: str  # "collision" | "max_iter" | "stalled"
     iterations: int
     residual: float
 
@@ -175,20 +175,21 @@ def _central(q: np.ndarray, m: np.ndarray, g: np.ndarray, u) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", c, c)) < TOL_RES * u
 
 
-def _as_solution(q: np.ndarray, m: np.ndarray, spectrum: Spectrum, A: np.ndarray,
-                 g: np.ndarray, u: float, lam: float, res: float) -> SBCSolution:
-    """Classify a converged point from its evaluation (grad U, U, lam) and
+def _as_solution(q: np.ndarray, c: _Constants, spectrum: Spectrum, A: np.ndarray,
+                 gx: np.ndarray, u, lam, res: float) -> SBCSolution:
+    """Classify a converged point from its frame pass (gx, U, lam, |G|) and
     restricted Hessian A; builds the solution's one Configuration."""
-    config = Configuration(q, m)
+    config = Configuration(q, c.m)
     classification = classify_support(config)
     return SBCSolution(
         config=config,
         spectrum=spectrum,
-        lam=lam,
+        lam=float(lam),
         residual_norm=res,
         triple=_triple_of(A, u),
         classification=classification,
-        is_cc=classification.startswith("collinear") or bool(_central(config.q, m, g, u)),
+        is_cc=classification.startswith("collinear")
+        or bool(_central(config.q, c.m, _ambient(gx, c), u)),
     )
 
 
@@ -217,11 +218,12 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     rejected trials' warnings.  Per point, the start and every trial: one
     frame pair pass (core._evaluate_x).  Per iterate: one restricted Hessian
     from that pass (_restricted_hessian_any), for the step or the inertia
-    triple.  Where |G| = |w K a| < TOL_RES * U, q = K x gets one pass of its
-    own (_evaluate_q), whose grad U, U, lam and |G| give the solution's row
-    and have the final say on the gate.  At most MAX_ITER iterations; a
-    collision or stagnation returns a SearchFailure, a spectrum whose
-    dimension differs from the configuration's raises ValueError.
+    triple.  Where |G| = |W K a| < TOL_RES * U, q = K x gets one frame pass
+    of its own, at x' = _frame_of(q) as in sbc_residual, whose grad U, U,
+    lam and |G| give the solution's row and have the final say on the gate.
+    A collision, MAX_ITER iterations or an iterate whose 30 trials all fail
+    return a SearchFailure ("collision", "max_iter", "stalled"); a spectrum
+    whose dimension differs from the configuration's raises ValueError.
     """
     n, d = q0.n, q0.d
     _check_dims(q0, spectrum)  # raises ValueError on a dimension mismatch
@@ -236,14 +238,14 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
     eye = _eye(d * (n - 1) - 1)  # damping identity on the tangent space, len(y)
     mu, res, merit = 0.0, math.inf, a @ a
     for it in range(MAX_ITER):
-        res = math.sqrt((G := c.w * (c.K @ a)) @ G)  # |G| = |w K a|
+        res = _residual_norm(a, c)
         A, P, y = _restricted_hessian_any(x, c, diff, r, pw, gx, lam)
         if res < TOL_RES * u:
             q = (c.K @ x).reshape(n, d)
-            _, _, _, g, u_q, lam_q, G, collided = _evaluate_q(q, c)
-            res_q = float(np.linalg.norm(G))
+            _, _, _, gx_q, u_q, lam_q, a_q, collided = _evaluate_x(_frame_of(q, c), c)
+            res_q = _residual_norm(a_q, c)
             if not collided and res_q < TOL_RES * u_q:
-                return _as_solution(q, c.m, spectrum, A, g, u_q, lam_q, res_q)
+                return _as_solution(q, c, spectrum, A, gx_q, u_q, lam_q, res_q)
 
         Ay = A @ y
         A2 = A @ A
@@ -271,7 +273,7 @@ def find_critical_point(q0: Configuration, spectrum: Spectrum) -> SBCSolution | 
             mu = max(10.0 * mu, 1e-8)
         if not accepted:
             # merit-stationary without a root: cannot make progress
-            return SearchFailure(cause="max_iter", iterations=it + 1, residual=res)
+            return SearchFailure(cause="stalled", iterations=it + 1, residual=res)
 
     return SearchFailure(cause="max_iter", iterations=MAX_ITER, residual=res)
 
@@ -486,18 +488,19 @@ def _closed(
     one solution lie far inside DEDUP_TOL, distinct ones far outside.
 
     A find's row comes from its solve.  The new images are evaluated
-    together in one _evaluate_q call and one central test (_central), and
-    keep their source's triple and classification, which the group leaves
-    unchanged; residual, lambda and is_cc come from their own evaluation,
-    the residual as a solve takes it (core._residual_norm), and q is the
-    exact image, so no image builds a Configuration.  An image whose
-    residual misses TOL_RES * U gets one find_critical_point polish, whose
-    solution gives its row; a failed polish is tallied and leaves the image
-    out.  Returns (rows, failures by cause, polishes made).
+    together, one _evaluate_x pass at their stacked _frame_of and one central
+    test (_central, grad U = W K gx), and keep their source's triple and
+    classification, which the group leaves unchanged; residual, lambda and
+    is_cc come from their own evaluation, the residual as a solve takes it
+    (core._residual_norm), and q is the exact image, so no image builds a
+    Configuration.  An image whose residual misses TOL_RES * U gets one
+    find_critical_point polish, whose solution gives its row; a failed
+    polish is tallied and leaves the image out.  Returns (rows, failures by
+    cause, polishes made).
     """
     m, n, d = c.m, len(c.m), spectrum.d
     w = np.repeat(m, d)
-    failures = {"collision": 0, "max_iter": 0}
+    failures = {"collision": 0, "max_iter": 0, "stalled": 0}
     listed = np.empty((0, n * d))
     orbits = []  # (source solution, its new images other than itself)
     for out in outcomes:
@@ -512,9 +515,9 @@ def _closed(
         orbits.append((out, images[keep][1:].reshape(-1, n, d)))
 
     q = np.concatenate([imgs for _, imgs in orbits] or [np.empty((0, n, d))])
-    *_, g, u, lam, G, collided = _evaluate_q(q, c)
-    res = _residual_norm(G)
-    central = _central(q, m, g, u)
+    _, _, _, gx, u, lam, a, collided = _evaluate_x(_frame_of(q, c), c)
+    res = _residual_norm(a, c)
+    central = _central(q, m, _ambient(gx, c), u)
     rows: list[tuple] = []
     polishes = k = 0  # k: the next image's lane of the stacked evaluation
     for sol, imgs in orbits:

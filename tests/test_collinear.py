@@ -317,10 +317,12 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
     """One gap solve per distinct tuple of masses in line order over the
     canonical orderings (one for equal masses), one stacked spectrum call
     for the n!/2 canonical lines (one per mirror pair of orderings), no
-    Configuration, and one stacked evaluation and restricted Hessian for all
-    records; every record is bitwise the record a fresh moulton_solve on
-    its axis gives."""
-    calls = {"gaps": 0, "spectra": 0, "built": 0, "evaluated": 0, "models": 0}
+    Configuration, and one stacked frame pass and restricted Hessian for all
+    records, with no position pass (core._pairs) while the records are
+    built; every record is bitwise the record a fresh moulton_solve on its
+    axis gives."""
+    calls = {"gaps": 0, "spectra": 0, "built": 0, "evaluated": 0, "models": 0, "paired": 0}
+    building = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -330,7 +332,23 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
 
     monkeypatch.setattr(collinear, "_ordered_cc_gaps", counted("gaps", collinear._ordered_cc_gaps))
     monkeypatch.setattr(collinear, "ccc_spectrum", counted("spectra", collinear.ccc_spectrum))
-    monkeypatch.setattr(core, "_evaluate_q", counted("evaluated", core._evaluate_q))
+    monkeypatch.setattr(core, "_evaluate_x", counted("evaluated", core._evaluate_x))
+    pairs, build_records = core._pairs, collinear._records
+
+    def paired(*args):
+        calls["paired"] += len(building)
+        return pairs(*args)
+
+    def recording(*args):
+        building.append(True)
+        try:
+            return build_records(*args)
+        finally:
+            building.clear()
+
+    monkeypatch.setattr(core, "_pairs", paired)
+    monkeypatch.setattr(collinear, "_pairs", paired)
+    monkeypatch.setattr(collinear, "_records", recording)
     monkeypatch.setattr(
         core, "_restricted_hessian_any", counted("models", core._restricted_hessian_any)
     )
@@ -350,6 +368,7 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
         "built": 0,
         "evaluated": 1,
         "models": 1,
+        "paired": 0,
     }
     if len(set(masses)) == 1:
         assert calls["gaps"] == 1

@@ -18,17 +18,15 @@ from sbclab.core import (
     _complement,
     _constants,
     _critical_models,
-    _evaluate,
-    _evaluate_q,
     _evaluate_x,
     _frame_of,
     _gradient_of,
-    _hessian_of,
     _images,
     _inertia_s,
     _normalize_q,
     _pairs,
     _potential_of,
+    _residual_norm,
     _restricted_hessian_any,
     gradient,
     hessian,
@@ -39,6 +37,7 @@ from sbclab.core import (
     symmetry_group,
     tangent_basis,
 )
+from sbclab.equilibria import lift
 from sbclab.errors import CollisionError, NotCriticalError
 
 from oracles import (
@@ -132,7 +131,7 @@ def test_masses_at_the_ends_of_their_range_run_without_warnings(s):
         warnings.simplefilter("error")
         for m in ([lo, hi, lo], [hi, lo, hi], [lo] * 3, [hi] * 3):
             result = solver.census(np.array(m), Spectrum(s), 3, 0)
-            assert len(result.q) > 0 and result.failures == {"collision": 0, "max_iter": 0}
+            assert len(result.q) > 0 and result.failures == {"collision": 0, "max_iter": 0, "stalled": 0}
 
 
 def test_spectrum_validation():
@@ -152,6 +151,35 @@ def test_collision_guard():
         sbc_residual(Configuration(q, np.ones(3)), Spectrum.identity(2))
     with pytest.raises(CollisionError):
         potential(Configuration(q, np.ones(3)))
+
+
+def test_every_evaluating_wrapper_raises_the_collision_guard():
+    """potential, gradient, hessian, sbc_residual, inertia_indices and
+    equilibria.lift raise the guard's CollisionError with all bodies at the
+    origin and at a near collision; tangent_basis and normalize, which
+    evaluate no potential, refuse q = 0 with their ValueError and accept
+    the near collision (sbc_residual, inertia_indices and lift raised a bare
+    ZeroDivisionError at q = 0)."""
+    spec = Spectrum.planar(1.5)
+    evaluating = (potential, gradient, hessian,
+                  lambda cfg: sbc_residual(cfg, spec),
+                  lambda cfg: inertia_indices(cfg, spec),
+                  lambda cfg: lift(solver.SBCSolution(cfg, spec, 1.0, 0.0, (0, 0, 3), "", False)))
+    near = np.array([[0.0, 0.0], [1e-10, 0.0], [1.0, 1.0]])
+    for q, message in ((np.zeros((3, 2)), "all bodies coincide at the origin"),
+                       (near, "minimum separation 1.000e-10")):
+        cfg = Configuration(q, np.ones(3))
+        for wrapper in evaluating:
+            with pytest.raises(CollisionError, match=message):
+                wrapper(cfg)
+    zero = Configuration(np.zeros((3, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="constraints are dependent"):
+        tangent_basis(zero, spec)
+    with pytest.raises(ValueError, match="I_S = 0"):
+        normalize(zero, spec)
+    close = Configuration(near, np.ones(3))
+    assert tangent_basis(close, spec).shape == (6, 3)
+    assert normalize(close, spec).q.shape == (3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +218,21 @@ def test_euler_identity():
         assert lhs == pytest.approx(-potential(cfg), rel=1e-12)
 
 
-@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3)])
-def test_gradient_matches_finite_differences(n, d):
+# masses at both ends of core.MASS_RANGE and between: the frame's W K has
+# entries sqrt(m_i s_k) over ten decades
+MASS_ENDS = (1e-5, 1.0, 1e5)
+
+
+@pytest.mark.parametrize("n,d,masses", [
+    pytest.param(3, 2, None, id="3-2"),
+    pytest.param(4, 2, None, id="4-2"),
+    pytest.param(3, 3, None, id="3-3"),
+    pytest.param(3, 3, MASS_ENDS, id="3-3-mass-ends"),
+])
+def test_gradient_matches_finite_differences(n, d, masses):
     rng = np.random.default_rng(100 * n + d)
     for _ in range(5):
-        cfg = random_configuration(rng, n, d)
+        cfg = random_configuration(rng, n, d, masses=masses and np.array(masses))
         g = gradient(cfg)
         ref = fd_gradient(cfg)
         assert np.linalg.norm(g - ref) <= 1e-6 * np.linalg.norm(ref)
@@ -223,12 +261,13 @@ def test_hessian_symmetry_and_translation_rows():
         assert np.linalg.norm(H @ t.ravel()) < 1e-10 * np.linalg.norm(H)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_hessian_matches_pairwise_loop(n, d):
+@pytest.mark.parametrize("n,d,masses", [
+    pytest.param(n, d, None, id=f"{n}-{d}") for n in range(2, 7) for d in range(1, 5)
+] + [pytest.param(3, 3, MASS_ENDS, id="3-3-mass-ends")])
+def test_hessian_matches_pairwise_loop(n, d, masses):
     rng = np.random.default_rng(300 * n + d)
     for _ in range(3):
-        cfg = random_configuration(rng, n, d)
+        cfg = random_configuration(rng, n, d, masses=masses and np.array(masses))
         H = hessian(cfg)
         ref = loop_hessian(cfg)
         assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -246,9 +285,9 @@ def test_pairs_convention():
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (5, 2), (5, 3), (6, 4)])
 def test_pairs_batch_matches_each_slice_bitwise(n, d):
-    """The stacked pair kernel, potential, gradient and pair weights give
-    each slice's own values, and those of the public potential, gradient
-    and hessian, bit for bit (unequal masses)."""
+    """The stacked pair kernel, potential and gradient give each slice's
+    own values bit for bit, and those of the public potential and gradient
+    (one frame pass) within 1e-13 (unequal masses)."""
     rng = np.random.default_rng(40 * n + d)
     m = 1.0 + rng.random(n)
     configs = [Configuration(rng.standard_normal((n, d)), m) for _ in range(6)]
@@ -257,7 +296,7 @@ def test_pairs_batch_matches_each_slice_bitwise(n, d):
     diff, r = _pairs(q)
     assert diff.shape == (2, 3, n, n, d) and r.shape == (2, 3, n, n)
     u = _potential_of(mm, r)
-    g, pw = _gradient_of(mm, diff, r)
+    g = _gradient_of(mm, diff, r)
     for a in range(2):
         for b in range(3):
             cfg = configs[3 * a + b]
@@ -265,12 +304,11 @@ def test_pairs_batch_matches_each_slice_bitwise(n, d):
             assert np.array_equal(diff[a, b], d1)
             assert np.array_equal(r[a, b], r1)
             assert np.all(np.diag(r[a, b]) == np.inf)
-            g1, pw1 = _gradient_of(mm, d1, r1)
-            assert np.array_equal(g[a, b], g1) and np.array_equal(pw[a, b], pw1)
+            g1 = _gradient_of(mm, d1, r1)
+            assert np.array_equal(g[a, b], g1)
             assert u[a, b] == _potential_of(mm, r1)
-            assert np.array_equal(g1, gradient(cfg))
-            assert u[a, b] == potential(cfg)
-            assert np.array_equal(_hessian_of(pw1, d1, r1), hessian(cfg))
+            assert np.allclose(g1, gradient(cfg), rtol=0.0, atol=1e-13 * np.abs(g1).max())
+            assert u[a, b] == pytest.approx(potential(cfg), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -549,14 +587,23 @@ def test_residual_merit_equals_reduced_gradient_norm(n, d):
 
 
 def test_sbc_residual_matches_separate_evaluations_bitwise():
+    """sbc_residual is the frame pass at x = _frame_of(q), bit for bit:
+    its lam = U / |x|^2 and G = W K a; and lam is potential / I_S and G is
+    grad U + lam (S x M) q of the public potential and gradient within
+    1e-14 and 1e-13."""
     rng = np.random.default_rng(12)
     for n, d in [(3, 2), (4, 3), (5, 1), (5, 2)]:
         cfg, spec = _weighted_point(rng, n, d)
         G, lam = sbc_residual(cfg, spec)
+        c = _constants(cfg.masses, spec.array)
+        x = _frame_of(cfg.q, c)
+        *_, lam_x, a, _ = _evaluate_x(x, c)
+        assert lam == lam_x
+        assert np.array_equal(G, (c.w * (c.K @ a)).reshape(n, d))
         ref_lam = potential(cfg) / _inertia_s(cfg.q, weight_vector(cfg, spec))
-        weights = cfg.masses[:, None] * spec.array[None, :]
-        assert lam == ref_lam
-        assert np.array_equal(G, gradient(cfg) + ref_lam * weights * cfg.q)
+        assert lam == pytest.approx(ref_lam, rel=1e-14)
+        ref = gradient(cfg) + ref_lam * c.W * cfg.q
+        assert np.allclose(G, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_restricted_hessian_any_is_the_projected_ambient_form():
@@ -743,18 +790,27 @@ def test_equilateral_inertia_triple():
 
 def test_inertia_indices_makes_one_pair_pass(monkeypatch):
     """U, the criticality gate and the restricted Hessian all come from one
-    _pairs call."""
-    calls = []
+    frame pair pass (_evaluate_x) at the point's frame coordinates; no
+    position pass (_pairs) is made."""
+    calls = {"pairs": 0, "frame": []}
+    pairs, evaluate_x = _pairs, _evaluate_x
 
     def counting_pairs(q):
-        calls.append(q.shape)
-        return _pairs(q)
+        calls["pairs"] += 1
+        return pairs(q)
+
+    def recording_evaluate_x(x, c):
+        calls["frame"].append(x)
+        return evaluate_x(x, c)
 
     spec = Spectrum((2.5, 1.0))
     line = _collinear_point(np.array([1.0, 2.0, 3.0]), spec, axis=1)
     monkeypatch.setattr(core, "_pairs", counting_pairs)
+    monkeypatch.setattr(core, "_evaluate_x", recording_evaluate_x)
     assert tuple(inertia_indices(line, spec)) == (2, 0, 1)
-    assert len(calls) == 1
+    assert calls["pairs"] == 0 and len(calls["frame"]) == 1
+    c = _constants(line.masses, spec.array)
+    assert calls["frame"][0].tobytes() == _frame_of(line.q, c).tobytes()
 
 
 def test_stacked_triples_are_their_one_matrix_triples():
@@ -854,9 +910,10 @@ def test_images_are_exact_and_stay_balanced():
     for img, sign, perm in zip(images, signs, perms):
         assert np.array_equal(img, q[perm] * sign)
         assert not np.any(np.signbit(img) & (img == 0.0))
-    *_, u, lam, G, collided = _evaluate_q(images, _constants(m, spec.array))
+    c = _constants(m, spec.array)
+    *_, u, lam, a, collided = _evaluate_x(_frame_of(images, c), c)
     assert not collided.any()
-    assert np.all(np.linalg.norm(G.reshape(len(images), -1), axis=1) < 1e-10 * u)
+    assert np.all(_residual_norm(a, c) < 1e-10 * u)
     assert np.allclose(u, u[0], rtol=1e-14) and np.allclose(lam, lam[0], rtol=1e-14)
     stack = np.stack([q, -q])
     assert np.array_equal(_images(stack, group)[1], _images(-q, group))

@@ -329,16 +329,17 @@ def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypat
     """One find_critical_point solve from a centred start evaluates each
     point once in the frame (core._evaluate_x), the start and every trial
     the line search keeps in play, each on its own x, and builds each
-    iterate's model on an evaluated x; it evaluates the returned point once
-    in positions (core._evaluate_q), and calls the centre-of-mass test only
-    from the start's normalization (before and after its rescaling) and the
-    returned Configuration."""
+    iterate's model on an evaluated x; it evaluates the returned point q
+    once more in the frame, at x' = _frame_of(q), makes no position pass
+    (core._pairs), and calls the centre-of-mass test only from the start's
+    normalization (before and after its rescaling) and the returned
+    Configuration."""
     import numpy as np
 
     from sbclab import core, solver
     from sbclab.core import Configuration, Spectrum
 
-    log = {"recentre": [], "frame": [], "models": [], "positions": []}
+    log = {"recentre": [], "frame": [], "models": [], "pairs": []}
 
     def spy(module, name, record):
         real = getattr(module, name)
@@ -354,7 +355,8 @@ def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypat
         lambda args, out: log["recentre"].append(traceback.extract_stack(limit=3)[0].name))
     spy(solver, "_evaluate_x", lambda args, out: log["frame"].append(args[0]))
     spy(solver, "_restricted_hessian_any", lambda args, out: log["models"].append(args[0]))
-    spy(solver, "_evaluate_q", lambda args, out: log["positions"].append(args[0]))
+    for module in (core, solver):
+        spy(module, "_pairs", lambda args, out: log["pairs"].append(args[0]))
     rng = np.random.default_rng(23)
     for masses, spec in ((np.ones(3), Spectrum.planar(1.5)),
                          (np.array([1.0, 2.0, 3.0, 4.0]), Spectrum((3.0, 2.0, 1.0)))):
@@ -365,12 +367,13 @@ def test_a_solve_evaluates_each_point_once_and_recentres_only_its_ends(monkeypat
             out = solver.find_critical_point(start, spec)
             assert isinstance(out, solver.SBCSolution)
             assert log["recentre"] == ["_normalize_q", "_normalize_q", "__post_init__"]
-            points = log["frame"]
+            *points, row = log["frame"]
             assert len(points) > 2  # the start and at least two trials
             assert len({x.tobytes() for x in points}) == len(points)
             assert all(any(m is x for x in points) for m in log["models"])
-            assert len(log["positions"]) == 1
-            assert log["positions"][0].tobytes() == out.config.q.tobytes()
+            assert log["pairs"] == []
+            c = core._constants(masses, spec.array)
+            assert row.tobytes() == core._frame_of(out.config.q, c).tobytes()
 
 
 def test_only_starts_and_library_entry_centre_a_point(monkeypatch):

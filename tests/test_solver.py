@@ -158,20 +158,16 @@ def test_solve_makes_one_pair_pass_per_evaluated_point(monkeypatch):
     """The start and every trial point get one frame pair pass
     (core._evaluate_x), each on its own x; an accepted trial's pass also
     feeds its restricted Hessian, so no iterate is paired again.  The
-    returned solution's point q = K x gets the one position-space pass
-    (core._evaluate_q, the one caller of core._pairs), counted through both
-    core's and solver's names."""
-    calls = {"pairs": 0, "positions": 0, "frame": [], "models": []}
-    pairs, evaluate_q, evaluate_x = core._pairs, core._evaluate_q, core._evaluate_x
+    returned solution's point q = K x gets one more frame pass, at x' =
+    _frame_of(q), and no position pass (core._pairs) is made, counted
+    through core's and solver's names."""
+    calls = {"pairs": 0, "frame": [], "models": []}
+    pairs, evaluate_x = core._pairs, core._evaluate_x
     build = core._restricted_hessian_any
 
     def counting_pairs(q):
         calls["pairs"] += 1
         return pairs(q)
-
-    def counting_evaluate_q(*args):
-        calls["positions"] += 1
-        return evaluate_q(*args)
 
     def recording_evaluate_x(x, c):
         calls["frame"].append(x)
@@ -181,22 +177,22 @@ def test_solve_makes_one_pair_pass_per_evaluated_point(monkeypatch):
         calls["models"].append(x)
         return build(x, *args)
 
-    monkeypatch.setattr(core, "_pairs", counting_pairs)
     for module in (core, solver):
-        monkeypatch.setattr(module, "_evaluate_q", counting_evaluate_q)
+        monkeypatch.setattr(module, "_pairs", counting_pairs)
         monkeypatch.setattr(module, "_evaluate_x", recording_evaluate_x)
     monkeypatch.setattr(solver, "_restricted_hessian_any", recording_build)
     rng = np.random.default_rng(3)
     q0 = equilateral() + 0.2 * rng.standard_normal((3, 2))
     sol = find_critical_point(Configuration(q0, np.ones(3)), Spectrum.planar(1.5))
     assert isinstance(sol, SBCSolution)
-    frame, models = calls["frame"], calls["models"]
-    assert len(frame) > 3
-    assert len({x.tobytes() for x in frame}) == len(frame)
-    assert all(any(m is x for x in frame) for m in models)
-    assert calls["positions"] == calls["pairs"] == 1
+    (*points, row), models = calls["frame"], calls["models"]
+    assert len(points) > 3
+    assert len({x.tobytes() for x in points}) == len(points)
+    assert all(any(m is x for x in points) for m in models)
+    assert calls["pairs"] == 0
     c = core._constants(np.ones(3), Spectrum.planar(1.5).array)
     assert sol.config.q.tobytes() == (c.K @ models[-1]).reshape(3, 2).tobytes()
+    assert row.tobytes() == core._frame_of(sol.config.q, c).tobytes()
 
 
 def test_failure_max_iter(monkeypatch):
@@ -207,6 +203,27 @@ def test_failure_max_iter(monkeypatch):
     )
     assert isinstance(out, SearchFailure)
     assert out.cause == "max_iter"
+
+
+def test_failure_stalled(monkeypatch):
+    """An iterate whose 30 trials are all rejected ends the solve as
+    "stalled", after that iterate, not as "max_iter"; here every trial's
+    frame pass reports a collision."""
+    evaluate_x, points = solver._evaluate_x, []
+
+    def colliding_trials(x, c):
+        points.append(x)
+        *values, collided = evaluate_x(x, c)
+        return (*values, collided or len(points) > 1)
+
+    monkeypatch.setattr(solver, "_evaluate_x", colliding_trials)
+    rng = np.random.default_rng(2)
+    out = find_critical_point(
+        Configuration(rng.standard_normal((3, 2)), np.ones(3)), Spectrum.planar(1.5)
+    )
+    assert isinstance(out, SearchFailure)
+    assert (out.cause, out.iterations) == ("stalled", 1)
+    assert len(points) == 31
 
 
 def test_classify_support_variants():
@@ -257,7 +274,7 @@ def test_census_counts_three_bodies(census_15):
     assert len(noncol) >= 2
     assert len(c.solutions) >= 14
     assert not c.symmetry_caveat and c.orbit_count is None
-    assert set(c.failures) == {"collision", "max_iter"}
+    assert set(c.failures) == {"collision", "max_iter", "stalled"}
 
 
 def test_census_solution_invariants(census_15):
@@ -558,17 +575,17 @@ def test_saddle_seeds_do_not_depend_on_eigenvector_signs(monkeypatch, masses, s)
 def _kept_by_closed(args: tuple) -> tuple[list[int], np.ndarray]:
     """What solver._closed(*args) lists: the outcome index of each new find,
     in order, and the kept images other than the finds themselves, read
-    from its one stacked _evaluate_q call.  Polishes are stubbed to fail:
+    from its one stacked _frame_of call.  Polishes are stubbed to fail:
     only the images that they would replace are left out of the rows."""
     outcomes = args[0]
-    evaluate_q, stacked = solver._evaluate_q, []
+    frame_of, stacked = solver._frame_of, []
 
     def spy(q, c):
         stacked.append(q)
-        return evaluate_q(q, c)
+        return frame_of(q, c)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_evaluate_q", spy)
+        mp.setattr(solver, "_frame_of", spy)
         mp.setattr(solver, "find_critical_point", lambda *a: SearchFailure("max_iter", 1, 1.0))
         rows = solver._closed(*args)[0]
     index = {id(out.config.q): k for k, out in enumerate(outcomes) if isinstance(out, SBCSolution)}
@@ -993,26 +1010,27 @@ def test_closed_census_order_is_deterministic_and_starts_with_the_first_find():
 
 def test_an_image_over_the_gate_is_polished_and_counted(monkeypatch):
     """With no saddle seeds the closure's image evaluation is the one
-    stacked _evaluate_q call in solver; its lane 0 is pushed over the gate."""
+    stacked _evaluate_x call in solver (solves evaluate one x at a time);
+    its lane 0 is pushed over the gate."""
     spec = Spectrum.planar(1.5)
     monkeypatch.setattr(solver, "_saddle_seeds", lambda *args: [])
     reference = census(np.ones(3), spec, 4, seed=2)
 
-    evaluate_q, solves = solver._evaluate_q, []
+    evaluate_x, solves = solver._evaluate_x, []
     find = solver.find_critical_point
 
-    def spoiled(q, c):
-        diff, r, pw, g, u, lam, G, collided = evaluate_q(q, c)
-        if q.ndim == 3:
-            G = G.copy()
-            G[0] += 1e-3
-        return diff, r, pw, g, u, lam, G, collided
+    def spoiled(x, c):
+        diff, r, pw, gx, u, lam, a, collided = evaluate_x(x, c)
+        if x.ndim == 2:
+            a = a.copy()
+            a[0] += 1e-3
+        return diff, r, pw, gx, u, lam, a, collided
 
     def counting(*args, **kwargs):
         solves.append(args[0])
         return find(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_evaluate_q", spoiled)
+    monkeypatch.setattr(solver, "_evaluate_x", spoiled)
     monkeypatch.setattr(solver, "find_critical_point", counting)
     c = census(np.ones(3), spec, 4, seed=2)
     assert c.extra_seeds == 1
