@@ -46,6 +46,7 @@ from .solver import SearchFailure, census, continue_in_s, find_critical_point
 
 _BIG = 1 << 53  # beyond this an IEEE double can no longer hold the integer
 CSV_BLOCK = 256  # rows per float block of a CSV table
+JSON_CHUNK = 4096  # parts joined into one chunk of a JSON report's text
 
 
 class _UsageError(Exception):
@@ -194,10 +195,14 @@ _JSON_SCALAR = {  # the writer of each exact scalar type
 }
 
 
-def _json_parts(parts: list, obj, nl: str) -> None:
+def _json_parts(chunks: list, parts: list, obj, nl: str) -> None:
     """Append the JSON text of obj to parts; nl is a newline followed by
     the indentation of obj's own line. An item of an exact scalar type is
-    written in its container's loop, with no call of its own."""
+    written in its container's loop, with no call of its own. When a call
+    ends with at least JSON_CHUNK parts pending, they are joined into one
+    str on chunks and parts is cleared: the text so far is chunks, then
+    parts, in order, held at about its own size instead of as one small
+    str per scalar."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
@@ -208,7 +213,7 @@ def _json_parts(parts: list, obj, nl: str) -> None:
             write = _JSON_SCALAR.get(type(value))
             if write is None:
                 parts.append(sep)
-                _json_parts(parts, value, inner)
+                _json_parts(chunks, parts, value, inner)
             else:
                 parts.append(sep + write(value))
             sep = "," + inner
@@ -226,7 +231,7 @@ def _json_parts(parts: list, obj, nl: str) -> None:
             write = _JSON_SCALAR.get(type(value))
             if write is None:
                 parts.append(head)
-                _json_parts(parts, value, inner)
+                _json_parts(chunks, parts, value, inner)
             else:
                 parts.append(head + write(value))
             sep = "," + inner
@@ -241,15 +246,22 @@ def _json_parts(parts: list, obj, nl: str) -> None:
         parts.append(_json_float(obj))
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    if len(parts) >= JSON_CHUNK:
+        chunks.append("".join(parts))
+        parts.clear()
 
 
-def _json_text(payload) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), as
-    one join of its parts, for payloads whose dict keys are all str (every
-    report's are; _sanitize makes them so)."""
+def _json_chunks(payload) -> list:
+    """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) as a
+    list of chunks whose concatenation is that text, for payloads whose
+    dict keys are all str (every report's are; _sanitize makes them so).
+    The whole text is made, so a non-finite float raises before any of
+    it is returned."""
+    chunks: list = []
     parts: list = []
-    _json_parts(parts, payload, "\n")
-    return "".join(parts)
+    _json_parts(chunks, parts, payload, "\n")
+    chunks.append("".join(parts))
+    return chunks
 
 
 def _emit(args, payload: dict, table) -> None:
@@ -258,21 +270,24 @@ def _emit(args, payload: dict, table) -> None:
     A 2-D float array among the rows is a block of rows, written with one
     write: repr is the str that csv.writer gives a float, and a float
     never needs quoting, so the bytes are those of csv.writer.
-    JSON text comes from _json_text, which returns exactly what
-    json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) does:
-    with an indent, json.dumps skips its C encoder and runs a pure-Python
-    generator, which a list of parts and one join outpace. A JSON report
-    holding NaN or an infinity is refused (ValueError) before any output
-    is opened: those are not JSON."""
-    text = None
+    JSON text comes from _json_chunks as chunks whose concatenation is
+    exactly what json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False) returns: with an indent, json.dumps skips its C
+    encoder and runs a pure-Python generator, which a list of parts joined
+    in chunks outpaces. The chunks and the final newline are written in
+    order, never joined, so the report is held at about its own size. The
+    whole text is made before any output is opened, so a JSON report
+    holding NaN or an infinity is refused (ValueError) with nothing
+    written: those are not JSON."""
+    chunks = None
     if args.format != "csv":
-        text = _json_text(payload) + "\n"
+        chunks = _json_chunks(payload)
     if args.output is None or args.output == "-":
         out = contextlib.nullcontext(sys.stdout)
     else:
         out = open(args.output, "w", encoding="utf-8")
     with out as fh:
-        if text is None:
+        if chunks is None:
             header, rows = table
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -282,7 +297,8 @@ def _emit(args, payload: dict, table) -> None:
                 else:
                     writer.writerow(item)
         else:
-            fh.write(text)
+            fh.writelines(chunks)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +570,7 @@ def _cmd_orbit(args):
             f"census-id {census_id} out of range, census holds "
             f"{len(result.q)} solutions"
         )
-    orbit = lift(result.solutions[census_id])
+    orbit = lift(result.solution(census_id))
     t_final, samples = args.t_final, args.samples
     times = np.linspace(0.0, t_final, samples)
     report = classify_periodicity(orbit)

@@ -98,8 +98,8 @@ class Census:
     stack `q`, normalized to I_S = 1 with its centre of mass removed, and
     the Python scalars `lam[i]`, `residual[i]` (the balance residual norm),
     `triple[i]` (an InertiaTriple), `classification[i]` and `is_cc[i]`.
-    `solutions` builds the rows' SBCSolution objects, each with its own
-    Configuration, on every access.
+    `solution(i)` builds row i as an SBCSolution with its own
+    Configuration; `solutions` builds every row that way, on every access.
 
     `extra_seeds` counts the saddle-seeded solves and the polishes of
     closure images, so `restarts + extra_seeds` is the number of solves.
@@ -125,14 +125,16 @@ class Census:
     symmetry_caveat: bool = False
     orbit_count: int | None = None
 
+    def solution(self, i: int) -> SBCSolution:
+        return SBCSolution(
+            Configuration(self.q[i], np.array(self.masses)), self.spectrum,
+            self.lam[i], self.residual[i], self.triple[i],
+            self.classification[i], self.is_cc[i],
+        )
+
     @property
     def solutions(self) -> tuple[SBCSolution, ...]:
-        m = np.array(self.masses)
-        columns = self.lam, self.residual, self.triple, self.classification, self.is_cc
-        return tuple(
-            SBCSolution(Configuration(q, m), self.spectrum, *row)
-            for q, *row in zip(self.q, *columns)
-        )
+        return tuple(self.solution(i) for i in range(len(self.q)))
 
 
 # ---------------------------------------------------------------------------

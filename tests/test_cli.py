@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbclab import cli
-from sbclab.core import InertiaTriple
+from sbclab.core import Configuration, InertiaTriple
 from sbclab.equilibria import RelativeEquilibriumOrbit
 from sbclab.errors import NoConvergence
 
@@ -106,17 +107,33 @@ def test_bounds_large_n_note_stays_finite(capsys, n):
     assert int(note) // math.factorial(n - 1) == int(coefficient)
 
 
+def _many_chunk_report(last: float) -> dict:
+    """A report of several JSON_CHUNK chunks whose last record holds last."""
+    records = [{"x": float(i), "q": [[0.5, -1.5], [2.0, i]]} for i in range(2000)]
+    records[-1]["x"] = last
+    return {"count": len(records), "records": records}
+
+
 def test_non_finite_report_is_refused(capsys, monkeypatch, tmp_path):
-    monkeypatch.setitem(cli._HANDLERS, "coeffs", lambda args: ({"x": float("nan")}, None))
+    assert len(cli._json_chunks(_many_chunk_report(1.0))) > 2
     target = tmp_path / "report.json"
-    code, out, err = _run(capsys, "coeffs", "4", "--output", str(target))
-    assert code == 1
-    assert "JSON" in err and out == ""
-    assert not target.exists()
+    for payload in ({"x": float("nan")}, _many_chunk_report(float("nan"))):
+        monkeypatch.setitem(cli._HANDLERS, "coeffs", lambda args: (payload, None))
+        code, out, err = _run(capsys, "coeffs", "4", "--output", str(target))
+        assert code == 1
+        assert "JSON" in err and out == ""
+        assert not target.exists()
+        code, out, err = _run(capsys, "coeffs", "4")
+        assert code == 1
+        assert "JSON" in err and out == ""
 
 
 def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
+
+# JSON_CHUNK values under test: the two smallest and the default
+_CHUNKS = [1, 2, cli.JSON_CHUNK]
 
 
 # what a report holds: str-keyed dicts, lists and tuples (InertiaTriple
@@ -152,26 +169,50 @@ _PAYLOADS = st.recursive(
     "nested": {"b": {"a": [[], {}, ((1.5,),)]}, "a": ()},
 })
 def test_json_writer_equals_json_dumps(payload):
-    assert cli._json_text(payload) == _dumps(payload)
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in _CHUNKS:
+            mp.setattr(cli, "JSON_CHUNK", chunk)
+            assert "".join(cli._json_chunks(payload)) == _dumps(payload)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
 def test_json_writer_refuses_non_finite_floats(bad):
     for payload in (bad, [1.0, bad], {"a": {"b": (2.0, bad)}}):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._json_text(payload)
+            cli._json_chunks(payload)
         with pytest.raises(ValueError):
             _dumps(payload)
 
 
-def test_json_writer_equals_json_dumps_on_reports():
+@pytest.fixture(scope="module")
+def report_payloads():
     parser = cli.build_parser()
-    for argv in (("collinear", "--n", "4", "--d", "3", "--s", "3,2,1"),
-                 ("census", "--n", "3", "--restarts", "5"),
-                 ("bounds", "6", "3"),
-                 ("coeffs", "30")):
-        payload, _ = cli._HANDLERS[argv[0]](parser.parse_args(argv))
-        assert cli._json_text(payload) == _dumps(payload)
+    return {argv: cli._HANDLERS[argv[0]](parser.parse_args(argv))[0]
+            for argv in (("collinear", "--n", "4", "--d", "3", "--s", "3,2,1"),
+                         ("collinear", "--n", "6", "--s", "1.5"),
+                         ("census", "--n", "3", "--restarts", "5"),
+                         ("bounds", "6", "3"),
+                         ("coeffs", "30"))}
+
+
+def test_json_writer_equals_json_dumps_on_reports(report_payloads, monkeypatch):
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+        for payload in report_payloads.values():
+            assert "".join(cli._json_chunks(payload)) == _dumps(payload)
+
+
+def test_json_report_is_held_at_about_its_own_size(report_payloads, tmp_path):
+    payload = report_payloads[("collinear", "--n", "6", "--s", "1.5")]
+    path = tmp_path / "collinear.json"
+    tracemalloc.start()
+    try:
+        cli._emit(argparse.Namespace(format="json", output=str(path)), payload, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == _dumps(payload) + "\n"
+    assert peak <= 1.5 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +637,33 @@ def test_orbit_positions_made_once_and_only_for_csv(tmp_path, capsys, monkeypatc
     code, _, err = _run(capsys, *args, "--format", "csv", "--output", str(tmp_path / "o.csv"))
     assert code == 0, err
     assert sizes.count(2000) == 1
+
+
+def test_orbit_builds_only_the_lifted_row(capsys, monkeypatch):
+    small, n = cli._run_census(cli.build_parser().parse_args(
+        ["orbit", "--n", "3", "--s", "4", "--restarts", "20", "--seed", "5"]))
+    # the same catalogue ten times over: only its size differs
+    large = dataclasses.replace(
+        small, q=np.concatenate([small.q] * 10),
+        **{k: getattr(small, k) * 10
+           for k in ("lam", "residual", "triple", "classification", "is_cc")})
+    real_init, builds = Configuration.__post_init__, []
+
+    def post_init(self):
+        builds.append(1)
+        real_init(self)
+
+    monkeypatch.setattr(Configuration, "__post_init__", post_init)
+    reports, counts = [], []
+    for result in (small, large):
+        monkeypatch.setattr(cli, "_run_census", lambda args, result=result: (result, n))
+        builds.clear()
+        code, out, err = _run(capsys, "orbit", "--census-id", "3", "--samples", "100")
+        assert code == 0, err
+        reports.append(out)
+        counts.append(len(builds))
+    assert counts == [1, 1]  # the lifted row's own Configuration
+    assert reports[0] == reports[1]
 
 
 def test_orbit_census_id_out_of_range(capsys):
