@@ -45,7 +45,7 @@ from .morse import (
 from .solver import SearchFailure, census, continue_in_s, find_critical_point
 
 _BIG = 1 << 53  # beyond this an IEEE double can no longer hold the integer
-CSV_BLOCK = 256  # rows per float block of a CSV table
+CSV_BLOCK = 256  # rows per block of a CSV float table or of a JSON _Table
 JSON_CHUNK = 4096  # parts joined into one chunk of a JSON report's text
 
 
@@ -195,6 +195,53 @@ _JSON_SCALAR = {  # the writer of each exact scalar type
 }
 
 
+class _Table:
+    """A JSON list of like objects held as columns: key -> column, one entry
+    per row. A column is a float or int array, each row's value an entry of
+    its trailing shape, or a list of hashable values of one type (str,
+    bool, or int tuples that may be None)."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+
+def _table_blocks(table: _Table, nl: str):
+    """The JSON text of a non-empty table as a list, in blocks of CSV_BLOCK
+    rows; nl is a newline followed by the indentation of the rows' lines.
+
+    One row template is built from the columns in sorted key order: array
+    scalars are %r of a Python float or %d of an int, and each value of a
+    list column is a %s slot filled with that value's text, made once per
+    distinct value. A block takes .tolist() of its own rows only and
+    formats each row with one %. A non-finite float raises before any
+    block is made."""
+    cells = nl + "  "
+    template, columns = [], []
+    for key in sorted(table.columns):
+        col = table.columns[key]
+        if isinstance(col, np.ndarray):
+            bad = col[~np.isfinite(col)]
+            if bad.size:
+                _json_float(float(bad[0]))
+            # a zero array of the row's shape as json.dumps writes it, each 0.0 a slot
+            slot = "".join(_json_chunks(np.zeros(col.shape[1:]).tolist(), cells)).replace(
+                "0.0", {"f": "%r", "i": "%d", "u": "%d"}[col.dtype.kind])
+        else:
+            texts = {v: "".join(_json_chunks(v, cells)) for v in set(col)}
+            col, slot = np.array([texts[v] for v in col], object), "%s"
+        template.append(_JSON_STR(key).replace("%", "%%") + ": " + slot)
+        columns.append(col.reshape(len(col), -1))
+    row = "{" + cells + ("," + cells).join(template) + nl + "}"
+    sep = "[" + nl
+    for start in range(0, len(table), CSV_BLOCK):
+        block = np.concatenate([c[start:start + CSV_BLOCK] for c in columns], axis=1, dtype=object)
+        yield sep + ("," + nl).join([row % tuple(r) for r in block.tolist()])
+        sep = "," + nl
+
+
 def _json_parts(chunks: list, parts: list, obj, nl: str) -> None:
     """Append the JSON text of obj to parts; nl is a newline followed by
     the indentation of obj's own line. An item of an exact scalar type is
@@ -202,8 +249,14 @@ def _json_parts(chunks: list, parts: list, obj, nl: str) -> None:
     ends with at least JSON_CHUNK parts pending, they are joined into one
     str on chunks and parts is cleared: the text so far is chunks, then
     parts, in order, held at about its own size instead of as one small
-    str per scalar."""
-    if isinstance(obj, (list, tuple)):
+    str per scalar. A non-empty _Table flushes parts and appends each of
+    its blocks to chunks as it is made."""
+    if isinstance(obj, _Table) and len(obj):
+        chunks.append("".join(parts))
+        parts.clear()
+        chunks.extend(_table_blocks(obj, nl + "  "))
+        parts.append(nl + "]")
+    elif isinstance(obj, (list, tuple, _Table)):  # an empty _Table is []
         if not obj:
             parts.append("[]")
             return
@@ -251,15 +304,17 @@ def _json_parts(chunks: list, parts: list, obj, nl: str) -> None:
         parts.clear()
 
 
-def _json_chunks(payload) -> list:
+def _json_chunks(payload, nl: str = "\n") -> list:
     """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) as a
     list of chunks whose concatenation is that text, for payloads whose
-    dict keys are all str (every report's are; _sanitize makes them so).
-    The whole text is made, so a non-finite float raises before any of
-    it is returned."""
+    dict keys are all str (every report's are; _sanitize makes them so)
+    and where a _Table stands for the list of its rows as dicts; nl is a
+    newline followed by the indentation of payload's own line. The whole
+    text is made, so a non-finite float raises before any of it is
+    returned."""
     chunks: list = []
     parts: list = []
-    _json_parts(chunks, parts, payload, "\n")
+    _json_parts(chunks, parts, payload, nl)
     chunks.append("".join(parts))
     return chunks
 
@@ -272,13 +327,14 @@ def _emit(args, payload: dict, table) -> None:
     never needs quoting, so the bytes are those of csv.writer.
     JSON text comes from _json_chunks as chunks whose concatenation is
     exactly what json.dumps(payload, sort_keys=True, indent=2,
-    allow_nan=False) returns: with an indent, json.dumps skips its C
-    encoder and runs a pure-Python generator, which a list of parts joined
-    in chunks outpaces. The chunks and the final newline are written in
-    order, never joined, so the report is held at about its own size. The
-    whole text is made before any output is opened, so a JSON report
-    holding NaN or an infinity is refused (ValueError) with nothing
-    written: those are not JSON."""
+    allow_nan=False) returns, a _Table written as the list of its rows as
+    dicts: with an indent, json.dumps skips its C encoder and runs a
+    pure-Python generator, which a list of parts joined in chunks, and a
+    table's rows formatted from one template, outpace. The chunks and the
+    final newline are written in order, never joined, so the report is
+    held at about its own size. The whole text is made before any output
+    is opened, so a JSON report holding NaN or an infinity is refused
+    (ValueError) with nothing written: those are not JSON."""
     chunks = None
     if args.format != "csv":
         chunks = _json_chunks(payload)
@@ -303,6 +359,7 @@ def _emit(args, payload: dict, table) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (json payload, csv table | None); a
+# payload's list of like records is a _Table of their columns; a csv
 # table's rows are row tuples or 2-D float blocks (_float_blocks), and may
 # be a lazy iterable, consumed only for --format csv
 
@@ -351,32 +408,17 @@ def _cmd_bounds(args):
     return payload, None
 
 
-def _record_payload(rec) -> dict:
-    return {
-        "ordering": rec.ordering,
-        "axis": rec.axis,
-        "positions": rec.q.tolist(),
-        "U": rec.u,
-        "lambda": rec.lam,
-        "residual": rec.residual,
-        "eta": rec.spectral.eigenvalues,
-        "predicted": rec.predicted,
-        "computed": rec.computed,
-    }
-
-
-def _record_row(entry: dict):
-    """CSV row of one _record_payload entry."""
-    fmt = lambda xs: " ".join(str(float(x)) for x in xs)
+def _record_row(ordering, axis, positions, u, lam, eta, predicted, computed):
+    """CSV row of one collinear record, from the row's column values."""
     return (
-        " ".join(str(i) for i in entry["ordering"]),
-        entry["axis"],
-        fmt(x for row in entry["positions"] for x in row),
-        entry["U"],
-        entry["lambda"],
-        fmt(entry["eta"]),
-        *(entry["predicted"] or ("", "", "")),
-        *entry["computed"],
+        " ".join(map(str, ordering)),
+        axis,
+        " ".join(map(repr, positions)),
+        u,
+        lam,
+        " ".join(map(repr, eta)),
+        *(predicted or ("", "", "")),
+        *computed,
     )
 
 
@@ -390,20 +432,33 @@ def _cmd_collinear(args):
         raise ValueError("--axis needs --ordering (or drop both to enumerate)")
     else:
         records = enumerate_csbc(masses, spectrum)
+    ordering, axis, q, u, lam, residual, eta, computed = map(np.array, zip(*[
+        (r.ordering, r.axis, r.q, r.u, r.lam, r.residual, r.spectral.eigenvalues, r.computed)
+        for r in records]))
+    predicted = [r.predicted for r in records]  # None where UnsupportedCase
     payload = {
         "n": n,
         "d": args.d,
         "S": [float(w) for w in spectrum.s],
         "masses": [float(m) for m in masses],
         "count": len(records),
-        "records": [_record_payload(r) for r in records],
+        "records": _Table({
+            "ordering": ordering, "axis": axis, "positions": q, "U": u, "lambda": lam,
+            "residual": residual, "eta": eta, "predicted": predicted, "computed": computed,
+        }),
     }
     header = (
         "ordering", "axis", "positions", "U", "lambda", "eta",
         "predicted_index", "predicted_nullity", "predicted_coindex",
         "computed_index", "computed_nullity", "computed_coindex",
     )
-    return payload, (header, map(_record_row, payload["records"]))
+
+    def rows():  # made only for CSV
+        yield from map(_record_row, ordering.tolist(), axis.tolist(),
+                       q.reshape(len(q), -1).tolist(), u.tolist(), lam.tolist(),
+                       eta.tolist(), predicted, computed.tolist())
+
+    return payload, (header, rows())
 
 
 def _census_payload(result, n: int, d: int) -> dict:
@@ -417,19 +472,14 @@ def _census_payload(result, n: int, d: int) -> dict:
             "seed": result.seed,
             "extra_seeds": result.extra_seeds,
         },
-        "solutions": [
-            {
-                "q": q,
-                "lambda": lam,
-                "residual": res,
-                "triple": triple,
-                "classification": classification,
-                "is_cc": is_cc,
-            }
-            for q, lam, res, triple, classification, is_cc in zip(
-                result.q.tolist(), result.lam, result.residual, result.triple,
-                result.classification, result.is_cc)
-        ],
+        "solutions": _Table({
+            "q": result.q,
+            "lambda": np.array(result.lam),
+            "residual": np.array(result.residual),
+            "triple": result.triple,
+            "classification": result.classification,
+            "is_cc": result.is_cc,
+        }),
         "solution_count": len(result.q),
         "failures": {k: int(v) for k, v in result.failures.items()},
         "symmetry_caveat": result.symmetry_caveat,

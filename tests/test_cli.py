@@ -114,10 +114,20 @@ def _many_chunk_report(last: float) -> dict:
     return {"count": len(records), "records": records}
 
 
+def _many_block_report(last: float) -> dict:
+    """A report whose table of several CSV_BLOCK blocks holds last in its
+    last row."""
+    x = np.arange(3 * cli.CSV_BLOCK, dtype=float)
+    x[-1] = last
+    return {"count": len(x), "records": cli._Table({"x": x, "q": np.ones((len(x), 2, 2))})}
+
+
 def test_non_finite_report_is_refused(capsys, monkeypatch, tmp_path):
     assert len(cli._json_chunks(_many_chunk_report(1.0))) > 2
+    assert len(cli._json_chunks(_many_block_report(1.0))) > 2
     target = tmp_path / "report.json"
-    for payload in ({"x": float("nan")}, _many_chunk_report(float("nan"))):
+    for payload in ({"x": float("nan")}, _many_chunk_report(float("nan")),
+                    _many_block_report(float("nan"))):
         monkeypatch.setitem(cli._HANDLERS, "coeffs", lambda args: (payload, None))
         code, out, err = _run(capsys, "coeffs", "4", "--output", str(target))
         assert code == 1
@@ -128,8 +138,16 @@ def test_non_finite_report_is_refused(capsys, monkeypatch, tmp_path):
         assert "JSON" in err and out == ""
 
 
+def _row_dicts(obj) -> list:
+    """json.dumps default hook: a cli._Table as the list of its rows as dicts."""
+    if not isinstance(obj, cli._Table):
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    columns = {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in obj.columns.items()}
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
 def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_row_dicts)
 
 
 # JSON_CHUNK values under test: the two smallest and the default
@@ -175,6 +193,58 @@ def test_json_writer_equals_json_dumps(payload):
             assert "".join(cli._json_chunks(payload)) == _dumps(payload)
 
 
+# a table column: (array dtype, or None for a list column, and its scalars);
+# an array column is np.array of its scalars with a drawn trailing shape, a
+# list column holds the scalars themselves
+_COLUMNS = st.sampled_from([
+    (float, st.one_of(_FINITE, _FINITE.map(np.float64),
+                      st.sampled_from([-0.0, 5e-324, 1e16, 1e22, -1e22]))),
+    (np.int64, st.integers(-(2**63), 2**63 - 1)),
+    (None, st.text()),
+    (None, st.booleans()),
+    (None, st.none() | st.builds(InertiaTriple, *[st.integers(0, 12)] * 3)),
+])
+
+
+@st.composite
+def _tables(draw):
+    """(table, the same rows as dicts) with 0 rows, 1 row or three blocks
+    of CSV_BLOCK = 3 rows."""
+    rows = draw(st.sampled_from([0, 1, 7]))
+    columns, dicts = {}, [{} for _ in range(rows)]
+    for key in draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True)):
+        dtype, scalars = draw(_COLUMNS)
+        shape = () if dtype is None else tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+        size = rows * math.prod(shape)
+        values = draw(st.lists(scalars, min_size=size, max_size=size))
+        if dtype is None:
+            columns[key] = values
+        else:
+            columns[key] = np.array(values, dtype=dtype).reshape((rows, *shape))
+            values = np.array(values, dtype=object).reshape((rows, *shape)).tolist()
+        for row, value in zip(dicts, values):
+            row[key] = value
+    return cli._Table(columns), dicts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+@example((cli._Table({"%s": np.array([[-0.0, 5e-324], [1e16, 1e22]]),
+                      "t": [None, InertiaTriple(1, 0, 2)], "\u00e9": ["\u20ac", "%d"]}),
+          [{"%s": [-0.0, 5e-324], "t": None, "\u00e9": "\u20ac"},
+           {"%s": [1e16, 1e22], "t": [1, 0, 2], "\u00e9": "%d"}]))
+def test_table_writer_equals_json_dumps_of_its_rows(table_rows):
+    table, rows = table_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_BLOCK", 3)
+        for chunk in _CHUNKS:
+            mp.setattr(cli, "JSON_CHUNK", chunk)
+            assert "".join(cli._json_chunks(table)) == _dumps(rows)
+            payload = {"count": len(rows), "nested": [{"rows": table}]}
+            assert "".join(cli._json_chunks(payload)) == \
+                _dumps({"count": len(rows), "nested": [{"rows": rows}]})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
 def test_json_writer_refuses_non_finite_floats(bad):
     for payload in (bad, [1.0, bad], {"a": {"b": (2.0, bad)}}):
@@ -200,6 +270,26 @@ def test_json_writer_equals_json_dumps_on_reports(report_payloads, monkeypatch):
         monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
         for payload in report_payloads.values():
             assert "".join(cli._json_chunks(payload)) == _dumps(payload)
+
+
+def test_census_report_is_held_at_about_its_own_size(tmp_path):
+    small, n = cli._run_census(cli.build_parser().parse_args(
+        ["census", "--n", "3", "--s", "4", "--restarts", "20", "--seed", "5"]))
+    # the same catalogue a hundred times over: 2400 rows
+    large = dataclasses.replace(
+        small, q=np.concatenate([small.q] * 100),
+        **{k: getattr(small, k) * 100
+           for k in ("lam", "residual", "triple", "classification", "is_cc")})
+    path = tmp_path / "census.json"
+    tracemalloc.start()
+    try:
+        payload = cli._census_payload(large, n, 2)
+        cli._emit(argparse.Namespace(format="json", output=str(path)), payload, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == _dumps(payload) + "\n"
+    assert peak <= 1.5 * path.stat().st_size
 
 
 def test_json_report_is_held_at_about_its_own_size(report_payloads, tmp_path):
@@ -583,12 +673,14 @@ def test_check45_reports_null_for_unchecked_seeds(capsys, monkeypatch):
 
 
 def test_json_output_builds_no_csv_rows(capsys, monkeypatch):
-    def no_row(entry):
+    def no_row(*values):
         raise AssertionError("CSV row built for a JSON report")
 
     monkeypatch.setattr(cli, "_record_row", no_row)
-    doc = _run_json(capsys, "collinear", "--n", "3", "--ordering", "1,2,3")
-    assert doc["count"] == 1
+    argv = ["collinear", "--n", "3", "--ordering", "1,2,3"]
+    assert _run_json(capsys, *argv)["count"] == 1
+    with pytest.raises(AssertionError, match="CSV row built"):
+        cli.run([*argv, "--format", "csv"])
 
 
 def test_orbit_lift_and_csv(tmp_path, capsys, monkeypatch):
