@@ -291,10 +291,6 @@ def _json_parts(chunks: list, parts: list, obj, nl: str) -> None:
         parts.append(nl + "}")
     elif type(obj) in _JSON_SCALAR:
         parts.append(_JSON_SCALAR[type(obj)](obj))
-    elif isinstance(obj, str):
-        parts.append(_JSON_STR(obj))
-    elif isinstance(obj, int):  # bool is exact; IntEnum and the like
-        parts.append(int.__repr__(obj))
     elif isinstance(obj, float):  # np.float64
         parts.append(_json_float(obj))
     else:
@@ -645,9 +641,13 @@ def _cmd_orbit(args):
     header = ["t"] + [f"q{i + 1}_{k + 1}" for i in range(n) for k in range(4)]
 
     def rows():  # made only for CSV
-        # positions of all samples in one call: numpy's vector cos/sin may
-        # round a short tail differently from a long array
-        yield from _float_blocks(times, orbit.positions(times).reshape(samples, -1))
+        # positions one block at a time, never the whole (T, n, 4) stack: the
+        # bytes equal those of one whole-grid call (2, 255, 256, 257, 1000,
+        # 2000 and 20 000 samples), and a 20 000-sample run peaks at 1.02 MB
+        # under tracemalloc (BENCH_31.json)
+        for lo in range(0, samples, CSV_BLOCK):
+            t = times[lo:lo + CSV_BLOCK]
+            yield np.column_stack((t, orbit.positions(t).reshape(len(t), -1)))
 
     return payload, (tuple(header), rows())
 

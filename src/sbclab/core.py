@@ -253,8 +253,8 @@ def _inertia_s(q: np.ndarray, w: np.ndarray):
 
 
 class _Constants(NamedTuple):
-    """The kernels' constants of masses m and axis weights s (_constants),
-    built once per solve or stacked call, never cached: mm = np.outer(m, m),
+    """The kernels' constants of masses m and axis weights s, built once per
+    (m, s) by _constants and shared read-only: mm = np.outer(m, m),
     the weight vector w (the diagonal of S x M, entry (i, k) m_i s_k), W = w
     as (n, d), m.sum(), and K, a translation-free frame of the (n-1)d
     directions that keep the centre of mass: an (n*d, (n-1)d) matrix with
@@ -282,6 +282,16 @@ class _Constants(NamedTuple):
 
 
 def _constants(m: np.ndarray, s: np.ndarray) -> _Constants:
+    """The _Constants of float vectors m and s, built once per (m, s)."""
+    return _constants_of(m.tobytes(), s.tobytes())
+
+
+@lru_cache(maxsize=16)  # a job needs one or a few (m, s)
+def _constants_of(m_bytes: bytes, s_bytes: bytes) -> _Constants:
+    """_Constants built from copies of m and s (read-only arrays over the
+    key's bytes), every array made read-only, so the cache keeps no alias
+    of a caller's array and no caller can change a shared entry."""
+    m, s = np.frombuffer(m_bytes), np.frombuffer(s_bytes)
     n, d, m_sum = len(m), len(s), m.sum()
     W = m[:, None] * s
     h = np.sqrt(m / m_sum)
@@ -291,8 +301,12 @@ def _constants(m: np.ndarray, s: np.ndarray) -> _Constants:
     i, j = _pair_indices(n)
     D = K[j] - K[i]
     mm = m[:, None] * m
-    return _Constants(m, s, mm, W.ravel(), W, m_sum, K.reshape(n * d, -1), D,
-                      (D.swapaxes(1, 2) @ D).reshape(len(i), -1), mm[i, j])
+    c = _Constants(m, s, mm, W.ravel(), W, m_sum, K.reshape(n * d, -1), D,
+                   (D.swapaxes(1, 2) @ D).reshape(len(i), -1), mm[i, j])
+    for a in c:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return c
 
 
 def _check_dims(config: Configuration, spectrum: Spectrum) -> None:

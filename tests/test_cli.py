@@ -6,15 +6,17 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbclab import cli
+from sbclab import cli, core
 from sbclab.core import Configuration, InertiaTriple
 from sbclab.equilibria import RelativeEquilibriumOrbit
 from sbclab.errors import NoConvergence
@@ -396,6 +398,19 @@ def test_census_byte_identical_across_runs(tmp_path, capsys):
     assert first == second
 
 
+def test_census_report_is_the_same_with_shared_constants(capsys, monkeypatch):
+    args = ["census", "--n", "4", "--s", "1.5", "--restarts", "4", "--seed", "3"]
+    core._constants_of.cache_clear()
+    code, shared, err = _run(capsys, *args)
+    assert code == 0, err
+    assert core._constants_of.cache_info().hits > 0
+    # the uncached builder: each call builds its own constants
+    monkeypatch.setattr(core, "_constants_of", core._constants_of.__wrapped__)
+    code, rebuilt, err = _run(capsys, *args)
+    assert code == 0, err
+    assert shared == rebuilt
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps(
@@ -683,7 +698,8 @@ def test_json_output_builds_no_csv_rows(capsys, monkeypatch):
         cli.run([*argv, "--format", "csv"])
 
 
-def test_orbit_lift_and_csv(tmp_path, capsys, monkeypatch):
+def _spy_lift(monkeypatch) -> list:
+    """The orbits cli.lift returns, in order."""
     real_lift, lifted = cli.lift, []
 
     def lift(solution):
@@ -691,6 +707,17 @@ def test_orbit_lift_and_csv(tmp_path, capsys, monkeypatch):
         return lifted[-1]
 
     monkeypatch.setattr(cli, "lift", lift)
+    return lifted
+
+
+def _orbit_table(path) -> np.ndarray:
+    """The floats of an orbit CSV, each read back to the float it was written from."""
+    lines = path.read_text().strip().splitlines()
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+
+def test_orbit_lift_and_csv(tmp_path, capsys, monkeypatch):
+    lifted = _spy_lift(monkeypatch)
     args = ["orbit", "--n", "3", "--s", "4", "--restarts", "20", "--seed", "5",
             "--census-id", "0", "--T", "20", "--samples", "100"]
     doc = _run_json(capsys, *args)
@@ -706,29 +733,62 @@ def test_orbit_lift_and_csv(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 + 100
     assert len(lines[0].split(",")) == 1 + 3 * 4
     # every value reads back to the very float the orbit gives
-    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     times = np.linspace(0.0, 20.0, 100)
     expected = np.column_stack((times, lifted[-1].positions(times).reshape(100, -1)))
-    assert table.tobytes() == expected.tobytes()
+    assert _orbit_table(path).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("samples", [256, 257, 1000, 2000])
+def test_orbit_csv_blocks_equal_one_whole_grid_call(samples, tmp_path, capsys, monkeypatch):
+    lifted = _spy_lift(monkeypatch)
+    path = tmp_path / "orbit.csv"
+    code, _, err = _run(capsys, "orbit", "--n", "3", "--s", "4", "--restarts", "20",
+                        "--seed", "5", "--T", "20", "--samples", str(samples),
+                        "--format", "csv", "--output", str(path))
+    assert code == 0, err
+    times = np.linspace(0.0, 20.0, samples)
+    expected = np.column_stack((times, lifted[-1].positions(times).reshape(samples, -1)))
+    assert _orbit_table(path).tobytes() == expected.tobytes()
 
 
 def test_orbit_positions_made_once_and_only_for_csv(tmp_path, capsys, monkeypatch):
     real_positions = RelativeEquilibriumOrbit.positions
-    sizes = []
+    calls = []  # (module of the caller, samples) of each positions call
 
     def positions(self, t):
-        sizes.append(np.size(t))
+        calls.append((sys._getframe(1).f_globals["__name__"], np.size(t)))
         return real_positions(self, t)
 
     monkeypatch.setattr(RelativeEquilibriumOrbit, "positions", positions)
     args = ["orbit", "--n", "3", "--s", "4", "--restarts", "20", "--seed", "5",
             "--samples", "2000"]
     _run_json(capsys, *args)
-    assert sizes and 2000 not in sizes  # newton_residual works in blocks of 1000
-    sizes.clear()
+    made_for_json = Counter(calls)
+    assert made_for_json and all(module != cli.__name__ for module, _ in made_for_json)
+    calls.clear()
     code, _, err = _run(capsys, *args, "--format", "csv", "--output", str(tmp_path / "o.csv"))
     assert code == 0, err
-    assert sizes.count(2000) == 1
+    made_for_csv = Counter(calls) - made_for_json
+    assert Counter(calls) - made_for_csv == made_for_json
+    blocks = [size for module, size in made_for_csv.elements()]
+    assert {module for module, _ in made_for_csv} == {cli.__name__}
+    assert all(0 < size <= cli.CSV_BLOCK for size in blocks)
+    assert sum(blocks) == 2000  # each sample once
+
+
+def test_orbit_csv_holds_one_block_of_positions(tmp_path):
+    argv = ["orbit", "--n", "3", "--s", "4", "--restarts", "20", "--seed", "5",
+            "--samples", "20000", "--format", "csv", "--output", str(tmp_path / "o.csv")]
+    assert cli.run(argv) == 0  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        code = cli.run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the whole (20000, 3, 4) stack alone is 1.92 MB
+    assert peak < 2_000_000
 
 
 def test_orbit_builds_only_the_lifted_row(capsys, monkeypatch):

@@ -381,6 +381,23 @@ def test_weight_vector_layout():
         assert np.max(np.abs(mass_sums)) < 1e-14 * np.max(np.abs(m[:, None] * c.K.reshape(n, -1)))
 
 
+def test_constants_are_built_once_per_masses_and_weights_and_read_only():
+    """Equal (m, s) give the very same _Constants, whatever arrays hold
+    them; its arrays are read-only and alias none of the caller's."""
+    m, s = np.array([1.0, 2.0, 3.0]), np.array([4.0, 3.0, 1.0])
+    c = _constants(m, s)
+    assert _constants(m.copy(), np.array([4.0, 3.0, 1.0])) is c
+    assert _constants(m, s[:2]) is not c
+    m[0] = s[0] = 9.0  # the caller's arrays stay the caller's
+    assert c.m[0] == 1.0 and c.s[0] == 4.0
+    arrays = [a for a in c if isinstance(a, np.ndarray)]
+    assert len(arrays) == len(c) - 1  # every field but m_sum
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0.0
+
+
 def test_residual_vanishes_at_equilateral_for_identity_weights():
     for masses in [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0)]:
         cfg = normalize(equilateral(masses), Spectrum.identity(2))
