@@ -406,16 +406,8 @@ def _cmd_bounds(args):
 
 def _record_row(ordering, axis, positions, u, lam, eta, predicted, computed):
     """CSV row of one collinear record, from the row's column values."""
-    return (
-        " ".join(map(str, ordering)),
-        axis,
-        " ".join(map(repr, positions)),
-        u,
-        lam,
-        " ".join(map(repr, eta)),
-        *(predicted or ("", "", "")),
-        *computed,
-    )
+    return (" ".join(map(str, ordering)), axis, " ".join(map(repr, positions)), u, lam,
+            " ".join(map(repr, eta)), *(predicted or ("", "", "")), *computed)
 
 
 def _cmd_collinear(args):
@@ -423,24 +415,22 @@ def _cmd_collinear(args):
     spectrum = _resolve_spectrum(args.s, args.d)
     if args.ordering is not None:
         axis = 1 if args.axis is None else args.axis
-        records = [moulton_solve(masses, args.ordering, axis, spectrum)]
+        cat = moulton_solve(masses, args.ordering, axis, spectrum).catalogue
     elif args.axis is not None:
         raise ValueError("--axis needs --ordering (or drop both to enumerate)")
     else:
-        records = enumerate_csbc(masses, spectrum)
-    ordering, axis, q, u, lam, residual, eta, computed = map(np.array, zip(*[
-        (r.ordering, r.axis, r.q, r.u, r.lam, r.residual, r.spectral.eigenvalues, r.computed)
-        for r in records]))
-    predicted = [r.predicted for r in records]  # None where UnsupportedCase
+        cat = enumerate_csbc(masses, spectrum)
+    eta = np.array([sd.eigenvalues for sd in cat.spectral])[cat.line]
     payload = {
         "n": n,
         "d": args.d,
         "S": [float(w) for w in spectrum.s],
         "masses": [float(m) for m in masses],
-        "count": len(records),
+        "count": len(cat.q),
         "records": _Table({
-            "ordering": ordering, "axis": axis, "positions": q, "U": u, "lambda": lam,
-            "residual": residual, "eta": eta, "predicted": predicted, "computed": computed,
+            "ordering": cat.ordering, "axis": cat.axis, "positions": cat.q, "U": cat.u,
+            "lambda": cat.lam, "residual": cat.residual, "eta": eta,
+            "predicted": cat.predicted, "computed": cat.computed,
         }),
     }
     header = (
@@ -450,9 +440,9 @@ def _cmd_collinear(args):
     )
 
     def rows():  # made only for CSV
-        yield from map(_record_row, ordering.tolist(), axis.tolist(),
-                       q.reshape(len(q), -1).tolist(), u.tolist(), lam.tolist(),
-                       eta.tolist(), predicted, computed.tolist())
+        yield from map(_record_row, cat.ordering.tolist(), cat.axis.tolist(),
+                       cat.q.reshape(len(cat.q), -1).tolist(), cat.u.tolist(), cat.lam.tolist(),
+                       eta.tolist(), cat.predicted, cat.computed)
 
     return payload, (header, rows())
 

@@ -9,25 +9,22 @@ coindex n-2, and each transverse direction i contributes according to the
 signs of eta_l + (s_i/s_j) * U(q_hat) over the eigenvalue groups eta_l of
 M^{-1} B(q_hat).
 
-Each record is built complete, from its line's spectrum and one guarded
-pair pass at the point: U, lambda, residual and both triples. The gap
-equations of a line depend only on its masses in line order, so an
-enumeration solves them once per distinct mass sequence (once in all for
-equal masses), and it decomposes all its lines as one (L, n) stack: one
-force-matrix stack and one eigvalsh call. Its records are built in stacks
-of up to STACK_LANES: one normalization, one pair pass, one residual gate,
-one restricted Hessian and one eigvalsh for the triples serve the whole
-stack, and each record keeps its point as a read-only row of that stack.
-Reversing an ordering mirrors its line (x -> -x) and leaves every r_ij
-unchanged, so only the canonical orientation (first label below the last)
-is built, and the reversed ordering's records are its exact negation.
+An enumeration is a CollinearCatalogue held as columns. It solves the
+gap equations of a line once per distinct mass sequence in line order
+(once in all for equal masses), decomposes all its lines as one (L, n)
+stack, and builds its points in stacks of up to STACK_LANES: one
+normalization, one pair pass, one residual gate, one restricted Hessian
+and one eigvalsh for the triples per stack. Reversing an ordering mirrors
+its line (x -> -x) and leaves every r_ij unchanged, so only the canonical
+orientation (first label below the last) is built, and the reversed rows
+are its exact negation. A CollinearRecord is built only on request.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -242,17 +239,11 @@ def _ordered_cc_gaps(m_ord: np.ndarray):
 
 @dataclass(frozen=True)
 class CollinearRecord:
-    """One solved and classified collinear balanced configuration.
-
-    ordering and axis are 1-based (body labels left to right along the
-    axis, and the coordinate axis carrying the weight s_axis). q is the
-    point as a read-only (n, d) array, normalized to I_S = 1 with its
-    centre of mass removed, and config builds a Configuration of it on
-    request; u, lam and residual are its U, multiplier and residual norm.
-    cc_positions is the unit-mass-norm collinear CC it was built from,
-    indexed by body, with spectrum `spectral`. predicted is None only where
-    UnsupportedCase applies; computed comes from the restricted Hessian.
-    """
+    """One solved and classified collinear balanced configuration: a row of
+    `catalogue` (see CollinearCatalogue) built on request, each field its
+    entry of the column of that name (ordering as a tuple; cc_positions,
+    gap_residual, iterations and spectral those of its line). config
+    builds a Configuration of q on request."""
 
     ordering: tuple[int, ...]
     axis: int
@@ -268,22 +259,69 @@ class CollinearRecord:
     spectral: SpectralData
     predicted: InertiaTriple | None
     computed: InertiaTriple
+    catalogue: CollinearCatalogue = field(repr=False)
 
     @property
     def config(self) -> Configuration:
         return Configuration(self.q, self.masses)
 
 
-def _cc_lines(m: np.ndarray, orderings) -> list:
-    """(ordering, x_hat, gap residual, iterations, spectral) of each
-    ordering: its gap solve, the unit-mass-norm CC line x_hat indexed by
-    body, and its spectrum. The one place lines are solved and spectrally
-    decomposed.
+@dataclass(frozen=True, eq=False, repr=False)
+class CollinearCatalogue:
+    """Solved and classified collinear balanced configurations held as
+    columns, one row per (ordering, axis), sorted by axis, then ordering.
 
-    The gap solve and the unit line in line order depend only on the masses
-    in line order, so orderings with the same masses in line order share
-    one solve: with equal masses every ordering does. The lines are rows of
-    one (L, n) stack, decomposed by one ccc_spectrum call.
+    Row i is the ordering `ordering[i]` (an int array (N, n); body labels
+    left to right) on the coordinate axis `axis[i]`, both 1-based. Its
+    point `q[i]`, of a read-only (N, n, d) stack, is normalized to I_S = 1
+    with its centre of mass removed; `u`, `lam` and `residual` (read-only
+    arrays) hold its U, multiplier and residual norm, `computed` its triple
+    from the restricted Hessian and `predicted` the closed-form one, None
+    where UnsupportedCase applies. `line[i]` indexes the per-line
+    `cc_positions` (the unit-mass-norm CC the point was built from, indexed
+    by body), `gap_residual`, `iterations` and `spectral` (its spectrum).
+    `record(i)` builds row i as a CollinearRecord; `records` builds every
+    row that way, on every access. Columns of arrays have no field-wise
+    == or repr, so none is generated."""
+
+    masses: np.ndarray
+    spectrum: Spectrum
+    ordering: np.ndarray
+    axis: np.ndarray
+    q: np.ndarray
+    u: np.ndarray
+    lam: np.ndarray
+    residual: np.ndarray
+    line: np.ndarray
+    cc_positions: np.ndarray
+    computed: tuple[InertiaTriple, ...]
+    predicted: tuple[InertiaTriple | None, ...]
+    gap_residual: tuple[float, ...]
+    iterations: tuple[int, ...]
+    spectral: tuple[SpectralData, ...]
+
+    def record(self, i: int) -> CollinearRecord:
+        k = int(self.line[i])
+        return CollinearRecord(
+            tuple(self.ordering[i].tolist()), int(self.axis[i]), self.spectrum, self.masses,
+            self.q[i], self.cc_positions[k], float(self.u[i]), float(self.lam[i]),
+            float(self.residual[i]), self.gap_residual[k], self.iterations[k],
+            self.spectral[k], self.predicted[i], self.computed[i], self,
+        )
+
+    @property
+    def records(self) -> tuple[CollinearRecord, ...]:
+        return tuple(self.record(i) for i in range(len(self.q)))
+
+
+def _cc_lines(m: np.ndarray, orderings):
+    """(x_hat, gap residuals, iterations, spectra) of the orderings: row k
+    of the (L, n) stack x_hat is ordering k's unit-mass-norm CC line,
+    indexed by body. The one place lines are solved and spectrally
+    decomposed: orderings with the same masses in line order share one gap
+    solve (with equal masses every ordering does), as the solve and the
+    unit line in line order depend only on those, and one ccc_spectrum
+    call decomposes the stack.
     """
     solved: dict = {}
     x_hat = np.empty((len(orderings), len(m)))
@@ -298,81 +336,65 @@ def _cc_lines(m: np.ndarray, orderings) -> list:
             y -= float(m_ord @ y / m_ord.sum())
             y /= math.sqrt(float(m_ord @ y**2))
             solved[key] = y, gap_res, iters
-        y, gap_res, iters = solved[key]
-        x_hat[k, order0] = y
-        fits.append((gap_res, iters))
-    spectra = ccc_spectrum(m, x_hat)
-    return [(o, x_hat[k], *fits[k], spectra[k]) for k, o in enumerate(orderings)]
+        x_hat[k, order0], *fit = solved[key]
+        fits.append(fit)
+    return (x_hat, *zip(*fits), ccc_spectrum(m, x_hat))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _predicted(spectral: SpectralData, spectrum: Spectrum, axis: int):
+    try:
+        return predicted_indices(spectral, spectrum, axis)
+    except UnsupportedCase:
+        return None
 
 
-def _mirrored(rec: CollinearRecord) -> CollinearRecord:
-    """The record of the reversed ordering: the line through x -> -x.
+def _catalogue(m: np.ndarray, spectrum: Spectrum, orderings, axes) -> CollinearCatalogue:
+    """The catalogue of the orderings (tuples) on each of `axes`, rows by
+    axis, then in the order of `orderings`.
 
-    Negation leaves every r_ij, and so U, lambda, the residual, the spectrum,
-    both triples and the restricted Hessian and its tangent basis, unchanged;
-    the pair pass of the mirrored point repeats the original's bit for bit.
-    0.0 - q keeps the off-axis zeros +0.0, as a fresh build has them.
+    Only canonical lines (first label below the last) are built: line k on
+    axis j is x_hat / sqrt(s_j) on that axis, normalized to I_S = 1, and up
+    to STACK_LANES such lanes share one normalization, one guarded pair
+    pass with its residual gate, one restricted Hessian
+    (core._critical_models) and one eigvalsh for the triples, each lane
+    bitwise a build of its own. A reversed ordering mirrors its canonical
+    line (x -> -x), leaving every r_ij, and so U, lambda, the residual, the
+    spectrum and both triples, unchanged: its rows are the canonical ones
+    with q and x_hat negated by one indexed 0.0 - q, bitwise what a build
+    gives (0.0 - keeps the off-axis zeros +0.0).
     """
-    return replace(
-        rec,
-        ordering=rec.ordering[::-1],
-        q=_read_only(0.0 - rec.q),
-        cc_positions=0.0 - rec.cc_positions,
-    )
-
-
-def _records(m: np.ndarray, spectrum: Spectrum, lines, axes) -> list[CollinearRecord]:
-    """The records of every line on each of `axes`, line by line.
-
-    lines holds (ordering, x_hat, gap residual, iterations, spectral) of
-    CC lines (see _cc_lines). The line on axis j is x_hat / sqrt(s_j) on
-    that axis, normalized to I_S = 1. Up to STACK_LANES records share one
-    stacked build: one normalization, one guarded pair pass with its
-    residual gate, one restricted Hessian (core._critical_models) and one
-    eigvalsh for the triples, each lane bitwise a build of its own. Each
-    record's q is a row of the stack's read-only normalized positions.
-    """
-    n, d, s = len(m), spectrum.d, spectrum.array
-    c = _constants(m, s)
-    lanes = [(line, axis) for line in lines for axis in axes]
-    records = []
+    n, d, n_axes = len(m), spectrum.d, len(axes)
+    line_of = {o: k for k, o in enumerate(dict.fromkeys(min(o, o[::-1]) for o in orderings))}
+    x_hat, gap_res, iters, spectra = _cc_lines(m, list(line_of))
+    c = _constants(m, spectrum.array)
+    lanes = np.zeros((len(line_of) * n_axes, n, d))  # lane k * n_axes + j: line k on axes[j]
+    for j, axis in enumerate(axes):
+        lanes[j::n_axes, :, axis - 1] = x_hat / math.sqrt(spectrum.s[axis - 1])
+    u, lam, res = np.empty((3, len(lanes)))
+    computed = []
     for lo in range(0, len(lanes), STACK_LANES):
-        chunk = lanes[lo : lo + STACK_LANES]
-        q = np.zeros((len(chunk), n, d))
-        for k, ((_, x_hat, *_), axis) in enumerate(chunk):
-            q[k, :, axis - 1] = x_hat / math.sqrt(spectrum.s[axis - 1])
-        q = _read_only(_normalize_q(q, c)[0])
-        # evaluate the points the records hold
-        u, lam, res, A, *_ = _critical_models(q, c)
-        computed = _triple_of(A, u)
-        u, lam, res = u.tolist(), lam.tolist(), res.tolist()
-        for k, ((ordering, x_hat, gap_res, iters, spectral), axis) in enumerate(chunk):
-            try:
-                predicted = predicted_indices(spectral, spectrum, axis)
-            except UnsupportedCase:
-                predicted = None
-            records.append(CollinearRecord(
-                ordering=tuple(int(b) for b in ordering),
-                axis=int(axis),
-                spectrum=spectrum,
-                masses=m,
-                q=q[k],
-                cc_positions=x_hat,
-                u=u[k],
-                lam=lam[k],
-                residual=res[k],
-                gap_residual=gap_res,
-                iterations=iters,
-                spectral=spectral,
-                predicted=predicted,
-                computed=computed[k],
-            ))
-    return records
+        part = slice(lo, lo + STACK_LANES)
+        lanes[part] = _normalize_q(lanes[part], c)[0]
+        u[part], lam[part], res[part], A, *_ = _critical_models(lanes[part], c)
+        computed += _triple_of(A, u[part])
+    predicted = [_predicted(sd, spectrum, axis) for sd in spectra for axis in axes]
+
+    source = np.array([line_of[min(o, o[::-1])] for o in orderings])
+    mirror = np.array([o[0] > o[-1] for o in orderings])
+    row_lane = (source * n_axes + np.arange(n_axes)[:, None]).ravel()  # the lane each row copies
+    flip = np.tile(mirror, n_axes)
+    q, cc = lanes[row_lane], x_hat[source]
+    q[flip] = 0.0 - q[flip]
+    cc[mirror] = 0.0 - cc[mirror]
+    line = np.tile(np.arange(len(orderings)), n_axes)
+    columns = (np.tile(np.array(orderings), (n_axes, 1)), np.repeat(axes, len(orderings)),
+               q, u[row_lane], lam[row_lane], res[row_lane], line, cc)
+    for a in (m, *columns):
+        a.flags.writeable = False
+    rows, lines = row_lane.tolist(), source.tolist()
+    return CollinearCatalogue(m, spectrum, *columns,
+                              *(tuple(col[k] for k in rows) for col in (computed, predicted)),
+                              *(tuple(col[k] for k in lines) for col in (gap_res, iters, spectra)))
 
 
 def moulton_solve(masses, ordering, axis: int, spectrum: Spectrum) -> CollinearRecord:
@@ -382,53 +404,37 @@ def moulton_solve(masses, ordering, axis: int, spectrum: Spectrum) -> CollinearR
     axis is the 1-based coordinate axis. The solve runs in gap
     coordinates from an equispaced start, the resulting central
     configuration is normalized to unit mass norm, and the balanced
-    configuration is that line shrunk by 1/sqrt(s_axis) on the axis: a
-    one-record build of the same builder enumerate_csbc stacks.
-
-    Only the canonical orientation (first label below the last) is solved:
-    a reversed ordering is the mirror image of its canonical line, so it is
-    bitwise the record enumerate_csbc gives it.
+    configuration is that line shrunk by 1/sqrt(s_axis) on the axis: the
+    one row of a one-ordering build of the catalogue enumerate_csbc
+    builds, so a reversed ordering is the negated canonical line, bitwise
+    the record enumerate_csbc gives it.
     """
     m = mass_vector(masses)
-    n = len(m)
-    if sorted(ordering) != list(range(1, n + 1)):
+    if sorted(ordering) != list(range(1, len(m) + 1)):
         raise ValueError("ordering must be a permutation of 1..n")
     if not 1 <= axis <= spectrum.d:
         raise ValueError(f"axis must be in 1..{spectrum.d}")
-    mirror = ordering[0] > ordering[-1]
-    if mirror:
-        ordering = ordering[::-1]
-    (rec,) = _records(m, spectrum, _cc_lines(m, [ordering]), (axis,))
-    return _mirrored(rec) if mirror else rec
+    return _catalogue(m, spectrum, [tuple(ordering)], (axis,)).record(0)
 
 
 # ---------------------------------------------------------------------------
 # enumeration and thresholds
 
 
-def enumerate_csbc(masses, spectrum: Spectrum) -> list[CollinearRecord]:
-    """All d * n! collinear balanced configurations, classified.
+def enumerate_csbc(masses, spectrum: Spectrum) -> CollinearCatalogue:
+    """All d * n! collinear balanced configurations, classified, as one
+    CollinearCatalogue, rows sorted by (axis, ordering).
 
-    One record per (ordering, axis), sorted by (axis, ordering), each built
-    complete (see CollinearRecord). The n!/2 canonical lines (first label
-    below the last) get their spectra from one stacked call, and one gap
-    solve serves every line with the same masses in line order (one in all
-    for equal masses; see _cc_lines). Every line is placed on every axis in one stacked build per
-    STACK_LANES records (see _records); its reversed ordering, met later in
-    lexicographic order, gets the negated records (see _mirrored).
+    The n!/2 canonical lines (first label below the last) get their spectra
+    from one stacked call, and one gap solve serves every line with the
+    same masses in line order (one in all for equal masses; see _cc_lines).
+    Every canonical line is placed on every axis in one stacked build per
+    STACK_LANES lanes, and the reversed orderings' rows are the negated
+    canonical ones (see _catalogue). No CollinearRecord is built.
     """
     m = mass_vector(masses)
     orderings = list(itertools.permutations(range(1, len(m) + 1)))
-    lines = _cc_lines(m, [o for o in orderings if o[0] <= o[-1]])
-    axes = range(1, spectrum.d + 1)
-    built = iter(_records(m, spectrum, lines, axes))
-    placed: dict[tuple[int, ...], list[CollinearRecord]] = {}
-    for ordering in orderings:
-        if ordering[0] <= ordering[-1]:
-            placed[ordering] = [next(built) for _ in axes]
-        else:
-            placed[ordering] = [_mirrored(rec) for rec in placed[ordering[::-1]]]
-    return [recs[k] for k in range(spectrum.d) for recs in placed.values()]
+    return _catalogue(m, spectrum, orderings, range(1, spectrum.d + 1))
 
 
 @dataclass(frozen=True)
@@ -455,8 +461,8 @@ def degeneracy_thresholds(masses) -> ThresholdReport:
     if n < 3:
         raise ValueError("degeneracy thresholds require n >= 3")
     orderings = list(itertools.permutations(range(1, n + 1)))
-    lines = _cc_lines(m, [o for o in orderings if o[0] < o[-1]])
-    canonical = {line[0]: line[4].thresholds for line in lines}
+    lines = [o for o in orderings if o[0] < o[-1]]
+    canonical = {o: sd.thresholds for o, sd in zip(lines, _cc_lines(m, lines)[-1])}
     per = {o: canonical[o if o in canonical else o[::-1]] for o in orderings}
     lows = [t[0] for t in per.values()]
     highs = [t[-1] for t in per.values()]

@@ -384,8 +384,8 @@ def _ambient(v: np.ndarray, c: _Constants) -> np.ndarray:
 def _residual_norm(a: np.ndarray, c: _Constants):
     """|G| = |W K a| of frame residuals a (..., (n-1)d), a float or one per
     leading index, each lane bitwise its own call and np.linalg.norm of its
-    G = _ambient(a, c)."""
-    G = _ambient(a, c).reshape(a.shape[:-1] + (1, len(c.w)))
+    G = _ambient(a, c): the same row product, kept as a (..., 1, nd) row."""
+    G = (a[..., None, :] @ c.K.T) * c.w
     res = np.sqrt(G @ G.swapaxes(-1, -2))[..., 0, 0]
     return float(res) if res.ndim == 0 else res
 

@@ -374,19 +374,18 @@ def _descend(starts: np.ndarray, c: _Constants) -> np.ndarray:
         live[moved[moves[moved] == 40]] = False
 
 
-def _representatives(records: list, masses: np.ndarray) -> list:
-    """One collinear record per symmetry orbit, the first in the records'
-    (axis, ordering) order. The group (core.symmetry_group) keeps a
-    record's axis and maps its ordering to every ordering with the same
-    masses in line order, or in reversed line order (an axis flip), so
+def _representatives(cat, masses: np.ndarray) -> list[int]:
+    """The row of one collinear record per symmetry orbit, the first in the
+    catalogue's (axis, ordering) order. The group (core.symmetry_group)
+    keeps a record's axis and maps its ordering to every ordering with the
+    same masses in line order, or in reversed line order (an axis flip), so
     that pair of mass sequences and the axis name the orbit."""
     orbits, reps = set(), []
-    for rec in records:
-        line = tuple(masses[b - 1] for b in rec.ordering)
-        orbit = rec.axis, min(line, line[::-1])
+    for i, (axis, line) in enumerate(zip(cat.axis.tolist(), masses[cat.ordering - 1].tolist())):
+        orbit = axis, min(tuple(line), tuple(line[::-1]))
         if orbit not in orbits:
             orbits.add(orbit)
-            reps.append(rec)
+            reps.append(i)
     return reps
 
 
@@ -419,22 +418,23 @@ def _saddle_seeds(c: _Constants, spectrum: Spectrum) -> list[Configuration]:
     """
     m, n, d = c.m, len(c.m), spectrum.d
     try:
-        reps = _representatives(enumerate_csbc(m, spectrum), m)
-        *_, A, P, X = _critical_models(np.array([rec.q for rec in reps]), c)
+        cat = enumerate_csbc(m, spectrum)
+        reps = _representatives(cat, m)
+        *_, A, P, X = _critical_models(cat.q[reps], c)
     except SbcLabError:
         return []
     seeds: list[Configuration | None] = []  # None: the next walked start
     starts = []
-    for rec, a, p, x in zip(reps, A, P, X):
-        seeds.append(Configuration(rec.q, m))
+    for q, u, a, p, x in zip(cat.q[reps], cat.u[reps].tolist(), A, P, X):
+        seeds.append(Configuration(q, m))
         evals, evecs = np.linalg.eigh(a)
         for k in range(len(evals)):
-            if evals[k] >= -NULL_TOL * rec.u:
+            if evals[k] >= -NULL_TOL * u:
                 break
             mode = evecs[:, k]
             lead = mode[np.argmax(np.abs(mode) > 1e-6 * np.abs(mode).max())]
             direction = (p @ (math.copysign(1.0, lead) * mode)).reshape(n - 1, d)
-            direction[:, ~(_occupied(rec.q) | _occupied(direction))] = 0.0
+            direction[:, ~(_occupied(q) | _occupied(direction))] = 0.0
             for sign in (1.0, -1.0):
                 start = x + sign * SEED_OFFSET * direction.ravel()
                 seeds.append(None)

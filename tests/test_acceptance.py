@@ -132,7 +132,7 @@ def test_criterion_05_collinear_enumeration_and_predictor():
         picks = [safe[i] for i in np.linspace(0, len(safe) - 1, 10).astype(int)]
         for s1 in picks:
             spectrum = Spectrum.planar(float(s1))
-            records = enumerate_csbc(masses, spectrum)
+            records = enumerate_csbc(masses, spectrum).records
             ok = ok and len(records) == 2 * math.factorial(n)
             for rec in records:
                 G, _ = sbc_residual(rec.config, spectrum)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -227,7 +230,7 @@ def test_predicted_indices_unsupported_for_wide_transverse_in_3d():
 @pytest.mark.parametrize("n", [3, 4])
 def test_enumerate_counts_and_agreement(n):
     spec = Spectrum.planar(1.7)
-    recs = enumerate_csbc(np.ones(n), spec)
+    recs = enumerate_csbc(np.ones(n), spec).records
     assert len(recs) == 2 * math.factorial(n)
     keys = [(r.axis, r.ordering) for r in recs]
     assert keys == sorted(keys)
@@ -238,7 +241,7 @@ def test_enumerate_counts_and_agreement(n):
 
 
 def test_enumerate_axis1_index_dominates():
-    recs = enumerate_csbc(np.array([1.0, 2.0, 3.0]), Spectrum.planar(1.8))
+    recs = enumerate_csbc(np.array([1.0, 2.0, 3.0]), Spectrum.planar(1.8)).records
     by_key = {(r.axis, r.ordering): r for r in recs}
     for (axis, ordering), r in by_key.items():
         if axis == 1:
@@ -248,7 +251,7 @@ def test_enumerate_axis1_index_dominates():
 
 def test_enumerate_unsupported_axes_fall_back_to_computed():
     spec = Spectrum((2.0, 1.5, 1.0))
-    recs = enumerate_csbc(np.ones(3), spec)
+    recs = enumerate_csbc(np.ones(3), spec).records
     assert len(recs) == 3 * 6
     for r in recs:
         if r.axis == 1:
@@ -318,9 +321,9 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
     canonical orderings (one for equal masses), one stacked spectrum call
     for the n!/2 canonical lines (one per mirror pair of orderings), no
     Configuration, and one stacked frame pass and restricted Hessian for all
-    records, with no position pass (core._pairs) while the records are
-    built; every record is bitwise the record a fresh moulton_solve on its
-    axis gives."""
+    records, with no position pass (core._pairs) while the catalogue builds
+    its points from the solved lines; every record is bitwise the record a
+    fresh moulton_solve on its axis gives."""
     calls = {"gaps": 0, "spectra": 0, "built": 0, "evaluated": 0, "models": 0, "paired": 0}
     building = []
 
@@ -333,7 +336,7 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
     monkeypatch.setattr(collinear, "_ordered_cc_gaps", counted("gaps", collinear._ordered_cc_gaps))
     monkeypatch.setattr(collinear, "ccc_spectrum", counted("spectra", collinear.ccc_spectrum))
     monkeypatch.setattr(core, "_evaluate_x", counted("evaluated", core._evaluate_x))
-    pairs, build_records = core._pairs, collinear._records
+    pairs, build_catalogue, cc_lines = core._pairs, collinear._catalogue, collinear._cc_lines
 
     def paired(*args):
         calls["paired"] += len(building)
@@ -342,13 +345,21 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
     def recording(*args):
         building.append(True)
         try:
-            return build_records(*args)
+            return build_catalogue(*args)
         finally:
             building.clear()
 
+    def solving_lines(*args):  # the line solves and spectra are position passes
+        building.clear()
+        try:
+            return cc_lines(*args)
+        finally:
+            building.append(True)
+
     monkeypatch.setattr(core, "_pairs", paired)
     monkeypatch.setattr(collinear, "_pairs", paired)
-    monkeypatch.setattr(collinear, "_records", recording)
+    monkeypatch.setattr(collinear, "_catalogue", recording)
+    monkeypatch.setattr(collinear, "_cc_lines", solving_lines)
     monkeypatch.setattr(
         core, "_restricted_hessian_any", counted("models", core._restricted_hessian_any)
     )
@@ -356,7 +367,7 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
         Configuration, "__post_init__", counted("built", Configuration.__post_init__)
     )
     spectrum = Spectrum(s)
-    recs = enumerate_csbc(masses, spectrum)
+    recs = enumerate_csbc(masses, spectrum).records
     n = len(masses)
     canonical = [o for o in itertools.permutations(range(n)) if o[0] < o[-1]]
     orderings = math.factorial(n)
@@ -398,24 +409,32 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
 )
 def test_enumerate_mirrored_records_equal_a_full_evaluation(masses, s):
     """Each reversed ordering's record, built by negation, is bitwise the
-    record a full evaluation of the negated line gives: its own pair pass,
-    tangent basis, Hessian and spectrum."""
+    record a full evaluation of the negated line gives: its own
+    normalization, pair pass, tangent basis, Hessian and spectrum."""
     m = np.array(masses)
     spectrum = Spectrum(s)
-    recs = enumerate_csbc(m, spectrum)
+    c = core._constants(m, spectrum.array)
+    recs = enumerate_csbc(m, spectrum).records
     by_key = {(r.axis, r.ordering): r for r in recs}
     mirrored = [r for r in recs if r.ordering[0] > r.ordering[-1]]
     assert len(mirrored) == len(recs) // 2
     for rec in mirrored:
         canon = by_key[(rec.axis, rec.ordering[::-1])]
         x_hat = -canon.cc_positions
-        line = (rec.ordering, x_hat, canon.gap_residual, canon.iterations, ccc_spectrum(m, x_hat))
-        (full,) = collinear._records(m, spectrum, [line], (rec.axis,))
-        assert np.array_equal(rec.config.q, full.config.q)
+        q = np.zeros((len(m), spectrum.d))
+        q[:, rec.axis - 1] = x_hat / math.sqrt(spectrum.s[rec.axis - 1])
+        q = core._normalize_q(q, c)[0]
+        u, lam, res, A, *_ = core._critical_models(q, c)
+        spectral = ccc_spectrum(m, x_hat)
+        try:
+            predicted = predicted_indices(spectral, spectrum, rec.axis)
+        except UnsupportedCase:
+            predicted = None
+        assert np.array_equal(rec.config.q, Configuration(q, m).q)
         assert np.array_equal(rec.cc_positions, x_hat)
-        assert (rec.u, rec.lam, rec.residual) == (full.u, full.lam, full.residual)
+        assert (rec.u, rec.lam, rec.residual) == (float(u), float(lam), float(res))
         assert (rec.spectral, rec.predicted, rec.computed) == (
-            full.spectral, full.predicted, full.computed
+            spectral, predicted, core._triple_of(A, u)
         )
 
 
@@ -434,7 +453,7 @@ def test_stacked_lanes_are_bitwise_their_one_line_results(masses, s):
     a Configuration of it holds."""
     m = np.array(masses)
     spectrum = Spectrum(s)
-    recs = enumerate_csbc(m, spectrum)
+    recs = enumerate_csbc(m, spectrum).records
     lines = [r for r in recs if r.axis == 1 and r.ordering[0] < r.ordering[-1]]
     assert len(lines) == math.factorial(len(m)) // 2
     x = np.array([r.cc_positions for r in lines])
@@ -478,7 +497,7 @@ def test_numpy_eigenvalues_agree_with_scipy_eigh():
     n = 6 enumeration at s = 1.5 and on an n = 3 census they match
     scipy.linalg.eigh, and every triple is the one its eigenvalues give."""
     spectrum = Spectrum((1.5, 1.0))
-    records = enumerate_csbc(np.ones(6), spectrum)
+    records = enumerate_csbc(np.ones(6), spectrum).records
     assert len(records) == 1440
     for rec, A in zip(records, _models(records, spectrum)):
         ref = _scipy_agrees(np.linalg.eigvalsh(A), A)
@@ -494,3 +513,103 @@ def test_numpy_eigenvalues_agree_with_scipy_eigh():
         u, _, _, A, *_ = core._critical_models(sol.config.q, c)
         ref = _scipy_agrees(np.linalg.eigvalsh(A), A)
         assert core._triple_of(A, u) == sol.triple == _triple(ref, u)
+
+
+# ---------------------------------------------------------------------------
+# the columnar catalogue
+
+
+@pytest.fixture(scope="module")
+def catalogues():
+    """Catalogues of equal masses (n = 5, planar) and of distinct masses
+    with the null-predicted axes (n = 4, S = (3, 2, 1))."""
+    return [enumerate_csbc(np.ones(5), Spectrum((1.5, 1.0))),
+            enumerate_csbc(np.array([1.0, 2.0, 3.0, 4.0]), Spectrum((3.0, 2.0, 1.0)))]
+
+
+def test_catalogue_arrays_are_read_only(catalogues):
+    for cat in catalogues:
+        arrays = [v for v in vars(cat).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 9
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+        assert not cat.record(0).q.flags.writeable
+
+
+def test_record_is_its_row_of_the_columns(catalogues):
+    for cat in catalogues:
+        n_rows, n = cat.ordering.shape
+        assert n_rows == cat.spectrum.d * math.factorial(n)
+        assert len(cat.records) == n_rows
+        for i, rec in enumerate(cat.records):
+            k = cat.line[i]
+            assert rec.ordering == tuple(cat.ordering[i].tolist())
+            assert rec.axis == cat.axis[i]
+            assert rec.q.tobytes() == cat.q[i].tobytes()
+            assert rec.cc_positions.tobytes() == cat.cc_positions[k].tobytes()
+            assert (rec.u, rec.lam, rec.residual) == (cat.u[i], cat.lam[i], cat.residual[i])
+            assert (rec.gap_residual, rec.iterations) == (cat.gap_residual[k], cat.iterations[k])
+            assert rec.spectral is cat.spectral[k]
+            assert (rec.predicted, rec.computed) == (cat.predicted[i], cat.computed[i])
+            assert rec.masses is cat.masses and rec.catalogue is cat
+
+
+def test_reversed_rows_are_the_negated_canonical_rows(catalogues):
+    """Row by row, a reversed ordering is bitwise 0.0 - q (and 0.0 - x_hat)
+    of its canonical row on the same axis, with the same U, multiplier,
+    residual, triples and spectrum."""
+    for cat in catalogues:
+        row = {(a, tuple(o)): i for i, (a, o) in enumerate(zip(cat.axis.tolist(),
+                                                               cat.ordering.tolist()))}
+        reversed_rows = [(i, row[a, o[::-1]]) for (a, o), i in row.items() if o[0] > o[-1]]
+        assert 2 * len(reversed_rows) == len(row)
+        for i, j in reversed_rows:
+            assert cat.q[i].tobytes() == (0.0 - cat.q[j]).tobytes()
+            k, kc = cat.line[i], cat.line[j]
+            assert cat.cc_positions[k].tobytes() == (0.0 - cat.cc_positions[kc]).tobytes()
+            assert (cat.u[i], cat.lam[i], cat.residual[i]) == (
+                cat.u[j], cat.lam[j], cat.residual[j])
+            assert (cat.computed[i], cat.predicted[i]) == (cat.computed[j], cat.predicted[j])
+            assert cat.spectral[k] is cat.spectral[kc]
+        assert all(np.signbit(cat.q[i]).sum() == np.signbit(cat.q[i][:, a - 1]).sum()
+                   for i, a in enumerate(cat.axis.tolist()))  # off-axis zeros are +0.0
+
+
+@pytest.mark.parametrize("argv,masses,s", [
+    (("--n", "5", "--s", "1.5"), np.ones(5), (1.5, 1.0)),
+    (("--n", "4", "--d", "3", "--s", "3,2,1"), np.ones(4), (3.0, 2.0, 1.0)),
+])
+def test_collinear_reports_are_their_records_written_one_by_one(tmp_path, argv, masses, s):
+    """The collinear JSON and CSV reports are json.dumps and csv.writer of
+    rows built one by one from record(i) (n = 4, S = (3, 2, 1) has null
+    predicted triples)."""
+    from sbclab import cli
+
+    spectrum = Spectrum(s)
+    records = enumerate_csbc(masses, spectrum).records
+    assert any(r.predicted is None for r in records) == (len(s) == 3)
+    rows = [{"ordering": list(r.ordering), "axis": r.axis, "positions": r.q.tolist(),
+             "U": r.u, "lambda": r.lam, "residual": r.residual,
+             "eta": list(r.spectral.eigenvalues),
+             "predicted": None if r.predicted is None else list(r.predicted),
+             "computed": list(r.computed)} for r in records]
+    payload = {"n": len(masses), "d": len(s), "S": list(s), "masses": masses.tolist(),
+               "count": len(rows), "records": rows}
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("ordering", "axis", "positions", "U", "lambda", "eta",
+                     "predicted_index", "predicted_nullity", "predicted_coindex",
+                     "computed_index", "computed_nullity", "computed_coindex"))
+    for r in records:
+        writer.writerow((" ".join(map(str, r.ordering)), r.axis,
+                         " ".join(map(repr, r.q.ravel().tolist())), r.u, r.lam,
+                         " ".join(map(repr, r.spectral.eigenvalues)),
+                         *(r.predicted or ("", "", "")), *r.computed))
+    for fmt, expected in (("json", json.dumps(payload, sort_keys=True, indent=2,
+                                              allow_nan=False) + "\n"),
+                          ("csv", out.getvalue())):
+        path = tmp_path / f"collinear.{fmt}"
+        assert cli.run(["collinear", *argv, "--format", fmt, "--output", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == expected

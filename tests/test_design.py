@@ -380,7 +380,7 @@ def test_only_starts_and_library_entry_centre_a_point(monkeypatch):
     """Across whole censuses, the centre-of-mass test (core._recentre) runs
     only inside core._normalize_q and at library entry (Configuration), and
     _normalize_q only from _sample_start, find_critical_point's start and
-    the collinear records (collinear._records).  So neither _saddle_seeds
+    the collinear catalogue (collinear._catalogue).  So neither _saddle_seeds
     nor _descend calls either, and no call at all happens inside a descent
     walk: the seeding works in frame coordinates, whose every point is
     centred (masses (1, 2, 3) with S = diag(4, 3, 2, 1) are the walks on
@@ -421,4 +421,27 @@ def test_only_starts_and_library_entry_centre_a_point(monkeypatch):
         solver.census(masses, spec, 3, seed=2)
     assert len(walks) == 2 and min(walks) > 0
     assert callers == {"_recentre": {"__post_init__", "_normalize_q"},
-                       "_normalize_q": {"_sample_start", "find_critical_point", "_records"}}
+                       "_normalize_q": {"_sample_start", "find_critical_point", "_catalogue"}}
+
+
+def test_an_enumeration_and_its_report_build_no_collinear_record(monkeypatch, tmp_path):
+    """enumerate_csbc holds its records as columns, and cli collinear writes
+    those columns: neither constructs a CollinearRecord (record(i) builds
+    one on request)."""
+    import numpy as np
+
+    from sbclab import cli, collinear
+    from sbclab.core import Spectrum
+
+    built = []
+    init = collinear.CollinearRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(collinear.CollinearRecord, "__init__", counted)
+    cat = collinear.enumerate_csbc(np.ones(5), Spectrum((1.5, 1.0)))
+    assert cli.run(["collinear", "--n", "5", "--output", str(tmp_path / "c.json")]) == 0
+    assert len(cat.q) == 240 and len(built) == 0
+    assert cat.record(7).catalogue is cat and len(built) == 1

@@ -165,6 +165,29 @@ def test_residual_blocks_match_per_sample_loop(orbit_s4):
     assert abs(newton_residual(orbit_s4, explicit) - ref) <= 1e-15
 
 
+def test_residual_makes_one_positions_call_per_block(orbit_s4, monkeypatch):
+    """Each block's accelerations are its positions times _spin, bitwise
+    accelerations(t) as the per-plane in-place products give it, so
+    newton_residual makes one positions call per RESIDUAL_BLOCK samples."""
+    times = np.linspace(0.0, 20.0, 2 * equilibria.RESIDUAL_BLOCK + 37)
+    w1, w2 = orbit_s4.omega
+    expected = orbit_s4.positions(times)
+    expected[..., :2] *= -(w1**2)
+    expected[..., 2:] *= -(w2**2)
+    assert orbit_s4.accelerations(times).tobytes() == expected.tobytes()
+
+    sizes = []
+    positions = RelativeEquilibriumOrbit.positions
+
+    def spy(self, t):
+        sizes.append(np.size(t))
+        return positions(self, t)
+
+    monkeypatch.setattr(RelativeEquilibriumOrbit, "positions", spy)
+    newton_residual(orbit_s4, times)
+    assert sizes == [equilibria.RESIDUAL_BLOCK, equilibria.RESIDUAL_BLOCK, 37]
+
+
 def test_residual_rejects_empty_time_set(orbit_s4):
     with pytest.raises(ValueError):
         newton_residual(orbit_s4, np.linspace(0.0, 20.0, 0))

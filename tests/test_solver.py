@@ -905,7 +905,7 @@ def closure_census():
 
             with pytest.MonkeyPatch.context() as mp:
                 if every_record:
-                    mp.setattr(solver, "_representatives", lambda records, m: records)
+                    mp.setattr(solver, "_representatives", lambda cat, m: list(range(len(cat.q))))
                 mp.setattr(solver, "_closed", capturing)
                 runs[key] = census(np.array(masses), Spectrum(s), restarts, seed)
         return runs[key]
