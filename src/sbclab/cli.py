@@ -15,6 +15,7 @@ coefficient arrays switch to strings as soon as any entry is too large.
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -211,35 +212,41 @@ class _Table:
 def _table_blocks(table: _Table, nl: str):
     """The JSON text of a non-empty table as a list, in blocks of CSV_BLOCK
     rows; nl is a newline followed by the indentation of the rows' lines.
-
-    One row template is built from the columns in sorted key order: array
-    scalars are %r of a Python float or %d of an int, and each value of a
-    list column is a %s slot filled with that value's text, made once per
-    distinct value. A block takes .tolist() of its own rows only and
-    formats each row with one %. A non-finite float raises before any
-    block is made."""
+    One row template is built from the columns in sorted key order, each
+    scalar a %s slot, and a block formats each row with one %. A distinct
+    value's text is made once per table in a list column and once per
+    block in an array column (_block_texts)."""
     cells = nl + "  "
     template, columns = [], []
     for key in sorted(table.columns):
         col = table.columns[key]
-        if isinstance(col, np.ndarray):
-            bad = col[~np.isfinite(col)]
-            if bad.size:
-                _json_float(float(bad[0]))
-            # a zero array of the row's shape as json.dumps writes it, each 0.0 a slot
-            slot = "".join(_json_chunks(np.zeros(col.shape[1:]).tolist(), cells)).replace(
-                "0.0", {"f": "%r", "i": "%d", "u": "%d"}[col.dtype.kind])
-        else:
+        if not isinstance(col, np.ndarray):
             texts = {v: "".join(_json_chunks(v, cells)) for v in set(col)}
-            col, slot = np.array([texts[v] for v in col], object), "%s"
+            col = np.array([texts[v] for v in col], object)
+        # a zero array of the row's shape as json.dumps writes it, each 0.0 a slot
+        slot = "".join(_json_chunks(np.zeros(col.shape[1:]).tolist(), cells)).replace("0.0", "%s")
         template.append(_JSON_STR(key).replace("%", "%%") + ": " + slot)
         columns.append(col.reshape(len(col), -1))
     row = "{" + cells + ("," + cells).join(template) + nl + "}"
     sep = "[" + nl
     for start in range(0, len(table), CSV_BLOCK):
-        block = np.concatenate([c[start:start + CSV_BLOCK] for c in columns], axis=1, dtype=object)
+        block = np.concatenate([_block_texts(c[start:start + CSV_BLOCK]) for c in columns], axis=1)
         yield sep + ("," + nl).join([row % tuple(r) for r in block.tolist()])
         sep = "," + nl
+
+
+def _block_texts(block: np.ndarray) -> np.ndarray:
+    """A block of table values as an object array of their texts. An array
+    block's distinct bit patterns (-0.0 and 0.0 are two) are written once
+    each, a non-finite float raising, and placed by np.unique's inverse."""
+    if block.dtype == object:
+        return block
+    unique, inverse = np.unique(block.view(f"i{block.itemsize}"), return_inverse=True)
+    values = unique.view(block.dtype)
+    if not np.isfinite(values).all():
+        _json_float(float(values[~np.isfinite(values)][0]))
+    write = float.__repr__ if block.dtype.kind == "f" else int.__repr__
+    return np.array(list(map(write, values.tolist())), object)[inverse.reshape(block.shape)]
 
 
 def _json_parts(chunks: list, parts: list, obj, nl: str) -> None:
@@ -256,10 +263,9 @@ def _json_parts(chunks: list, parts: list, obj, nl: str) -> None:
         parts.clear()
         chunks.extend(_table_blocks(obj, nl + "  "))
         parts.append(nl + "]")
-    elif isinstance(obj, (list, tuple, _Table)):  # an empty _Table is []
-        if not obj:
-            parts.append("[]")
-            return
+    elif isinstance(obj, (list, tuple, dict, _Table)) and not obj:  # an empty _Table is []
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, (list, tuple)):
         inner = nl + "  "
         sep = "[" + inner
         for value in obj:
@@ -272,9 +278,6 @@ def _json_parts(chunks: list, parts: list, obj, nl: str) -> None:
             sep = "," + inner
         parts.append(nl + "]")
     elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
@@ -307,7 +310,7 @@ def _json_chunks(payload, nl: str = "\n") -> list:
     and where a _Table stands for the list of its rows as dicts; nl is a
     newline followed by the indentation of payload's own line. The whole
     text is made, so a non-finite float raises before any of it is
-    returned."""
+    returned (json.dumps with an indent runs slower, in pure Python)."""
     chunks: list = []
     parts: list = []
     _json_parts(chunks, parts, payload, nl)
@@ -321,19 +324,16 @@ def _emit(args, payload: dict, table) -> None:
     A 2-D float array among the rows is a block of rows, written with one
     write: repr is the str that csv.writer gives a float, and a float
     never needs quoting, so the bytes are those of csv.writer.
-    JSON text comes from _json_chunks as chunks whose concatenation is
-    exactly what json.dumps(payload, sort_keys=True, indent=2,
-    allow_nan=False) returns, a _Table written as the list of its rows as
-    dicts: with an indent, json.dumps skips its C encoder and runs a
-    pure-Python generator, which a list of parts joined in chunks, and a
-    table's rows formatted from one template, outpace. The chunks and the
-    final newline are written in order, never joined, so the report is
-    held at about its own size. The whole text is made before any output
-    is opened, so a JSON report holding NaN or an infinity is refused
-    (ValueError) with nothing written: those are not JSON."""
+    JSON text is _json_chunks(payload): chunks whose concatenation is
+    exactly json.dumps(payload, sort_keys=True, indent=2, allow_nan=False),
+    a _Table written as the list of its rows as dicts, and the final
+    newline, written in order and never joined, so the report is held at
+    about its own size. All are made before any output is opened, so a
+    JSON report holding NaN or an infinity is refused (ValueError) with
+    nothing written: those are not JSON."""
     chunks = None
     if args.format != "csv":
-        chunks = _json_chunks(payload)
+        chunks = _json_chunks(payload) + ["\n"]
     if args.output is None or args.output == "-":
         out = contextlib.nullcontext(sys.stdout)
     else:
@@ -350,7 +350,6 @@ def _emit(args, payload: dict, table) -> None:
                     writer.writerow(item)
         else:
             fh.writelines(chunks)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +711,7 @@ def _add_problem_flags(sp, d, s1, seed=True):
         sp.add_argument("--seed", type=_INT_GE0, default=0)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="sbc-lab",
                      description="balanced-configuration laboratory")

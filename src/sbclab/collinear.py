@@ -318,27 +318,27 @@ def _cc_lines(m: np.ndarray, orderings):
     """(x_hat, gap residuals, iterations, spectra) of the orderings: row k
     of the (L, n) stack x_hat is ordering k's unit-mass-norm CC line,
     indexed by body. The one place lines are solved and spectrally
-    decomposed: orderings with the same masses in line order share one gap
-    solve (with equal masses every ordering does), as the solve and the
-    unit line in line order depend only on those, and one ccc_spectrum
-    call decomposes the stack.
+    decomposed: the solve and the unit line in line order depend only on
+    the masses in line order, so each distinct row of m[orderings - 1]
+    (keyed by its bytes) gets one gap solve (equal masses give one row),
+    one indexed assignment places every line, and one ccc_spectrum call
+    decomposes the stack.
     """
-    solved: dict = {}
-    x_hat = np.empty((len(orderings), len(m)))
-    fits = []
-    for k, ordering in enumerate(orderings):
-        order0 = [b - 1 for b in ordering]
-        m_ord = m[order0]
-        key = tuple(m_ord)
-        if key not in solved:
-            gaps, gap_res, iters = _ordered_cc_gaps(m_ord)
-            y = np.concatenate(([0.0], np.cumsum(gaps)))
-            y -= float(m_ord @ y / m_ord.sum())
-            y /= math.sqrt(float(m_ord @ y**2))
-            solved[key] = y, gap_res, iters
-        x_hat[k, order0], *fit = solved[key]
-        fits.append(fit)
-    return (x_hat, *zip(*fits), ccc_spectrum(m, x_hat))
+    order0 = np.array(orderings) - 1
+    m_rows = m[order0]
+    _, first, inverse = np.unique(m_rows.view(f"V{m_rows[0].nbytes}")[:, 0],
+                                  return_index=True, return_inverse=True)
+    solved = []
+    for m_ord in m_rows[first]:
+        gaps, gap_res, iters = _ordered_cc_gaps(m_ord)
+        y = np.concatenate(([0.0], np.cumsum(gaps)))
+        y -= float(m_ord @ y / m_ord.sum())
+        y /= math.sqrt(float(m_ord @ y**2))
+        solved.append((y, gap_res, iters))
+    ys, *fits = zip(*solved)
+    x_hat = np.empty(order0.shape)
+    x_hat[np.arange(len(order0))[:, None], order0] = np.array(ys)[inverse]
+    return (x_hat, *([fit[k] for k in inverse.tolist()] for fit in fits), ccc_spectrum(m, x_hat))
 
 
 def _predicted(spectral: SpectralData, spectrum: Spectrum, axis: int):

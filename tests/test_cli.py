@@ -116,12 +116,21 @@ def _many_chunk_report(last: float) -> dict:
     return {"count": len(records), "records": records}
 
 
-def _many_block_report(last: float) -> dict:
+def _many_block_report(last: float, repeats: int = 1) -> dict:
     """A report whose table of several CSV_BLOCK blocks holds last in its
-    last row."""
+    last `repeats` rows."""
     x = np.arange(3 * cli.CSV_BLOCK, dtype=float)
-    x[-1] = last
+    x[-repeats:] = last
     return {"count": len(x), "records": cli._Table({"x": x, "q": np.ones((len(x), 2, 2))})}
+
+
+def _repeated_block_report(bad: float) -> dict:
+    """A table of three CSV_BLOCK blocks whose float column repeats 0.0 and
+    -0.0 throughout and holds bad only in the last block, several times
+    over, in its second entry."""
+    q = np.tile([[0.0, -0.0]], (3 * cli.CSV_BLOCK, 1))
+    q[-cli.CSV_BLOCK // 2::3, 1] = bad
+    return {"records": cli._Table({"q": q, "k": np.zeros(len(q), dtype=np.int64)})}
 
 
 def test_non_finite_report_is_refused(capsys, monkeypatch, tmp_path):
@@ -129,7 +138,8 @@ def test_non_finite_report_is_refused(capsys, monkeypatch, tmp_path):
     assert len(cli._json_chunks(_many_block_report(1.0))) > 2
     target = tmp_path / "report.json"
     for payload in ({"x": float("nan")}, _many_chunk_report(float("nan")),
-                    _many_block_report(float("nan"))):
+                    _many_block_report(float("nan")), _many_block_report(float("nan"), 5),
+                    _repeated_block_report(float("nan")), _repeated_block_report(-math.inf)):
         monkeypatch.setitem(cli._HANDLERS, "coeffs", lambda args: (payload, None))
         code, out, err = _run(capsys, "coeffs", "4", "--output", str(target))
         assert code == 1
@@ -202,6 +212,9 @@ _COLUMNS = st.sampled_from([
     (float, st.one_of(_FINITE, _FINITE.map(np.float64),
                       st.sampled_from([-0.0, 5e-324, 1e16, 1e22, -1e22]))),
     (np.int64, st.integers(-(2**63), 2**63 - 1)),
+    # few distinct values, so each repeats within a block and across blocks
+    (float, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1])),
+    (np.int64, st.sampled_from([2**63 - 1, -(2**63 - 1), 0])),
     (None, st.text()),
     (None, st.booleans()),
     (None, st.none() | st.builds(InertiaTriple, *[st.integers(0, 12)] * 3)),
@@ -235,6 +248,10 @@ def _tables(draw):
                       "t": [None, InertiaTriple(1, 0, 2)], "\u00e9": ["\u20ac", "%d"]}),
           [{"%s": [-0.0, 5e-324], "t": None, "\u00e9": "\u20ac"},
            {"%s": [1e16, 1e22], "t": [1, 0, 2], "\u00e9": "%d"}]))
+@example((cli._Table({"z": np.array([0.0, -0.0, 0.0, -0.0, -0.0, 5e-324, -5e-324]),
+                      "i": np.array([[2**63 - 1, -(2**63 - 1)]] * 7)}),
+          [{"z": z, "i": [2**63 - 1, -(2**63 - 1)]}
+           for z in [0.0, -0.0, 0.0, -0.0, -0.0, 5e-324, -5e-324]]))
 def test_table_writer_equals_json_dumps_of_its_rows(table_rows):
     table, rows = table_rows
     with pytest.MonkeyPatch.context() as mp:
@@ -245,6 +262,23 @@ def test_table_writer_equals_json_dumps_of_its_rows(table_rows):
             payload = {"count": len(rows), "nested": [{"rows": table}]}
             assert "".join(cli._json_chunks(payload)) == \
                 _dumps({"count": len(rows), "nested": [{"rows": rows}]})
+
+
+def test_table_writer_takes_a_flat_unique_inverse(monkeypatch):
+    """NumPy before 2.0 returns np.unique's inverse flattened for a 2-D input;
+    the texts are placed in the block's own shape either way."""
+    unique = np.unique
+
+    def flat_inverse(values, **kwargs):
+        out = unique(values, **kwargs)
+        return out[:-1] + (out[-1].ravel(),) if kwargs.get("return_inverse") else out
+
+    monkeypatch.setattr(np, "unique", flat_inverse)
+    monkeypatch.setattr(cli, "CSV_BLOCK", 3)
+    q = np.array([[0.0, -0.0], [1.5, 0.0]] * 4)
+    table = cli._Table({"q": q, "i": np.arange(8)})
+    assert "".join(cli._json_chunks(table)) == \
+        _dumps([{"q": row, "i": i} for i, row in enumerate(q.tolist())])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
@@ -262,6 +296,7 @@ def report_payloads():
     return {argv: cli._HANDLERS[argv[0]](parser.parse_args(argv))[0]
             for argv in (("collinear", "--n", "4", "--d", "3", "--s", "3,2,1"),
                          ("collinear", "--n", "6", "--s", "1.5"),
+                         ("collinear", "--n", "6", "--s", "1.5", "--masses", "1,2,3,4,5,6"),
                          ("census", "--n", "3", "--restarts", "5"),
                          ("bounds", "6", "3"),
                          ("coeffs", "30"))}
@@ -295,16 +330,19 @@ def test_census_report_is_held_at_about_its_own_size(tmp_path):
 
 
 def test_json_report_is_held_at_about_its_own_size(report_payloads, tmp_path):
-    payload = report_payloads[("collinear", "--n", "6", "--s", "1.5")]
-    path = tmp_path / "collinear.json"
-    tracemalloc.start()
-    try:
-        cli._emit(argparse.Namespace(format="json", output=str(path)), payload, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.read_text() == _dumps(payload) + "\n"
-    assert peak <= 1.5 * path.stat().st_size
+    """Equal masses repeat a few values throughout the table; masses 1..6
+    repeat few."""
+    for masses in ((), ("--masses", "1,2,3,4,5,6")):
+        payload = report_payloads[("collinear", "--n", "6", "--s", "1.5", *masses)]
+        path = tmp_path / "collinear.json"
+        tracemalloc.start()
+        try:
+            cli._emit(argparse.Namespace(format="json", output=str(path)), payload, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == _dumps(payload) + "\n"
+        assert peak <= 1.5 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +887,33 @@ def test_usage_error_prints_schema_and_exits_1(capsys):
     code, _, err = _run(capsys, "coeffs", "abc")
     assert code == 1
     assert "usage:" in err
+
+
+def test_one_parser_serves_every_run(capsys, monkeypatch):
+    """Runs in one process share one parser: two runs build one, and a
+    usage error (exit 1) part-way through a parse leaves the next parse
+    equal to a fresh parser's."""
+    builds = []
+    add_subparsers = cli._Parser.add_subparsers
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        return add_subparsers(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    try:
+        first = _run_json(capsys, "coeffs", "4")
+        code, out, err = _run(capsys, "census", "--n", "4", "--restarts", "-1", "--seed", "4")
+        assert code == 1 and out == "" and "usage:" in err
+        assert _run_json(capsys, "coeffs", "4") == first
+        argv = ["census", "--n", "3", "--seed", "2"]
+        cached = cli.build_parser().parse_args(argv)
+        assert len(builds) == 1
+        assert vars(cached) == vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert (cached.n, cached.restarts, cached.seed, cached.s) == (3, 500, 2, (1.5,))
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -398,6 +398,44 @@ def test_enumerate_solves_each_ordering_once(monkeypatch, masses, s):
         )
 
 
+def _looped_cc_lines(m: np.ndarray, orderings):
+    """x_hat, gap residuals and iterations, one ordering at a time: each
+    ordering's masses in line order as a tuple key, one gap solve per key,
+    and the unit line placed into its own row."""
+    solved: dict = {}
+    x_hat = np.empty((len(orderings), len(m)))
+    fits = []
+    for k, ordering in enumerate(orderings):
+        order0 = [b - 1 for b in ordering]
+        m_ord = m[order0]
+        key = tuple(m_ord)
+        if key not in solved:
+            gaps, gap_res, iters = collinear._ordered_cc_gaps(m_ord)
+            y = np.concatenate(([0.0], np.cumsum(gaps)))
+            y -= float(m_ord @ y / m_ord.sum())
+            y /= math.sqrt(float(m_ord @ y**2))
+            solved[key] = y, gap_res, iters
+        x_hat[k, order0], *fit = solved[key]
+        fits.append(fit)
+    return (x_hat, *map(list, zip(*fits)))
+
+
+@pytest.mark.parametrize("masses", [(1.0,) * 6, (1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 1.0, 3.0, 1.0)])
+def test_cc_lines_equal_a_per_ordering_loop(masses):
+    """The lines placed by one indexed assignment from one solve per
+    distinct mass row are bitwise those a per-ordering loop places, with
+    the same gap residuals and iteration counts, for canonical orderings
+    and for a mixed list holding reversed ones."""
+    m = np.array(masses)
+    every = list(itertools.permutations(range(1, len(m) + 1)))
+    for orderings in ([o for o in every if o[0] < o[-1]], every[::-3], [every[-1]]):
+        x_hat, gap_res, iters, spectra = collinear._cc_lines(m, orderings)
+        looped = _looped_cc_lines(m, orderings)
+        assert x_hat.tobytes() == looped[0].tobytes()
+        assert (list(gap_res), list(iters)) == (looped[1], looped[2])
+        assert len(spectra) == len(orderings)
+
+
 @pytest.mark.parametrize(
     "masses,s",
     [
